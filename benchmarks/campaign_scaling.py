@@ -8,21 +8,19 @@ run campaign``::
 Two measurements, written in the shared ``repro-bench`` report schema
 (:mod:`repro.obs.bench`):
 
-* **Dispatch overhead** (the headline): the same analytic-mode grid run
-  through the warm lease pipeline (persistent salt-verified workers,
-  batched leases, shared-memory trace hand-off, streaming merge) versus
-  the legacy per-cell pool over cold ``spawn``-start workers.  Analytic
-  cells cost milliseconds, so the wall-time difference *is* the dispatch
-  overhead — worker cold-start imports, per-cell pickle round trips, the
-  end-of-grid barrier — the exact costs the warm pipeline exists to
-  eliminate.  ``warm_vs_spawn_speedup`` is floor-tested (>= 1.4x) in
-  ``benchmarks/test_perf_campaign.py`` on any CPU count, because the
-  overhead being eliminated is per-worker/per-cell, not per-core.
+* **Dispatch overhead**: the same analytic-mode grid served in-process
+  (``workers=1``) and by the warm worker pool (persistent salt-verified
+  workers, batched leases, streaming merge).  Analytic cells cost
+  milliseconds, so the wall-time difference *is* what the pool adds —
+  worker start-up, pipe round trips, pickling — and it is recorded as
+  measured (``dispatch_overhead_warm_seconds`` in ``details``).
 * **Worker scaling**: the fixed event-mode (δ × seed) grid timed
   serially and with 2 and 4 warm workers.  Cells are independent
   simulations, so on an unloaded machine with >= 4 CPUs the 4-worker
   run should beat serial by well over 1.5×; the test module asserts that
-  wherever the hardware can express it.
+  wherever the hardware can express it.  A worker count above the host's
+  CPU count cannot show a speedup, so it is not timed and its entry is
+  marked ``"unmeasured"``.
 
 Wall times are best-of-``REPEATS`` minima — the low-noise statistic for
 short runs — and the derived cache salt is computed *before* any timing
@@ -67,21 +65,15 @@ DISPATCH_GRID = dict(
 
 WORKER_COUNTS = (1, 2, 4)
 
-#: Workers for the dispatch-overhead comparison (both executors).
+#: Workers for the warm-pool side of the dispatch-overhead comparison.
 DISPATCH_WORKERS = 2
 
 #: Best-of-N repeats per timed configuration.  The minimum is the
-#: stable statistic for sub-second runs; the cold-start spawn runs are
-#: expensive, so they repeat less.
+#: stable statistic for sub-second runs.
 REPEATS = 3
-SPAWN_REPEATS = 2
 
-#: Resolution floor (seconds) applied to the dispatch-overhead *metrics*
-#: (the raw values stay in ``details``).  The warm pipeline's overhead
-#: sits near scheduler-jitter level; clamping to the measurement noise
-#: floor keeps ``repro-bench compare`` from flagging a 0.02s -> 0.04s
-#: wobble as a 100% regression.
-OVERHEAD_RESOLUTION_SECONDS = 0.1
+#: Scaling entry of a worker count the host has too few CPUs to express.
+UNMEASURED = "unmeasured"
 
 
 def available_cpus() -> int:
@@ -90,24 +82,22 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def time_campaign(workers: int, grid: dict = BENCH_GRID,
-                  pool: str = "warm") -> float:
+def time_campaign(workers: int, grid: dict = BENCH_GRID) -> float:
     """Wall seconds for one full run of a benchmark grid."""
     spec = CampaignSpec(**grid)
     started = perf_counter()
-    run_campaign(spec, workers=workers, pool=pool)
+    run_campaign(spec, workers=workers)
     return perf_counter() - started
 
 
-def best_of(repeats: int, workers: int, grid: dict,
-            pool: str = "warm") -> float:
+def best_of(repeats: int, workers: int, grid: dict) -> float:
     """Minimum wall seconds over ``repeats`` runs of the grid."""
-    return min(time_campaign(workers, grid=grid, pool=pool)
+    return min(time_campaign(workers, grid=grid)
                for _ in range(max(1, repeats)))
 
 
 def collect_dispatch(quick: bool = False) -> dict:
-    """Warm lease pipeline vs cold spawn pool on the analytic grid."""
+    """In-process vs warm-pool lease serving on the analytic grid."""
     grid = dict(DISPATCH_GRID)
     if quick:
         grid["seeds"] = DISPATCH_GRID["seeds"][:2]
@@ -115,12 +105,11 @@ def collect_dispatch(quick: bool = False) -> dict:
     cells = len(grid["deltas"]) * len(grid["seeds"])
 
     serial = best_of(REPEATS, 1, grid)
-    warm = best_of(REPEATS, DISPATCH_WORKERS, grid, pool="warm")
-    spawn = best_of(SPAWN_REPEATS, DISPATCH_WORKERS, grid, pool="spawn")
+    warm = best_of(REPEATS, DISPATCH_WORKERS, grid)
 
-    # One instrumented warm run for the transport accounting (its wall
-    # time is not used; the timed runs above stay uninstrumented).
-    result = run_campaign(spec, workers=DISPATCH_WORKERS, pool="warm")
+    # One more warm run for the lease accounting (its wall time is not
+    # used).
+    result = run_campaign(spec, workers=DISPATCH_WORKERS)
     dispatch = result.dispatch_stats or {}
 
     return {
@@ -129,17 +118,11 @@ def collect_dispatch(quick: bool = False) -> dict:
         "workers": DISPATCH_WORKERS,
         "serial_seconds": serial,
         "warm_seconds": warm,
-        "spawn_seconds": spawn,
-        "warm_vs_spawn_speedup": spawn / warm,
-        # Executor cost over and above the (tiny) serial compute: what
-        # each dispatch path adds to an overhead-free baseline.
-        "dispatch_overhead_warm_seconds": max(0.0, warm - serial),
-        "dispatch_overhead_spawn_seconds": max(0.0, spawn - serial),
+        # What the pool adds to the in-process run, as measured: near
+        # scheduler-jitter level, and negative when the second CPU wins.
+        "dispatch_overhead_warm_seconds": warm - serial,
         "leases": dispatch.get("leases", 0),
         "lease_batch_size": dispatch.get("batch_size", 0),
-        "shm_leases": dispatch.get("shm_leases", 0),
-        "inline_leases": dispatch.get("inline_leases", 0),
-        "shm_bytes": dispatch.get("shm_bytes", 0),
     }
 
 
@@ -157,12 +140,14 @@ def collect_scaling(quick: bool = False) -> dict:
         "speedup_vs_serial": {},
     }
     for workers in WORKER_COUNTS:
-        document["wall_seconds"][str(workers)] = time_campaign(workers,
-                                                               grid=grid)
-    serial = document["wall_seconds"]["1"]
-    for workers in WORKER_COUNTS:
-        document["speedup_vs_serial"][str(workers)] = \
-            serial / document["wall_seconds"][str(workers)]
+        key = str(workers)
+        if workers > document["cpus"]:
+            document["wall_seconds"][key] = UNMEASURED
+            document["speedup_vs_serial"][key] = UNMEASURED
+            continue
+        document["wall_seconds"][key] = time_campaign(workers, grid=grid)
+        document["speedup_vs_serial"][key] = \
+            document["wall_seconds"]["1"] / document["wall_seconds"][key]
     return document
 
 
@@ -181,27 +166,16 @@ def run_suite(quick: bool = False) -> dict:
     """One schema-versioned ``repro-bench`` report for this suite."""
     details = collect(quick=quick)
     dispatch = details["dispatch"]
+    speedups = details["speedup_vs_serial"]
     metrics = {
-        f"speedup_{workers}_workers":
-            metric(details["speedup_vs_serial"][str(workers)], "x")
-        for workers in WORKER_COUNTS if workers > 1
+        f"speedup_{workers}_workers": metric(speedups[str(workers)], "x")
+        for workers in WORKER_COUNTS
+        if workers > 1 and speedups[str(workers)] != UNMEASURED
     }
     metrics["serial_seconds"] = metric(details["wall_seconds"]["1"], "s",
                                        direction=LOWER_IS_BETTER)
-    metrics["warm_vs_spawn_speedup"] = metric(
-        dispatch["warm_vs_spawn_speedup"], "x")
-    metrics["dispatch_overhead_warm_seconds"] = metric(
-        max(dispatch["dispatch_overhead_warm_seconds"],
-            OVERHEAD_RESOLUTION_SECONDS), "s",
-        direction=LOWER_IS_BETTER)
-    metrics["dispatch_overhead_spawn_seconds"] = metric(
-        max(dispatch["dispatch_overhead_spawn_seconds"],
-            OVERHEAD_RESOLUTION_SECONDS), "s",
-        direction=LOWER_IS_BETTER)
-    # Deterministic transport volume: how many trace bytes rode shared
-    # memory instead of the pickle pipe.  More on the fast path is
-    # better; the count is byte-stable across runs of the same grid.
-    metrics["shm_bytes"] = metric(dispatch["shm_bytes"], "bytes")
+    metrics["warm_seconds"] = metric(dispatch["warm_seconds"], "s",
+                                     direction=LOWER_IS_BETTER)
     return build_report(SUITE, metrics, mode="quick" if quick else "full",
                         details=details)
 
@@ -220,17 +194,17 @@ def main(argv=None) -> int:
           f"{document['grid_cells']} cells:")
     for workers in WORKER_COUNTS:
         wall = document["wall_seconds"][str(workers)]
+        if wall == UNMEASURED:
+            print(f"  workers={workers}: {UNMEASURED} "
+                  f"(more workers than CPUs)")
+            continue
         speedup = document["speedup_vs_serial"][str(workers)]
         print(f"  workers={workers}: {wall:7.2f}s  ({speedup:.2f}x)")
-    print(f"dispatch overhead ({dispatch['grid_cells']} analytic cells, "
-          f"{dispatch['workers']} workers):")
-    print(f"  warm  pipeline: {dispatch['warm_seconds']:7.2f}s "
-          f"(+{dispatch['dispatch_overhead_warm_seconds']:.2f}s overhead, "
-          f"{dispatch['shm_bytes']} shm bytes over "
-          f"{dispatch['leases']} leases)")
-    print(f"  spawn pool:     {dispatch['spawn_seconds']:7.2f}s "
-          f"(+{dispatch['dispatch_overhead_spawn_seconds']:.2f}s overhead)")
-    print(f"  warm vs spawn:  {dispatch['warm_vs_spawn_speedup']:.2f}x")
+    print(f"dispatch overhead ({dispatch['grid_cells']} analytic cells):")
+    print(f"  in-process: {dispatch['serial_seconds']:7.2f}s")
+    print(f"  warm pool:  {dispatch['warm_seconds']:7.2f}s "
+          f"({dispatch['workers']} workers, {dispatch['leases']} leases, "
+          f"{dispatch['dispatch_overhead_warm_seconds']:+.2f}s)")
     print(f"written to {output}")
     return 0
 

@@ -182,21 +182,19 @@ def main_campaign(argv: Optional[Sequence[str]] = None) -> int:
                              "bottleneck fast-forward.  The mode is part "
                              "of each cell's cache fingerprint")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the grid (default 1 = "
-                             "serial)")
-    parser.add_argument("--pool", choices=("warm", "spawn"), default="warm",
-                        help="parallel executor when --workers > 1: 'warm' "
-                             "(default) keeps salt-verified workers alive "
-                             "and leases them batches of cells with "
-                             "shared-memory trace hand-off; 'spawn' uses "
-                             "cold per-cell spawn workers (maximal "
-                             "isolation, highest dispatch overhead).  "
-                             "Artifacts are byte-identical either way")
+                        help="worker processes for the grid (default 1: "
+                             "every lease of cells runs in this process; "
+                             "N > 1: a warm pool of N salt-verified "
+                             "workers runs them).  "
+                             "Analytic grids are leased seed by seed so "
+                             "each seed's cross-traffic replay is reused "
+                             "across its deltas.  Artifacts are "
+                             "byte-identical for any worker count")
     parser.add_argument("--batch-size", type=int, default=None,
                         metavar="CELLS",
-                        help="cells per lease for the warm pool (default: "
-                             "auto-tuned from grid size, worker count, and "
-                             "estimated cell cost)")
+                        help="cells per lease (default: auto-tuned from "
+                             "grid size, worker count, and estimated "
+                             "cell cost)")
     parser.add_argument("--output-dir", metavar="DIR",
                         help="write per-cell trace CSVs, manifest.json, "
                              "and timing.json into DIR")
@@ -250,7 +248,7 @@ def main_campaign(argv: Optional[Sequence[str]] = None) -> int:
     progress = {None: "auto", True: "on", False: "off"}[args.progress]
     result = run_campaign(spec, workers=args.workers, cache=cache,
                           spans=args.spans, progress=progress,
-                          pool=args.pool, batch_size=args.batch_size)
+                          batch_size=args.batch_size)
     cells = len(spec.deltas) * len(spec.seeds)
     print(f"campaign: {len(spec.deltas)} deltas x {len(spec.seeds)} seeds "
           f"= {cells} cells ({args.workers} worker"

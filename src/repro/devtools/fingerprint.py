@@ -52,11 +52,11 @@ SALT_ENTRY_FUNCTION = "repro.experiments.campaign._run_cell"
 #: byte-identical), so editing them must not invalidate cached cells.
 SALT_EXCLUDE_PREFIXES: Tuple[str, ...] = (
     "repro.devtools",
-    # Dispatch plumbing, not physics: the warm-pool transport (leases,
-    # shared-memory hand-off) moves results between processes but never
-    # computes them — serial==warm==spawn byte-identity is what the
-    # campaign tests enforce — so editing the pool must not invalidate
-    # every cached cell.
+    # Dispatch plumbing, not physics: lease planning, serving, and the
+    # warm-pool pipes move results between processes but never compute
+    # them — serial==warm byte-identity is what the campaign tests
+    # enforce — so editing the pool must not invalidate every cached
+    # cell.
     "repro.experiments.pool",
     "repro.obs.bench",
     "repro.obs.progress",

@@ -70,7 +70,7 @@ class NoPrintRule(Rule):
 SIMULATOR_ROOTS: Tuple[str, ...] = ("repro.sim.kernel.Simulator.run",)
 
 #: Module subtrees banned on the simulator call graph: telemetry, plus
-#: orchestration plumbing (the warm-pool lease/shared-memory transport) —
+#: orchestration plumbing (lease serving and the warm-pool transport) —
 #: the kernel computes results, it never dispatches or ships them.
 TELEMETRY_MODULES: Tuple[str, ...] = (
     "repro.obs.spans",

@@ -9,26 +9,24 @@ drives this module from the command line).
 
 Cells are independent by construction — each owns its own
 :class:`~repro.sim.kernel.Simulator` seeded from the cell's seed — so the
-grid is embarrassingly parallel.  :func:`run_campaign` executes it one of
-three ways, all running the same pure worker (:func:`_run_cell`) and all
-producing byte-identical tables, trace CSVs, and ``manifest.json``:
+grid is embarrassingly parallel.  :func:`run_campaign` executes every grid
+the same way: :func:`~repro.experiments.pool.plan_leases` cuts the cells
+into deterministic *leases* (seed-affine for analytic grids, so a seed's
+cross-traffic replay is reused across its δ values), every lease runs the same pure worker (:func:`_run_cell`) and
+goes through the same pack/unpack round trip, and a streaming grid-order
+merge (heap keyed on grid index) folds the cells into artifacts.  Only
+the lease source differs:
 
-* ``workers=1`` — serial, in this process (the default).
-* ``pool="warm"`` — a persistent :class:`~repro.experiments.pool.
-  WarmWorkerPool`: workers import the repro closure once (verified by a
-  cache-salt handshake), serve deterministic *lease batches* of cells
-  (:func:`~repro.experiments.pool.plan_leases`), and hand trace columns
-  back through shared memory; the parent folds results into artifacts
-  incrementally with a streaming grid-order merge (heap keyed on grid
-  index) while later leases are still simulating.
-* ``pool="spawn"`` — the legacy per-cell ``ProcessPoolExecutor`` over
-  cold ``spawn``-start workers: maximal isolation, one submit/pickle
-  round trip per cell, a full barrier before the merge.  Kept as the
-  portability/isolation mode and as the dispatch-overhead baseline the
-  warm pool is benchmarked against.
+* ``workers=1`` — leases are served one by one in this process
+  (:func:`~repro.experiments.pool.serve_leases`).
+* ``workers=N > 1`` — a :class:`~repro.experiments.pool.WarmWorkerPool`:
+  workers import the repro closure once (verified by a cache-salt
+  handshake) and serve leases through pipes, while the parent folds
+  completed leases as later ones are still simulating.
 
-Execution mechanics — worker counts, lease/batch shapes, shared-memory
-byte volumes, per-cell wall seconds — land exclusively in the
+Either way the tables, trace CSVs, and ``manifest.json`` are
+byte-identical.  Execution mechanics — worker counts, lease/batch shapes,
+replay-memo hits, per-cell wall seconds — land exclusively in the
 ``timing.json`` sidecar (its ``dispatch`` block), never in the manifest.
 
 Cell purity also makes cells memoizable: pass ``cache=`` (a directory or
@@ -45,15 +43,11 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import multiprocessing
 import re
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
-from typing import Any, ContextManager, Dict, List, Optional, Sequence, \
-    Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.loss import loss_stats
 from repro.analysis.stats import ReplicationSummary, replicate
@@ -61,12 +55,12 @@ from repro.analysis.timeseries import summarize
 from repro.errors import ConfigurationError
 from repro.experiments.cache import CampaignCache, resolve_cache
 from repro.experiments.config import EXECUTION_MODES, ExperimentConfig
-from repro.experiments.pool import WarmWorkerPool, plan_leases
+from repro.experiments.pool import WarmWorkerPool, plan_leases, \
+    serve_leases
 from repro.experiments.runner import (
     build_scenario,
     estimate_cell_seconds,
     probe_scenario,
-    run_experiment_timed,
 )
 from repro.net.routing import Network
 from repro.netdyn.trace import ProbeTrace
@@ -88,6 +82,7 @@ from repro.obs.spans import (
     append_spans,
     clear_worker_files,
     merge_spans,
+    optional_span,
     read_span_dir,
     resolve_span_dir,
     summarize_spans,
@@ -157,7 +152,7 @@ class CellResult:
     """Everything one (delta, seed) cell produces.
 
     Returned by :func:`_run_cell`; plain data (numpy arrays, dicts,
-    floats) so it pickles cleanly across the process pool.
+    floats) so it packs cleanly into a lease payload.
     """
 
     delta: float
@@ -191,10 +186,10 @@ class CampaignResult:
     #: hits/misses/bytes plus a per-cell hit-or-miss map.  Execution
     #: mechanics only — lands in timing.json, never the manifest.
     cache_stats: Optional[Dict[str, Any]] = None
-    #: dispatch accounting: which executor ran the grid (serial / warm
-    #: pool / spawn pool), lease count and batch size, shared-memory
-    #: transport volumes.  Execution mechanics only — lands in
-    #: timing.json's ``dispatch`` block, never the manifest.
+    #: dispatch accounting: which lease source ran the grid (serial /
+    #: warm pool), lease count and batch size, replay-memo hits and
+    #: misses.  Execution mechanics only — lands in timing.json's
+    #: ``dispatch`` block, never the manifest.
     dispatch_stats: Optional[Dict[str, Any]] = None
 
     def table(self) -> str:
@@ -286,49 +281,44 @@ def _run_cell(spec: CampaignSpec, delta: float, seed: int,
     only the arguments and touches no shared state, so the cell can run in
     this process or in a pool worker interchangeably.  Trace CSVs and
     manifests are written by the parent after the deterministic merge.
-    With ``span_dir`` set the worker additionally times its
+    With ``span_dir`` set the cell additionally times its
     setup/sim/analysis phases and appends the span records to its
-    per-process JSONL file there — telemetry only, written beside (never
-    into) the deterministic artifacts, and the simulated work goes through
-    the exact same calls (:func:`~repro.experiments.runner.build_scenario`
-    + :func:`~repro.experiments.runner.probe_scenario`, the decomposition
-    of :func:`~repro.experiments.runner.run_experiment_timed`), so the
-    returned trace is byte-identical with spans on or off.
+    process's JSONL file there — telemetry only, written beside (never
+    into) the deterministic artifacts; the simulated work makes the same
+    calls either way, so the returned trace is byte-identical with spans
+    on or off.
     """
     config = ExperimentConfig(delta=delta, duration=spec.duration,
                               seed=seed, scenario=spec.scenario,
                               scenario_kwargs=dict(spec.scenario_kwargs),
-                              mode=getattr(spec, "mode", "event"))
-    if config.mode == "analytic":
-        return _run_cell_analytic(config, span_dir, replay_memo)
-    if span_dir is None:
-        trace, scenario, wall = run_experiment_timed(config)
-        return CellResult(delta=delta, seed=seed, trace=trace,
-                          queue_stats=collect_queue_stats(scenario.network),
-                          metrics=_cell_metrics(trace), wall_seconds=wall)
+                              mode=spec.mode)
     key = cell_key(delta, seed)
-    tracer = SpanTracer()
-    with tracer.span(f"cell {key}", phase=PHASE_CELL, cell=key):
-        # Same host-bookkeeping window as run_experiment_timed: build +
-        # warm-up + probe train (timing.json semantics are unchanged).
-        started = perf_counter()  # repro: noqa[FLOW001]
-        with tracer.span("setup", phase=PHASE_SETUP):
-            scenario = build_scenario(config)
-            scenario.start_traffic(at=0.0)
-        with tracer.span("sim", phase=PHASE_SIM):
-            trace = probe_scenario(scenario, config)
-        wall = perf_counter() - started  # repro: noqa[FLOW001]
-        with tracer.span("analysis", phase=PHASE_ANALYSIS):
-            queue_stats = collect_queue_stats(scenario.network)
-            metrics = _cell_metrics(trace)
-    append_spans(span_dir, tracer.records)
-    return CellResult(delta=delta, seed=seed, trace=trace,
-                      queue_stats=queue_stats, metrics=metrics,
-                      wall_seconds=wall)
+    tracer = SpanTracer() if span_dir is not None else None
+    with optional_span(tracer, f"cell {key}", PHASE_CELL, cell=key):
+        if config.mode == "analytic":
+            cell = _run_cell_analytic(config, tracer, replay_memo)
+        else:
+            # Host bookkeeping only: build + warm-up + probe train, kept
+            # in timing.json and never fed back into simulated time.
+            started = perf_counter()  # repro: noqa[FLOW001]
+            with optional_span(tracer, "setup", PHASE_SETUP):
+                scenario = build_scenario(config)
+                scenario.start_traffic(at=0.0)
+            with optional_span(tracer, "sim", PHASE_SIM):
+                trace = probe_scenario(scenario, config)
+            wall = perf_counter() - started  # repro: noqa[FLOW001]
+            with optional_span(tracer, "analysis", PHASE_ANALYSIS):
+                cell = CellResult(
+                    delta=delta, seed=seed, trace=trace,
+                    queue_stats=collect_queue_stats(scenario.network),
+                    metrics=_cell_metrics(trace), wall_seconds=wall)
+    if tracer is not None:
+        append_spans(span_dir, tracer.records)
+    return cell
 
 
 def _run_cell_analytic(config: ExperimentConfig,
-                       span_dir: Optional[Path],
+                       tracer: Optional[SpanTracer],
                        replay_memo: bool = True) -> CellResult:
     """The analytic-mode cell body: fast-forward instead of simulate.
 
@@ -349,60 +339,15 @@ def _run_cell_analytic(config: ExperimentConfig,
         run_fastforward_experiment,
     )
     memo = process_replay_memo() if replay_memo else None
-    if span_dir is None:
-        started = perf_counter()  # repro: noqa[FLOW001]
-        result = run_fastforward_experiment(config, memo=memo)
-        wall = perf_counter() - started  # repro: noqa[FLOW001]
-        return CellResult(delta=config.delta, seed=config.seed,
-                          trace=result.trace, queue_stats=result.queue_stats,
-                          metrics=_cell_metrics(result.trace),
-                          wall_seconds=wall)
-    key = cell_key(config.delta, config.seed)
-    tracer = SpanTracer()
-    with tracer.span(f"cell {key}", phase=PHASE_CELL, cell=key):
-        started = perf_counter()  # repro: noqa[FLOW001]
-        with tracer.span("sim", phase=PHASE_SIM):
-            result = run_fastforward_experiment(config, memo=memo,
-                                                tracer=tracer)
-        wall = perf_counter() - started  # repro: noqa[FLOW001]
-        with tracer.span("analysis", phase=PHASE_ANALYSIS):
-            metrics = _cell_metrics(result.trace)
-    append_spans(span_dir, tracer.records)
+    started = perf_counter()  # repro: noqa[FLOW001]
+    with optional_span(tracer, "sim", PHASE_SIM):
+        result = run_fastforward_experiment(config, memo=memo, tracer=tracer)
+    wall = perf_counter() - started  # repro: noqa[FLOW001]
+    with optional_span(tracer, "analysis", PHASE_ANALYSIS):
+        metrics = _cell_metrics(result.trace)
     return CellResult(delta=config.delta, seed=config.seed,
                       trace=result.trace, queue_stats=result.queue_stats,
                       metrics=metrics, wall_seconds=wall)
-
-
-def _run_cell_counted(spec: CampaignSpec, delta: float, seed: int,
-                      span_dir: Optional[Path] = None,
-                      replay_memo: bool = True,
-                      ) -> Tuple[CellResult, int, int]:
-    """:func:`_run_cell` plus this process's replay-memo hit/miss deltas.
-
-    The spawn pool submits this wrapper so the parent can fold worker-side
-    :class:`~repro.experiments.fastforward.CrossReplayMemo` accounting
-    into ``timing.json`` — counters travel beside the cell, never inside
-    it, keeping the cell result identical to the serial path's.
-    """
-    counting = replay_memo and getattr(spec, "mode", "event") == "analytic"
-    if not counting:
-        return (_run_cell(spec, delta, seed, span_dir=span_dir,
-                          replay_memo=replay_memo), 0, 0)
-    from repro.experiments.fastforward import process_replay_memo
-    memo = process_replay_memo()
-    hits_before, misses_before = memo.counters()
-    cell = _run_cell(spec, delta, seed, span_dir=span_dir,
-                     replay_memo=replay_memo)
-    hits, misses = memo.counters()
-    return cell, hits - hits_before, misses - misses_before
-
-
-def _span(tracer: Optional[SpanTracer], name: str, phase: str,
-          cell: str = "") -> ContextManager[None]:
-    """A tracer span, or a no-op context when telemetry is disabled."""
-    if tracer is None:
-        return nullcontext()
-    return tracer.span(name, phase=phase, cell=cell)
 
 
 class _GridMerge:
@@ -414,8 +359,8 @@ class _GridMerge:
     trace CSV written, fresh result stored to the cache, accumulators
     updated.  Folding is therefore strictly in (δ, seed) grid order no
     matter which executor ran the grid or how its completions interleaved,
-    which is what keeps serial, warm-pool, and spawn-pool artifacts
-    byte-identical — and it overlaps parent-side aggregation and cache
+    which is what keeps serial and warm-pool artifacts byte-identical —
+    and it overlaps parent-side aggregation and cache
     writes with worker simulation instead of barriering on the full grid.
     """
 
@@ -468,18 +413,10 @@ class _GridMerge:
                 f"{len(self._order)} cells")
 
 
-def _spawn_context():
-    """The ``spawn`` multiprocessing context (cold, stateless workers)."""
-    if "spawn" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("spawn")
-    return multiprocessing.get_context()  # pragma: no cover - exotic
-
-
 def run_campaign(spec: CampaignSpec, workers: int = 1,
                  cache: Union[CampaignCache, str, Path, None] = None,
                  spans: Union[bool, str, Path, None] = None,
                  progress: ProgressLike = None,
-                 pool: Union[str, WarmWorkerPool] = "warm",
                  batch_size: Optional[int] = None,
                  replay_memo: bool = True) -> CampaignResult:
     """Execute every (delta, seed) cell of the campaign.
@@ -489,26 +426,16 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
     spec:
         The campaign grid.
     workers:
-        Worker processes to fan cells out over.  ``1`` (the default) runs
-        every cell serially in this process; ``N > 1`` dispatches through
-        the executor selected by ``pool``.  Every path runs the same
-        per-cell worker and folds results in grid order, so the resulting
-        tables, CSVs, and ``manifest.json`` are byte-identical whichever
-        executor ran them.
-    pool:
-        Parallel executor (ignored when the grid runs serially):
-        ``"warm"`` (the default) uses a persistent
-        :class:`~repro.experiments.pool.WarmWorkerPool` — salt-verified
-        warm workers serving batched cell leases with shared-memory trace
-        hand-off; ``"spawn"`` uses the legacy per-cell
-        ``ProcessPoolExecutor`` over cold ``spawn``-start workers (maximal
-        isolation, highest dispatch overhead).  An existing
-        :class:`~repro.experiments.pool.WarmWorkerPool` instance is used
-        as-is and left running, so one pool can serve many campaigns —
-        its worker count overrides ``workers``.
+        Worker processes to fan cells out over.  ``1`` (the default)
+        serves every lease in this process; ``N > 1`` serves them on a
+        :class:`~repro.experiments.pool.WarmWorkerPool` of ``N``
+        salt-verified workers, started for this campaign and closed after
+        it.  Every lease runs the same per-cell worker and the merge folds
+        cells in grid order, so the resulting tables, CSVs, and
+        ``manifest.json`` are byte-identical for any worker count.
     batch_size:
-        Cells per lease for the warm pool (default: auto-tuned from the
-        grid size, worker count, and the per-cell duration estimate; see
+        Cells per lease (default: auto-tuned from the grid size, worker
+        count, and the per-cell duration estimate; see
         :func:`~repro.experiments.pool.plan_leases`).
     cache:
         Optional cell cache — a directory path or a
@@ -537,23 +464,14 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
         Reuse each seed's analytic cross-traffic replay across the cells
         that share it (default on; event-mode campaigns ignore it).  The
         memo is per-process — the serial path and each pool worker keep
-        their own — and analytic grids are leased seed-affine so a warm
-        worker's memo stays hot across its lease.  Hit/miss counts land
+        their own — and analytic grids are leased seed-affine so the
+        memo stays hot across each lease.  Hit/miss counts land
         in ``timing.json``'s ``dispatch`` block (``replay_hits``/
         ``replay_misses``); every deterministic artifact is byte-identical
         with the memo on or off, so this flag is a pure execution knob.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    shared_pool: Optional[WarmWorkerPool] = None
-    if isinstance(pool, WarmWorkerPool):
-        shared_pool = pool
-        workers = pool.workers
-        pool = "warm"
-    elif pool not in ("warm", "spawn"):
-        raise ConfigurationError(
-            f"pool must be 'warm', 'spawn', or a WarmWorkerPool, "
-            f"got {pool!r}")
     cache = resolve_cache(cache)
     output_dir = Path(spec.output_dir) if spec.output_dir else None
     if output_dir:
@@ -573,7 +491,7 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
     if reporter is not None:
         reporter.start()
 
-    with _span(tracer, "campaign", PHASE_CAMPAIGN):
+    with optional_span(tracer, "campaign", PHASE_CAMPAIGN):
         hits: dict[tuple[float, int], CellResult] = {}
         pending = list(grid)
         bytes_read_before = bytes_written_before = 0
@@ -582,7 +500,7 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
             bytes_written_before = cache.bytes_written
             # One batched pass over the whole grid before any dispatch:
             # only the misses are planned into leases / submitted.
-            with _span(tracer, "cache lookup", PHASE_CACHE):
+            with optional_span(tracer, "cache lookup", PHASE_CACHE):
                 hits = cache.load_many(spec, grid)
             pending = [cell for cell in grid if cell not in hits]
 
@@ -595,97 +513,47 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
                                          saved_seconds=hit.wall_seconds)
                 merge.add(hit, cached=True)
 
+        probe_config = ExperimentConfig(
+            delta=spec.deltas[0], duration=spec.duration,
+            seed=spec.seeds[0], scenario=spec.scenario,
+            scenario_kwargs=dict(spec.scenario_kwargs), mode=spec.mode)
+        leases = plan_leases(
+            pending, workers, batch_size=batch_size,
+            cell_seconds=estimate_cell_seconds(probe_config),
+            affinity="seed" if spec.mode == "analytic" else None)
         dispatch_stats: Dict[str, Any] = {
-            "pool": "serial", "workers": workers, "leases": 0,
-            "batch_size": 0, "shm_leases": 0, "inline_leases": 0,
-            "shm_bytes": 0, "replay_memo": bool(replay_memo),
+            "pool": "serial", "workers": workers, "leases": len(leases),
+            "batch_size": len(leases[0]) if leases else 0,
+            "replay_memo": bool(replay_memo),
             "replay_hits": 0, "replay_misses": 0,
         }
-        if not pending:
-            pass
-        elif workers == 1 and shared_pool is None:
-            for delta, seed in pending:
-                cell, replay_hits, replay_misses = _run_cell_counted(
-                    spec, delta, seed, span_dir=span_dir,
-                    replay_memo=replay_memo)
-                dispatch_stats["replay_hits"] += replay_hits
-                dispatch_stats["replay_misses"] += replay_misses
-                if reporter is not None:
-                    reporter.cell_done(cell_key(delta, seed),
-                                       cell.wall_seconds)
-                merge.add(cell)
-        elif pool == "spawn":
-            # Legacy path: cold stateless workers, one submit per cell,
-            # barrier before folding.
-            dispatch_stats.update(pool="spawn", leases=len(pending),
-                                  batch_size=1)
-            with ProcessPoolExecutor(max_workers=workers,
-                                     mp_context=_spawn_context()) as exe:
-                futures = []
-                key_of = {}
-                for delta, seed in pending:
-                    future = exe.submit(_run_cell_counted, spec, delta,
-                                        seed, span_dir=span_dir,
-                                        replay_memo=replay_memo)
-                    futures.append(future)
-                    key_of[future] = cell_key(delta, seed)
-                if reporter is not None:
-                    # Report cells as they finish; the fold below still
-                    # walks futures in submission (= grid) order.
-                    for future in as_completed(futures):
-                        reporter.cell_done(key_of[future],
-                                           future.result()[0].wall_seconds)
-                for future in futures:
-                    cell, replay_hits, replay_misses = future.result()
-                    dispatch_stats["replay_hits"] += replay_hits
-                    dispatch_stats["replay_misses"] += replay_misses
-                    merge.add(cell)
+        warm_pool: Optional[WarmWorkerPool] = None
+        if workers == 1 or not leases:
+            served = serve_leases(spec, leases, span_dir=span_dir,
+                                  replay_memo=replay_memo)
         else:
-            warm_pool = shared_pool if shared_pool is not None \
-                else WarmWorkerPool(workers)
-            probe_config = ExperimentConfig(
-                delta=spec.deltas[0], duration=spec.duration,
-                seed=spec.seeds[0], scenario=spec.scenario,
-                scenario_kwargs=dict(spec.scenario_kwargs),
-                mode=spec.mode)
-            leases = plan_leases(
-                pending, warm_pool.workers, batch_size=batch_size,
-                cell_seconds=estimate_cell_seconds(probe_config),
-                affinity="seed" if spec.mode == "analytic" else None)
-            shm_bytes_before = warm_pool.shm_bytes
-            shm_leases_before = warm_pool.shm_leases
-            inline_before = warm_pool.inline_leases
-            try:
-                for index, cells, info in warm_pool.run_leases(
-                        spec, leases, span_dir=span_dir,
-                        replay_memo=replay_memo):
-                    dispatch_stats["replay_hits"] += info["replay_hits"]
-                    dispatch_stats["replay_misses"] += \
-                        info["replay_misses"]
-                    with _span(tracer, f"lease {index} collect",
-                               PHASE_LEASE):
-                        for cell in cells:
-                            if reporter is not None:
-                                reporter.cell_done(
-                                    cell_key(cell.delta, cell.seed),
-                                    cell.wall_seconds)
-                            merge.add(cell)
-            except BaseException:
-                # Worker state is unknown after an error; never leave a
-                # half-broken pool behind (shared or not).
+            warm_pool = WarmWorkerPool(workers)
+            served = warm_pool.run_leases(spec, leases, span_dir=span_dir,
+                                          replay_memo=replay_memo)
+        try:
+            for index, cells, info in served:
+                dispatch_stats["replay_hits"] += info["replay_hits"]
+                dispatch_stats["replay_misses"] += info["replay_misses"]
+                with optional_span(tracer, f"lease {index} collect",
+                                   PHASE_LEASE):
+                    for cell in cells:
+                        if reporter is not None:
+                            reporter.cell_done(
+                                cell_key(cell.delta, cell.seed),
+                                cell.wall_seconds)
+                        merge.add(cell)
+        finally:
+            # One pool per campaign, closed on error too: worker state is
+            # unknown after a failed lease.
+            if warm_pool is not None:
                 warm_pool.close()
-                raise
-            finally:
-                if shared_pool is None:
-                    warm_pool.close()
-            dispatch_stats.update(
-                pool="warm", workers=warm_pool.workers,
-                leases=len(leases),
-                batch_size=len(leases[0]) if leases else 0,
-                shm_leases=warm_pool.shm_leases - shm_leases_before,
-                inline_leases=warm_pool.inline_leases - inline_before,
-                shm_bytes=warm_pool.shm_bytes - shm_bytes_before,
-                salt=warm_pool.salt)
+        if warm_pool is not None:
+            dispatch_stats.update(pool="warm", salt=warm_pool.salt)
 
         merge.require_complete()
         results = merge.results
@@ -706,7 +574,7 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
                           for delta, seed in grid},
             }
 
-        with _span(tracer, "merge", PHASE_MERGE):
+        with optional_span(tracer, "merge", PHASE_MERGE):
             # Per-cell folding (CSV writes, cache stores) already
             # streamed in grid order as leases completed; what is left is
             # the cross-seed aggregation and the manifest.

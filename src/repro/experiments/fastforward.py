@@ -48,10 +48,8 @@ assumption is exact there; the equivalence tests verify it empirically.
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, ContextManager, Dict, Iterable, List, Optional, \
-    Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -763,14 +761,6 @@ def _clock_readings(sim_times: np.ndarray,
     return sim_times
 
 
-def _span(tracer: Optional[Any], name: str,
-          phase: str) -> ContextManager[None]:
-    """A tracer span, or a no-op context when telemetry is disabled."""
-    if tracer is None:
-        return nullcontext()
-    return tracer.span(name, phase=phase)
-
-
 def run_fastforward_experiment(config: ExperimentConfig,
                                memo: Optional[CrossReplayMemo] = None,
                                tracer: Optional[Any] = None,
@@ -824,8 +814,8 @@ def run_fastforward_experiment(config: ExperimentConfig,
         key = replay_key(config)
         replay = memo.get(key, end_time)
     if replay is None:
-        from repro.obs.spans import PHASE_REPLAY
-        with _span(tracer, "replay", PHASE_REPLAY):
+        from repro.obs.spans import PHASE_REPLAY, optional_span
+        with optional_span(tracer, "replay", PHASE_REPLAY):
             replay = build_cross_replay(scenario, build_horizon)
         if memo is not None and key is not None:
             memo.put(key, replay)

@@ -1,28 +1,27 @@
-"""Warm worker pool, batched cell leasing, shared-memory trace hand-off.
+"""Campaign leases: planning, serving, and the warm worker pool.
 
-The campaign dispatcher's transport layer.  A :class:`WarmWorkerPool` keeps
-``workers`` long-lived processes around: each worker imports the repro
-closure once (under the preferred ``fork`` start method it inherits the
-parent's already-imported modules outright), reports its import-closure
-cache salt in a handshake, and then serves *leases* — contiguous batches
-of (δ, seed) grid cells planned by :func:`plan_leases` — until the pool is
-closed.  Compared to the legacy per-cell spawn pool this removes the three
-fixed costs that dominate once cells get cheap (the analytic fast-forward
-mode): per-campaign process start-up and cold interpreter imports,
-per-cell submit/pickle round trips, and pickling every ProbeTrace column
-through the result pipe.
+The campaign dispatcher's execution layer.  :func:`plan_leases` cuts the
+grid cells to run into deterministic *leases* — contiguous batches of
+(δ, seed) cells, seed-affine for analytic grids.  :func:`_serve_lease`
+runs one lease's cells and packs them into one pickle-ready payload
+(:func:`pack_lease`); :func:`unpack_lease` rebuilds the CellResults and
+the lease's replay-memo accounting.  Every lease takes that path, served
+one of two ways:
 
-Result arrays cross the process boundary through
-``multiprocessing.shared_memory`` when available: the worker concatenates
-every trace column of a lease into one shared block and sends only
-``(offset, count)`` descriptors (:func:`pack_lease`); the parent copies the
-columns back out and unlinks the block (:func:`unpack_lease`).  Any
-failure — no ``/dev/shm``, import error, allocation failure — falls back
-to inline pickling of the same arrays, so the hand-off is an optimization,
-never a correctness input.  Everything in this module is execution
-mechanics: it moves bytes between processes but computes nothing, which is
-why it is excluded from the derived cache-salt closure and banned from the
-kernel call graph alongside the telemetry modules (OBS002).
+* :func:`serve_leases` — in this process, lease after lease (the serial
+  campaign);
+* :class:`WarmWorkerPool` — ``workers`` long-lived processes.  Each
+  worker imports the repro closure once (under the preferred ``fork``
+  start method it inherits the parent's already-imported modules
+  outright), reports its import-closure cache salt in a handshake, and
+  then serves leases sent down its pipe until the pool is closed.
+
+Payloads carry the trace columns inline, pickled through the pipe with
+the rest of the lease (tens of kilobytes per cell).  Everything in this module is execution
+mechanics: it moves results between processes but computes nothing,
+which is why it is excluded from the derived cache-salt closure and
+banned from the kernel call graph alongside the telemetry modules
+(OBS002).
 
 Staleness: a long-lived pool may outlive a code edit.  Workers therefore
 report :func:`repro.experiments.cache.cache_salt` (their view of the
@@ -49,15 +48,10 @@ from repro.errors import ConfigurationError
 from repro.netdyn.trace import ProbeTrace
 from repro.obs.spans import (
     PHASE_LEASE,
-    PHASE_SHM,
     SpanTracer,
     append_spans,
+    optional_span,
 )
-
-try:  # pragma: no cover - import succeeds on every supported platform
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - exotic builds without _posixshmem
-    _shared_memory = None  # type: ignore[assignment]
 
 
 class StaleWorkerError(RuntimeError):
@@ -133,51 +127,17 @@ CrossReplayMemo` for every further δ of that seed.  The merge re-orders
 
 
 # ----------------------------------------------------------------------
-# Lease payloads: shared-memory packing with an inline-pickle fallback
+# Lease payloads
 # ----------------------------------------------------------------------
-def _create_block(size: int):
-    """A shared-memory block that this process's tracker does not own.
+def pack_lease(results: Sequence[Any]) -> Dict[str, Any]:
+    """Serialize a lease's CellResults into one pickle-ready payload.
 
-    The block's lifecycle deliberately crosses processes (worker creates,
-    parent unlinks), which the per-process ``resource_tracker`` cannot
-    model — it would warn about a "leaked" segment the parent already
-    removed.  Python 3.13 has ``track=False`` for exactly this; older
-    versions need the explicit unregister.
-    """
-    try:
-        return _shared_memory.SharedMemory(create=True, size=size,
-                                           track=False)
-    except TypeError:
-        block = _shared_memory.SharedMemory(create=True, size=size)
-        try:
-            from multiprocessing import resource_tracker
-            resource_tracker.unregister(block._name, "shared_memory")
-        except (ImportError, AttributeError, KeyError, ValueError, OSError):
-            pass  # best effort: worst case is a spurious tracker warning
-        return block
-
-
-def _attach_block(name: str):
-    try:
-        return _shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        return _shared_memory.SharedMemory(name=name)
-
-
-def pack_lease(results: Sequence[Any], use_shm: bool = True,
-               tracer: Optional[SpanTracer] = None) -> Dict[str, Any]:
-    """Serialize a lease's CellResults for the pipe back to the parent.
-
-    Scalar fields (metrics, queue stats, trace metadata) always travel by
-    pickle — dict iteration order survives pickling, which the
-    byte-identical artifact invariant relies on.  The float64 trace
-    columns go through one shared-memory block per lease when ``use_shm``
-    and the platform cooperates; otherwise they ride inline in the same
-    message (the npz-pickle fallback).  The returned payload tags which
-    transport was used so the parent can account for it in timing.json.
+    Every field travels inline in the pipe message — dict iteration order
+    survives pickling, which the byte-identical artifact invariant relies
+    on.  The float64 trace columns are passed as contiguous arrays, so an
+    in-process lease shares them without a copy.
     """
     records = []
-    arrays: List[np.ndarray] = []
     for cell in results:
         trace = cell.trace
         records.append({
@@ -190,108 +150,32 @@ def pack_lease(results: Sequence[Any], use_shm: bool = True,
                       "payload_bytes": trace.payload_bytes,
                       "wire_bytes": trace.wire_bytes,
                       "meta": trace.meta},
+            "send_times": np.ascontiguousarray(trace.send_times,
+                                               dtype=np.float64),
+            "rtts": np.ascontiguousarray(trace.rtts, dtype=np.float64),
         })
-        arrays.append(np.ascontiguousarray(trace.send_times,
-                                           dtype=np.float64))
-        arrays.append(np.ascontiguousarray(trace.rtts, dtype=np.float64))
-    if use_shm and _shared_memory is not None:
-        try:
-            return _pack_shm(records, arrays, tracer)
-        except (OSError, ValueError, MemoryError):
-            # Segment creation can fail (no /dev/shm, exhausted space,
-            # zero-size edge): fall back to inline pickling — slower,
-            # never wrong.
-            pass
-    for record, send_times, rtts in zip(records, arrays[0::2],
-                                        arrays[1::2]):
-        record["send_times"] = send_times
-        record["rtts"] = rtts
-    return {"transport": "inline", "cells": records, "shm_bytes": 0}
-
-
-def _pack_shm(records: List[dict], arrays: List[np.ndarray],
-              tracer: Optional[SpanTracer]) -> Dict[str, Any]:
-    total = sum(int(array.nbytes) for array in arrays)
-    if tracer is not None:
-        with tracer.span("shm publish", phase=PHASE_SHM):
-            return _copy_into_block(records, arrays, total)
-    return _copy_into_block(records, arrays, total)
-
-
-def _copy_into_block(records: List[dict], arrays: List[np.ndarray],
-                     total: int) -> Dict[str, Any]:
-    block = _create_block(max(1, total))
-    try:
-        offset = 0
-        descriptors: List[Tuple[int, int]] = []
-        for array in arrays:
-            view = np.ndarray((array.size,), dtype=np.float64,
-                              buffer=block.buf, offset=offset)
-            view[:] = array
-            del view  # release the buffer export before block.close()
-            descriptors.append((offset, int(array.size)))
-            offset += int(array.nbytes)
-        for record, send_times, rtts in zip(records, descriptors[0::2],
-                                            descriptors[1::2]):
-            record["send_times"] = send_times
-            record["rtts"] = rtts
-        name = block.name
-    except BaseException:
-        block.close()
-        try:
-            block.unlink()
-        except OSError:
-            pass  # already gone; nothing left to clean up
-        raise
-    block.close()
-    return {"transport": "shm", "cells": records, "shm_name": name,
-            "shm_bytes": total}
+    return {"cells": records}
 
 
 def unpack_lease(payload: Dict[str, Any]) -> Tuple[List[Any], Dict[str, Any]]:
-    """Rebuild a lease's CellResults from :func:`pack_lease`'s payload.
+    """Rebuild a lease's CellResults from :func:`_serve_lease`'s payload.
 
-    Returns ``(cells, info)`` where ``info`` records the transport used
-    and the shared-memory byte volume.  Shared blocks are copied out,
-    closed, and unlinked here — the parent owns teardown, so a completed
-    lease never leaves a segment behind.
+    Returns ``(cells, info)``.  ``info`` carries the lease's replay-memo
+    ``replay_hits``/``replay_misses`` deltas plus the transport facts
+    (``transport`` is always ``"inline"``, ``shm_bytes`` always 0).
     """
-    if payload["transport"] == "shm":
-        block = _attach_block(payload["shm_name"])
-        try:
-            cells = [_cell_from_record(record,
-                                       _read_block(block,
-                                                   *record["send_times"]),
-                                       _read_block(block, *record["rtts"]))
-                     for record in payload["cells"]]
-        finally:
-            block.close()
-            try:
-                block.unlink()
-            except OSError:
-                pass  # already gone; nothing left to clean up
-        return cells, {"transport": "shm",
-                       "shm_bytes": payload["shm_bytes"]}
-    cells = [_cell_from_record(record, record["send_times"],
-                               record["rtts"])
-             for record in payload["cells"]]
-    return cells, {"transport": "inline", "shm_bytes": 0}
+    cells = [_cell_from_record(record) for record in payload["cells"]]
+    return cells, {"transport": "inline", "shm_bytes": 0,
+                   "replay_hits": payload.get("replay_hits", 0),
+                   "replay_misses": payload.get("replay_misses", 0)}
 
 
-def _read_block(block, offset: int, count: int) -> np.ndarray:
-    view = np.ndarray((count,), dtype=np.float64, buffer=block.buf,
-                      offset=offset)
-    data = view.copy()
-    del view
-    return data
-
-
-def _cell_from_record(record: dict, send_times: np.ndarray,
-                      rtts: np.ndarray):
+def _cell_from_record(record: dict):
     from repro.experiments.campaign import CellResult
     header = record["trace"]
-    trace = ProbeTrace(delta=header["delta"], send_times=send_times,
-                       rtts=rtts, payload_bytes=header["payload_bytes"],
+    trace = ProbeTrace(delta=header["delta"],
+                       send_times=record["send_times"], rtts=record["rtts"],
+                       payload_bytes=header["payload_bytes"],
                        wire_bytes=header["wire_bytes"],
                        meta=header["meta"])
     return CellResult(delta=record["delta"], seed=record["seed"],
@@ -335,40 +219,58 @@ def _worker_main(conn, salt_override: Optional[str] = None) -> None:
 
 
 def _serve_lease(request: Dict[str, Any]) -> Dict[str, Any]:
+    """Run one lease's cells and pack them (a worker's unit of work).
+
+    Serial campaigns call this in-process through :func:`serve_leases`;
+    pool workers call it from :func:`_worker_main`.  Replay-memo
+    accounting rides beside the packed cells, never inside them: the
+    parent folds the deltas into its timing.json dispatch block, keeping
+    cell artifacts executor-blind.
+    """
     from repro.experiments.campaign import _run_cell
     spec = request["spec"]
     span_dir = request["span_dir"]
-    replay_memo = request.get("replay_memo", True)
-    # Replay-memo accounting rides in the lease payload (pipe message),
-    # never inside the packed cells: the parent folds the deltas into its
-    # timing.json dispatch block, keeping cell artifacts transport-blind.
+    replay_memo = request["replay_memo"]
     memo = None
-    hits_before = misses_before = 0
-    if replay_memo and getattr(spec, "mode", "event") == "analytic":
+    if replay_memo and spec.mode == "analytic":
         from repro.experiments.fastforward import process_replay_memo
         memo = process_replay_memo()
-        hits_before, misses_before = memo.counters()
-    if span_dir is None:
-        results = [_run_cell(spec, delta, seed, replay_memo=replay_memo)
-                   for delta, seed in request["cells"]]
-        payload = pack_lease(results, use_shm=request["use_shm"])
-    else:
-        tracer = SpanTracer()
-        with tracer.span(f"lease {request['index']}", phase=PHASE_LEASE):
-            results = [_run_cell(spec, delta, seed, span_dir=span_dir,
-                                 replay_memo=replay_memo)
-                       for delta, seed in request["cells"]]
-            payload = pack_lease(results, use_shm=request["use_shm"],
-                                 tracer=tracer)
+    hits_before, misses_before = \
+        memo.counters() if memo is not None else (0, 0)
+    tracer = SpanTracer() if span_dir is not None else None
+    with optional_span(tracer, f"lease {request['index']}", PHASE_LEASE):
+        payload = pack_lease([
+            _run_cell(spec, delta, seed, span_dir=span_dir,
+                      replay_memo=replay_memo)
+            for delta, seed in request["cells"]])
+    if tracer is not None:
         append_spans(span_dir, tracer.records)
-    if memo is not None:
-        hits, misses = memo.counters()
-        payload["replay_hits"] = hits - hits_before
-        payload["replay_misses"] = misses - misses_before
-    else:
-        payload["replay_hits"] = 0
-        payload["replay_misses"] = 0
+    hits, misses = memo.counters() if memo is not None else (0, 0)
+    payload["replay_hits"] = hits - hits_before
+    payload["replay_misses"] = misses - misses_before
     return payload
+
+
+def _lease_request(index: int, cells: Sequence[Tuple[float, int]],
+                   spec: Any, span_dir: Optional[Any], replay_memo: bool,
+                   ) -> Dict[str, Any]:
+    return {"index": index, "spec": spec, "cells": list(cells),
+            "span_dir": span_dir, "replay_memo": replay_memo}
+
+
+def serve_leases(spec: Any, leases: Sequence[Sequence[Tuple[float, int]]],
+                 span_dir: Optional[Any] = None, replay_memo: bool = True,
+                 ) -> Iterator[Tuple[int, List[Any], Dict[str, Any]]]:
+    """Serve leases one by one in this process, in lease order.
+
+    The serial twin of :meth:`WarmWorkerPool.run_leases`: every lease goes
+    through the same :func:`_serve_lease` and :func:`unpack_lease` a pool
+    worker's lease does, minus the pipe, and yields the same
+    ``(index, cells, info)`` triples.
+    """
+    for index, cells in enumerate(leases):
+        yield (index, *unpack_lease(_serve_lease(
+            _lease_request(index, cells, spec, span_dir, replay_memo))))
 
 
 # ----------------------------------------------------------------------
@@ -397,26 +299,19 @@ class WarmWorkerPool:
     worker_salt:
         Salt the workers *report* instead of deriving their own — test
         injection for the stale-worker refusal path.
-    use_shm:
-        Publish lease trace columns through shared memory (default); the
-        inline-pickle fallback still engages per lease on any failure.
 
-    A pool is reusable across campaigns: pass the instance as
-    ``run_campaign(..., pool=pool)`` repeatedly and close it once at the
-    end (or use it as a context manager).  Lifetime transport accounting
-    (leases served, shared-memory bytes) accumulates on the instance and
-    is snapshotted into each campaign's ``timing.json``.
+    :func:`~repro.experiments.campaign.run_campaign` starts one pool per
+    parallel campaign and closes it when the grid is done; the pool is
+    also a context manager.
     """
 
     def __init__(self, workers: int, start_method: Optional[str] = None,
                  expected_salt: Optional[str] = None,
-                 worker_salt: Optional[str] = None,
-                 use_shm: bool = True) -> None:
+                 worker_salt: Optional[str] = None) -> None:
         if workers < 1:
             raise ConfigurationError(
                 f"pool workers must be >= 1, got {workers}")
         self.workers = int(workers)
-        self.use_shm = bool(use_shm)
         self._start_method = start_method
         self._expected_salt = expected_salt
         self._worker_salt = worker_salt
@@ -425,15 +320,6 @@ class WarmWorkerPool:
         #: Verified handshake salt once started.
         self.salt: Optional[str] = None
         self.worker_pids: List[int] = []
-        #: Lifetime transport accounting.
-        self.leases_served = 0
-        self.shm_leases = 0
-        self.inline_leases = 0
-        self.shm_bytes = 0
-        #: Lifetime replay-memo accounting (worker-side CrossReplayMemo
-        #: hits/misses summed over every served lease).
-        self.replay_hits = 0
-        self.replay_misses = 0
 
     @property
     def started(self) -> bool:
@@ -498,21 +384,18 @@ class WarmWorkerPool:
         finishing one immediately earns the next, so the pool stays busy
         without any global barrier.  A worker error or crash closes the
         pool (its pipes are in an unknown state) and raises
-        :class:`LeaseError`.  ``info`` carries the transport used plus the
-        lease's worker-side ``replay_hits``/``replay_misses`` deltas
-        (zero for event-mode or memo-disabled leases).
+        :class:`LeaseError`.  ``info`` is :func:`unpack_lease`'s: the
+        lease's worker-side ``replay_hits``/``replay_misses`` deltas (zero
+        for event-mode or memo-disabled leases).
         """
         self.start()
         pending = deque(enumerate(leases))
-        active: Dict[Any, int] = {}
-        for conn in self._conns:
-            if not pending:
-                break
+        active = self._conns[:len(pending)]
+        for conn in active:
             self._dispatch(conn, pending.popleft(), spec, span_dir,
                            replay_memo)
-            active[conn] = True  # type: ignore[assignment]
         while active:
-            for conn in _wait_connections(list(active)):
+            for conn in _wait_connections(active):
                 try:
                     kind, index, payload = conn.recv()
                 except EOFError:
@@ -525,30 +408,17 @@ class WarmWorkerPool:
                     raise LeaseError(
                         f"lease {index} failed in worker:\n{payload}")
                 cells, info = unpack_lease(payload)
-                info["replay_hits"] = payload.get("replay_hits", 0)
-                info["replay_misses"] = payload.get("replay_misses", 0)
-                self.leases_served += 1
-                self.replay_hits += info["replay_hits"]
-                self.replay_misses += info["replay_misses"]
-                if info["transport"] == "shm":
-                    self.shm_leases += 1
-                    self.shm_bytes += info["shm_bytes"]
-                else:
-                    self.inline_leases += 1
                 if pending:
                     self._dispatch(conn, pending.popleft(), spec, span_dir,
                                    replay_memo)
                 else:
-                    del active[conn]
+                    active.remove(conn)
                 yield index, cells, info
 
     def _dispatch(self, conn, numbered_lease, spec, span_dir,
                   replay_memo: bool = True) -> None:
-        index, cells = numbered_lease
-        conn.send(("lease", {"index": index, "spec": spec,
-                             "cells": list(cells), "span_dir": span_dir,
-                             "use_shm": self.use_shm,
-                             "replay_memo": replay_memo}))
+        conn.send(("lease", _lease_request(*numbered_lease, spec, span_dir,
+                                           replay_memo)))
 
     def close(self) -> None:
         """Stop the workers; safe to call twice (and from error paths)."""
@@ -565,8 +435,7 @@ class WarmWorkerPool:
 
     def __repr__(self) -> str:
         state = "started" if self.started else "cold"
-        return (f"<WarmWorkerPool workers={self.workers} {state} "
-                f"leases={self.leases_served} shm_bytes={self.shm_bytes}>")
+        return f"<WarmWorkerPool workers={self.workers} {state}>"
 
 
 def _teardown(conns: List[Any], procs: List[mp.process.BaseProcess]) -> None:

@@ -9,7 +9,6 @@ simulated timestamp (same seed ⇒ identical trace either way).
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
@@ -154,22 +153,6 @@ def run_experiment_with_scenario(config: ExperimentConfig,
     scenario = build_scenario(config)
     scenario.start_traffic(at=0.0)
     return probe_scenario(scenario, config), scenario
-
-
-def run_experiment_timed(config: ExperimentConfig,
-                         ) -> tuple[ProbeTrace, Scenario, float]:
-    """:func:`run_experiment_with_scenario` plus host wall-clock cost.
-
-    The wall time covers scenario construction, warm-up, and the probe
-    train — the full cost of one campaign cell.  It is host-side
-    bookkeeping only and never feeds back into simulated time, so it does
-    not affect determinism (same seed ⇒ identical trace).
-    """
-    # Host bookkeeping only (see docstring): the wall time is reported in
-    # timing.json and never feeds back into simulated time or the trace.
-    started = perf_counter()  # repro: noqa[FLOW001]
-    trace, scenario = run_experiment_with_scenario(config)
-    return trace, scenario, perf_counter() - started  # repro: noqa[FLOW001]
 
 
 def run_observed_experiment(config: ExperimentConfig,

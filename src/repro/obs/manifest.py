@@ -119,9 +119,9 @@ def write_timing(path: Union[str, Path], workers: int,
     hit-or-miss map, (when span telemetry was enabled) the ``spans``
     block: per-phase counts and wall totals from
     :func:`repro.obs.spans.summarize_spans`, and the ``dispatch`` block:
-    which executor ran the grid (serial / warm lease pipeline / spawn
-    pool), lease count and batch size, and shared-memory transport
-    volumes.  Cache behaviour, span telemetry, and dispatch mechanics are
+    where the leases were served (``serial``: in the campaign process;
+    ``warm``: on the worker pool), lease count and batch size, and the
+    replay-memo hits and misses.  Cache behaviour, span telemetry, and dispatch mechanics are
     execution mechanics, which is exactly why they belong here and never
     in the manifest.
 

@@ -2,9 +2,8 @@
 
 A :class:`SpanTracer` records nested *spans* — named intervals of host
 wall-clock time, each tagged with a phase (``campaign``, ``cell``,
-``setup``, ``sim``, ``analysis``, ``cache``, ``merge``, and for warm-pool
-campaigns ``lease``/``shm``) and, for per-cell work, the cell key it
-belongs to.  Campaign workers
+``setup``, ``sim``, ``analysis``, ``cache``, ``merge``, ``lease``) and,
+for per-cell work, the cell key it belongs to.  Campaign workers
 (:func:`repro.experiments.campaign._run_cell`) time their phases with one
 tracer per process and append the records to a per-worker JSONL file
 (:func:`append_spans`); the parent reads every worker file back
@@ -28,9 +27,10 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import ContextManager, Dict, Iterator, List, Optional, \
+    Sequence, Union
 
 # Host-side telemetry needs an epoch clock so spans recorded by different
 # worker processes land on one comparable timeline.  The timestamps are
@@ -52,10 +52,8 @@ PHASE_SIM = "sim"
 PHASE_ANALYSIS = "analysis"
 PHASE_CACHE = "cache"
 PHASE_MERGE = "merge"
-#: Lease-pipeline phases (warm-pool campaigns): a worker serving one lease
-#: batch, and the shared-memory publish of its trace columns.
+#: Lease pipeline: serving one lease batch, and the parent folding it.
 PHASE_LEASE = "lease"
-PHASE_SHM = "shm"
 #: Analytic fast-forward cross-traffic replay: building one seed's
 #: CrossReplay streams (memo misses only; hits cost no span).
 PHASE_REPLAY = "replay"
@@ -197,6 +195,14 @@ class SpanTracer:
     def __repr__(self) -> str:
         return (f"<SpanTracer {self.worker} pid={self.pid} "
                 f"{len(self.records)} spans>")
+
+
+def optional_span(tracer: Optional[SpanTracer], name: str, phase: str,
+                  cell: str = "") -> ContextManager[None]:
+    """``tracer.span(...)``, or a no-op context when telemetry is off."""
+    if tracer is None:
+        return nullcontext()
+    return tracer.span(name, phase=phase, cell=cell)
 
 
 # ----------------------------------------------------------------------

@@ -245,11 +245,11 @@ def artifact_bytes(directory):
 
 
 class TestExecutorMatrix:
-    """Serial, warm lease pipeline, and spawn pool: one artifact set.
+    """In-process and warm-pool lease serving: one artifact set.
 
-    The executor is pure mechanics — every path must write byte-identical
-    manifests and trace CSVs, whatever transport carried the results and
-    however cache hits interleaved with fresh cells.
+    The lease source is pure mechanics — both must write byte-identical
+    manifests and trace CSVs, however cache hits interleaved with fresh
+    cells.
     """
 
     def analytic_spec(self, output_dir, **kwargs):
@@ -260,20 +260,16 @@ class TestExecutorMatrix:
         defaults.update(kwargs)
         return CampaignSpec(**defaults)
 
-    def test_warm_and_spawn_match_serial_byte_identical(self, tmp_path):
+    def test_warm_matches_serial_byte_identical(self, tmp_path):
         serial = run_campaign(self.analytic_spec(tmp_path / "serial"))
         warm = run_campaign(self.analytic_spec(tmp_path / "warm"),
-                            workers=2, pool="warm")
-        spawn = run_campaign(self.analytic_spec(tmp_path / "spawn"),
-                             workers=2, pool="spawn")
+                            workers=2)
         reference = artifact_bytes(tmp_path / "serial")
         assert len(reference) == 5  # manifest + 4 traces
         assert artifact_bytes(tmp_path / "warm") == reference
-        assert artifact_bytes(tmp_path / "spawn") == reference
-        assert serial.table() == warm.table() == spawn.table()
+        assert serial.table() == warm.table()
         assert serial.dispatch_stats["pool"] == "serial"
         assert warm.dispatch_stats["pool"] == "warm"
-        assert spawn.dispatch_stats["pool"] == "spawn"
 
     def test_warm_dispatch_accounting(self, tmp_path):
         result = run_campaign(self.analytic_spec(tmp_path),
@@ -282,7 +278,6 @@ class TestExecutorMatrix:
         assert dispatch["pool"] == "warm"
         assert dispatch["leases"] == 4
         assert dispatch["batch_size"] == 1
-        assert dispatch["shm_leases"] + dispatch["inline_leases"] == 4
         assert dispatch["salt"]  # handshake-verified closure salt
 
     def test_mixed_cache_hits_and_fresh_cells(self, tmp_path):
@@ -301,31 +296,13 @@ class TestExecutorMatrix:
         assert mixed.dispatch_stats["leases"] == 2  # only the misses
         assert reference.table() == mixed.table()
 
-    def test_shm_disabled_pool_falls_back_inline(self, tmp_path):
-        from repro.experiments.pool import WarmWorkerPool
-        reference = run_campaign(self.analytic_spec(tmp_path / "plain"))
-        with WarmWorkerPool(2, use_shm=False) as pool:
-            inline = run_campaign(self.analytic_spec(tmp_path / "inline"),
-                                  pool=pool)
-        assert artifact_bytes(tmp_path / "inline") \
-            == artifact_bytes(tmp_path / "plain")
-        dispatch = inline.dispatch_stats
-        assert dispatch["shm_leases"] == 0
-        assert dispatch["shm_bytes"] == 0
-        assert dispatch["inline_leases"] == dispatch["leases"] > 0
-        assert reference.table() == inline.table()
-
     def test_event_mode_through_warm_pool(self, tmp_path):
         spec = lambda d: small_spec(deltas=(0.1,), seeds=(1, 2),
                                     duration=5.0, output_dir=d)
         run_campaign(spec(tmp_path / "serial"))
-        run_campaign(spec(tmp_path / "warm"), workers=2, pool="warm")
+        run_campaign(spec(tmp_path / "warm"), workers=2)
         assert artifact_bytes(tmp_path / "warm") \
             == artifact_bytes(tmp_path / "serial")
-
-    def test_pool_argument_validation(self):
-        with pytest.raises(ConfigurationError):
-            run_campaign(small_spec(), workers=2, pool="lukewarm")
 
     def test_batch_size_validation(self):
         with pytest.raises(ConfigurationError):

@@ -22,7 +22,6 @@ from repro.obs.spans import (
     PHASE_LEASE,
     PHASE_MERGE,
     PHASE_SETUP,
-    PHASE_SHM,
     PHASE_SIM,
     read_span_dir,
 )
@@ -137,21 +136,18 @@ class TestSpanRecording:
         assert summary[PHASE_CAMPAIGN]["count"] == 1
         assert summary[PHASE_SIM]["total_seconds"] > 0
 
-    def test_warm_pool_records_lease_and_shm_phases(self, tmp_path):
-        run_campaign(grid_spec(tmp_path, deltas=(0.1,), seeds=(1, 2)),
-                     workers=2, spans=True)
-        merged = read_spans_jsonl(tmp_path / "spans" / MERGED_SPAN_FILE)
-        phases = {span.phase for span in merged}
-        assert PHASE_LEASE in phases
-        lease_spans = [span for span in merged
-                       if span.phase == PHASE_LEASE]
-        # Both sides of the hand-off are timed: the worker serving the
-        # lease and the parent folding its cells.
-        assert any("collect" in span.name for span in lease_spans)
-        assert any("collect" not in span.name for span in lease_spans)
-        timing = read_timing(tmp_path / "timing.json")
-        if timing["dispatch"]["shm_leases"]:
-            assert PHASE_SHM in phases
+    def test_lease_spans_serial_and_warm(self, tmp_path):
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            run_campaign(grid_spec(out, deltas=(0.1,), seeds=(1, 2)),
+                         workers=workers, batch_size=1, spans=True)
+            merged = read_spans_jsonl(out / "spans" / MERGED_SPAN_FILE)
+            names = sorted(span.name for span in merged
+                           if span.phase == PHASE_LEASE)
+            # Both sides of every lease are timed: serving it (in this
+            # process or a worker) and the parent folding its cells.
+            assert names == ["lease 0", "lease 0 collect",
+                             "lease 1", "lease 1 collect"], workers
 
 
 class TestDispatchTelemetry:
@@ -162,17 +158,13 @@ class TestDispatchTelemetry:
         assert dispatch["workers"] == 2
         assert dispatch["leases"] > 0
         assert dispatch["batch_size"] >= 1
-        assert dispatch["shm_leases"] + dispatch["inline_leases"] \
-            == dispatch["leases"]
 
     def test_serial_dispatch_block(self, tmp_path):
         run_campaign(grid_spec(tmp_path, deltas=(0.1,), seeds=(1,)))
         dispatch = read_timing(tmp_path / "timing.json")["dispatch"]
-        assert dispatch == {"pool": "serial", "workers": 1, "leases": 0,
-                            "batch_size": 0, "shm_leases": 0,
-                            "inline_leases": 0, "shm_bytes": 0,
-                            "replay_memo": True, "replay_hits": 0,
-                            "replay_misses": 0}
+        assert dispatch == {"pool": "serial", "workers": 1, "leases": 1,
+                            "batch_size": 1, "replay_memo": True,
+                            "replay_hits": 0, "replay_misses": 0}
 
     def test_dispatch_quarantined_outside_manifest(self, tmp_path):
         run_campaign(grid_spec(tmp_path), workers=2)

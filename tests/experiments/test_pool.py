@@ -1,17 +1,17 @@
-"""Warm worker pool: lease planning, transports, handshake, serving.
+"""Campaign leases: planning, payloads, handshake, warm-pool serving.
 
 The pool is pure transport — it moves CellResults between processes but
 computes nothing — so these tests pin three things: the lease partition
-is deterministic, both transports (shared memory and the inline-pickle
-fallback) reproduce CellResults exactly, and the salt handshake refuses
-stale workers.
+is deterministic, the lease payload reproduces CellResults exactly, and
+the salt handshake refuses stale workers.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import pool as pool_module
 from repro.experiments.campaign import CampaignSpec, CellResult, _run_cell
 from repro.experiments.pool import (
     LeaseError,
@@ -157,47 +157,17 @@ class TestSeedAffinity:
 
 
 class TestLeaseTransports:
-    def test_shm_round_trip(self):
-        originals = [make_cell(seed=1), make_cell(seed=2, n=33)]
-        payload = pack_lease(originals, use_shm=True)
-        if pool_module._shared_memory is None:  # pragma: no cover
-            pytest.skip("platform without multiprocessing.shared_memory")
-        assert payload["transport"] == "shm"
-        assert payload["shm_bytes"] == sum(
-            cell.trace.send_times.nbytes + cell.trace.rtts.nbytes
-            for cell in originals)
-        cells, info = unpack_lease(payload)
-        assert info == {"transport": "shm",
-                        "shm_bytes": payload["shm_bytes"]}
-        assert_cells_equal(cells, originals)
-
     def test_inline_round_trip(self):
-        originals = [make_cell(seed=3)]
-        payload = pack_lease(originals, use_shm=False)
-        assert payload["transport"] == "inline"
-        assert payload["shm_bytes"] == 0
+        originals = [make_cell(seed=3), make_cell(seed=4, n=33)]
+        # Through pickle, as over a worker pipe.
+        payload = pickle.loads(pickle.dumps(pack_lease(originals)))
         cells, info = unpack_lease(payload)
-        assert info == {"transport": "inline", "shm_bytes": 0}
-        assert_cells_equal(cells, originals)
-
-    def test_fallback_when_shared_memory_missing(self, monkeypatch):
-        monkeypatch.setattr(pool_module, "_shared_memory", None)
-        payload = pack_lease([make_cell()], use_shm=True)
-        assert payload["transport"] == "inline"
-
-    def test_fallback_when_shm_packing_fails(self, monkeypatch):
-        def boom(records, arrays, tracer):
-            raise OSError("no /dev/shm")
-        monkeypatch.setattr(pool_module, "_pack_shm", boom)
-        originals = [make_cell(seed=4)]
-        payload = pack_lease(originals, use_shm=True)
-        assert payload["transport"] == "inline"
-        cells, _ = unpack_lease(payload)
+        assert info == {"transport": "inline", "shm_bytes": 0,
+                        "replay_hits": 0, "replay_misses": 0}
         assert_cells_equal(cells, originals)
 
     def test_empty_lease(self):
-        payload = pack_lease([], use_shm=True)
-        cells, _ = unpack_lease(payload)
+        cells, _ = unpack_lease(pack_lease([]))
         assert cells == []
 
 
@@ -238,9 +208,7 @@ class TestWarmWorkerPool:
             served = {}
             for index, cells, info in pool.run_leases(spec, leases):
                 served[index] = cells
-                assert info["transport"] in ("shm", "inline")
-            assert pool.leases_served == len(leases)
-            assert pool.shm_leases + pool.inline_leases == len(leases)
+                assert info["transport"] == "inline"
         assert sorted(served) == list(range(len(leases)))
         flat = [cell for index in sorted(served)
                 for cell in served[index]]
@@ -254,22 +222,3 @@ class TestWarmWorkerPool:
             # delta <= 0 fails config validation inside the worker.
             list(pool.run_leases(spec, [[(-1.0, 1)]]))
         assert not pool.started
-
-    def test_pool_reusable_across_campaigns(self, tmp_path):
-        from repro.experiments.campaign import run_campaign
-        spec_a = analytic_spec(output_dir=tmp_path / "a")
-        spec_b = analytic_spec(output_dir=tmp_path / "b")
-        serial = run_campaign(analytic_spec(output_dir=tmp_path / "s"))
-        with fast_pool(workers=2) as pool:
-            first = run_campaign(spec_a, pool=pool)
-            served_after_first = pool.leases_served
-            second = run_campaign(spec_b, pool=pool)
-            assert pool.started  # shared pool left running
-            assert served_after_first > 0
-            assert pool.leases_served > served_after_first
-        assert first.table() == serial.table() == second.table()
-        for name in ("manifest.json",):
-            assert (tmp_path / "a" / name).read_bytes() \
-                == (tmp_path / "s" / name).read_bytes()
-            assert (tmp_path / "b" / name).read_bytes() \
-                == (tmp_path / "s" / name).read_bytes()

@@ -10,6 +10,7 @@ memo on or off, across every campaign executor, and memo accounting
 never leaks outside ``timing.json``.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -226,7 +227,7 @@ def fresh_process_memo():
 
 
 class TestExecutorMatrix:
-    """{serial, warm, spawn} × {memo on, off} ⇒ byte-identical artifacts."""
+    """{serial, warm} × {memo on, off} ⇒ byte-identical artifacts."""
 
     DETERMINISTIC = ("manifest.json", "trace_d50_s1.csv",
                      "trace_d50_s2.csv", "trace_d100_s1.csv",
@@ -247,10 +248,8 @@ class TestExecutorMatrix:
         runs = {
             "serial-on": dict(workers=1, replay_memo=True),
             "serial-off": dict(workers=1, replay_memo=False),
-            "warm-on": dict(workers=2, pool="warm", replay_memo=True),
-            "warm-off": dict(workers=2, pool="warm", replay_memo=False),
-            "spawn-on": dict(workers=2, pool="spawn", replay_memo=True),
-            "spawn-off": dict(workers=2, pool="spawn", replay_memo=False),
+            "warm-on": dict(workers=2, replay_memo=True),
+            "warm-off": dict(workers=2, replay_memo=False),
         }
         artifacts = {}
         for name, kwargs in runs.items():
@@ -268,10 +267,21 @@ class TestExecutorMatrix:
             (tmp_path / "counted" / "timing.json").read_text())
         dispatch = timing["dispatch"]
         assert dispatch["replay_memo"] is True
-        # Grid order is δ-major (s1, s2, s1, s2): both seeds build once
-        # and stay resident, so the second δ sweep hits.
+        # Leases are seed-affine: each seed builds once, its second δ hits.
         assert dispatch["replay_misses"] == 2
         assert dispatch["replay_hits"] == 2
+
+    def test_serial_builds_each_seed_replay_once(self, tmp_path,
+                                                 fresh_process_memo):
+        # More seeds than the memo holds: in δ-major grid order every
+        # cell would evict a replay it needs later.  Seed-affine leases
+        # finish a seed before the next one starts.
+        seeds = (1, 2, 3, 4, 5, 6)
+        spec = dataclasses.replace(self.spec(tmp_path, "many-seeds"),
+                                   seeds=seeds)
+        dispatch = run_campaign(spec, workers=1).dispatch_stats
+        assert dispatch["replay_misses"] == len(seeds)
+        assert dispatch["replay_hits"] == len(seeds)
 
     def test_memo_off_counts_nothing(self, tmp_path):
         run_campaign(self.spec(tmp_path, "uncounted"), workers=1,
@@ -285,7 +295,7 @@ class TestExecutorMatrix:
     def test_warm_pool_replay_accounting_in_timing(self, tmp_path):
         cache_salt()
         result = run_campaign(self.spec(tmp_path, "warm-counted"),
-                              workers=2, pool="warm")
+                              workers=2)
         dispatch = result.dispatch_stats
         assert dispatch["pool"] == "warm"
         # Worker scheduling decides the split, but every build and every
