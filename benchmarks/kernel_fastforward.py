@@ -18,10 +18,12 @@ and the equivalence; a report whose traces diverged benchmarked a bug,
 not a fast path.
 
 A second section, ``batched_vs_percell``, benchmarks grid-batched
-analytic execution: a multi-δ × multi-seed campaign grid run through
-:func:`run_fastforward_grid` (one cross-traffic replay per seed, reused
-across every δ via the :class:`CrossReplayMemo`) against the same cells
-run independently (every cell rebuilding its replay).  The grid's
+analytic execution: a multi-δ × multi-seed campaign grid run the way a
+campaign runs its cells — :func:`execute_experiment` with one shared
+:class:`CrossReplayMemo` and the grid's maximum ``replay_horizon``, so
+each seed's cross traffic is replayed once and reused across every δ —
+against the same cells run independently (every cell rebuilding its
+replay).  The grid's
 scenario carries a deep bottleneck buffer so every cell satisfies the
 no-drop certificate and stays on the vectorized path; the section
 asserts the batched results are byte-identical to the per-cell ones and
@@ -41,10 +43,11 @@ import numpy as np
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.fastforward import (
+    CrossReplayMemo,
+    cell_horizon,
     run_fastforward_experiment,
-    run_fastforward_grid,
 )
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import execute_experiment, run_experiment
 from repro.netdyn.trace import LOST
 from repro.obs.bench import (
     LOWER_IS_BETTER,
@@ -118,6 +121,19 @@ def _grid_configs(duration: float) -> list:
             for seed in GRID_SEEDS for delta in GRID_DELTAS]
 
 
+def _run_batched(configs: list) -> list:
+    """The grid through the campaign's per-cell call (seed-major order).
+
+    One fresh memo per pass, so every pass pays each seed's replay build
+    once; every cell asks for the grid's maximum horizon, as
+    ``campaign._run_cell`` does.
+    """
+    memo = CrossReplayMemo()
+    horizon = max(cell_horizon(config) for config in configs)
+    return [execute_experiment(config, memo=memo, replay_horizon=horizon)
+            for config in configs]
+
+
 def collect_batched(quick: bool = False) -> dict:
     """Time the grid per-cell vs batched; assert byte-identity."""
     duration = QUICK_DURATION if quick else FULL_DURATION
@@ -138,7 +154,7 @@ def collect_batched(quick: bool = False) -> dict:
                    for config in configs]
         percell_seconds = min(percell_seconds, perf_counter() - started)
         started = perf_counter()
-        batched = run_fastforward_grid(configs)
+        batched = _run_batched(configs)
         batched_seconds = min(batched_seconds, perf_counter() - started)
 
     for one, many in zip(percell, batched):

@@ -4,7 +4,6 @@ from repro.experiments.cache import (
     CampaignCache,
     cache_salt,
     cell_fingerprint,
-    instrument_cache,
 )
 from repro.experiments.campaign import (
     CampaignResult,
@@ -38,31 +37,21 @@ from repro.experiments.figures import (
     table3,
 )
 from repro.experiments.report import as_markdown, as_text, run_all
-from repro.experiments.campaign import collect_queue_stats
 from repro.experiments.runner import (
+    ExperimentResult,
     build_scenario,
+    collect_queue_stats,
+    execute_experiment,
     run_experiment,
-    run_experiment_with_scenario,
     run_observed_experiment,
 )
 
-def __getattr__(name: str) -> str:
-    # CACHE_SALT is derived from the package sources on first use (see
-    # repro.experiments.cache.cache_salt); keep it lazy so importing this
-    # package does not parse the whole tree.
-    if name == "CACHE_SALT":
-        return cache_salt()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "CACHE_SALT",
     "CampaignCache",
     "cache_salt",
     "CampaignSpec",
     "CampaignResult",
     "cell_fingerprint",
-    "instrument_cache",
     "run_campaign",
     "load_campaign_traces",
     "validate_calibration",
@@ -89,9 +78,10 @@ __all__ = [
     "as_markdown",
     "as_text",
     "run_all",
+    "ExperimentResult",
     "build_scenario",
     "collect_queue_stats",
+    "execute_experiment",
     "run_experiment",
-    "run_experiment_with_scenario",
     "run_observed_experiment",
 ]

@@ -17,10 +17,7 @@ cold run; the cache is an optimization, never an input.**  Concretely:
   normalized-AST fingerprints of every module reachable from the campaign
   worker (see :mod:`repro.devtools.fingerprint`), so a semantic edit to
   kernel/traffic/topology code invalidates old entries automatically while
-  comment/docstring-only edits leave them valid.  The legacy hand-bumped
-  ``CACHE_SALT`` constant survives as a lazy module attribute for
-  compatibility; existing ``repro-cell-v1`` cache dirs invalidate exactly
-  once when the derived ``repro-cell-v2-*`` salt takes over.
+  comment/docstring-only edits leave them valid.
 * Entries are written atomically (temp file + ``os.replace``), so a killed
   run never leaves a partial entry behind.
 * A corrupted entry — truncated zip, garbled JSON, fingerprint mismatch —
@@ -33,8 +30,7 @@ cold run; the cache is an optimization, never an input.**  Concretely:
 
 Nothing non-deterministic about cache behaviour (hit/miss counts, byte
 volumes) ever enters ``manifest.json``; it is reported through the
-``timing.json`` sidecar and the pull-based metrics registered by
-:func:`instrument_cache`.
+``timing.json`` sidecar's ``cache`` block.
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ from repro.obs.structlog import obs_logger
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.experiments.campaign import CampaignSpec, CellResult
-    from repro.obs.registry import MetricsRegistry
 
 logger = obs_logger("cache")
 
@@ -96,15 +91,6 @@ def cache_salt() -> str:
                            fallback=_FALLBACK_SALT)
             _salt_cache = _FALLBACK_SALT
     return _salt_cache
-
-
-def __getattr__(name: str) -> str:
-    # Compatibility shim: the salt used to be the hand-bumped constant
-    # ``CACHE_SALT``.  Old entries (repro-cell-v1) invalidate exactly once
-    # when the derived repro-cell-v2-* salt takes over.
-    if name == "CACHE_SALT":
-        return cache_salt()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def default_probe_bytes() -> "tuple[int, int]":
@@ -377,29 +363,3 @@ def resolve_cache(cache: Union["CampaignCache", str, Path, None],
             "refresh=True conflicts with a non-refresh CampaignCache; "
             "construct it with CampaignCache(dir, refresh=True)")
     return cache
-
-
-def instrument_cache(registry: "MetricsRegistry",
-                     cache: CampaignCache) -> None:
-    """Register the cache's lifetime counters as pull-based metrics.
-
-    Adds ``campaign/cache/{hits,misses,stores,bytes_read,bytes_written,
-    corrupt_entries}`` to ``registry``, each bound to the live counter on
-    ``cache`` — zero overhead until snapshot time, like every other
-    registry instrument.
-    """
-    names: Dict[str, Any] = {
-        "hits": ("lookups answered from disk", lambda: cache.hits),
-        "misses": ("lookups that fell through to simulation",
-                   lambda: cache.misses),
-        "stores": ("entries written", lambda: cache.stores),
-        "bytes_read": ("entry bytes loaded on hits",
-                       lambda: cache.bytes_read),
-        "bytes_written": ("entry bytes persisted on stores",
-                          lambda: cache.bytes_written),
-        "corrupt_entries": ("entries rejected as unreadable",
-                            lambda: cache.corrupt_entries),
-    }
-    for name, (description, source) in names.items():
-        registry.counter(f"campaign/cache/{name}", source=source,
-                         description=description)

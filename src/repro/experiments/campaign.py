@@ -55,14 +55,11 @@ from repro.analysis.timeseries import summarize
 from repro.errors import ConfigurationError
 from repro.experiments.cache import CampaignCache, resolve_cache
 from repro.experiments.config import EXECUTION_MODES, ExperimentConfig
+from repro.experiments.fastforward import cell_horizon, process_replay_memo
 from repro.experiments.pool import WarmWorkerPool, plan_leases, \
     serve_leases
-from repro.experiments.runner import (
-    build_scenario,
-    estimate_cell_seconds,
-    probe_scenario,
-)
-from repro.net.routing import Network
+from repro.experiments.runner import estimate_cell_seconds, \
+    execute_experiment
 from repro.netdyn.trace import ProbeTrace
 from repro.obs.export import write_chrome_trace, write_spans_jsonl
 from repro.obs.manifest import write_manifest, write_timing
@@ -76,8 +73,6 @@ from repro.obs.spans import (
     PHASE_CELL,
     PHASE_LEASE,
     PHASE_MERGE,
-    PHASE_SETUP,
-    PHASE_SIM,
     SpanTracer,
     append_spans,
     clear_worker_files,
@@ -158,7 +153,8 @@ class CellResult:
     delta: float
     seed: int
     trace: ProbeTrace
-    #: queue label -> drop/occupancy stats (see :func:`collect_queue_stats`).
+    #: queue label -> drop/occupancy stats (see
+    #: :func:`~repro.experiments.runner.collect_queue_stats`).
     queue_stats: dict[str, dict[str, float]]
     #: flat metric name -> value (see :func:`_cell_metrics`).
     metrics: dict[str, float]
@@ -225,32 +221,6 @@ class CampaignResult:
         return "\n".join(lines)
 
 
-def collect_queue_stats(network: Network) -> dict[str, dict[str, float]]:
-    """Drop counts and time-weighted occupancy for every active queue.
-
-    Queues that never saw an arrival are skipped.  Keys are
-    ``"<node>-><peer>"`` interface labels; values are plain floats so the
-    result drops straight into a JSON manifest.
-    """
-    stats: dict[str, dict[str, float]] = {}
-    for node_name in sorted(network.nodes):
-        node = network.nodes[node_name]
-        for peer_name in sorted(node.interfaces):
-            queue = node.interfaces[peer_name].queue
-            if queue.arrivals == 0:
-                continue
-            stats[f"{node_name}->{peer_name}"] = {
-                "arrivals": float(queue.arrivals),
-                "drops": float(queue.drops),
-                "departures": float(queue.departures),
-                "loss_fraction": queue.loss_fraction,
-                "occupancy_mean_pkts": queue.occupancy_packets.mean(),
-                "occupancy_max_pkts": queue.occupancy_packets.maximum(),
-                "occupancy_mean_bytes": queue.occupancy_bytes.mean(),
-            }
-    return stats
-
-
 #: Ceiling applied to plg so cross-seed aggregation stays finite (plg is
 #: 1/(1-clp), which diverges as clp -> 1).
 PLG_CEILING = 1e6
@@ -272,21 +242,37 @@ def _cell_metrics(trace: ProbeTrace) -> dict[str, float]:
     }
 
 
+def _replay_horizon(spec: CampaignSpec, config: ExperimentConfig) -> float:
+    """The grid's longest cell horizon for ``config``'s seed.
+
+    Cells of one seed differ only in δ, and ``cell_horizon`` (warm-up +
+    ``round(duration / δ) · δ`` + drain) varies with δ.  A replay built
+    at the maximum over ``spec.deltas`` covers every δ of the seed, so
+    the first cell's memo miss serves the rest as hits whatever order
+    they run in.
+    """
+    return max(cell_horizon(dataclasses.replace(config, delta=delta))
+               for delta in spec.deltas)
+
+
 def _run_cell(spec: CampaignSpec, delta: float, seed: int,
-              span_dir: Optional[Path] = None,
-              replay_memo: bool = True) -> CellResult:
+              span_dir: Optional[Path] = None) -> CellResult:
     """Execute one (delta, seed) cell and return its full result.
 
     Pure with respect to the campaign result: the simulated outcome reads
     only the arguments and touches no shared state, so the cell can run in
     this process or in a pool worker interchangeably.  Trace CSVs and
     manifests are written by the parent after the deterministic merge.
-    With ``span_dir`` set the cell additionally times its
-    setup/sim/analysis phases and appends the span records to its
-    process's JSONL file there — telemetry only, written beside (never
-    into) the deterministic artifacts; the simulated work makes the same
-    calls either way, so the returned trace is byte-identical with spans
-    on or off.
+    The engine is :func:`~repro.experiments.runner.execute_experiment`'s
+    choice; analytic cells share this process's cross-traffic replay memo
+    (:func:`~repro.experiments.fastforward.process_replay_memo`), built
+    out to the grid's longest horizon — pure reuse of deterministic
+    streams, never an input.  With ``span_dir`` set the cell additionally
+    times its setup/sim/analysis phases and appends the span records to
+    its process's JSONL file there — telemetry only, written beside
+    (never into) the deterministic artifacts; the simulated work makes the
+    same calls either way, so the returned trace is byte-identical with
+    spans on or off.
     """
     config = ExperimentConfig(delta=delta, duration=spec.duration,
                               seed=seed, scenario=spec.scenario,
@@ -295,59 +281,21 @@ def _run_cell(spec: CampaignSpec, delta: float, seed: int,
     key = cell_key(delta, seed)
     tracer = SpanTracer() if span_dir is not None else None
     with optional_span(tracer, f"cell {key}", PHASE_CELL, cell=key):
-        if config.mode == "analytic":
-            cell = _run_cell_analytic(config, tracer, replay_memo)
-        else:
-            # Host bookkeeping only: build + warm-up + probe train, kept
-            # in timing.json and never fed back into simulated time.
-            started = perf_counter()  # repro: noqa[FLOW001]
-            with optional_span(tracer, "setup", PHASE_SETUP):
-                scenario = build_scenario(config)
-                scenario.start_traffic(at=0.0)
-            with optional_span(tracer, "sim", PHASE_SIM):
-                trace = probe_scenario(scenario, config)
-            wall = perf_counter() - started  # repro: noqa[FLOW001]
-            with optional_span(tracer, "analysis", PHASE_ANALYSIS):
-                cell = CellResult(
-                    delta=delta, seed=seed, trace=trace,
-                    queue_stats=collect_queue_stats(scenario.network),
-                    metrics=_cell_metrics(trace), wall_seconds=wall)
+        # Host bookkeeping only: build + warm-up + probe train, kept in
+        # timing.json and never fed back into simulated time.
+        started = perf_counter()  # repro: noqa[FLOW001]
+        result = execute_experiment(
+            config, memo=process_replay_memo(),
+            replay_horizon=_replay_horizon(spec, config), tracer=tracer)
+        wall = perf_counter() - started  # repro: noqa[FLOW001]
+        with optional_span(tracer, "analysis", PHASE_ANALYSIS):
+            cell = CellResult(
+                delta=delta, seed=seed, trace=result.trace,
+                queue_stats=result.queue_stats,
+                metrics=_cell_metrics(result.trace), wall_seconds=wall)
     if tracer is not None:
         append_spans(span_dir, tracer.records)
     return cell
-
-
-def _run_cell_analytic(config: ExperimentConfig,
-                       tracer: Optional[SpanTracer],
-                       replay_memo: bool = True) -> CellResult:
-    """The analytic-mode cell body: fast-forward instead of simulate.
-
-    Queue statistics come from the fast-forward engine itself (the event
-    network's queues never ran; on an event fallback the engine reports
-    the network queues as usual).  The ``sim`` span covers the engine
-    run, mirroring the event path's phase split (memo misses add a nested
-    ``replay`` span).  With ``replay_memo`` the engine reuses this
-    process's :class:`~repro.experiments.fastforward.CrossReplayMemo`
-    across cells of the same seed; the memo is pure reuse of
-    deterministic streams, so results are byte-identical with it on or
-    off.
-    """
-    # Imported here, like the runner does, so event-only campaigns never
-    # pay for (or depend on) the analytic engine.
-    from repro.experiments.fastforward import (
-        process_replay_memo,
-        run_fastforward_experiment,
-    )
-    memo = process_replay_memo() if replay_memo else None
-    started = perf_counter()  # repro: noqa[FLOW001]
-    with optional_span(tracer, "sim", PHASE_SIM):
-        result = run_fastforward_experiment(config, memo=memo, tracer=tracer)
-    wall = perf_counter() - started  # repro: noqa[FLOW001]
-    with optional_span(tracer, "analysis", PHASE_ANALYSIS):
-        metrics = _cell_metrics(result.trace)
-    return CellResult(delta=config.delta, seed=config.seed,
-                      trace=result.trace, queue_stats=result.queue_stats,
-                      metrics=metrics, wall_seconds=wall)
 
 
 class _GridMerge:
@@ -417,8 +365,7 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
                  cache: Union[CampaignCache, str, Path, None] = None,
                  spans: Union[bool, str, Path, None] = None,
                  progress: ProgressLike = None,
-                 batch_size: Optional[int] = None,
-                 replay_memo: bool = True) -> CampaignResult:
+                 batch_size: Optional[int] = None) -> CampaignResult:
     """Execute every (delta, seed) cell of the campaign.
 
     Parameters
@@ -460,15 +407,6 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
         ``"off"`` (the default) is silent, and an existing
         :class:`~repro.obs.progress.ProgressReporter` is used as-is.
         Pure presentation on its stream — artifacts are unaffected.
-    replay_memo:
-        Reuse each seed's analytic cross-traffic replay across the cells
-        that share it (default on; event-mode campaigns ignore it).  The
-        memo is per-process — the serial path and each pool worker keep
-        their own — and analytic grids are leased seed-affine so the
-        memo stays hot across each lease.  Hit/miss counts land
-        in ``timing.json``'s ``dispatch`` block (``replay_hits``/
-        ``replay_misses``); every deterministic artifact is byte-identical
-        with the memo on or off, so this flag is a pure execution knob.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -524,17 +462,14 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
         dispatch_stats: Dict[str, Any] = {
             "pool": "serial", "workers": workers, "leases": len(leases),
             "batch_size": len(leases[0]) if leases else 0,
-            "replay_memo": bool(replay_memo),
             "replay_hits": 0, "replay_misses": 0,
         }
         warm_pool: Optional[WarmWorkerPool] = None
         if workers == 1 or not leases:
-            served = serve_leases(spec, leases, span_dir=span_dir,
-                                  replay_memo=replay_memo)
+            served = serve_leases(spec, leases, span_dir=span_dir)
         else:
             warm_pool = WarmWorkerPool(workers)
-            served = warm_pool.run_leases(spec, leases, span_dir=span_dir,
-                                          replay_memo=replay_memo)
+            served = warm_pool.run_leases(spec, leases, span_dir=span_dir)
         try:
             for index, cells, info in served:
                 dispatch_stats["replay_hits"] += info["replay_hits"]

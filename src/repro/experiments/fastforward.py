@@ -33,9 +33,9 @@ The mode only handles what it can do exactly: open-loop
 cross traffic, :class:`~repro.net.faults.RandomDropFault` on probe-only
 interfaces, and floor-quantized or perfect source clocks.  Anything else —
 a reactive mini-TCP flow, a stall fault, a lifecycle hook, a fault shared
-with cross traffic — produces an ineligibility reason and the runner falls
-back to exact event execution (:func:`fastforward_ineligibilities` reports
-why).
+with cross traffic — produces an ineligibility reason and the cell falls
+back to the runner's exact event execution
+(:func:`fastforward_ineligibilities` reports why).
 
 The remaining approximation, stated once here: probes and cross packets
 are assumed to queue *only* at the bottleneck interfaces and the mix
@@ -49,13 +49,18 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import Scenario, build_scenario, probe_scenario
+from repro.experiments.runner import (
+    ExperimentResult,
+    Scenario,
+    build_scenario,
+    event_result,
+)
 from repro.net.clocks import PerfectClock, QuantizedClock
 from repro.net.faults import RandomDropFault
 from repro.net.link import Interface
@@ -105,22 +110,6 @@ class DirectionModel:
     cross_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     #: Wire bits of each cross arrival.
     cross_bits: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
-@dataclass
-class FastForwardResult:
-    """Outcome of :func:`run_fastforward_experiment`."""
-
-    trace: ProbeTrace
-    #: Per-bottleneck statistics dicts keyed by interface label (analytic
-    #: runs report the two bottlenecks; event fallbacks report every
-    #: active queue, like a normal campaign cell).
-    queue_stats: dict
-    #: ``"analytic"`` or ``"event"`` (the mode actually executed).
-    mode_used: str
-    #: Why the analytic engine declined, when it did (sorted, stable).
-    fallback_reasons: List[str]
-    scenario: Scenario
 
 
 # ---------------------------------------------------------------------------
@@ -740,21 +729,15 @@ def _queue_pass(direction: DirectionModel, probe_times: np.ndarray,
     return waits, queue.stats(end_time)
 
 
-def _clock_reading(sim_time: float, resolution: float) -> float:
-    """Replicate a (possibly quantized) host clock read at ``sim_time``."""
-    if resolution > 0:
-        return int(sim_time / resolution) * resolution
-    return sim_time
-
-
 def _clock_readings(sim_times: np.ndarray,
                     resolution: float) -> np.ndarray:
-    """Vectorized :func:`_clock_reading` (bit-identical per element).
+    """Replicate (possibly quantized) host clock reads at ``sim_times``.
 
-    ``int()`` truncates toward zero and the readings are nonnegative, so
-    ``np.trunc`` computes the same tick count; every count in range is
-    exactly representable in float64, so the final product matches the
-    scalar ``int * float``.
+    Bit-identical per element to the event-mode clock's
+    ``int(t / resolution) * resolution``: ``int()`` truncates toward zero
+    and the readings are nonnegative, so ``np.trunc`` computes the same
+    tick count; every count in range is exactly representable in
+    float64, so the final product matches the scalar ``int * float``.
     """
     if resolution > 0:
         return np.trunc(sim_times / resolution) * resolution
@@ -765,11 +748,15 @@ def run_fastforward_experiment(config: ExperimentConfig,
                                memo: Optional[CrossReplayMemo] = None,
                                tracer: Optional[Any] = None,
                                replay_horizon: Optional[float] = None,
-                               ) -> FastForwardResult:
+                               ) -> ExperimentResult:
     """Run one experiment analytically, or fall back to event mode.
 
-    The returned trace carries the same metadata keys as an event-mode
-    trace plus ``mode`` (and, on fallback, ``fallback`` with the sorted
+    The analytic entry :func:`~repro.experiments.runner.execute_experiment`
+    dispatches to.  An ineligible scenario (see
+    :func:`fastforward_ineligibilities`) runs the runner's own event body
+    (:func:`~repro.experiments.runner.event_result`) instead.  The
+    returned trace carries the same metadata keys as an event-mode trace
+    plus ``mode`` (and, on fallback, ``fallback`` with the sorted
     ineligibility reasons), so campaign artifacts always record how a cell
     was actually produced.
 
@@ -786,20 +773,15 @@ def run_fastforward_experiment(config: ExperimentConfig,
         phase.  Telemetry only — never touches the result.
     replay_horizon:
         Build the replay out to at least this horizon (default: the
-        cell's own end time).  :func:`run_fastforward_grid` passes the
-        group-wide maximum so one build covers a whole δ-stack.
+        cell's own end time).  A campaign passes its grid's maximum, so
+        the first cell of a seed builds a replay that covers every δ of
+        that seed.
     """
     scenario = build_scenario(config)
     reasons = fastforward_ineligibilities(scenario)
     if reasons:
         scenario.start_traffic(at=0.0)
-        trace = probe_scenario(scenario, config)
-        trace.meta["mode"] = "event"
-        trace.meta["fallback"] = reasons
-        from repro.experiments.campaign import collect_queue_stats
-        return FastForwardResult(
-            trace=trace, queue_stats=collect_queue_stats(scenario.network),
-            mode_used="event", fallback_reasons=reasons, scenario=scenario)
+        return event_result(scenario, config, fallback_reasons=reasons)
 
     network = scenario.network
     count = config.count
@@ -900,43 +882,6 @@ def run_fastforward_experiment(config: ExperimentConfig,
         fwd.label: stats_fwd,
         rev.label: stats_rev,
     }
-    return FastForwardResult(trace=trace, queue_stats=queue_stats,
-                             mode_used="analytic", fallback_reasons=[],
-                             scenario=scenario)
-
-
-def run_fastforward_grid(configs: Iterable[ExperimentConfig],
-                         memo: Optional[CrossReplayMemo] = None,
-                         tracer: Optional[Any] = None,
-                         ) -> List[FastForwardResult]:
-    """Run a stack of cells, computing each seed's cross replay once.
-
-    The batched analytic entry point: cells sharing a :func:`replay_key`
-    (scenario + kwargs + seed) share one :class:`CrossReplay` — built at
-    the group's largest horizon on the first encounter, then sliced per
-    cell — so a 6-δ sweep replays its cross traffic once instead of six
-    times.  Each cell's probe stack still runs its own vectorized
-    Lindley/no-drop-certificate pass against the shared
-    ``cross_times``/``cross_bits`` pair per direction, and every result
-    is byte-identical to :func:`run_fastforward_experiment` run cell by
-    cell (the memo is an optimization, never an input).  Results come
-    back in input order; ineligible cells fall back to event mode
-    individually, exactly as in the single-cell path.
-    """
-    configs = list(configs)
-    if memo is None:
-        memo = CrossReplayMemo(
-            entries=max(DEFAULT_REPLAY_ENTRIES, len(configs)))
-    # One pre-pass finds each replay group's largest horizon, so the
-    # group's first cell builds a replay that covers every later member
-    # (the memo's covers-rule then serves them all as hits, whatever the
-    # input order).
-    horizons: Dict[str, float] = {}
-    for config in configs:
-        key = replay_key(config)
-        horizon = cell_horizon(config)
-        horizons[key] = max(horizon, horizons.get(key, 0.0))
-    return [run_fastforward_experiment(
-                config, memo=memo, tracer=tracer,
-                replay_horizon=horizons[replay_key(config)])
-            for config in configs]
+    return ExperimentResult(trace=trace, queue_stats=queue_stats,
+                            mode_used="analytic", fallback_reasons=[],
+                            scenario=scenario)

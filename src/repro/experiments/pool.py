@@ -228,38 +228,31 @@ def _serve_lease(request: Dict[str, Any]) -> Dict[str, Any]:
     cell artifacts executor-blind.
     """
     from repro.experiments.campaign import _run_cell
+    from repro.experiments.fastforward import process_replay_memo
     spec = request["spec"]
     span_dir = request["span_dir"]
-    replay_memo = request["replay_memo"]
-    memo = None
-    if replay_memo and spec.mode == "analytic":
-        from repro.experiments.fastforward import process_replay_memo
-        memo = process_replay_memo()
-    hits_before, misses_before = \
-        memo.counters() if memo is not None else (0, 0)
+    memo = process_replay_memo()
+    hits_before, misses_before = memo.counters()
     tracer = SpanTracer() if span_dir is not None else None
     with optional_span(tracer, f"lease {request['index']}", PHASE_LEASE):
-        payload = pack_lease([
-            _run_cell(spec, delta, seed, span_dir=span_dir,
-                      replay_memo=replay_memo)
-            for delta, seed in request["cells"]])
+        payload = pack_lease([_run_cell(spec, delta, seed, span_dir=span_dir)
+                              for delta, seed in request["cells"]])
     if tracer is not None:
         append_spans(span_dir, tracer.records)
-    hits, misses = memo.counters() if memo is not None else (0, 0)
+    hits, misses = memo.counters()
     payload["replay_hits"] = hits - hits_before
     payload["replay_misses"] = misses - misses_before
     return payload
 
 
 def _lease_request(index: int, cells: Sequence[Tuple[float, int]],
-                   spec: Any, span_dir: Optional[Any], replay_memo: bool,
-                   ) -> Dict[str, Any]:
+                   spec: Any, span_dir: Optional[Any]) -> Dict[str, Any]:
     return {"index": index, "spec": spec, "cells": list(cells),
-            "span_dir": span_dir, "replay_memo": replay_memo}
+            "span_dir": span_dir}
 
 
 def serve_leases(spec: Any, leases: Sequence[Sequence[Tuple[float, int]]],
-                 span_dir: Optional[Any] = None, replay_memo: bool = True,
+                 span_dir: Optional[Any] = None,
                  ) -> Iterator[Tuple[int, List[Any], Dict[str, Any]]]:
     """Serve leases one by one in this process, in lease order.
 
@@ -270,7 +263,7 @@ def serve_leases(spec: Any, leases: Sequence[Sequence[Tuple[float, int]]],
     """
     for index, cells in enumerate(leases):
         yield (index, *unpack_lease(_serve_lease(
-            _lease_request(index, cells, spec, span_dir, replay_memo))))
+            _lease_request(index, cells, spec, span_dir))))
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +368,6 @@ class WarmWorkerPool:
     def run_leases(self, spec: Any,
                    leases: Sequence[Sequence[Tuple[float, int]]],
                    span_dir: Optional[Any] = None,
-                   replay_memo: bool = True,
                    ) -> Iterator[Tuple[int, List[Any], Dict[str, Any]]]:
         """Dispatch leases and yield ``(index, cells, info)`` as they land.
 
@@ -386,14 +378,13 @@ class WarmWorkerPool:
         pool (its pipes are in an unknown state) and raises
         :class:`LeaseError`.  ``info`` is :func:`unpack_lease`'s: the
         lease's worker-side ``replay_hits``/``replay_misses`` deltas (zero
-        for event-mode or memo-disabled leases).
+        for event-mode leases).
         """
         self.start()
         pending = deque(enumerate(leases))
         active = self._conns[:len(pending)]
         for conn in active:
-            self._dispatch(conn, pending.popleft(), spec, span_dir,
-                           replay_memo)
+            self._dispatch(conn, pending.popleft(), spec, span_dir)
         while active:
             for conn in _wait_connections(active):
                 try:
@@ -409,16 +400,13 @@ class WarmWorkerPool:
                         f"lease {index} failed in worker:\n{payload}")
                 cells, info = unpack_lease(payload)
                 if pending:
-                    self._dispatch(conn, pending.popleft(), spec, span_dir,
-                                   replay_memo)
+                    self._dispatch(conn, pending.popleft(), spec, span_dir)
                 else:
                     active.remove(conn)
                 yield index, cells, info
 
-    def _dispatch(self, conn, numbered_lease, spec, span_dir,
-                  replay_memo: bool = True) -> None:
-        conn.send(("lease", _lease_request(*numbered_lease, spec, span_dir,
-                                           replay_memo)))
+    def _dispatch(self, conn, numbered_lease, spec, span_dir) -> None:
+        conn.send(("lease", _lease_request(*numbered_lease, spec, span_dir)))
 
     def close(self) -> None:
         """Stop the workers; safe to call twice (and from error paths)."""

@@ -1,6 +1,9 @@
 """Run a configured probe experiment and return its trace.
 
-:func:`run_experiment` is the bare driver; :func:`run_observed_experiment`
+:func:`execute_experiment` is the one place that picks the engine for a
+configuration (event, analytic, or analytic with event fallback) and
+returns the full :class:`ExperimentResult`; :func:`run_experiment` is
+its trace.  :func:`run_observed_experiment`
 runs the same measurement with the :mod:`repro.obs` collectors attached —
 kernel event tracing, packet-lifecycle tracing, and a metrics registry
 covering the whole network plus the probe session — without changing any
@@ -9,10 +12,13 @@ simulated timestamp (same seed ⇒ identical trace either way).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, \
+    Union
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
+from repro.net.routing import Network
 from repro.netdyn.session import run_probe_experiment
 from repro.netdyn.trace import ProbeTrace
 from repro.obs import (
@@ -22,8 +28,13 @@ from repro.obs import (
     PacketLifecycleTracer,
     instrument_network,
 )
+from repro.obs.spans import PHASE_SETUP, PHASE_SIM, SpanTracer, \
+    optional_span
 from repro.topology.inria_umd import InriaUmdScenario, build_inria_umd
 from repro.topology.umd_pitt import UmdPittScenario, build_umd_pitt
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.experiments.fastforward import CrossReplayMemo
 
 Scenario = Union[InriaUmdScenario, UmdPittScenario]
 
@@ -122,37 +133,111 @@ def estimate_cell_seconds(config: ExperimentConfig) -> float:
     return max(1e-3, _EVENT_SECONDS_PER_SIM_SECOND * horizon)
 
 
+@dataclass
+class ExperimentResult:
+    """Everything one experiment produces (see :func:`execute_experiment`)."""
+
+    trace: ProbeTrace
+    #: Queue label -> drop/occupancy stats: every active queue of an
+    #: event run (:func:`collect_queue_stats`), the two bottlenecks of an
+    #: analytic one.
+    queue_stats: Dict[str, Dict[str, float]]
+    #: ``"analytic"`` or ``"event"`` (the engine actually executed).
+    mode_used: str
+    #: Why the analytic engine declined, when it did (sorted, stable).
+    fallback_reasons: List[str]
+    #: The built scenario.  After an analytic run it was never
+    #: event-driven: its queues carry no counters (``queue_stats``
+    #: replaces them).
+    scenario: Scenario
+
+
+def collect_queue_stats(network: Network) -> Dict[str, Dict[str, float]]:
+    """Drop counts and time-weighted occupancy for every active queue.
+
+    Queues that never saw an arrival are skipped.  Keys are
+    ``"<node>-><peer>"`` interface labels; values are plain floats so the
+    result drops straight into a JSON manifest.
+    """
+    stats: Dict[str, Dict[str, float]] = {}
+    for node_name in sorted(network.nodes):
+        node = network.nodes[node_name]
+        for peer_name in sorted(node.interfaces):
+            queue = node.interfaces[peer_name].queue
+            if queue.arrivals == 0:
+                continue
+            stats[f"{node_name}->{peer_name}"] = {
+                "arrivals": float(queue.arrivals),
+                "drops": float(queue.drops),
+                "departures": float(queue.departures),
+                "loss_fraction": queue.loss_fraction,
+                "occupancy_mean_pkts": queue.occupancy_packets.mean(),
+                "occupancy_max_pkts": queue.occupancy_packets.maximum(),
+                "occupancy_mean_bytes": queue.occupancy_bytes.mean(),
+            }
+    return stats
+
+
+def event_result(scenario: Scenario, config: ExperimentConfig,
+                 fallback_reasons: Sequence[str] = ()) -> ExperimentResult:
+    """Probe an already-started scenario on the event engine.
+
+    The one event-mode body: :func:`execute_experiment` runs it for
+    ``mode="event"``, and the analytic engine runs it as its fallback,
+    passing the ineligibility reasons.  A fallback trace records
+    ``mode``/``fallback`` in its metadata; a plain event trace carries
+    neither key (its metadata is golden).
+    """
+    trace = probe_scenario(scenario, config)
+    reasons = list(fallback_reasons)
+    if reasons:
+        trace.meta["mode"] = "event"
+        trace.meta["fallback"] = reasons
+    return ExperimentResult(
+        trace=trace, queue_stats=collect_queue_stats(scenario.network),
+        mode_used="event", fallback_reasons=reasons, scenario=scenario)
+
+
+def execute_experiment(config: ExperimentConfig,
+                       memo: Optional["CrossReplayMemo"] = None,
+                       replay_horizon: Optional[float] = None,
+                       tracer: Optional[SpanTracer] = None,
+                       ) -> ExperimentResult:
+    """Run one experiment on the engine its ``mode`` names.
+
+    The single dispatch point: ``mode="event"`` builds the scenario,
+    starts its traffic (the ``setup`` span) and probes it (``sim``);
+    ``mode="analytic"`` runs
+    :func:`~repro.experiments.fastforward.run_fastforward_experiment`
+    under one ``sim`` span, which itself falls back to
+    :func:`event_result` when the scenario is not aggregatable.
+    ``memo`` and ``replay_horizon`` reach the analytic engine only (a
+    shared cross-traffic replay memo, and the horizon to build a missing
+    replay out to); ``tracer`` records the phase spans.  None of them
+    changes the result.
+    """
+    if config.mode == "analytic":
+        # Imported here so event-only callers never load the analytic
+        # engine.
+        from repro.experiments.fastforward import run_fastforward_experiment
+        with optional_span(tracer, "sim", PHASE_SIM):
+            return run_fastforward_experiment(
+                config, memo=memo, tracer=tracer,
+                replay_horizon=replay_horizon)
+    with optional_span(tracer, "setup", PHASE_SETUP):
+        scenario = build_scenario(config)
+        scenario.start_traffic(at=0.0)
+    with optional_span(tracer, "sim", PHASE_SIM):
+        return event_result(scenario, config)
+
+
 def run_experiment(config: ExperimentConfig) -> ProbeTrace:
     """Build the scenario, warm up the traffic, probe, return the trace.
 
-    ``config.mode == "analytic"`` dispatches to the fast-forward engine
-    (:mod:`repro.experiments.fastforward`), which itself falls back to
-    event execution when the scenario is not aggregatable.
+    The trace of :func:`execute_experiment`: ``config.mode`` picks the
+    event or the analytic engine.
     """
-    if config.mode == "analytic":
-        from repro.experiments.fastforward import run_fastforward_experiment
-        return run_fastforward_experiment(config).trace
-    scenario = build_scenario(config)
-    scenario.start_traffic(at=0.0)
-    return probe_scenario(scenario, config)
-
-
-def run_experiment_with_scenario(config: ExperimentConfig,
-                                 ) -> tuple[ProbeTrace, Scenario]:
-    """Like :func:`run_experiment` but also return the live scenario.
-
-    Useful when the caller needs queue statistics or fault counters after
-    the measurement (the ablation benchmarks do).  In analytic mode the
-    returned scenario was never event-driven: its queues carry no
-    counters (the analytic result's own queue statistics replace them).
-    """
-    if config.mode == "analytic":
-        from repro.experiments.fastforward import run_fastforward_experiment
-        result = run_fastforward_experiment(config)
-        return result.trace, result.scenario
-    scenario = build_scenario(config)
-    scenario.start_traffic(at=0.0)
-    return probe_scenario(scenario, config), scenario
+    return execute_experiment(config).trace
 
 
 def run_observed_experiment(config: ExperimentConfig,

@@ -4,15 +4,10 @@
 model of Section 6; :mod:`~repro.queueing.mdk1` provides M/D/1(/K) oracles
 used to validate the network substrate; :mod:`~repro.queueing.palm` holds
 the Palm-calculus loss-gap identities; :mod:`~repro.queueing.fastforward`
-is the fluid/aggregate queue behind the analytic execution mode.
+is the per-packet bottleneck queue behind the analytic execution mode.
 """
 
-from repro.queueing.fastforward import (
-    FluidQueue,
-    aggregate_batches,
-    drain_schedule,
-    fifo_waits,
-)
+from repro.queueing.fastforward import FluidQueue, fifo_waits
 
 from repro.queueing.batchmodel import (
     BatchArrivalQueue,
@@ -39,8 +34,6 @@ from repro.queueing.palm import (
 
 __all__ = [
     "FluidQueue",
-    "aggregate_batches",
-    "drain_schedule",
     "fifo_waits",
     "BatchArrivalQueue",
     "BatchModelResult",

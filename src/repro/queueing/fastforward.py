@@ -1,41 +1,31 @@
-"""Fluid/aggregate fast-forward engine for a single bottleneck FIFO queue.
+"""Fast-forward engine for a single bottleneck FIFO queue.
 
 The paper's own model (Figure 3) is a fixed delay plus one finite FIFO
 queue driven by Lindley's recurrence, so simulating every cross packet
-through the event kernel is frequently overkill: between probe arrivals
-the bottleneck queue can be advanced *analytically*.  This module provides
+through the event kernel is frequently overkill: between arrivals the
+bottleneck queue can be advanced *analytically*.  This module provides
 the two pieces the analytic execution mode is built from:
 
-* :class:`FluidQueue` — a drop-tail FIFO advanced in closed form.  Work
-  arrives as batches of packets and is served at the link rate; every
-  ``advance``/``offer`` step is one application of Lindley's recurrence
-  ``w' = (w - Δt)^+ + y`` on the queue workload, with event-faithful
-  drop-tail semantics (capacity in packets or bytes, the in-service
-  packet occupying no buffer slot, exactly like
+* :class:`FluidQueue` — a drop-tail FIFO advanced in closed form, one
+  packet at a time; every ``advance``/``offer`` step is one application
+  of Lindley's recurrence ``w' = (w - Δt)^+ + y`` on the queue workload,
+  with event-faithful drop-tail semantics (capacity in packets or bytes,
+  the in-service packet occupying no buffer slot, exactly like
   :class:`repro.net.queue.DropTailQueue` behind a busy
   :class:`repro.net.link.Interface`).
-* :func:`aggregate_batches` — collapses a sorted cross-traffic arrival
-  stream into aggregate batch arrivals *outside* a guard window around
-  each probe, so the queue advances in O(batches) instead of O(packets)
-  while the packets nearest every probe keep per-packet granularity.
-  This is the lossy coarse-graining primitive: the analytic execution
-  mode does *not* use it on its exact path (a no-drop certificate plus
-  per-packet replay keeps that path bit-identical to event mode), but it
-  remains the tool for workload-structure estimates where tick-level
-  divergence is acceptable.
+* :func:`fifo_waits` — the vectorized
+  :func:`repro.analysis.lindley.lindley_waits` applied to an arrival
+  stream through an infinite FIFO (used for the fast access links
+  feeding the bottleneck, which never drop).
 
-:func:`fifo_waits` applies the vectorized
-:func:`repro.analysis.lindley.lindley_waits` to an arrival stream through
-an infinite FIFO (used for the fast access links feeding the bottleneck,
-which never drop).  The experiments layer
-(:mod:`repro.experiments.fastforward`) extracts calibrated scenarios into
-these primitives.
+The experiments layer (:mod:`repro.experiments.fastforward`) extracts
+calibrated scenarios into these primitives.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -82,12 +72,10 @@ class FluidQueue:
     slot; an arriving packet drops when the *waiting* occupancy plus
     itself would exceed ``capacity`` (packets or bytes per ``mode``).
 
-    Work is held as FIFO entries of ``(bits, packets)``; an entry with
-    ``packets > 1`` is an aggregate batch whose packets are assumed
-    equal-sized (per-packet entries — the analytic mode's exact path —
-    carry no such assumption).  :meth:`advance` serves whole
-    entries in closed form — each step is Lindley's recurrence on the
-    backlog — so cost is O(entries), not O(simulated events).
+    Work is held as one FIFO entry per waiting packet (its bits);
+    :meth:`advance` serves whole packets in closed form — each step is
+    Lindley's recurrence on the backlog — so cost is O(packets), not
+    O(simulated events).
 
     Counters (``arrivals``/``drops``/``departures`` and the time-weighted
     occupancy integrals) follow the event queue's accounting so the
@@ -111,7 +99,7 @@ class FluidQueue:
         self._now = 0.0
         #: Remaining bits of the packet currently being transmitted.
         self._service_bits = 0.0
-        #: Waiting batches, FIFO: [bits, packets] (mutable pairs).
+        #: Bits of each waiting packet, FIFO.
         self._entries: deque = deque()
         self._waiting_packets = 0
         self._waiting_bits = 0.0
@@ -189,41 +177,22 @@ class FluidQueue:
                 continue
             if not entries:
                 break  # idle, occupancy zero: nothing to integrate
-            entry = entries[0]
-            bits, packets = entry
+            bits = entries.popleft()
+            waiting_packets -= 1
+            waiting_bits -= bits
             span = bits / rate
             if now + span <= to_time:
-                # The whole entry drains before to_time: closed form.
-                # When packet i of the entry enters service the waiting
-                # count has already dropped by i + 1; each then serves
-                # for the same per-packet span, so the occupancy
-                # integral is an arithmetic series, not a per-packet
-                # loop.
-                entries.popleft()
-                waiting_packets -= packets
-                waiting_bits -= bits
-                per_packet_span = bits / packets / rate
-                per_packet_bits = bits / packets
-                steps = packets * (packets + 1) / 2.0
-                occ_pkt += ((waiting_packets * packets + steps - packets)
-                            * per_packet_span)
-                occ_bit += ((waiting_bits * packets
-                             + (steps - packets) * per_packet_bits)
-                            * per_packet_span)
+                # The packet waits out its whole service before
+                # to_time: drain it in closed form.
+                occ_pkt += waiting_packets * span
+                occ_bit += waiting_bits * span
                 busy += span
-                departures += packets
+                departures += 1
                 now += span
                 continue
-            # Entry outlives the step: pull one packet into service and
-            # loop (the in-service branch handles the partial span).
-            per_packet_bits = bits / packets
-            entry[0] = bits - per_packet_bits
-            entry[1] = packets - 1
-            if entry[1] == 0:
-                entries.popleft()
-            waiting_packets -= 1
-            waiting_bits -= per_packet_bits
-            service_bits = per_packet_bits
+            # The packet outlives the step: it enters service and the
+            # in-service branch handles the partial span.
+            service_bits = bits
         self._now = to_time
         self._service_bits = service_bits
         self._busy_seconds = busy
@@ -234,70 +203,55 @@ class FluidQueue:
         self.departures = departures
 
     # ------------------------------------------------------------------
-    def offer(self, at: float, bits: float, packets: int = 1) -> int:
-        """Present a batch at time ``at``; return packets accepted.
+    def offer(self, at: float, bits: float) -> int:
+        """Present one packet at time ``at``; return 1 if accepted, else 0.
 
         Advances the queue to ``at`` first, so a probe's Lindley wait is
         ``workload_seconds`` read *before* its own ``offer``.  Admission
         follows event-drop semantics: the packet in service holds no
-        buffer slot, a batch's surplus packets drop tail-first, and an
-        idle transmitter takes one packet straight into service.
+        buffer slot, and an idle transmitter takes the packet straight
+        into service.
         """
-        if packets < 1:
-            raise ConfigurationError(
-                f"batch needs at least one packet, got {packets}")
         if bits <= 0:
             raise ConfigurationError(
-                f"batch bits must be positive, got {bits}")
+                f"packet bits must be positive, got {bits}")
         if at > self._now:
             if self._service_bits > 0.0 or self._entries:
                 self.advance(at)
             else:
                 self._now = at
-        self.arrivals += packets
-        per_packet_bits = bits / packets
+        self.arrivals += 1
         idle = self._service_bits == 0.0 and not self._entries
         if self._packets_mode:
             room = self.capacity - self._waiting_packets
         else:
-            per_packet_bytes = bits_to_bytes(per_packet_bits)
+            size_bytes = bits_to_bytes(bits)
             free_bytes = (self.capacity
                           - bits_to_bytes(self._waiting_bits))
-            room = int(free_bytes // per_packet_bytes) \
-                if per_packet_bytes > 0 else packets
-            if idle and room == 0 \
-                    and per_packet_bytes > self.capacity:
+            room = int(free_bytes // size_bytes)
+            if idle and room == 0 and size_bytes > self.capacity:
                 # Even an empty buffer cannot hold this packet.
                 idle = False
-        if room < 0:
-            room = 0
         if idle:
-            room += 1  # the first packet goes straight into service
-        accepted = packets if packets < room else room
-        self.drops += packets - accepted
-        if accepted == 0:
+            self._service_bits = bits
+            return 1
+        if room < 1:
+            self.drops += 1
             return 0
-        queued = accepted
-        if idle:
-            self._service_bits = per_packet_bits
-            queued -= 1
-        if queued > 0:
-            self._entries.append([per_packet_bits * queued, queued])
-            self._waiting_packets += queued
-            self._waiting_bits += per_packet_bits * queued
-            if self._waiting_packets > self._occupancy_max_packets:
-                self._occupancy_max_packets = self._waiting_packets
-        return accepted
+        self._entries.append(bits)
+        self._waiting_packets += 1
+        self._waiting_bits += bits
+        if self._waiting_packets > self._occupancy_max_packets:
+            self._occupancy_max_packets = self._waiting_packets
+        return 1
 
     # ------------------------------------------------------------------
     def stats(self, elapsed: float) -> dict:
         """Queue statistics shaped like the event mode's per-queue dict.
 
         ``elapsed`` is the total observation window (occupancy means are
-        time-weighted over it, matching
-        :func:`repro.experiments.campaign.collect_queue_stats` closely
-        enough for reporting — aggregate entries, where used, make the
-        occupancy figures approximate, never the drop counts).
+        time-weighted over it, like
+        :func:`repro.experiments.runner.collect_queue_stats`).
         """
         if elapsed <= 0:
             raise ConfigurationError(
@@ -318,92 +272,3 @@ class FluidQueue:
         return (f"<FluidQueue {self._waiting_packets} pkts waiting of "
                 f"{self.capacity} {self.mode}, {self.drops} drops, "
                 f"t={self._now:.6f}>")
-
-
-def aggregate_batches(times: Sequence[float], bits: Sequence[float],
-                      probe_times: Sequence[float], guard: float,
-                      max_batch_packets: int = 8,
-                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse cross arrivals outside probe guard windows into batches.
-
-    Arrivals within ``guard`` seconds of any probe arrival keep
-    per-packet granularity (so the queue state every probe actually
-    samples is built from exact arrivals); the rest are grouped per
-    inter-probe interval — never across a probe — into batches of at most
-    ``max_batch_packets``, placed at the mean arrival time of their
-    members.  Total bits and packet counts are conserved exactly.
-
-    Parameters are arrays sorted by time.  Returns ``(batch_times,
-    batch_bits, batch_packets)``, sorted by time.
-    """
-    times = np.asarray(times, dtype=float)
-    bits = np.asarray(bits, dtype=float)
-    probes = np.asarray(probe_times, dtype=float)
-    if times.shape != bits.shape:
-        raise ConfigurationError(
-            f"arrival/size lengths differ: {times.shape} vs {bits.shape}")
-    if guard < 0:
-        raise ConfigurationError(f"guard must be >= 0, got {guard}")
-    if max_batch_packets < 1:
-        raise ConfigurationError(
-            f"max_batch_packets must be >= 1, got {max_batch_packets}")
-    if times.size == 0:
-        return times, bits, np.empty(0, dtype=int)
-    if np.any(np.diff(times) < 0):
-        raise ConfigurationError("arrival times must be sorted")
-    if probes.size == 0:
-        protected = np.zeros(times.shape, dtype=bool)
-        interval = np.zeros(times.shape, dtype=int)
-    else:
-        right = np.searchsorted(probes, times)
-        dist_next = np.where(right < probes.size,
-                             probes[np.minimum(right, probes.size - 1)]
-                             - times, np.inf)
-        dist_prev = np.where(right > 0,
-                             times - probes[np.maximum(right - 1, 0)],
-                             np.inf)
-        protected = (dist_next <= guard) | (dist_prev <= guard)
-        interval = right
-    free = ~protected
-    if not np.any(free):
-        return times, bits, np.ones(times.size, dtype=int)
-
-    free_times = times[free]
-    free_bits = bits[free]
-    free_interval = interval[free]
-    # Chunk starts: the first arrival of each interval, then every
-    # max_batch_packets-th arrival within it.
-    new_interval = np.empty(free_interval.shape, dtype=bool)
-    new_interval[0] = True
-    new_interval[1:] = np.diff(free_interval) != 0
-    group_start_positions = np.flatnonzero(new_interval)
-    group_sizes = np.diff(np.append(group_start_positions,
-                                    free_interval.size))
-    ordinal = (np.arange(free_interval.size)
-               - np.repeat(group_start_positions, group_sizes))
-    chunk_starts = np.flatnonzero(new_interval
-                                  | (ordinal % max_batch_packets == 0))
-    counts = np.diff(np.append(chunk_starts, free_interval.size))
-    batch_bits = np.add.reduceat(free_bits, chunk_starts)
-    batch_times = np.add.reduceat(free_times, chunk_starts) / counts
-
-    merged_times = np.concatenate([times[protected], batch_times])
-    merged_bits = np.concatenate([bits[protected], batch_bits])
-    merged_packets = np.concatenate(
-        [np.ones(int(np.count_nonzero(protected)), dtype=int), counts])
-    order = np.argsort(merged_times, kind="stable")
-    return (merged_times[order], merged_bits[order],
-            merged_packets[order])
-
-
-def drain_schedule(queue: FluidQueue, arrivals: Sequence[Tuple[float, float,
-                                                               int]],
-                   ) -> List[int]:
-    """Feed ``(time, bits, packets)`` batches to ``queue`` in order.
-
-    Convenience driver for tests: returns accepted counts per batch.
-    """
-    accepted = []
-    for at, bits, packets in arrivals:
-        accepted.append(queue.offer(at, bits, packets=packets))
-    return accepted

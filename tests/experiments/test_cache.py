@@ -11,11 +11,9 @@ from repro.experiments.cache import (
     CampaignCache,
     cache_salt,
     cell_fingerprint,
-    instrument_cache,
     resolve_cache,
 )
 from repro.experiments.campaign import CampaignSpec, run_campaign
-from repro.obs import MetricsRegistry
 
 
 def small_spec(**kwargs):
@@ -52,8 +50,7 @@ class TestFingerprint:
         varied = cell_fingerprint(spec,
                                   variation.get("delta", 0.1),
                                   variation.get("seed", 1),
-                                  salt=variation.get("salt",
-                                                     cache_module.CACHE_SALT))
+                                  salt=variation.get("salt", cache_salt()))
         assert varied != base
 
     def test_sensitive_to_probe_bytes(self, monkeypatch):
@@ -63,10 +60,9 @@ class TestFingerprint:
 
     def test_code_salt_bump_invalidates(self, monkeypatch):
         base = cell_fingerprint(small_spec(), 0.1, 1)
-        monkeypatch.setattr(cache_module, "CACHE_SALT", "repro-cell-v999")
-        # Callers pick up the module constant as their default.
-        assert cell_fingerprint(
-            small_spec(), 0.1, 1, salt=cache_module.CACHE_SALT) != base
+        monkeypatch.setattr(cache_module, "_salt_cache", "repro-cell-v999")
+        # Callers pick up the process's derived salt as their default.
+        assert cell_fingerprint(small_spec(), 0.1, 1) != base
 
 
 class TestDerivedSalt:
@@ -74,14 +70,6 @@ class TestDerivedSalt:
         salt = cache_salt()
         assert salt.startswith("repro-cell-v2-")
         assert salt == cache_salt()  # memoized, stable in-process
-
-    def test_legacy_constant_is_the_derived_salt(self):
-        # CACHE_SALT survives as a lazy module attribute; existing cache
-        # dirs keyed on the old hand-bumped value invalidate exactly once.
-        assert cache_module.CACHE_SALT == cache_salt()
-        assert cache_module.CACHE_SALT != "repro-cell-v1"
-        from repro import experiments
-        assert experiments.CACHE_SALT == cache_salt()
 
     def test_unknown_module_attribute_still_raises(self):
         with pytest.raises(AttributeError):
@@ -280,24 +268,6 @@ class TestResolveCache:
         cache = CampaignCache(tmp_path)
         assert resolve_cache(cache) is cache
         assert resolve_cache(None) is None
-
-
-class TestInstrumentCache:
-    def test_counters_track_cache_activity(self, tmp_path):
-        cache = CampaignCache(tmp_path)
-        registry = MetricsRegistry()
-        instrument_cache(registry, cache)
-        flat = registry.flat_snapshot()
-        assert flat["campaign/cache/hits"] == 0
-        run_campaign(small_spec(), cache=cache)
-        run_campaign(small_spec(), cache=cache)
-        flat = registry.flat_snapshot()
-        assert flat["campaign/cache/hits"] == 1
-        assert flat["campaign/cache/misses"] == 1
-        assert flat["campaign/cache/stores"] == 1
-        assert flat["campaign/cache/bytes_read"] > 0
-        assert flat["campaign/cache/bytes_written"] > 0
-        assert flat["campaign/cache/corrupt_entries"] == 0
 
 
 class TestLoadMany:

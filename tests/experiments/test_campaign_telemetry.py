@@ -163,7 +163,7 @@ class TestDispatchTelemetry:
         run_campaign(grid_spec(tmp_path, deltas=(0.1,), seeds=(1,)))
         dispatch = read_timing(tmp_path / "timing.json")["dispatch"]
         assert dispatch == {"pool": "serial", "workers": 1, "leases": 1,
-                            "batch_size": 1, "replay_memo": True,
+                            "batch_size": 1,
                             "replay_hits": 0, "replay_misses": 0}
 
     def test_dispatch_quarantined_outside_manifest(self, tmp_path):

@@ -17,8 +17,8 @@ from repro.experiments.campaign import CampaignSpec, run_campaign
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     build_scenario,
+    execute_experiment,
     run_experiment,
-    run_experiment_with_scenario,
     run_observed_experiment,
 )
 from repro.net.clocks import SkewedClock
@@ -100,7 +100,7 @@ class TestExactEquivalence:
 
     def test_bottleneck_drop_counts_match_event_queues(self):
         config = config_for("inria-umd", 0.05, 60.0)
-        _, scenario = run_experiment_with_scenario(config)
+        scenario = execute_experiment(config).scenario
         result = ff.run_fastforward_experiment(
             config_for("inria-umd", 0.05, 60.0, mode="analytic"))
         for bottleneck in (scenario.bottleneck_fwd, scenario.bottleneck_rev):
@@ -145,6 +145,23 @@ class TestRunnerDispatch:
             config_for("inria-umd", 0.05, 6.0, mode="analytic"))
         assert trace.meta["mode"] == "analytic"
         assert len(trace) == 120
+
+    def test_execute_experiment_reports_engine_and_spans(self):
+        from repro.obs.spans import SpanTracer
+        phases = {}
+        for mode in ("event", "analytic"):
+            tracer = SpanTracer(worker="test")
+            result = execute_experiment(
+                config_for("inria-umd", 0.05, 6.0, mode=mode),
+                tracer=tracer)
+            assert result.mode_used == mode
+            assert result.fallback_reasons == []
+            assert result.queue_stats
+            phases[mode] = [record.phase for record in tracer.records]
+        # Event cells time scenario build and probing apart; an analytic
+        # cell is one sim span (plus a replay build, without a memo).
+        assert sorted(phases["event"]) == ["setup", "sim"]
+        assert sorted(phases["analytic"]) == ["replay", "sim"]
 
     def test_event_mode_traces_carry_no_mode_key(self):
         trace = run_experiment(config_for("inria-umd", 0.05, 6.0))

@@ -1,13 +1,13 @@
 """Cross-traffic replay reuse: prefix exactness, memoization, executors.
 
-The grid-batched analytic engine builds each seed's cross-traffic replay
-once and slices it per cell.  Correctness rests on one property — a
-replay built at a long horizon, cut at a shorter one, is *bit-identical*
-to a fresh build at that shorter horizon (emission generation truncates
-only the tail and every downstream pass is causal) — and on the memo
-being pure execution mechanics: artifacts are byte-identical with the
-memo on or off, across every campaign executor, and memo accounting
-never leaks outside ``timing.json``.
+The analytic campaign builds each seed's cross-traffic replay once, at
+the grid's longest cell horizon, and slices it per cell.  Correctness
+rests on one property — a replay built at a long horizon, cut at a
+shorter one, is *bit-identical* to a fresh build at that shorter horizon
+(emission generation truncates only the tail and every downstream pass
+is causal) — and on the memo being pure execution mechanics: campaign
+artifacts equal those of memo-less per-cell runs on every executor, and
+memo accounting never leaks outside ``timing.json``.
 """
 
 import dataclasses
@@ -19,8 +19,13 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments import fastforward as ff
 from repro.experiments.cache import cache_salt, replay_fingerprint
-from repro.experiments.campaign import CampaignSpec, run_campaign
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.campaign import (
+    CampaignSpec,
+    _run_cell,
+    cell_key,
+    run_campaign,
+)
+from repro.experiments.config import PAPER_DELTAS, ExperimentConfig
 from repro.experiments.runner import build_scenario
 from repro.obs.spans import PHASE_REPLAY, SpanTracer
 
@@ -182,30 +187,45 @@ class TestCrossReplayMemo:
             ff.CrossReplayMemo(entries=0)
 
 
+@pytest.fixture()
+def fresh_process_memo():
+    """Reset the process-global memo so hit/miss counts are deterministic."""
+    ff._process_memo = None
+    yield
+    ff._process_memo = None
+
+
 class TestGridExecution:
-    def grid(self, deltas=(0.05, 0.1), seeds=(1, 2)):
-        return [config_for(delta=delta, seed=seed)
-                for seed in seeds for delta in deltas]
+    """The campaign's per-cell call: process memo + grid-max horizon."""
 
-    def test_grid_matches_percell_bitwise(self):
-        configs = self.grid(deltas=(0.02, 0.05, 0.1), seeds=(1, 2))
-        percell = [ff.run_fastforward_experiment(c) for c in configs]
-        batched = ff.run_fastforward_grid(configs)
-        for one, many in zip(percell, batched):
-            assert one.mode_used == many.mode_used == "analytic"
-            assert np.array_equal(one.trace.rtts, many.trace.rtts,
+    def spec(self, deltas=(0.02, 0.05, 0.1), seeds=(1, 2), duration=5.0):
+        return CampaignSpec(deltas=deltas, seeds=seeds, duration=duration,
+                            scenario_kwargs=dict(LIGHT_KWARGS),
+                            mode="analytic")
+
+    def test_grid_matches_percell_bitwise(self, fresh_process_memo):
+        spec = self.spec()
+        for delta, seed in spec.cells():
+            cell = _run_cell(spec, delta, seed)
+            alone = ff.run_fastforward_experiment(
+                config_for(delta=delta, seed=seed))
+            assert alone.mode_used == "analytic"
+            assert np.array_equal(cell.trace.rtts, alone.trace.rtts,
                                   equal_nan=True)
-            assert np.array_equal(one.trace.send_times,
-                                  many.trace.send_times)
-            assert one.queue_stats == many.queue_stats
-            assert one.trace.meta == many.trace.meta
+            assert np.array_equal(cell.trace.send_times,
+                                  alone.trace.send_times)
+            assert cell.queue_stats == alone.queue_stats
+            assert cell.trace.meta == alone.trace.meta
 
-    def test_grid_builds_one_replay_per_seed(self):
-        configs = self.grid(deltas=(0.02, 0.05, 0.1), seeds=(1, 2))
-        memo = ff.CrossReplayMemo(entries=8)
-        ff.run_fastforward_grid(configs, memo=memo)
-        assert memo.misses == 2          # one build per seed
-        assert memo.hits == len(configs) - 2
+    def test_grid_builds_one_replay_per_seed(self, fresh_process_memo):
+        # δ-major grid order with ragged horizons: without the grid-max
+        # build every longer δ would miss and rebuild.
+        spec = self.spec(deltas=(0.03, 0.07, 0.02), duration=1.0)
+        for delta, seed in spec.cells():
+            _run_cell(spec, delta, seed)
+        memo = ff.process_replay_memo()
+        assert memo.misses == len(spec.seeds)
+        assert memo.hits == len(spec.cells()) - len(spec.seeds)
 
     def test_replay_span_on_miss_only(self):
         memo = ff.CrossReplayMemo()
@@ -218,16 +238,8 @@ class TestGridExecution:
         assert len(replay_spans) == 1    # second run hit the memo
 
 
-@pytest.fixture()
-def fresh_process_memo():
-    """Reset the process-global memo so hit/miss counts are deterministic."""
-    ff._process_memo = None
-    yield
-    ff._process_memo = None
-
-
 class TestExecutorMatrix:
-    """{serial, warm} × {memo on, off} ⇒ byte-identical artifacts."""
+    """Serial and warm-pool campaigns ⇒ the memo-less per-cell artifacts."""
 
     DETERMINISTIC = ("manifest.json", "trace_d50_s1.csv",
                      "trace_d50_s2.csv", "trace_d100_s1.csv",
@@ -243,22 +255,35 @@ class TestExecutorMatrix:
         return {artifact: (tmp_path / name / artifact).read_bytes()
                 for artifact in self.DETERMINISTIC}
 
-    def test_artifacts_identical_across_executors_and_memo(self, tmp_path):
+    def test_artifacts_match_memoless_reference(self, tmp_path):
+        """Campaign traces and queue stats == per-cell runs without a memo.
+
+        The reference runs every cell on its own through
+        :func:`run_fastforward_experiment` (no memo, replay built at the
+        cell's own horizon) and writes its CSV the way the merge does.
+        """
+        spec = self.spec(tmp_path, "reference")
+        reference = {}
+        for delta, seed in spec.cells():
+            result = ff.run_fastforward_experiment(
+                config_for(delta=delta, seed=seed, duration=spec.duration))
+            path = tmp_path / f"reference-{delta}-{seed}.csv"
+            result.trace.save_csv(path)
+            reference[(delta, seed)] = (path.read_bytes(),
+                                        result.queue_stats)
         cache_salt()  # warm before forking so pool handshakes are cheap
-        runs = {
-            "serial-on": dict(workers=1, replay_memo=True),
-            "serial-off": dict(workers=1, replay_memo=False),
-            "warm-on": dict(workers=2, replay_memo=True),
-            "warm-off": dict(workers=2, replay_memo=False),
-        }
-        artifacts = {}
-        for name, kwargs in runs.items():
-            run_campaign(self.spec(tmp_path, name), **kwargs)
-            artifacts[name] = self.read_artifacts(tmp_path, name)
-        baseline = artifacts["serial-on"]
-        for name, files in artifacts.items():
-            assert files == baseline, \
-                f"{name} artifacts diverged from serial-on"
+        manifests = {}
+        for name, workers in (("serial", 1), ("warm", 2)):
+            result = run_campaign(self.spec(tmp_path, name),
+                                  workers=workers)
+            for (delta, seed), (csv, stats) in reference.items():
+                written = (tmp_path / name
+                           / f"trace_{cell_key(delta, seed)}.csv")
+                assert written.read_bytes() == csv, (name, delta, seed)
+                assert result.queue_stats[(delta, seed)] == stats
+            manifests[name] = (tmp_path / name /
+                               "manifest.json").read_bytes()
+        assert manifests["serial"] == manifests["warm"]
 
     def test_serial_replay_accounting_in_timing(self, tmp_path,
                                                 fresh_process_memo):
@@ -266,7 +291,6 @@ class TestExecutorMatrix:
         timing = json.loads(
             (tmp_path / "counted" / "timing.json").read_text())
         dispatch = timing["dispatch"]
-        assert dispatch["replay_memo"] is True
         # Leases are seed-affine: each seed builds once, its second δ hits.
         assert dispatch["replay_misses"] == 2
         assert dispatch["replay_hits"] == 2
@@ -283,14 +307,25 @@ class TestExecutorMatrix:
         assert dispatch["replay_misses"] == len(seeds)
         assert dispatch["replay_hits"] == len(seeds)
 
-    def test_memo_off_counts_nothing(self, tmp_path):
-        run_campaign(self.spec(tmp_path, "uncounted"), workers=1,
-                     replay_memo=False)
-        dispatch = json.loads(
-            (tmp_path / "uncounted" / "timing.json").read_text())["dispatch"]
-        assert dispatch["replay_memo"] is False
-        assert dispatch["replay_hits"] == 0
-        assert dispatch["replay_misses"] == 0
+    @pytest.mark.parametrize("deltas, duration", [
+        ((0.03, 0.07), 10.0),
+        (PAPER_DELTAS, 13.3),
+    ])
+    def test_ragged_grid_builds_each_seed_replay_once(
+            self, tmp_path, fresh_process_memo, deltas, duration):
+        # cell_horizon varies with δ on these grids; a replay built only
+        # to the first cell's horizon would miss again for a longer δ.
+        seeds = (1, 2, 3)
+        spec = dataclasses.replace(self.spec(tmp_path, "ragged"),
+                                   deltas=deltas, seeds=seeds,
+                                   duration=duration)
+        horizons = {ff.cell_horizon(config_for(delta=delta,
+                                               duration=duration))
+                    for delta in deltas}
+        assert len(horizons) > 1
+        dispatch = run_campaign(spec, workers=1).dispatch_stats
+        assert dispatch["replay_misses"] == len(seeds)
+        assert dispatch["replay_hits"] == len(spec.cells()) - len(seeds)
 
     def test_warm_pool_replay_accounting_in_timing(self, tmp_path):
         cache_salt()

@@ -5,8 +5,8 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     build_scenario,
+    execute_experiment,
     run_experiment,
-    run_experiment_with_scenario,
 )
 from repro.topology.inria_umd import InriaUmdScenario
 from repro.topology.umd_pitt import UmdPittScenario
@@ -49,9 +49,15 @@ class TestRunExperiment:
 
     def test_with_scenario_exposes_queues(self):
         config = ExperimentConfig(delta=0.05, duration=20.0, warmup=5.0)
-        trace, scenario = run_experiment_with_scenario(config)
+        result = execute_experiment(config)
+        scenario = result.scenario
         assert scenario.bottleneck_fwd.queue.arrivals > 0
-        assert len(trace) == config.count
+        assert len(result.trace) == config.count
+        assert result.mode_used == "event"
+        assert result.fallback_reasons == []
+        label = scenario.bottleneck_fwd.name
+        assert result.queue_stats[label]["arrivals"] == \
+            scenario.bottleneck_fwd.queue.arrivals
 
     def test_reproducibility(self):
         config = ExperimentConfig(delta=0.05, duration=15.0, seed=7)

@@ -1,4 +1,4 @@
-"""Tests for the fluid/aggregate fast-forward queue primitives."""
+"""Tests for the fast-forward queue primitives."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,7 @@ import pytest
 from repro.analysis.lindley import lindley_waits
 from repro.errors import ConfigurationError
 from repro.net.queue import MODE_BYTES, MODE_PACKETS
-from repro.queueing.fastforward import (
-    FluidQueue,
-    aggregate_batches,
-    drain_schedule,
-    fifo_waits,
-)
+from repro.queueing.fastforward import FluidQueue, fifo_waits
 
 RATE = 128e3
 PROBE_BITS = 576.0
@@ -66,42 +61,31 @@ class TestFluidQueueWaits:
         assert queue.drops == 0
         assert queue.arrivals == 300
 
-    def test_batch_entry_drains_like_individual_packets(self):
-        # One 4-packet batch and four per-packet offers at the same
-        # instant leave identical workload trajectories.
-        batched = FluidQueue(RATE, 15)
-        batched.offer(0.0, 4 * PROBE_BITS, packets=4)
-        single = FluidQueue(RATE, 15)
-        for _ in range(4):
-            single.offer(0.0, PROBE_BITS)
-        for t in (0.001, 0.005, 0.02, 1.0):
-            batched.advance(t)
-            single.advance(t)
-            assert batched.workload_seconds == pytest.approx(
-                single.workload_seconds)
-        assert batched.departures == single.departures == 4
-
 
 class TestFluidQueueDrops:
     def test_packet_capacity_excludes_in_service_packet(self):
         # Idle server: one packet goes into service, K wait, rest drop.
         queue = FluidQueue(RATE, 15, mode=MODE_PACKETS)
-        assert queue.offer(0.0, 20 * PROBE_BITS, packets=20) == 16
+        accepted = [queue.offer(0.0, PROBE_BITS) for _ in range(20)]
+        assert accepted == [1] * 16 + [0] * 4
         assert queue.drops == 4
         assert queue.waiting_packets == 15
 
     def test_busy_server_admits_only_capacity(self):
         queue = FluidQueue(RATE, 2, mode=MODE_PACKETS)
         queue.offer(0.0, RATE)  # one-second packet holds the server
-        assert queue.offer(0.0, 5 * PROBE_BITS, packets=5) == 2
+        accepted = [queue.offer(0.0, PROBE_BITS) for _ in range(5)]
+        assert accepted == [1, 1, 0, 0, 0]
         assert queue.drops == 3
 
     def test_byte_capacity(self):
         queue = FluidQueue(RATE, 1000, mode=MODE_BYTES)
         queue.offer(0.0, 800.0)  # 100 B, in service: holds no buffer bytes
         # 400-byte packets: two fit in 1000 free bytes, the third drops.
-        assert queue.offer(0.0, 3 * 3200.0, packets=3) == 2
+        accepted = [queue.offer(0.0, 3200.0) for _ in range(3)]
+        assert accepted == [1, 1, 0]
         assert queue.drops == 1
+        assert queue.waiting_bits == 2 * 3200.0
 
     def test_oversized_packet_drops_even_when_idle(self):
         queue = FluidQueue(RATE, 100, mode=MODE_BYTES)
@@ -123,8 +107,6 @@ class TestFluidQueueDrops:
 
     def test_validation(self):
         queue = FluidQueue(RATE, 15)
-        with pytest.raises(ConfigurationError):
-            queue.offer(0.0, 100.0, packets=0)
         with pytest.raises(ConfigurationError):
             queue.offer(0.0, 0.0)
         with pytest.raises(ConfigurationError):
@@ -150,7 +132,8 @@ class TestFluidQueueStats:
 
     def test_loss_fraction(self):
         queue = FluidQueue(RATE, 1, mode=MODE_PACKETS)
-        queue.offer(0.0, 4 * PROBE_BITS, packets=4)  # 2 in, 2 dropped
+        for _ in range(4):  # 1 in service, 1 waiting, 2 dropped
+            queue.offer(0.0, PROBE_BITS)
         stats = queue.stats(1.0)
         assert stats["arrivals"] == 4.0
         assert stats["loss_fraction"] == pytest.approx(0.5)
@@ -158,90 +141,3 @@ class TestFluidQueueStats:
     def test_elapsed_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             FluidQueue(RATE, 15).stats(0.0)
-
-
-class TestAggregateBatches:
-    PROBES = np.array([1.0, 2.0, 3.0])
-
-    def test_conserves_bits_and_packets(self, rng):
-        times = np.sort(rng.uniform(0.0, 4.0, size=200))
-        bits = rng.uniform(100.0, 5000.0, size=200)
-        bt, bb, bp = aggregate_batches(times, bits, self.PROBES, 0.05)
-        assert bp.sum() == 200
-        assert bb.sum() == pytest.approx(bits.sum())
-        assert np.all(np.diff(bt) >= 0)
-
-    def test_guarded_arrivals_stay_per_packet(self):
-        times = np.array([0.99, 1.001, 2.5])
-        bits = np.array([10.0, 20.0, 30.0])
-        bt, bb, bp = aggregate_batches(times, bits, self.PROBES, 0.05)
-        # The two arrivals near the probe at t=1 keep their own slots.
-        assert 10.0 in bb and 20.0 in bb
-        near = bp[np.isin(bb, [10.0, 20.0])]
-        assert np.all(near == 1)
-
-    def test_everything_protected_under_huge_guard(self):
-        times = np.linspace(0.0, 4.0, 50)
-        bits = np.full(50, 576.0)
-        bt, bb, bp = aggregate_batches(times, bits, self.PROBES, 100.0)
-        assert np.array_equal(bt, times)
-        assert np.array_equal(bb, bits)
-        assert np.all(bp == 1)
-
-    def test_batches_never_span_a_probe(self):
-        # Zero guard, free arrivals on both sides of the probe at t=2.
-        times = np.array([1.8, 1.9, 2.1, 2.2])
-        bits = np.full(4, 100.0)
-        bt, bb, bp = aggregate_batches(times, bits, self.PROBES, 0.0,
-                                       max_batch_packets=10)
-        assert bp.tolist() == [2, 2]
-        assert bt[0] < 2.0 < bt[1]
-
-    def test_chunking_respects_max_batch_packets(self):
-        times = np.linspace(4.5, 4.9, 20)  # far beyond the last probe
-        bits = np.full(20, 100.0)
-        _, _, bp = aggregate_batches(times, bits, self.PROBES, 0.05,
-                                     max_batch_packets=8)
-        assert bp.tolist() == [8, 8, 4]
-
-    def test_batch_placed_at_mean_member_time(self):
-        times = np.array([4.0, 5.0])
-        bits = np.array([100.0, 300.0])
-        bt, bb, bp = aggregate_batches(times, bits, self.PROBES, 0.0,
-                                       max_batch_packets=8)
-        assert bt.tolist() == [4.5]
-        assert bb.tolist() == [400.0]
-        assert bp.tolist() == [2]
-
-    def test_no_probes_still_batches(self):
-        times = np.linspace(0.0, 1.0, 12)
-        bits = np.full(12, 100.0)
-        _, _, bp = aggregate_batches(times, bits, np.empty(0), 0.05,
-                                     max_batch_packets=5)
-        assert bp.tolist() == [5, 5, 2]
-
-    def test_empty_input(self):
-        bt, bb, bp = aggregate_batches([], [], self.PROBES, 0.05)
-        assert bt.size == bb.size == bp.size == 0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            aggregate_batches([0.0], [1.0, 2.0], self.PROBES, 0.05)
-        with pytest.raises(ConfigurationError):
-            aggregate_batches([0.0], [1.0], self.PROBES, -1.0)
-        with pytest.raises(ConfigurationError):
-            aggregate_batches([0.0], [1.0], self.PROBES, 0.05,
-                              max_batch_packets=0)
-        with pytest.raises(ConfigurationError):
-            aggregate_batches([1.0, 0.0], [1.0, 2.0], self.PROBES, 0.05)
-
-
-class TestDrainSchedule:
-    def test_returns_accepted_per_batch(self):
-        queue = FluidQueue(RATE, 1, mode=MODE_PACKETS)
-        accepted = drain_schedule(queue, [
-            (0.0, PROBE_BITS, 1),
-            (0.0, 3 * PROBE_BITS, 3),
-        ])
-        assert accepted == [1, 1]
-        assert queue.drops == 2
