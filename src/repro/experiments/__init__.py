@@ -8,7 +8,6 @@ from repro.experiments.cache import (
 from repro.experiments.campaign import (
     CampaignResult,
     CampaignSpec,
-    load_campaign_traces,
     run_campaign,
 )
 from repro.experiments.calibration import validate_calibration
@@ -53,7 +52,6 @@ __all__ = [
     "CampaignResult",
     "cell_fingerprint",
     "run_campaign",
-    "load_campaign_traces",
     "validate_calibration",
     "ExperimentConfig",
     "PAPER_DELTAS",

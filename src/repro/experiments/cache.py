@@ -26,7 +26,8 @@ cold run; the cache is an optimization, never an input.**  Concretely:
   (:meth:`~repro.netdyn.trace.ProbeTrace.save_npz`), so float64 samples
   round-trip bit-exactly, and the cell payload JSON preserves dict order,
   so re-serialized artifacts (tables, CSVs, ``manifest.json``) come out
-  byte-identical to a cold run.
+  byte-identical to a cold run.  Every hit is read one way: a ``stat``
+  then one ``np.load`` of the entry (:meth:`CampaignCache.load`).
 
 Nothing non-deterministic about cache behaviour (hit/miss counts, byte
 volumes) ever enters ``manifest.json``; it is reported through the
@@ -44,11 +45,11 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.errors import AnalysisError, ConfigurationError
+from repro.errors import AnalysisError
 from repro.experiments.config import DEFAULT_WARMUP
 from repro.net.packet import UDP_WIRE_OVERHEAD_BYTES
 from repro.netdyn.packetfmt import PROBE_PAYLOAD_BYTES
-from repro.netdyn.trace import ProbeTrace, npz_mapping
+from repro.netdyn.trace import ProbeTrace
 from repro.obs.structlog import obs_logger
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -105,9 +106,8 @@ def cell_fingerprint(spec: "CampaignSpec", delta: float, seed: int,
 
     Two cells share a fingerprint exactly when nothing that can influence
     the simulated result differs: scenario name + kwargs, δ, seed,
-    duration, warm-up, execution mode (event vs analytic — the analytic
-    fast-forward is equivalent only to a stated tolerance, so its cells
-    must never shadow event-mode entries), probe payload/wire bytes, and
+    duration, warm-up, execution mode (event vs analytic, so the two
+    engines never share entries), probe payload/wire bytes, and
     the code-version ``salt`` (default: the derived :func:`cache_salt`).
     ``output_dir``, worker counts, and every other bit of execution
     mechanics are deliberately excluded — they change where results go,
@@ -123,7 +123,7 @@ def cell_fingerprint(spec: "CampaignSpec", delta: float, seed: int,
         "seed": int(seed),
         "duration": float(spec.duration),
         "warmup": float(DEFAULT_WARMUP),
-        "mode": getattr(spec, "mode", "event"),
+        "mode": spec.mode,
         "payload_bytes": payload_bytes,
         "wire_bytes": wire_bytes,
         "salt": salt,
@@ -180,7 +180,7 @@ class CampaignCache:
         self.refresh = bool(refresh)
         self.salt = salt if salt is not None else cache_salt()
         self.directory.mkdir(parents=True, exist_ok=True)
-        #: Lifetime counters (pull-based metrics read these).
+        #: Lifetime counters.
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -231,49 +231,17 @@ class CampaignCache:
     def load_many(self, spec: "CampaignSpec",
                   cells: "Sequence[tuple[float, int]]",
                   ) -> "Dict[tuple[float, int], CellResult]":
-        """One batched lookup pass over a campaign grid before dispatch.
+        """The cached results of a campaign grid, looked up before dispatch.
 
         Returns the hits only, keyed by ``(delta, seed)``; every absent
-        key is a miss to simulate.  Semantically identical to calling
-        :meth:`load` per cell, but batched for the pre-dispatch span: one
-        directory scan answers existence and size for the whole grid
-        (instead of a ``stat`` per cell), and entries are read with
-        memory-mapped npz members (:func:`repro.netdyn.trace.npz_mapping`)
-        so a hit costs header parsing only — the float64 sample pages
-        fault in later, when the merge actually writes the trace CSV.
+        key is a miss to simulate.  One :meth:`load` per cell, so the
+        accounting and the corrupt-entry handling are :meth:`load`'s.
         """
         hits: Dict[tuple, "CellResult"] = {}
-        if self.refresh:
-            self.misses += len(cells)
-            return hits
-        sizes: Dict[str, int] = {}
-        try:
-            with os.scandir(self.directory) as listing:
-                for entry in listing:
-                    if not entry.name.startswith(".tmp-"):
-                        sizes[entry.name] = entry.stat().st_size
-        except OSError:
-            pass  # unreadable directory: every cell is a plain miss
         for delta, seed in cells:
-            path = self.entry_path(spec, delta, seed)
-            size = sizes.get(path.name)
-            if size is None:
-                self.misses += 1
-                continue
-            fingerprint = cell_fingerprint(spec, delta, seed,
-                                           salt=self.salt)
-            try:
-                result = self._read_entry(path, fingerprint, mmap_mode="r")
-            except Exception as exc:
-                logger.warning("cache-entry-unreadable", entry=path.name,
-                               delta=float(delta), seed=int(seed),
-                               fingerprint=fingerprint, error=str(exc))
-                self.corrupt_entries += 1
-                self.misses += 1
-                continue
-            self.hits += 1
-            self.bytes_read += size
-            hits[(delta, seed)] = result
+            result = self.load(spec, delta, seed)
+            if result is not None:
+                hits[(delta, seed)] = result
         return hits
 
     def store(self, spec: "CampaignSpec", delta: float, seed: int,
@@ -316,17 +284,11 @@ class CampaignCache:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _read_entry(path: Path, fingerprint: str,
-                    mmap_mode: Optional[str] = None) -> "CellResult":
+    def _read_entry(path: Path, fingerprint: str) -> "CellResult":
         from repro.experiments.campaign import CellResult
-        if mmap_mode is not None:
-            data = npz_mapping(path, mmap_mode=mmap_mode)
-            trace = ProbeTrace.from_npz_mapping(data)
+        with np.load(path, allow_pickle=False) as data:
+            trace = ProbeTrace.from_npz_arrays(data)
             payload = json.loads(str(data["cell"][()]))
-        else:
-            with np.load(path, allow_pickle=False) as data:
-                trace = ProbeTrace.from_npz_mapping(data)
-                payload = json.loads(str(data["cell"][()]))
         if payload.get("entry_version") != ENTRY_FORMAT_VERSION:
             raise AnalysisError(
                 f"entry version {payload.get('entry_version')!r}, "
@@ -345,21 +307,11 @@ class CampaignCache:
 
 
 def resolve_cache(cache: Union["CampaignCache", str, Path, None],
-                  refresh: bool = False) -> Optional["CampaignCache"]:
+                  ) -> Optional["CampaignCache"]:
     """Coerce :func:`run_campaign`'s ``cache`` argument to a cache object.
 
-    Accepts an existing :class:`CampaignCache` (``refresh`` must then not
-    contradict it), a directory path, or None.
+    Accepts an existing :class:`CampaignCache`, a directory path, or None.
     """
-    if cache is None:
-        if refresh:
-            raise ConfigurationError(
-                "refresh=True needs a cache to refresh")
-        return None
     if isinstance(cache, (str, Path)):
-        return CampaignCache(cache, refresh=refresh)
-    if refresh and not cache.refresh:
-        raise ConfigurationError(
-            "refresh=True conflicts with a non-refresh CampaignCache; "
-            "construct it with CampaignCache(dir, refresh=True)")
+        return CampaignCache(cache)
     return cache

@@ -12,10 +12,12 @@ Cells are independent by construction — each owns its own
 grid is embarrassingly parallel.  :func:`run_campaign` executes every grid
 the same way: :func:`~repro.experiments.pool.plan_leases` cuts the cells
 into deterministic *leases* (seed-affine for analytic grids, so a seed's
-cross-traffic replay is reused across its δ values), every lease runs the same pure worker (:func:`_run_cell`) and
-goes through the same pack/unpack round trip, and a streaming grid-order
-merge (heap keyed on grid index) folds the cells into artifacts.  Only
-the lease source differs:
+cross-traffic replay is reused across its δ values), every lease runs
+the same pure worker (:func:`_run_cell`) and goes through the same
+pack/unpack round trip — the lease payload is the only way a fresh
+cell, and its span telemetry, reaches this process — and a streaming
+grid-order merge (heap keyed on grid index) folds the cells into
+artifacts.  Only the lease source differs:
 
 * ``workers=1`` — leases are served one by one in this process
   (:func:`~repro.experiments.pool.serve_leases`).
@@ -43,7 +45,6 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -73,12 +74,10 @@ from repro.obs.spans import (
     PHASE_CELL,
     PHASE_LEASE,
     PHASE_MERGE,
+    SpanRecord,
     SpanTracer,
-    append_spans,
-    clear_worker_files,
     merge_spans,
     optional_span,
-    read_span_dir,
     resolve_span_dir,
     summarize_spans,
 )
@@ -256,7 +255,7 @@ def _replay_horizon(spec: CampaignSpec, config: ExperimentConfig) -> float:
 
 
 def _run_cell(spec: CampaignSpec, delta: float, seed: int,
-              span_dir: Optional[Path] = None) -> CellResult:
+              tracer: Optional[SpanTracer] = None) -> CellResult:
     """Execute one (delta, seed) cell and return its full result.
 
     Pure with respect to the campaign result: the simulated outcome reads
@@ -267,19 +266,17 @@ def _run_cell(spec: CampaignSpec, delta: float, seed: int,
     choice; analytic cells share this process's cross-traffic replay memo
     (:func:`~repro.experiments.fastforward.process_replay_memo`), built
     out to the grid's longest horizon — pure reuse of deterministic
-    streams, never an input.  With ``span_dir`` set the cell additionally
-    times its setup/sim/analysis phases and appends the span records to
-    its process's JSONL file there — telemetry only, written beside
-    (never into) the deterministic artifacts; the simulated work makes the
-    same calls either way, so the returned trace is byte-identical with
-    spans on or off.
+    streams, never an input.  With a ``tracer`` (its lease's) the cell
+    additionally times its setup/sim/analysis phases into it — telemetry
+    only, shipped beside (never into) the deterministic artifacts; the
+    simulated work makes the same calls either way, so the returned trace
+    is byte-identical with spans on or off.
     """
     config = ExperimentConfig(delta=delta, duration=spec.duration,
                               seed=seed, scenario=spec.scenario,
                               scenario_kwargs=dict(spec.scenario_kwargs),
                               mode=spec.mode)
     key = cell_key(delta, seed)
-    tracer = SpanTracer() if span_dir is not None else None
     with optional_span(tracer, f"cell {key}", PHASE_CELL, cell=key):
         # Host bookkeeping only: build + warm-up + probe train, kept in
         # timing.json and never fed back into simulated time.
@@ -293,8 +290,6 @@ def _run_cell(spec: CampaignSpec, delta: float, seed: int,
                 delta=delta, seed=seed, trace=result.trace,
                 queue_stats=result.queue_stats,
                 metrics=_cell_metrics(result.trace), wall_seconds=wall)
-    if tracer is not None:
-        append_spans(span_dir, tracer.records)
     return cell
 
 
@@ -395,12 +390,14 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
     spans:
         Span telemetry: ``True`` writes span files under
         ``<output_dir>/spans``; a path uses that directory; ``None``/
-        ``False`` (the default) records nothing.  Workers append their
-        setup/sim/analysis spans to per-process JSONL files; the parent
-        merges everything in grid order into ``spans.jsonl`` plus a Chrome
-        ``trace_event`` flame graph (``trace.json``) and summarizes phase
-        totals into ``timing.json``.  Telemetry only: every deterministic
-        artifact is byte-identical with spans on or off.
+        ``False`` (the default) records nothing.  Every lease's
+        setup/sim/analysis spans travel back in its payload; at the end of
+        the run the parent merges everything in grid order into
+        ``spans.jsonl`` plus a Chrome ``trace_event`` flame graph
+        (``trace.json``) — the only two files it writes there — and
+        summarizes phase totals into ``timing.json``.  Telemetry only:
+        every deterministic artifact is byte-identical with spans on or
+        off.
     progress:
         Live progress reporting: ``True``/``"auto"`` draws a status line
         when stderr is a TTY, ``"on"`` forces it, ``None``/``False``/
@@ -415,13 +412,8 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
     if output_dir:
         output_dir.mkdir(parents=True, exist_ok=True)
     span_dir = resolve_span_dir(spans, spec.output_dir)
-    tracer: Optional[SpanTracer] = None
-    if span_dir is not None:
-        span_dir.mkdir(parents=True, exist_ok=True)
-        # Leftover per-worker files from an earlier run must not leak
-        # into this run's merge.
-        clear_worker_files(span_dir)
-        tracer = SpanTracer(worker="main")
+    tracer = SpanTracer(worker="main") if span_dir is not None else None
+    worker_records: List[SpanRecord] = []
 
     grid = spec.cells()
     grid_keys = [cell_key(delta, seed) for delta, seed in grid]
@@ -466,14 +458,16 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
         }
         warm_pool: Optional[WarmWorkerPool] = None
         if workers == 1 or not leases:
-            served = serve_leases(spec, leases, span_dir=span_dir)
+            served = serve_leases(spec, leases, spans=tracer is not None)
         else:
             warm_pool = WarmWorkerPool(workers)
-            served = warm_pool.run_leases(spec, leases, span_dir=span_dir)
+            served = warm_pool.run_leases(spec, leases,
+                                          spans=tracer is not None)
         try:
             for index, cells, info in served:
                 dispatch_stats["replay_hits"] += info["replay_hits"]
                 dispatch_stats["replay_misses"] += info["replay_misses"]
+                worker_records.extend(info["spans"])
                 with optional_span(tracer, f"lease {index} collect",
                                    PHASE_LEASE):
                     for cell in cells:
@@ -552,10 +546,9 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
     # span files and the timing.json summary, never the manifest.
     span_summary: Optional[Dict[str, Any]] = None
     if span_dir is not None and tracer is not None:
-        worker_records = read_span_dir(span_dir)
-        clear_worker_files(span_dir)
         merged = merge_spans(list(tracer.records) + worker_records,
                              grid_keys)
+        span_dir.mkdir(parents=True, exist_ok=True)
         write_spans_jsonl(merged, span_dir / MERGED_SPAN_FILE)
         write_chrome_trace(span_dir / CHROME_SPAN_FILE, spans=merged)
         span_summary = summarize_spans(merged)
@@ -565,38 +558,3 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
                      cell_wall_seconds=cell_wall, cache=cache_stats,
                      spans=span_summary, dispatch=dispatch_stats)
     return result
-
-
-#: Campaign trace filename: trace_d<delta_ms>_s<seed>.csv (δ via %g).
-_TRACE_NAME = re.compile(
-    r"trace_d(?P<ms>[0-9.eE+-]+)_s(?P<seed>\d+)\.csv\Z")
-
-
-def _trace_order(path: Path) -> tuple:
-    """Deterministic (δ, seed) sort key parsed from a trace filename.
-
-    Filesystem glob order is locale/filesystem-dependent and lexicographic
-    ("d100" before "d8"); campaigns are (δ, seed) grids, so traces load in
-    numeric grid order.  Names that don't match the campaign pattern sort
-    after all grid traces, by name.
-    """
-    match = _TRACE_NAME.match(path.name)
-    if match is None:
-        return (1, 0.0, 0, path.name)
-    try:
-        delta_ms = float(match.group("ms"))
-    except ValueError:
-        return (1, 0.0, 0, path.name)
-    return (0, delta_ms, int(match.group("seed")), path.name)
-
-
-def load_campaign_traces(directory: Union[str, Path]) -> list[ProbeTrace]:
-    """Load every ``trace_*.csv`` previously saved by a campaign.
-
-    Traces are returned in (δ, seed) grid order parsed from the
-    filenames — never in filesystem-glob order, which sorts "d100"
-    before "d8".
-    """
-    directory = Path(directory)
-    paths = sorted(directory.glob("trace_*.csv"), key=_trace_order)
-    return [ProbeTrace.load_csv(path) for path in paths]

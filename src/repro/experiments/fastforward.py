@@ -64,7 +64,7 @@ from repro.experiments.runner import (
 from repro.net.clocks import PerfectClock, QuantizedClock
 from repro.net.faults import RandomDropFault
 from repro.net.link import Interface
-from repro.net.packet import UDP_WIRE_OVERHEAD_BYTES, make_udp
+from repro.net.packet import UDP_WIRE_OVERHEAD_BYTES
 from repro.net.queue import MODE_PACKETS
 from repro.net.routing import Network
 from repro.netdyn import packetfmt
@@ -574,8 +574,8 @@ def cell_horizon(config: ExperimentConfig) -> float:
 # ---------------------------------------------------------------------------
 # Probe pipeline
 # ---------------------------------------------------------------------------
-def _apply_stages(stages: Sequence[RandomDropFault], alive: np.ndarray,
-                  packet, sim) -> None:
+def _apply_stages(stages: Sequence[RandomDropFault],
+                  alive: np.ndarray) -> None:
     """Draw each stage's drop decisions for surviving probes, in order.
 
     Event mode draws one uniform per packet *reaching* a fault, in
@@ -831,28 +831,21 @@ def run_fastforward_experiment(config: ExperimentConfig,
     source_stamps = packetfmt.quantize_stamps(
         _clock_readings(send_times, resolution))
 
-    # One representative probe packet feeds the fault models' drops()
-    # hooks, so their draw sequences and counters match event mode.
-    probe_packet = make_udp(src=scenario.source, dst=scenario.echo,
-                            src_port=0, dst_port=0,
-                            payload_bytes=packetfmt.PROBE_PAYLOAD_BYTES,
-                            created_at=0.0)
-    sim = scenario.sim
     alive = np.ones(count, dtype=bool)
 
-    _apply_stages(fwd.pre_faults, alive, probe_packet, sim)
+    _apply_stages(fwd.pre_faults, alive)
     arrivals_fwd = send_times + fwd.before
     waits_fwd, stats_fwd = _queue_pass(fwd, arrivals_fwd, alive, probe_bits,
                                        end_time)
     exits_fwd = arrivals_fwd + waits_fwd + fwd.service
-    _apply_stages(fwd.post_faults, alive, probe_packet, sim)
+    _apply_stages(fwd.post_faults, alive)
 
     arrivals_rev = exits_fwd + fwd.after + rev.before
-    _apply_stages(rev.pre_faults, alive, probe_packet, sim)
+    _apply_stages(rev.pre_faults, alive)
     waits_rev, stats_rev = _queue_pass(rev, arrivals_rev, alive, probe_bits,
                                        end_time)
     exits_rev = arrivals_rev + waits_rev + rev.service
-    _apply_stages(rev.post_faults, alive, probe_packet, sim)
+    _apply_stages(rev.post_faults, alive)
 
     receive_times = exits_rev + rev.after
     alive &= receive_times <= end_time

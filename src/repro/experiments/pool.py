@@ -17,11 +17,13 @@ one of two ways:
   then serves leases sent down its pipe until the pool is closed.
 
 Payloads carry the trace columns inline, pickled through the pipe with
-the rest of the lease (tens of kilobytes per cell).  Everything in this module is execution
-mechanics: it moves results between processes but computes nothing,
-which is why it is excluded from the derived cache-salt closure and
-banned from the kernel call graph alongside the telemetry modules
-(OBS002).
+the rest of the lease (tens of kilobytes per cell), and — when span
+telemetry is on — the lease's span records: the payload is the only way
+a cell's results and telemetry reach the parent.  Everything in this
+module is execution mechanics: it moves results between processes but
+computes nothing, which is why it is excluded from the derived
+cache-salt closure and banned from the kernel call graph alongside the
+telemetry modules (OBS002).
 
 Staleness: a long-lived pool may outlive a code edit.  Workers therefore
 report :func:`repro.experiments.cache.cache_salt` (their view of the
@@ -46,12 +48,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.netdyn.trace import ProbeTrace
-from repro.obs.spans import (
-    PHASE_LEASE,
-    SpanTracer,
-    append_spans,
-    optional_span,
-)
+from repro.obs.spans import PHASE_LEASE, SpanTracer, optional_span
 
 
 class StaleWorkerError(RuntimeError):
@@ -161,13 +158,15 @@ def unpack_lease(payload: Dict[str, Any]) -> Tuple[List[Any], Dict[str, Any]]:
     """Rebuild a lease's CellResults from :func:`_serve_lease`'s payload.
 
     Returns ``(cells, info)``.  ``info`` carries the lease's replay-memo
-    ``replay_hits``/``replay_misses`` deltas plus the transport facts
+    ``replay_hits``/``replay_misses`` deltas, its span records
+    (``spans``; empty when telemetry is off), and the transport facts
     (``transport`` is always ``"inline"``, ``shm_bytes`` always 0).
     """
     cells = [_cell_from_record(record) for record in payload["cells"]]
     return cells, {"transport": "inline", "shm_bytes": 0,
                    "replay_hits": payload.get("replay_hits", 0),
-                   "replay_misses": payload.get("replay_misses", 0)}
+                   "replay_misses": payload.get("replay_misses", 0),
+                   "spans": payload.get("spans", [])}
 
 
 def _cell_from_record(record: dict):
@@ -223,36 +222,37 @@ def _serve_lease(request: Dict[str, Any]) -> Dict[str, Any]:
 
     Serial campaigns call this in-process through :func:`serve_leases`;
     pool workers call it from :func:`_worker_main`.  Replay-memo
-    accounting rides beside the packed cells, never inside them: the
-    parent folds the deltas into its timing.json dispatch block, keeping
-    cell artifacts executor-blind.
+    accounting and span records ride beside the packed cells, never
+    inside them: the parent folds them into its timing.json dispatch
+    block and its span files, keeping cell artifacts executor-blind.
+    With ``request["spans"]`` set, one tracer times the lease and every
+    cell's phases.
     """
     from repro.experiments.campaign import _run_cell
     from repro.experiments.fastforward import process_replay_memo
     spec = request["spec"]
-    span_dir = request["span_dir"]
     memo = process_replay_memo()
     hits_before, misses_before = memo.counters()
-    tracer = SpanTracer() if span_dir is not None else None
+    tracer = SpanTracer() if request["spans"] else None
     with optional_span(tracer, f"lease {request['index']}", PHASE_LEASE):
-        payload = pack_lease([_run_cell(spec, delta, seed, span_dir=span_dir)
+        payload = pack_lease([_run_cell(spec, delta, seed, tracer=tracer)
                               for delta, seed in request["cells"]])
-    if tracer is not None:
-        append_spans(span_dir, tracer.records)
     hits, misses = memo.counters()
     payload["replay_hits"] = hits - hits_before
     payload["replay_misses"] = misses - misses_before
+    if tracer is not None:
+        payload["spans"] = tracer.records
     return payload
 
 
 def _lease_request(index: int, cells: Sequence[Tuple[float, int]],
-                   spec: Any, span_dir: Optional[Any]) -> Dict[str, Any]:
+                   spec: Any, spans: bool) -> Dict[str, Any]:
     return {"index": index, "spec": spec, "cells": list(cells),
-            "span_dir": span_dir}
+            "spans": spans}
 
 
 def serve_leases(spec: Any, leases: Sequence[Sequence[Tuple[float, int]]],
-                 span_dir: Optional[Any] = None,
+                 spans: bool = False,
                  ) -> Iterator[Tuple[int, List[Any], Dict[str, Any]]]:
     """Serve leases one by one in this process, in lease order.
 
@@ -263,7 +263,7 @@ def serve_leases(spec: Any, leases: Sequence[Sequence[Tuple[float, int]]],
     """
     for index, cells in enumerate(leases):
         yield (index, *unpack_lease(_serve_lease(
-            _lease_request(index, cells, spec, span_dir))))
+            _lease_request(index, cells, spec, spans))))
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +367,7 @@ class WarmWorkerPool:
 
     def run_leases(self, spec: Any,
                    leases: Sequence[Sequence[Tuple[float, int]]],
-                   span_dir: Optional[Any] = None,
+                   spans: bool = False,
                    ) -> Iterator[Tuple[int, List[Any], Dict[str, Any]]]:
         """Dispatch leases and yield ``(index, cells, info)`` as they land.
 
@@ -378,13 +378,13 @@ class WarmWorkerPool:
         pool (its pipes are in an unknown state) and raises
         :class:`LeaseError`.  ``info`` is :func:`unpack_lease`'s: the
         lease's worker-side ``replay_hits``/``replay_misses`` deltas (zero
-        for event-mode leases).
+        for event-mode leases) and, with ``spans``, its span records.
         """
         self.start()
         pending = deque(enumerate(leases))
         active = self._conns[:len(pending)]
         for conn in active:
-            self._dispatch(conn, pending.popleft(), spec, span_dir)
+            self._dispatch(conn, pending.popleft(), spec, spans)
         while active:
             for conn in _wait_connections(active):
                 try:
@@ -400,13 +400,13 @@ class WarmWorkerPool:
                         f"lease {index} failed in worker:\n{payload}")
                 cells, info = unpack_lease(payload)
                 if pending:
-                    self._dispatch(conn, pending.popleft(), spec, span_dir)
+                    self._dispatch(conn, pending.popleft(), spec, spans)
                 else:
                     active.remove(conn)
                 yield index, cells, info
 
-    def _dispatch(self, conn, numbered_lease, spec, span_dir) -> None:
-        conn.send(("lease", _lease_request(*numbered_lease, spec, span_dir)))
+    def _dispatch(self, conn, numbered_lease, spec, spans) -> None:
+        conn.send(("lease", _lease_request(*numbered_lease, spec, spans)))
 
     def close(self) -> None:
         """Stop the workers; safe to call twice (and from error paths)."""

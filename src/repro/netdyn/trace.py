@@ -24,68 +24,6 @@ from repro.units import seconds_to_ms
 #: Sentinel round-trip value for lost probes (the paper's convention).
 LOST = 0.0
 
-#: Local-file-header fixed size in a zip archive (the npz container);
-#: the filename and extra fields follow it, then the member's bytes.
-_ZIP_LOCAL_HEADER_BYTES = 30
-
-
-def npz_mapping(path: Union[str, Path],
-                mmap_mode: Optional[str] = None) -> "dict[str, np.ndarray]":
-    """The arrays of an npz file, optionally memory-mapped.
-
-    ``np.savez`` stores members uncompressed (``ZIP_STORED``), so each
-    ``.npy`` member sits contiguously in the file and can be mapped in
-    place instead of copied out: with ``mmap_mode`` set, float64 columns
-    come back as read-only ``np.memmap`` views whose pages fault in only
-    when touched — a batched cache lookup that only needs headers never
-    pays for the sample data.  Zero-dimensional members (JSON headers)
-    are always read eagerly; any irregularity (compressed member,
-    malformed local header) falls back to a plain ``np.load`` copy of
-    that member, so the mapping is an optimization, never a correctness
-    input.  Raises :class:`AnalysisError` on an unreadable file, like
-    :meth:`ProbeTrace.load_npz`.
-    """
-    path = Path(path)
-    arrays: dict[str, np.ndarray] = {}
-    fallback: list[str] = []
-    try:
-        with zipfile.ZipFile(path) as archive, path.open("rb") as raw:
-            for info in archive.infolist():
-                name = info.filename
-                key = name[:-4] if name.endswith(".npy") else name
-                if mmap_mode is None or info.compress_type:
-                    fallback.append(key)
-                    continue
-                try:
-                    raw.seek(info.header_offset)
-                    local = raw.read(_ZIP_LOCAL_HEADER_BYTES)
-                    name_len = int.from_bytes(local[26:28], "little")
-                    extra_len = int.from_bytes(local[28:30], "little")
-                    raw.seek(info.header_offset + _ZIP_LOCAL_HEADER_BYTES
-                             + name_len + extra_len)
-                    version = np.lib.format.read_magic(raw)
-                    if version == (1, 0):
-                        shape, fortran, dtype = \
-                            np.lib.format.read_array_header_1_0(raw)
-                    else:
-                        shape, fortran, dtype = \
-                            np.lib.format.read_array_header_2_0(raw)
-                    if fortran or dtype.hasobject or shape == ():
-                        fallback.append(key)
-                        continue
-                    arrays[key] = np.memmap(path, dtype=dtype, mode="r",
-                                            offset=raw.tell(), shape=shape)
-                except (OSError, ValueError, KeyError):
-                    fallback.append(key)
-        if fallback:
-            with np.load(path, allow_pickle=False) as data:
-                for key in fallback:
-                    arrays[key] = data[key]
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-        raise AnalysisError(
-            f"{path}: not a readable npz archive: {exc}") from exc
-    return arrays
-
 #: Layout version of the binary (npz) trace format; bump on changes.
 NPZ_FORMAT_VERSION = 1
 
@@ -353,7 +291,7 @@ class ProbeTrace:
                 np.savez(handle, **arrays)
 
     @classmethod
-    def from_npz_mapping(cls, data: Mapping[str, np.ndarray]) -> "ProbeTrace":
+    def from_npz_arrays(cls, data: Mapping[str, np.ndarray]) -> "ProbeTrace":
         """Rebuild a trace from the arrays of an open npz file.
 
         Split out of :meth:`load_npz` so consumers that embed extra arrays
@@ -378,7 +316,7 @@ class ProbeTrace:
         path = Path(path)
         try:
             with np.load(path, allow_pickle=False) as data:
-                return cls.from_npz_mapping(data)
+                return cls.from_npz_arrays(data)
         except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
             raise AnalysisError(
                 f"{path}: not a readable ProbeTrace npz: {exc}") from exc

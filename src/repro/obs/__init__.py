@@ -87,7 +87,6 @@ from repro.obs.spans import (
     SpanRecord,
     SpanTracer,
     merge_spans,
-    read_span_dir,
     summarize_spans,
 )
 from repro.obs.structlog import ObsLogger, obs_logger
@@ -126,7 +125,6 @@ __all__ = [
     "read_hops_jsonl",
     "read_manifest",
     "read_report",
-    "read_span_dir",
     "read_spans_jsonl",
     "read_timing",
     "resolve_progress",

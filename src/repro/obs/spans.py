@@ -3,11 +3,10 @@
 A :class:`SpanTracer` records nested *spans* — named intervals of host
 wall-clock time, each tagged with a phase (``campaign``, ``cell``,
 ``setup``, ``sim``, ``analysis``, ``cache``, ``merge``, ``lease``) and,
-for per-cell work, the cell key it belongs to.  Campaign workers
-(:func:`repro.experiments.campaign._run_cell`) time their phases with one
-tracer per process and append the records to a per-worker JSONL file
-(:func:`append_spans`); the parent reads every worker file back
-(:func:`read_span_dir`), merges its own orchestration spans in grid order
+for per-cell work, the cell key it belongs to.  Every campaign lease
+(:func:`repro.experiments.pool._serve_lease`) times its cells' phases with
+one tracer, and its records travel back in the lease's payload; the
+parent merges them with its own orchestration spans in grid order
 (:func:`merge_spans`), summarizes phase totals into the ``timing.json``
 sidecar (:func:`summarize_spans`), and exports the whole campaign as one
 Chrome ``trace_event`` flame graph
@@ -25,7 +24,6 @@ disabled no tracer exists and no file is touched.
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
@@ -58,8 +56,6 @@ PHASE_LEASE = "lease"
 #: CrossReplay streams (memo misses only; hits cost no span).
 PHASE_REPLAY = "replay"
 
-#: Per-worker span file pattern inside a span directory.
-_WORKER_FILE_PREFIX = "spans-w"
 #: The parent's merged, grid-ordered span log.
 MERGED_SPAN_FILE = "spans.jsonl"
 #: The parent's Chrome trace_event export of the merged spans.
@@ -206,57 +202,8 @@ def optional_span(tracer: Optional[SpanTracer], name: str, phase: str,
 
 
 # ----------------------------------------------------------------------
-# Per-worker files and the parent-side merge
+# The parent-side merge
 # ----------------------------------------------------------------------
-def worker_span_path(span_dir: PathLike, pid: Optional[int] = None) -> Path:
-    """This process's span file inside ``span_dir``.
-
-    Worker identity is the OS pid: every pool worker is its own process,
-    so per-pid files never contend, and the serial path (parent runs the
-    cells itself) lands in the parent's own file.
-    """
-    pid = os.getpid() if pid is None else pid
-    return Path(span_dir) / f"{_WORKER_FILE_PREFIX}{pid}.jsonl"
-
-
-def append_spans(span_dir: PathLike,
-                 records: Sequence[SpanRecord]) -> Path:
-    """Append records to this process's per-worker span file."""
-    path = worker_span_path(span_dir)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a") as handle:
-        for record in records:
-            handle.write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
-    return path
-
-
-def read_span_dir(span_dir: PathLike) -> List[SpanRecord]:
-    """Every record from every per-worker span file, file-sorted.
-
-    Files are visited in sorted name order so the read is deterministic
-    for a fixed set of files; callers wanting campaign order run the
-    result through :func:`merge_spans`.
-    """
-    records: List[SpanRecord] = []
-    for path in sorted(Path(span_dir).glob(f"{_WORKER_FILE_PREFIX}*.jsonl")):
-        with path.open() as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                records.append(SpanRecord.from_dict(json.loads(line)))
-    return records
-
-
-def clear_worker_files(span_dir: PathLike) -> int:
-    """Delete per-worker span files (after a merge); returns the count."""
-    removed = 0
-    for path in sorted(Path(span_dir).glob(f"{_WORKER_FILE_PREFIX}*.jsonl")):
-        path.unlink()
-        removed += 1
-    return removed
-
-
 def merge_spans(records: Sequence[SpanRecord],
                 grid_keys: Sequence[str]) -> List[SpanRecord]:
     """Order spans the way the campaign is defined, not the way it ran.

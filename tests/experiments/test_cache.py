@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.experiments import cache as cache_module
 from repro.experiments.cache import (
     CampaignCache,
@@ -256,14 +255,6 @@ class TestColdWarmArtifacts:
 
 
 class TestResolveCache:
-    def test_refresh_without_cache_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_cache(None, refresh=True)
-
-    def test_refresh_conflict_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            resolve_cache(CampaignCache(tmp_path), refresh=True)
-
     def test_passthrough(self, tmp_path):
         cache = CampaignCache(tmp_path)
         assert resolve_cache(cache) is cache
@@ -271,7 +262,7 @@ class TestResolveCache:
 
 
 class TestLoadMany:
-    """The batched lookup: one directory scan, memory-mapped entry reads."""
+    """The pre-dispatch grid lookup: one per-cell load per grid cell."""
 
     def grid_spec(self, **kwargs):
         return small_spec(deltas=(0.05, 0.1), seeds=(1, 2),

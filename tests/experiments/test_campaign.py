@@ -1,5 +1,6 @@
 """Tests for measurement campaigns."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -7,9 +8,9 @@ from repro.experiments.campaign import (
     CampaignSpec,
     _run_cell,
     cell_key,
-    load_campaign_traces,
     run_campaign,
 )
+from repro.netdyn.trace import ProbeTrace
 
 
 def small_spec(**kwargs):
@@ -49,10 +50,12 @@ class TestRunCampaign:
         spec = small_spec(deltas=(0.1, 0.2), seeds=(1,),
                           output_dir=tmp_path)
         result = run_campaign(spec)
-        loaded = load_campaign_traces(tmp_path)
-        assert len(loaded) == 2
-        deltas = sorted(trace.delta for trace in loaded)
-        assert deltas == pytest.approx([0.1, 0.2])
+        for cell in spec.cells():
+            loaded = ProbeTrace.load_csv(
+                tmp_path / f"trace_{cell_key(*cell)}.csv")
+            assert loaded.delta == pytest.approx(cell[0])
+            np.testing.assert_allclose(loaded.rtts, result.traces[cell].rtts,
+                                       atol=1e-9)
 
     def test_table_renders(self):
         spec = small_spec(seeds=(1, 2))
@@ -142,23 +145,6 @@ class TestRunCampaign:
     def test_cell_key(self):
         assert cell_key(0.1, 1) == "d100_s1"
         assert cell_key(0.008, 12) == "d8_s12"
-
-    def test_load_campaign_traces_in_grid_order(self, tmp_path):
-        # Regression: traces used to come back in filesystem-glob
-        # (lexicographic) order, which puts d100 before d8.  The loader
-        # must sort numerically by (delta, seed) parsed from the name.
-        def write(name, delta, seed):
-            (tmp_path / name).write_text(
-                f'# delta={delta!r}\n# meta={{"seed": {seed}}}\n'
-                f"n,send_time,rtt\n0,0.0,0.1\n1,{delta},0.2\n")
-        write("trace_d100_s2.csv", 0.1, 2)
-        write("trace_d100_s1.csv", 0.1, 1)
-        write("trace_d8_s1.csv", 0.008, 1)
-        write("trace_d50_s10.csv", 0.05, 10)
-        write("trace_d50_s9.csv", 0.05, 9)
-        loaded = load_campaign_traces(tmp_path)
-        assert [(t.delta, t.meta["seed"]) for t in loaded] == \
-            [(0.008, 1), (0.05, 9), (0.05, 10), (0.1, 1), (0.1, 2)]
 
 
 class TestCellMetrics:

@@ -8,6 +8,7 @@ span directory and the ``timing.json`` sidecar.
 """
 
 import io
+import json
 
 from repro.experiments.campaign import CampaignSpec, run_campaign
 from repro.obs import read_timing
@@ -23,7 +24,7 @@ from repro.obs.spans import (
     PHASE_MERGE,
     PHASE_SETUP,
     PHASE_SIM,
-    read_span_dir,
+    SpanRecord,
 )
 
 
@@ -88,11 +89,39 @@ class TestSpanRecording:
         assert cell_sequence == sorted(cell_sequence)
 
     def test_worker_files_cleaned_after_merge(self, tmp_path):
+        # Worker spans travel back in the lease payloads: the span
+        # directory ends up holding the two merged files and nothing else.
         run_campaign(grid_spec(tmp_path, deltas=(0.1,), seeds=(1,)),
                      workers=2, spans=True)
         span_dir = tmp_path / "spans"
-        assert read_span_dir(span_dir) == []  # per-worker files gone
-        assert (span_dir / MERGED_SPAN_FILE).exists()
+        assert sorted(p.name for p in span_dir.iterdir()) \
+            == sorted([CHROME_SPAN_FILE, MERGED_SPAN_FILE])
+
+    def test_concurrent_campaign_sharing_span_dir_loses_nothing(
+            self, tmp_path):
+        # A second campaign writing to the same span directory while the
+        # first is still running must not take the first one's spans.
+        span_dir = tmp_path / "shared-spans"
+
+        class NestedCampaign(ProgressReporter):
+            nested = False
+
+            def cell_done(self, key, wall_seconds=0.0, cached=False):
+                super().cell_done(key, wall_seconds, cached)
+                if not self.nested:
+                    self.nested = True
+                    run_campaign(grid_spec(None, deltas=(0.1,), seeds=(7,)),
+                                 spans=span_dir)
+
+        reporter = NestedCampaign(total=2, workers=1, stream=io.StringIO())
+        run_campaign(grid_spec(None, deltas=(0.1,), seeds=(1, 2)),
+                     workers=1, batch_size=1, spans=span_dir,
+                     progress=reporter)
+        assert reporter.nested
+        merged = read_spans_jsonl(span_dir / MERGED_SPAN_FILE)
+        cells = sorted(span.cell for span in merged
+                       if span.phase == PHASE_CELL)
+        assert cells == ["d100_s1", "d100_s2"]
 
     def test_chrome_trace_written_for_campaign(self, tmp_path):
         run_campaign(grid_spec(tmp_path, deltas=(0.1,), seeds=(1,)),
@@ -112,12 +141,13 @@ class TestSpanRecording:
     def test_stale_worker_files_ignored(self, tmp_path):
         # A crashed earlier run leaves worker files behind; a new run
         # must not merge those foreign records into its own log.
-        from repro.obs.spans import SpanRecord, append_spans
         span_dir = tmp_path / "spans"
         span_dir.mkdir(parents=True)
-        append_spans(span_dir, [SpanRecord(
-            name="stale", phase="cell", start=1.0, duration=1.0,
-            pid=999, worker="w999", cell="d999_s9")])
+        stale = SpanRecord(name="stale", phase="cell", start=1.0,
+                           duration=1.0, pid=999, worker="w999",
+                           cell="d999_s9")
+        (span_dir / "spans-w999.jsonl").write_text(
+            json.dumps(stale.as_dict(), sort_keys=True) + "\n")
         run_campaign(grid_spec(tmp_path, deltas=(0.1,), seeds=(1,)),
                      spans=True)
         merged = read_spans_jsonl(span_dir / MERGED_SPAN_FILE)

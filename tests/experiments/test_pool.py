@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.campaign import CampaignSpec, CellResult, _run_cell
+from repro.experiments.campaign import CampaignSpec, CellResult, _run_cell, \
+    cell_key
 from repro.experiments.pool import (
     LeaseError,
     StaleWorkerError,
@@ -163,7 +164,7 @@ class TestLeaseTransports:
         payload = pickle.loads(pickle.dumps(pack_lease(originals)))
         cells, info = unpack_lease(payload)
         assert info == {"transport": "inline", "shm_bytes": 0,
-                        "replay_hits": 0, "replay_misses": 0}
+                        "replay_hits": 0, "replay_misses": 0, "spans": []}
         assert_cells_equal(cells, originals)
 
     def test_empty_lease(self):
@@ -214,6 +215,20 @@ class TestWarmWorkerPool:
                 for cell in served[index]]
         reference = [_run_cell(spec, delta, seed) for delta, seed in grid]
         assert_cells_equal(flat, reference, compare_wall=False)
+
+    def test_spans_ride_the_lease_payload(self):
+        spec = analytic_spec(deltas=(0.1,))
+        leases = plan_leases(spec.cells(), workers=2, batch_size=1)
+        with fast_pool(workers=2) as pool:
+            pids = set(pool.worker_pids)
+            shipped = {index: info["spans"] for index, _, info
+                       in pool.run_leases(spec, leases, spans=True)}
+        for index, (cell,) in enumerate(leases):
+            spans = shipped[index]
+            assert {span.pid for span in spans} <= pids
+            names = {span.name for span in spans}
+            assert {f"lease {index}", f"cell {cell_key(*cell)}",
+                    "sim"} <= names
 
     def test_worker_failure_raises_lease_error_and_closes(self):
         spec = analytic_spec()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AnalysisError, InsufficientDataError
-from repro.netdyn.trace import LOST, ProbeTrace, npz_mapping
+from repro.netdyn.trace import ProbeTrace
 
 
 def make_trace(rtts, delta=0.05, **kwargs):
@@ -263,53 +263,3 @@ def test_loss_fraction_bounds_property(rtts):
     trace = ProbeTrace.from_samples(delta=0.05, rtts=rtts)
     assert 0.0 <= trace.loss_fraction <= 1.0
     assert trace.loss_count + trace.received.sum() == len(trace)
-
-
-class TestNpzMapping:
-    """Memory-mapped npz reads must be value-identical to np.load."""
-
-    def write_npz(self, path, compressed=False):
-        arrays = {"send_times": np.arange(64) * 0.05,
-                  "rtts": np.linspace(0.1, 0.4, 64),
-                  "header": np.frombuffer(b'{"delta": 0.05}',
-                                          dtype=np.uint8)}
-        saver = np.savez_compressed if compressed else np.savez
-        saver(path, **arrays)
-        return arrays
-
-    def test_mapped_arrays_match_np_load(self, tmp_path):
-        path = tmp_path / "entry.npz"
-        expected = self.write_npz(path)
-        mapping = npz_mapping(path, mmap_mode="r")
-        assert set(mapping) == set(expected)
-        for key, value in expected.items():
-            assert np.array_equal(mapping[key], value)
-
-    def test_stored_members_are_memmaps(self, tmp_path):
-        path = tmp_path / "entry.npz"
-        self.write_npz(path)
-        mapping = npz_mapping(path, mmap_mode="r")
-        assert isinstance(mapping["send_times"], np.memmap)
-        assert isinstance(mapping["rtts"], np.memmap)
-
-    def test_compressed_members_fall_back_to_copies(self, tmp_path):
-        path = tmp_path / "entry.npz"
-        expected = self.write_npz(path, compressed=True)
-        mapping = npz_mapping(path, mmap_mode="r")
-        for key, value in expected.items():
-            assert not isinstance(mapping[key], np.memmap)
-            assert np.array_equal(mapping[key], value)
-
-    def test_no_mmap_mode_reads_plainly(self, tmp_path):
-        path = tmp_path / "entry.npz"
-        expected = self.write_npz(path)
-        mapping = npz_mapping(path)
-        for key, value in expected.items():
-            assert not isinstance(mapping[key], np.memmap)
-            assert np.array_equal(mapping[key], value)
-
-    def test_unreadable_archive_raises_analysis_error(self, tmp_path):
-        path = tmp_path / "garbage.npz"
-        path.write_bytes(b"this is not a zip archive")
-        with pytest.raises(AnalysisError):
-            npz_mapping(path, mmap_mode="r")

@@ -1,4 +1,4 @@
-"""Span tracer, per-worker files, grid-order merge, timing summary."""
+"""Span tracer, grid-order merge, timing summary."""
 
 import os
 
@@ -6,20 +6,15 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs.spans import (
-    MERGED_SPAN_FILE,
     PHASE_CACHE,
     PHASE_CAMPAIGN,
     PHASE_CELL,
     PHASE_SIM,
     SpanRecord,
     SpanTracer,
-    append_spans,
-    clear_worker_files,
     merge_spans,
-    read_span_dir,
     resolve_span_dir,
     summarize_spans,
-    worker_span_path,
 )
 
 
@@ -102,41 +97,6 @@ class TestSpanTracer:
             pass
         assert len(tracer) == 1
         assert "main" in repr(tracer)
-
-
-class TestWorkerFiles:
-    def test_append_read_round_trip(self, tmp_path):
-        records = [record(name="a"), record(name="b", cell="d50_s1")]
-        path = append_spans(tmp_path, records)
-        assert path == worker_span_path(tmp_path)
-        assert read_span_dir(tmp_path) == records
-
-    def test_append_accumulates(self, tmp_path):
-        append_spans(tmp_path, [record(name="a")])
-        append_spans(tmp_path, [record(name="b")])
-        assert [s.name for s in read_span_dir(tmp_path)] == ["a", "b"]
-
-    def test_read_merges_multiple_worker_files_sorted(self, tmp_path):
-        for pid, name in ((20, "late"), (3, "early")):
-            target = worker_span_path(tmp_path, pid=pid)
-            append_spans(tmp_path, [])  # ensure directory exists
-            target.write_text(
-                __import__("json").dumps(record(name=name).as_dict()) + "\n")
-        names = [s.name for s in read_span_dir(tmp_path)]
-        # File name order, not numeric pid order: spans-w20 < spans-w3.
-        assert names == ["late", "early"]
-
-    def test_clear_worker_files(self, tmp_path):
-        append_spans(tmp_path, [record()])
-        assert clear_worker_files(tmp_path) == 1
-        assert read_span_dir(tmp_path) == []
-        assert clear_worker_files(tmp_path) == 0
-
-    def test_merged_file_not_treated_as_worker_file(self, tmp_path):
-        append_spans(tmp_path, [record()])
-        (tmp_path / MERGED_SPAN_FILE).write_text("")
-        assert clear_worker_files(tmp_path) == 1
-        assert (tmp_path / MERGED_SPAN_FILE).exists()
 
 
 class TestMergeSpans:
