@@ -5,10 +5,10 @@ model: probes cross a fixed delay, one FIFO bottleneck per direction, and
 an open-loop Internet stream.  This module exploits that: instead of
 driving every cross packet through the event kernel, it
 
-1. **replays the cross-traffic RNG streams** scalar-for-scalar in event
-   order (the :class:`~repro.sim.random.BatchedDraws` layer guarantees the
-   value sequence is identical either way), producing the *exact* emission
-   times and packet sizes event mode would generate;
+1. **replays the cross-traffic RNG streams**: it makes the same scalar
+   calls on each source's generator, in event order, that the event-mode
+   source makes, producing the *exact* emission times and packet sizes
+   event mode would generate;
 2. pushes those emissions through their access link with one vectorized
    :func:`~repro.queueing.fastforward.fifo_waits` call (the reuse of the
    Lindley recurrence of :mod:`repro.analysis.lindley`), yielding exact
@@ -73,7 +73,6 @@ from repro.netdyn.trace import LOST, ProbeTrace
 from repro.analysis.lindley import lindley_waits
 from repro.queueing.fastforward import FluidQueue, fifo_waits
 from repro.traffic.ftp import FtpSource
-from repro.traffic.sizes import EmpiricalSize
 from repro.traffic.telnet import TelnetSource
 from repro.units import (
     bits_to_bytes,
@@ -293,14 +292,12 @@ def _ftp_emissions(source: FtpSource, horizon: float,
                    ) -> Tuple[np.ndarray, np.ndarray]:
     """Replay an FTP source's draws: (emission times, wire bits).
 
-    Draws come from the source's *raw* generator: the batched layer
-    guarantees its value sequence equals scalar draws (see
-    ``tests/sim/test_random_batched.py``), and the source has drawn
-    nothing yet, so replaying scalar-for-scalar in event order yields the
-    exact emission sequence without the batch layer's kind-switch cost.
-    The burst inner loop is vectorized — window ticks draw nothing, so
-    one ``np.repeat`` over the per-window burst counts emits the same
-    packet sequence the per-packet loop would.
+    The source has drawn nothing yet, so making the same scalar calls on
+    its generator (``source.rng``) in event order yields the exact
+    emission sequence event mode produces.  The burst inner loop is
+    vectorized — window ticks draw nothing, so one ``np.repeat`` over the
+    per-window burst counts emits the same packet sequence the per-packet
+    loop would.
     """
     rng = source.rng
     exponential = rng.exponential
@@ -335,39 +332,27 @@ def _telnet_emissions(source: TelnetSource, horizon: float,
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """Replay a Telnet source's draws: (emission times, wire bits).
 
-    Same raw-generator replay as :func:`_ftp_emissions`.  The empirical
-    size distribution is inlined to one uniform + ``searchsorted`` per
-    packet — exactly the single draw :meth:`EmpiricalSize.sample`
-    consumes — with wire bits precomputed per size choice.
+    Same replay as :func:`_ftp_emissions`: each emission makes the calls
+    :class:`~repro.traffic.telnet.TelnetSource` makes, the size draw
+    (``source.sizes.sample``) and then the next exponential, on the same
+    generator.  The payloads become wire bits in one vectorized pass.
     """
     rng = source.rng
     exponential = rng.exponential
     mean_interval = source._mean_interval
-    sizes = source.sizes
+    sample = source.sizes.sample
     times: List[float] = []
-    bits: List[float] = []
+    payloads: List[int] = []
     # Event order: one exponential at start(), then per emission a size
     # draw followed by the next exponential.
     t = exponential(mean_interval)
-    if isinstance(sizes, EmpiricalSize):
-        cdf = sizes._cdf
-        wire_by_choice = [
-            float(bytes_to_bits(int(payload) + UDP_WIRE_OVERHEAD_BYTES))
-            for payload in sizes.sizes]
-        random = rng.random
-        searchsorted = np.searchsorted
-        while t <= horizon:
-            choice = searchsorted(cdf, random(), side="right")
-            times.append(t)
-            bits.append(wire_by_choice[choice])
-            t = t + exponential(mean_interval)
-    else:
-        while t <= horizon:
-            payload = sizes.sample(rng)
-            times.append(t)
-            bits.append(bytes_to_bits(payload + UDP_WIRE_OVERHEAD_BYTES))
-            t = t + exponential(mean_interval)
-    return np.asarray(times, dtype=float), np.asarray(bits, dtype=float)
+    while t <= horizon:
+        payloads.append(sample(rng))
+        times.append(t)
+        t = t + exponential(mean_interval)
+    bits = bytes_to_bits(np.asarray(payloads, dtype=float)
+                         + UDP_WIRE_OVERHEAD_BYTES)
+    return np.asarray(times, dtype=float), bits
 
 
 @dataclass

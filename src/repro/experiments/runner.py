@@ -12,6 +12,7 @@ simulated timestamp (same seed ⇒ identical trace either way).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, \
     Union
@@ -39,15 +40,21 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 Scenario = Union[InriaUmdScenario, UmdPittScenario]
 
 
+#: The topology builder of each scenario name.
+_SCENARIO_BUILDERS = {
+    "inria-umd": build_inria_umd,
+    "umd-pitt": build_umd_pitt,
+}
+
+
 def build_scenario(config: ExperimentConfig) -> Scenario:
     """Instantiate the topology named by the configuration."""
-    if config.scenario == "inria-umd":
-        return build_inria_umd(seed=config.seed, **config.scenario_kwargs)
-    if config.scenario == "umd-pitt":
-        return build_umd_pitt(seed=config.seed, **config.scenario_kwargs)
-    # ExperimentConfig validates on construction, but a mutated config must
-    # not silently fall through to the wrong topology.
-    raise ConfigurationError(f"unknown scenario {config.scenario!r}")
+    builder = _SCENARIO_BUILDERS.get(config.scenario)
+    if builder is None:
+        # ExperimentConfig validates on construction, but a mutated config
+        # must not silently fall through to the wrong topology.
+        raise ConfigurationError(f"unknown scenario {config.scenario!r}")
+    return builder(seed=config.seed, **config.scenario_kwargs)
 
 
 def probe_scenario(scenario: Scenario, config: ExperimentConfig,
@@ -83,33 +90,23 @@ _ANALYTIC_BASE_SECONDS = 0.010
 #: 4-source inria-umd mix costs ~0.35 ms per simulated second).
 _ANALYTIC_SECONDS_PER_SOURCE_SIM_SECOND = 9e-5
 
-#: Mix parameters the topology builders default when the spec omits them
-#: (:func:`repro.topology.inria_umd.build_inria_umd` /
-#: :func:`repro.topology.umd_pitt.build_umd_pitt` signatures).
-_SCENARIO_MIX_DEFAULTS = {
-    "inria-umd": {"utilization_fwd": 0.72, "utilization_rev": 0.64,
-                  "bulk_fraction": 0.85},
-    "umd-pitt": {"utilization_fwd": 0.55, "utilization_rev": 0.45,
-                 "bulk_fraction": 0.85},
-}
-
-
 def _cross_source_count(config: ExperimentConfig) -> int:
     """Cross-traffic sources the configured scenario will build.
 
     Mirrors the builders' wiring: each direction with positive
     utilization gets an FTP source when ``bulk_fraction > 0`` and a
     Telnet source when ``bulk_fraction < 1``
-    (:func:`repro.traffic.mix.attach_internet_mix`).
+    (:func:`repro.traffic.mix.attach_internet_mix`).  Parameters the
+    configuration omits take the builder's own defaults.
     """
-    defaults = _SCENARIO_MIX_DEFAULTS.get(
-        config.scenario, _SCENARIO_MIX_DEFAULTS["inria-umd"])
+    builder = _SCENARIO_BUILDERS.get(config.scenario, build_inria_umd)
+    defaults = inspect.signature(builder).parameters
     kwargs = config.scenario_kwargs
-    bulk = kwargs.get("bulk_fraction", defaults["bulk_fraction"])
+    bulk = kwargs.get("bulk_fraction", defaults["bulk_fraction"].default)
     per_direction = (1 if bulk > 0 else 0) + (1 if bulk < 1 else 0)
     count = 0
     for key in ("utilization_fwd", "utilization_rev"):
-        if kwargs.get(key, defaults[key]) > 0:
+        if kwargs.get(key, defaults[key].default) > 0:
             count += per_direction
     return count
 

@@ -7,187 +7,13 @@ keyed on the name), and the *same* name always yields the *same* stream for a
 given master seed.  This means adding a new random component never perturbs
 the draws seen by existing components — the property that makes A/B ablation
 runs comparable.
-
-Batched draws
--------------
-Per-call scalar draws (``rng.exponential(scale)``) pay numpy's full call
-overhead for one value.  :meth:`RandomStreams.draws` returns a
-:class:`BatchedDraws` layer that serves scalars from numpy blocks drawn in
-one call and refilled on demand — with the load-bearing guarantee that the
-*value sequence is bit-identical to per-call scalar draws* on the same
-stream (``tests/sim/test_random_batched.py`` pins this property):
-
-* numpy ``Generator`` array draws advance the bit generator exactly as the
-  same number of scalar draws would, and produce the same values;
-* a block is prefetched only after the request pattern proves homogeneous
-  (the block for a distribution grows 1 → 2 → 4 → ... → ``block`` only
-  while consecutive requests keep hitting the same distribution/parameters);
-* when a request for a *different* distribution arrives while prefetched
-  values remain, the layer rewinds the bit generator to the block's start
-  state and fast-forwards over exactly the values already served, so the
-  underlying generator is never observably ahead of the request sequence.
-
-Mixing layers on one stream is safe at hand-off points:
-:meth:`RandomStreams.get` flushes the name's batched layer (if any) before
-returning the raw generator.  Holding a raw generator *and* drawing through
-the batched layer concurrently on the same name is not supported.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Tuple
 
 import numpy as np
-
-#: Largest prefetch block; ~8 KiB of float64 per stream at the default.
-DEFAULT_BLOCK = 1024
-
-#: Distribution tags used in block keys.
-_EXPONENTIAL = "exponential"
-_RANDOM = "random"
-_GEOMETRIC = "geometric"
-
-#: A block key: distribution tag plus its scalar parameters.
-_Kind = Tuple
-
-
-class BatchedDraws:
-    """Scalar draws served from prefetched numpy blocks, sequence-exact.
-
-    One instance wraps one named stream's ``numpy.random.Generator``.  All
-    methods return Python scalars, exactly the values per-call scalar draws
-    on the same generator would have returned, in the same order.
-    """
-
-    __slots__ = ("_gen", "_bitgen", "_max_block", "_kind", "_values",
-                 "_size", "_cursor", "_state0", "_block_of")
-
-    def __init__(self, generator: np.random.Generator,
-                 block: int = DEFAULT_BLOCK) -> None:
-        self._gen = generator
-        self._bitgen = generator.bit_generator
-        self._max_block = int(block)
-        self._kind: _Kind = None  # kind of the current/last block
-        self._values = None       # prefetched block (None when size <= 1)
-        self._size = 0            # current block length
-        self._cursor = 0          # values served from the current block
-        self._state0 = None       # bit-generator state at block start
-        self._block_of: Dict[_Kind, int] = {}  # kind -> last block size
-
-    # ------------------------------------------------------------------
-    # Draw API (mirrors the numpy Generator methods the traffic layer uses)
-    # ------------------------------------------------------------------
-    def exponential(self, scale: float) -> float:
-        """One exponential draw with mean ``scale``."""
-        kind = (_EXPONENTIAL, scale)
-        if kind == self._kind and self._cursor < self._size:
-            value = self._values[self._cursor]
-            self._cursor += 1
-            return float(value)
-        return float(self._refill(kind))
-
-    def random(self) -> float:
-        """One uniform draw in [0, 1)."""
-        if self._kind is not None and self._kind[0] == _RANDOM \
-                and self._cursor < self._size:
-            value = self._values[self._cursor]
-            self._cursor += 1
-            return float(value)
-        return float(self._refill((_RANDOM,)))
-
-    def geometric(self, p: float) -> int:
-        """One geometric draw (number of trials until first success)."""
-        kind = (_GEOMETRIC, p)
-        if kind == self._kind and self._cursor < self._size:
-            value = self._values[self._cursor]
-            self._cursor += 1
-            return int(value)
-        return int(self._refill(kind))
-
-    # ------------------------------------------------------------------
-    # Block management
-    # ------------------------------------------------------------------
-    def _draw_block(self, kind: _Kind, n: int) -> np.ndarray:
-        tag = kind[0]
-        if tag == _EXPONENTIAL:
-            return self._gen.exponential(kind[1], n)
-        if tag == _RANDOM:
-            return self._gen.random(n)
-        if tag == _GEOMETRIC:
-            return self._gen.geometric(kind[1], n)
-        raise AssertionError(f"unknown draw kind {kind!r}")
-
-    def _draw_scalar(self, kind: _Kind):
-        tag = kind[0]
-        if tag == _EXPONENTIAL:
-            return self._gen.exponential(kind[1])
-        if tag == _RANDOM:
-            return self._gen.random()
-        if tag == _GEOMETRIC:
-            return self._gen.geometric(kind[1])
-        raise AssertionError(f"unknown draw kind {kind!r}")
-
-    def _refill(self, kind: _Kind):
-        """Start a new block for ``kind`` and serve its first value."""
-        previous = self._kind
-        if previous is not None and self._cursor < self._size:
-            # Prefetched values of another kind remain: rewind to the
-            # block's start state and fast-forward over exactly the values
-            # already served, so the generator sits where per-call scalar
-            # draws would have left it.  The interrupted kind restarts from
-            # an unprefetched block (its pattern is proven non-homogeneous).
-            self._bitgen.state = self._state0
-            self._draw_block(previous, self._cursor)
-            self._block_of[previous] = 1
-        if kind == previous:
-            # Consecutive same-kind requests: grow the prefetch, doubling up
-            # to the cap.  (A flush above implies kind != previous, so a
-            # grown block never follows a waste event for the same kind.)
-            size = min(self._max_block, self._block_of.get(kind, 1) * 2)
-        else:
-            size = 1
-        self._block_of[kind] = size
-        self._kind = kind
-        self._size = size
-        self._cursor = 1
-        if size == 1:
-            # Not worth an array round-trip; a scalar draw advances the
-            # generator identically and leaves nothing to rewind.
-            self._values = None
-            self._state0 = None
-            return self._draw_scalar(kind)
-        self._state0 = self._bitgen.state
-        self._values = self._draw_block(kind, size)
-        return self._values[0]
-
-    def flush(self) -> None:
-        """Discard prefetched values, restoring per-call generator state.
-
-        After a flush the underlying generator's state is exactly what
-        per-call scalar draws of the served sequence would have produced, so
-        the raw generator can be used directly.
-        """
-        if self._kind is not None and self._cursor < self._size:
-            self._bitgen.state = self._state0
-            self._draw_block(self._kind, self._cursor)
-            self._block_of[self._kind] = 1
-        self._kind = None
-        self._values = None
-        self._size = 0
-        self._cursor = 0
-        self._state0 = None
-
-    @property
-    def pending(self) -> int:
-        """Prefetched values not yet served (0 right after a flush)."""
-        if self._kind is None:
-            return 0
-        return self._size - self._cursor
-
-    def __repr__(self) -> str:
-        return (f"<BatchedDraws kind={self._kind!r} "
-                f"{self.pending} prefetched>")
 
 
 class RandomStreams:
@@ -196,14 +22,18 @@ class RandomStreams:
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
         self._streams: dict[str, np.random.Generator] = {}
-        self._batched: dict[str, BatchedDraws] = {}
 
     @property
     def seed(self) -> int:
         """The master seed this registry was built from."""
         return self._seed
 
-    def _generator(self, name: str) -> np.random.Generator:
+    def get(self, name: str) -> np.random.Generator:
+        """Return the generator for ``name``, creating it on first use.
+
+        The per-stream seed is derived from the master seed and a stable
+        hash of the name, so it does not depend on creation order.
+        """
         if name not in self._streams:
             name_key = zlib.crc32(name.encode("utf-8"))
             sequence = np.random.SeedSequence(
@@ -211,30 +41,6 @@ class RandomStreams:
             self._streams[name] = np.random.Generator(
                 np.random.PCG64(sequence))
         return self._streams[name]
-
-    def get(self, name: str) -> np.random.Generator:
-        """Return the generator for ``name``, creating it on first use.
-
-        The per-stream seed is derived from the master seed and a stable
-        hash of the name, so it does not depend on creation order.  If a
-        batched layer exists for ``name`` its prefetch is flushed first, so
-        the returned generator's state reflects exactly the draws served so
-        far.
-        """
-        batched = self._batched.get(name)
-        if batched is not None:
-            batched.flush()
-        return self._generator(name)
-
-    def draws(self, name: str, block: int = DEFAULT_BLOCK) -> BatchedDraws:
-        """Return the batched-draw layer for ``name`` (created on first use).
-
-        The same :class:`BatchedDraws` instance is returned for a given
-        name, so all users of a stream share one prefetch cursor.
-        """
-        if name not in self._batched:
-            self._batched[name] = BatchedDraws(self._generator(name), block)
-        return self._batched[name]
 
     def names(self) -> list[str]:
         """Names of streams created so far, in creation order."""

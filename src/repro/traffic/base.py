@@ -77,14 +77,10 @@ class TrafficSource:
         self.host = host
         self.destination = destination
         self.port = port
-        # Hot-path handles, bound once per source: the batched-draw layer
-        # for interval/size sampling, the simulator, and a persistent bound
-        # reference to _tick so self-rescheduling allocates no closure per
-        # emission (see DESIGN.md, "Hot path").  self.rng stays available
-        # for subclasses/tests that need the raw generator; streams.get()
-        # flushes the batched layer, so both views stay consistent.
-        self._draws = host.sim.streams.draws(stream)
         self.rng: np.random.Generator = host.sim.streams.get(stream)
+        # Hot-path handles, bound once per source: the simulator and a
+        # persistent bound reference to _tick, so self-rescheduling
+        # allocates no closure per emission (see DESIGN.md, "Hot path").
         self._sim = host.sim
         self._tick_ref = self._tick
         self.packets_sent = 0

@@ -64,10 +64,10 @@ class FtpSource(TrafficSource):
     # The base-class timer drives *session arrivals*; each session then
     # schedules its own window emissions.
     def _next_interval(self) -> float:
-        return self._draws.exponential(self._mean_session_interval)
+        return self.rng.exponential(self._mean_session_interval)
 
     def _emit(self) -> None:
-        remaining = self._draws.geometric(self._file_size_p)
+        remaining = self.rng.geometric(self._file_size_p)
         self.sessions_started += 1
         _FtpTransfer(self, remaining)
 

@@ -38,14 +38,14 @@ class OnOffSource(TrafficSource):
         if now < self._on_until:
             return self.interval
         # Burst over: draw a silence, then a new burst length.
-        silence = self._draws.exponential(self.off_mean)
-        burst = self._draws.exponential(self.on_mean)
+        silence = self.rng.exponential(self.off_mean)
+        burst = self.rng.exponential(self.on_mean)
         self._on_until = now + silence + burst
         return silence
 
     def _emit(self) -> None:
         if self._sim.now <= self._on_until:
-            self._send(self.sizes.sample_batched(self._draws))
+            self._send(self.sizes.sample(self.rng))
 
     @property
     def duty_cycle(self) -> float:

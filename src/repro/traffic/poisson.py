@@ -37,10 +37,10 @@ class PoissonSource(TrafficSource):
         self._mean_interval = 1.0 / rate_pps
 
     def _next_interval(self) -> float:
-        return self._draws.exponential(self._mean_interval)
+        return self.rng.exponential(self._mean_interval)
 
     def _emit(self) -> None:
-        self._send(self.sizes.sample_batched(self._draws))
+        self._send(self.sizes.sample(self.rng))
 
 
 class ModulatedPoissonSource(TrafficSource):
@@ -68,13 +68,13 @@ class ModulatedPoissonSource(TrafficSource):
         self._mean_interval = 1.0 / peak_rate_pps
 
     def _next_interval(self) -> float:
-        return self._draws.exponential(self._mean_interval)
+        return self.rng.exponential(self._mean_interval)
 
     def _emit(self) -> None:
         current = self.rate(self._sim.now)
         acceptance = min(1.0, max(0.0, current / self.peak_rate_pps))
-        if self._draws.random() < acceptance:
-            self._send(self.sizes.sample_batched(self._draws))
+        if self.rng.random() < acceptance:
+            self._send(self.sizes.sample(self.rng))
         else:
             self.thinned += 1
 

@@ -8,6 +8,8 @@ mix.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -28,16 +30,6 @@ class SizeDistribution:
         """Return one payload size."""
         raise NotImplementedError
 
-    def sample_batched(self, draws) -> int:
-        """Return one payload size via a :class:`~repro.sim.random.BatchedDraws`.
-
-        Must consume the *same number of underlying uniforms* as
-        :meth:`sample` would, producing the same value — the traffic hot
-        path uses this entry point and the determinism tests compare the
-        two (see ``tests/sim/test_random_batched.py``).
-        """
-        raise NotImplementedError
-
     def mean(self) -> float:
         """Expected payload size in bytes."""
         raise NotImplementedError
@@ -55,9 +47,6 @@ class FixedSize(SizeDistribution):
     def sample(self, rng: np.random.Generator) -> int:
         return self.payload_bytes
 
-    def sample_batched(self, draws) -> int:
-        return self.payload_bytes
-
     def mean(self) -> float:
         return float(self.payload_bytes)
 
@@ -69,25 +58,26 @@ class EmpiricalSize(SizeDistribution):
                  weights: Sequence[float]) -> None:
         if len(sizes) != len(weights) or not sizes:
             raise ConfigurationError("sizes and weights must match, nonempty")
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise ConfigurationError(
+                f"weights must be finite and non-negative, got {weights}")
         total = float(sum(weights))
         if total <= 0:
             raise ConfigurationError("weights must sum to a positive value")
         self.sizes = np.asarray(sizes, dtype=int)
         self.probabilities = np.asarray(weights, dtype=float) / total
-        # Normalized cumulative distribution for sample_batched: numpy's
-        # Generator.choice(a, p=p) draws one uniform u and returns
-        # a[searchsorted(cumsum(p)/cumsum(p)[-1], u, side="right")], so
-        # replaying that arithmetic against a batched uniform reproduces
-        # choice() exactly while consuming the same single draw.
-        self._cdf = self.probabilities.cumsum()
-        self._cdf /= self._cdf[-1]
+        # Generator.choice(sizes, p=probabilities) draws one uniform u and
+        # returns sizes[searchsorted(cumsum(p) / cumsum(p)[-1], u,
+        # side="right")]; sample() repeats that arithmetic with bisect_right
+        # over Python lists, so it returns the same size from the same
+        # single draw without numpy's per-call dispatch.
+        cdf = self.probabilities.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
+        self._choices = [int(size) for size in self.sizes]
 
     def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(self.sizes, p=self.probabilities))
-
-    def sample_batched(self, draws) -> int:
-        index = int(np.searchsorted(self._cdf, draws.random(), side="right"))
-        return int(self.sizes[index])
+        return self._choices[bisect_right(self._cdf, rng.random())]
 
     def mean(self) -> float:
         return float(np.dot(self.sizes, self.probabilities))

@@ -27,7 +27,13 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.config import PAPER_DELTAS, ExperimentConfig
 from repro.experiments.runner import build_scenario
+from repro.net.packet import UDP_WIRE_OVERHEAD_BYTES
+from repro.net.routing import Network
 from repro.obs.spans import PHASE_REPLAY, SpanTracer
+from repro.sim import Simulator
+from repro.traffic.sizes import EmpiricalSize, FixedSize
+from repro.traffic.telnet import TelnetSource
+from repro.units import bytes_to_bits, mbps
 
 #: Light mix so replay builds stay fast; deep buffer so every cell takes
 #: the vectorized no-drop path.
@@ -89,10 +95,8 @@ class TestPrefixProperty:
 
     def test_ftp_vectorized_burst_matches_scalar_loop(self):
         """``np.repeat`` burst emission == the per-packet reference loop."""
-        from repro.net.packet import UDP_WIRE_OVERHEAD_BYTES
         from repro.topology.inria_umd import build_inria_umd
         from repro.traffic.ftp import FtpSource
-        from repro.units import bytes_to_bits
 
         def reference_loop(source, horizon):
             rng = source.rng
@@ -125,6 +129,39 @@ class TestPrefixProperty:
         assert vec_times.size > 0
         assert np.array_equal(vec_times, ref_times)
         assert np.array_equal(vec_bits, ref_bits)
+
+    @pytest.mark.parametrize("sizes", [
+        FixedSize(40),
+        EmpiricalSize([3, 100, 700], [0.5, 0.3, 0.2]),
+    ], ids=["fixed", "empirical"])
+    def test_telnet_replay_matches_event_source(self, sizes):
+        """``_telnet_emissions`` == what an event-mode source sends."""
+        horizon = 30.0
+
+        def telnet_source():
+            sim = Simulator(seed=5)
+            network = Network(sim)
+            network.add_host("tx")
+            network.add_host("rx")
+            network.link("tx", "rx", rate_bps=mbps(10), prop_delay=0.001)
+            network.compute_routes()
+            return sim, TelnetSource(network.host("tx"), "rx",
+                                     rate_pps=50.0, sizes=sizes)
+
+        sim, source = telnet_source()
+        sent = []
+        source._send = lambda payload: sent.append((sim.now, payload))
+        source.start()
+        sim.run(until=horizon)
+        event_times = np.array([t for t, _ in sent])
+        event_bits = np.array([bytes_to_bits(payload
+                                             + UDP_WIRE_OVERHEAD_BYTES)
+                               for _, payload in sent], dtype=float)
+
+        times, bits = ff._telnet_emissions(telnet_source()[1], horizon)
+        assert times.size > 1000
+        assert np.array_equal(times, event_times)
+        assert np.array_equal(bits, event_bits)
 
 
 class TestReplayFingerprint:

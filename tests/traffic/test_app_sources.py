@@ -135,6 +135,34 @@ class TestSizes:
         with pytest.raises(ConfigurationError):
             EmpiricalSize([1], [0.0])
 
+    @pytest.mark.parametrize("weights", [
+        [0.6, -0.2, 0.6],
+        [0.5, float("nan"), 0.5],
+        [0.5, float("inf"), 0.5],
+    ])
+    def test_empirical_rejects_negative_or_nonfinite_weights(self, weights):
+        # A negative weight makes the cumulative distribution non-monotone
+        # (size 2 could never be drawn); NaN/inf make it meaningless.
+        with pytest.raises(ConfigurationError):
+            EmpiricalSize([1, 2, 3], weights)
+
+    def test_empirical_matches_generator_choice(self):
+        # sample() must return what Generator.choice returns from the same
+        # single uniform, leaving the generator in the same state.
+        dist = telnet_sizes()
+        rng = np.random.default_rng(9)
+        reference = np.random.default_rng(9)
+        got = [dist.sample(rng) for _ in range(2000)]
+        want = [int(reference.choice(dist.sizes, p=dist.probabilities))
+                for _ in range(2000)]
+        assert got == want
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_fixed_consumes_no_draw(self, rng):
+        state = rng.bit_generator.state
+        assert ftp_sizes().sample(rng) == FTP_PAYLOAD_BYTES
+        assert rng.bit_generator.state == state
+
     def test_presets(self, rng):
         assert ftp_sizes().mean() == FTP_PAYLOAD_BYTES
         assert 1 <= telnet_sizes().mean() <= 64
