@@ -62,7 +62,7 @@ def collect(quick: bool = False) -> dict:
     trace, _scenario, obs = run_observed_experiment(
         ExperimentConfig(delta=0.05, duration=10.0 if quick else 30.0,
                          seed=0),
-        kernel_trace=True, lifecycle=True)
+        trace=True)
     elapsed = perf_counter() - started
 
     return {

@@ -53,7 +53,7 @@ def test_perf_experiment_observed_vs_bare(benchmark):
     def observed():
         trace, _scenario, obs = run_observed_experiment(
             ExperimentConfig(delta=0.05, duration=30.0, seed=0),
-            kernel_trace=True, lifecycle=True)
+            trace=True)
         return len(trace), obs.kernel.events_seen
 
     probes, events = benchmark.pedantic(observed, rounds=3, iterations=1)

@@ -25,7 +25,8 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 from repro.analysis.loss import loss_stats
 from repro.analysis.phase import estimate_bottleneck_mu
 from repro.analysis.timeseries import summarize
-from repro.experiments.cache import CampaignCache
+from repro.errors import ConfigurationError
+from repro.experiments.cache import CampaignCache, cache_salt
 from repro.experiments.campaign import CampaignSpec, run_campaign
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import ALL_FIGURES
@@ -84,8 +85,7 @@ def main_experiment(argv: Optional[Sequence[str]] = None) -> int:
     obs = None
     if observed:
         trace, _scenario, obs = run_observed_experiment(
-            config, kernel_trace=bool(args.trace),
-            lifecycle=bool(args.trace))
+            config, trace=bool(args.trace))
     else:
         trace = run_experiment(config)
     stats = loss_stats(trace)
@@ -190,11 +190,6 @@ def main_campaign(argv: Optional[Sequence[str]] = None) -> int:
                              "each seed's cross-traffic replay is reused "
                              "across its deltas.  Artifacts are "
                              "byte-identical for any worker count")
-    parser.add_argument("--batch-size", type=int, default=None,
-                        metavar="CELLS",
-                        help="cells per lease (default: auto-tuned from "
-                             "grid size, worker count, and estimated "
-                             "cell cost)")
     parser.add_argument("--output-dir", metavar="DIR",
                         help="write per-cell trace CSVs, manifest.json, "
                              "and timing.json into DIR")
@@ -228,8 +223,6 @@ def main_campaign(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
-    if args.batch_size is not None and args.batch_size < 1:
-        parser.error(f"--batch-size must be >= 1, got {args.batch_size}")
     if args.spans is True and not args.output_dir:
         parser.error("--spans without a directory requires --output-dir")
     cache_dir = None if args.no_cache else (
@@ -241,14 +234,16 @@ def main_campaign(argv: Optional[Sequence[str]] = None) -> int:
     cache = CampaignCache(cache_dir, refresh=args.refresh) \
         if cache_dir else None
 
-    spec = CampaignSpec(deltas=tuple(ms(d) for d in args.deltas_ms),
-                        seeds=tuple(args.seeds), duration=args.duration,
-                        scenario=args.scenario, output_dir=args.output_dir,
-                        mode=args.mode)
+    try:
+        spec = CampaignSpec(deltas=tuple(ms(d) for d in args.deltas_ms),
+                            seeds=tuple(args.seeds), duration=args.duration,
+                            scenario=args.scenario,
+                            output_dir=args.output_dir, mode=args.mode)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     progress = {None: "auto", True: "on", False: "off"}[args.progress]
     result = run_campaign(spec, workers=args.workers, cache=cache,
-                          spans=args.spans, progress=progress,
-                          batch_size=args.batch_size)
+                          spans=args.spans, progress=progress)
     cells = len(spec.deltas) * len(spec.seeds)
     print(f"campaign: {len(spec.deltas)} deltas x {len(spec.seeds)} seeds "
           f"= {cells} cells ({args.workers} worker"
@@ -263,7 +258,7 @@ def main_campaign(argv: Optional[Sequence[str]] = None) -> int:
               f"({stats['saved_cell_seconds']:.1f}s of cell work saved, "
               f"{stats['directory']})")
         if cache is not None:
-            print(f"cache salt: {cache.salt} (derived from reachable "
+            print(f"cache salt: {cache_salt()} (derived from reachable "
                   f"code; see repro-audit fingerprint)")
     print()
     print(result.table())

@@ -34,7 +34,7 @@ import ast
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 from repro.devtools.symbols import Project
 from repro.errors import AnalysisError
@@ -208,11 +208,3 @@ def derived_salt_report(package_dir: Union[str, Path, None] = None,
         raise AnalysisError(f"no package modules found under {directory}")
     return compute_salt_report(project, entry=entry,
                                exclude_prefixes=exclude_prefixes)
-
-
-def changed_modules(before: SaltReport, after: SaltReport) -> List[str]:
-    """Module names whose fingerprints differ between two reports."""
-    names = set(before.fingerprints) | set(after.fingerprints)
-    return sorted(name for name in names
-                  if before.fingerprints.get(name)
-                  != after.fingerprints.get(name))

@@ -41,7 +41,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -100,21 +100,18 @@ def default_probe_bytes() -> "tuple[int, int]":
             PROBE_PAYLOAD_BYTES + UDP_WIRE_OVERHEAD_BYTES)
 
 
-def cell_fingerprint(spec: "CampaignSpec", delta: float, seed: int,
-                     salt: Optional[str] = None) -> str:
+def cell_fingerprint(spec: "CampaignSpec", delta: float, seed: int) -> str:
     """Stable SHA-256 hex digest of one cell's full causal input.
 
     Two cells share a fingerprint exactly when nothing that can influence
     the simulated result differs: scenario name + kwargs, δ, seed,
     duration, warm-up, execution mode (event vs analytic, so the two
     engines never share entries), probe payload/wire bytes, and
-    the code-version ``salt`` (default: the derived :func:`cache_salt`).
+    the code-version salt (:func:`cache_salt`).
     ``output_dir``, worker counts, and every other bit of execution
     mechanics are deliberately excluded — they change where results go,
     never what they are.
     """
-    if salt is None:
-        salt = cache_salt()
     payload_bytes, wire_bytes = default_probe_bytes()
     document = {
         "scenario": spec.scenario,
@@ -126,32 +123,7 @@ def cell_fingerprint(spec: "CampaignSpec", delta: float, seed: int,
         "mode": spec.mode,
         "payload_bytes": payload_bytes,
         "wire_bytes": wire_bytes,
-        "salt": salt,
-    }
-    encoded = json.dumps(document, sort_keys=True, default=repr)
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
-
-
-def replay_fingerprint(scenario: str, scenario_kwargs: Dict[str, Any],
-                       seed: int, salt: Optional[str] = None) -> str:
-    """Stable SHA-256 digest of one seed's cross-traffic replay input.
-
-    The analytic engine's :class:`~repro.experiments.fastforward.
-    CrossReplayMemo` keys its in-process entries with this — the same
-    causal-fingerprint machinery as :func:`cell_fingerprint`, restricted
-    to what determines the cross-traffic streams: scenario name + kwargs,
-    seed, and the code-version salt.  δ, duration, and probe sizes are
-    deliberately excluded (cross traffic is open-loop and independent of
-    the probes — the whole point of sharing the replay across a δ-stack);
-    the horizon is handled by the memo's covers-semantics, not the key.
-    """
-    if salt is None:
-        salt = cache_salt()
-    document = {
-        "scenario": scenario,
-        "scenario_kwargs": scenario_kwargs,
-        "seed": int(seed),
-        "salt": salt,
+        "salt": cache_salt(),
     }
     encoded = json.dumps(document, sort_keys=True, default=repr)
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
@@ -170,15 +142,15 @@ class CampaignCache:
     refresh:
         When True every lookup misses, so every cell recomputes and
         overwrites its entry (the ``--refresh`` CLI flag).
-    salt:
-        Override of the derived :func:`cache_salt`, for tests.
+
+    Entries are addressed by :func:`cell_fingerprint`, so they are salted
+    with this process's :func:`cache_salt`.
     """
 
-    def __init__(self, directory: Union[str, Path], refresh: bool = False,
-                 salt: Optional[str] = None) -> None:
+    def __init__(self, directory: Union[str, Path],
+                 refresh: bool = False) -> None:
         self.directory = Path(directory)
         self.refresh = bool(refresh)
-        self.salt = salt if salt is not None else cache_salt()
         self.directory.mkdir(parents=True, exist_ok=True)
         #: Lifetime counters.
         self.hits = 0
@@ -193,7 +165,7 @@ class CampaignCache:
                    seed: int) -> Path:
         """Filename of the cell's entry: human-readable key + fingerprint."""
         from repro.experiments.campaign import cell_key
-        fingerprint = cell_fingerprint(spec, delta, seed, salt=self.salt)
+        fingerprint = cell_fingerprint(spec, delta, seed)
         return self.directory / f"{cell_key(delta, seed)}-{fingerprint}.npz"
 
     def load(self, spec: "CampaignSpec", delta: float,
@@ -213,7 +185,7 @@ class CampaignCache:
         except OSError:
             self.misses += 1
             return None
-        fingerprint = cell_fingerprint(spec, delta, seed, salt=self.salt)
+        fingerprint = cell_fingerprint(spec, delta, seed)
         try:
             result = self._read_entry(path, fingerprint)
         except Exception as exc:
@@ -255,8 +227,7 @@ class CampaignCache:
         path = self.entry_path(spec, delta, seed)
         payload = json.dumps({
             "entry_version": ENTRY_FORMAT_VERSION,
-            "fingerprint": cell_fingerprint(spec, delta, seed,
-                                            salt=self.salt),
+            "fingerprint": cell_fingerprint(spec, delta, seed),
             "delta": float(result.delta),
             "seed": int(result.seed),
             # Order-preserving dumps (no sort_keys): queue_stats/metrics

@@ -13,9 +13,9 @@ grid is embarrassingly parallel.  :func:`run_campaign` executes every grid
 the same way: :func:`~repro.experiments.pool.plan_leases` cuts the cells
 into deterministic *leases* (seed-affine for analytic grids, so a seed's
 cross-traffic replay is reused across its δ values), every lease runs
-the same pure worker (:func:`_run_cell`) and goes through the same
-pack/unpack round trip — the lease payload is the only way a fresh
-cell, and its span telemetry, reaches this process — and a streaming
+the same pure worker (:func:`_run_cell`) and returns its CellResults in
+one lease payload — the only way a fresh cell, and its span telemetry,
+reaches this process — and a streaming
 grid-order merge (heap keyed on grid index) folds the cells into
 artifacts.  Only the lease source differs:
 
@@ -55,7 +55,7 @@ from repro.analysis.stats import ReplicationSummary, replicate
 from repro.analysis.timeseries import summarize
 from repro.errors import ConfigurationError
 from repro.experiments.cache import CampaignCache, resolve_cache
-from repro.experiments.config import EXECUTION_MODES, ExperimentConfig
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.fastforward import cell_horizon, process_replay_memo
 from repro.experiments.pool import WarmWorkerPool, plan_leases, \
     serve_leases
@@ -108,6 +108,10 @@ class CampaignSpec:
         golden reference) or ``"analytic"`` (fast-forwarded bottleneck;
         see :mod:`repro.experiments.fastforward`).  Hashed into every
         cell fingerprint, so the two modes never share cache entries.
+
+    Every cell's :class:`~repro.experiments.config.ExperimentConfig` is
+    built (and so validated) on construction, and two cells may not share
+    a :func:`cell_key`: their trace CSVs would overwrite each other.
     """
 
     deltas: Sequence[float]
@@ -123,13 +127,16 @@ class CampaignSpec:
             raise ConfigurationError("campaign needs at least one delta")
         if not self.seeds:
             raise ConfigurationError("campaign needs at least one seed")
-        if self.duration <= 0:
-            raise ConfigurationError(
-                f"duration must be positive, got {self.duration}")
-        if self.mode not in EXECUTION_MODES:
-            raise ConfigurationError(
-                f"unknown execution mode {self.mode!r}; "
-                f"expected one of {EXECUTION_MODES}")
+        keys: Dict[str, Tuple[float, int]] = {}
+        for delta, seed in self.cells():
+            _cell_config(self, delta, seed)
+            key = cell_key(delta, seed)
+            if key in keys:
+                raise ConfigurationError(
+                    f"campaign cells {keys[key]} and {(delta, seed)} share "
+                    f"the cell key {key!r}; every (delta, seed) pair must "
+                    "be distinct at millisecond resolution")
+            keys[key] = (delta, seed)
 
     def cells(self) -> list[tuple[float, int]]:
         """Every (delta, seed) pair, in grid order (δ-major, seed-minor)."""
@@ -141,12 +148,21 @@ def cell_key(delta: float, seed: int) -> str:
     return f"d{seconds_to_ms(delta):g}_s{seed}"
 
 
+def _cell_config(spec: CampaignSpec, delta: float,
+                 seed: int) -> ExperimentConfig:
+    """The experiment one (delta, seed) cell of ``spec`` runs."""
+    return ExperimentConfig(delta=delta, duration=spec.duration,
+                            seed=seed, scenario=spec.scenario,
+                            scenario_kwargs=dict(spec.scenario_kwargs),
+                            mode=spec.mode)
+
+
 @dataclass
 class CellResult:
     """Everything one (delta, seed) cell produces.
 
     Returned by :func:`_run_cell`; plain data (numpy arrays, dicts,
-    floats) so it packs cleanly into a lease payload.
+    floats) so it pickles cleanly through a worker's pipe.
     """
 
     delta: float
@@ -272,10 +288,7 @@ def _run_cell(spec: CampaignSpec, delta: float, seed: int,
     simulated work makes the same calls either way, so the returned trace
     is byte-identical with spans on or off.
     """
-    config = ExperimentConfig(delta=delta, duration=spec.duration,
-                              seed=seed, scenario=spec.scenario,
-                              scenario_kwargs=dict(spec.scenario_kwargs),
-                              mode=spec.mode)
+    config = _cell_config(spec, delta, seed)
     key = cell_key(delta, seed)
     with optional_span(tracer, f"cell {key}", PHASE_CELL, cell=key):
         # Host bookkeeping only: build + warm-up + probe train, kept in
@@ -359,8 +372,7 @@ class _GridMerge:
 def run_campaign(spec: CampaignSpec, workers: int = 1,
                  cache: Union[CampaignCache, str, Path, None] = None,
                  spans: Union[bool, str, Path, None] = None,
-                 progress: ProgressLike = None,
-                 batch_size: Optional[int] = None) -> CampaignResult:
+                 progress: ProgressLike = None) -> CampaignResult:
     """Execute every (delta, seed) cell of the campaign.
 
     Parameters
@@ -375,9 +387,8 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
         it.  Every lease runs the same per-cell worker and the merge folds
         cells in grid order, so the resulting tables, CSVs, and
         ``manifest.json`` are byte-identical for any worker count.
-    batch_size:
-        Cells per lease (default: auto-tuned from the grid size, worker
-        count, and the per-cell duration estimate; see
+        Cells per lease are derived from the grid size, the worker count,
+        and the per-cell duration estimate (see
         :func:`~repro.experiments.pool.plan_leases`).
     cache:
         Optional cell cache — a directory path or a
@@ -443,13 +454,10 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
                                          saved_seconds=hit.wall_seconds)
                 merge.add(hit, cached=True)
 
-        probe_config = ExperimentConfig(
-            delta=spec.deltas[0], duration=spec.duration,
-            seed=spec.seeds[0], scenario=spec.scenario,
-            scenario_kwargs=dict(spec.scenario_kwargs), mode=spec.mode)
         leases = plan_leases(
-            pending, workers, batch_size=batch_size,
-            cell_seconds=estimate_cell_seconds(probe_config),
+            pending, workers,
+            cell_seconds=estimate_cell_seconds(
+                _cell_config(spec, spec.deltas[0], spec.seeds[0])),
             affinity="seed" if spec.mode == "analytic" else None)
         dispatch_stats: Dict[str, Any] = {
             "pool": "serial", "workers": workers, "leases": len(leases),

@@ -8,6 +8,7 @@ suite completes in minutes.  Set the environment variable
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -75,6 +76,10 @@ class ExperimentConfig:
     mode: str = "event"
 
     def __post_init__(self) -> None:
+        for name in ("delta", "duration", "warmup"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite: {getattr(self, name)}")
         if self.delta <= 0:
             raise ConfigurationError(f"delta must be positive: {self.delta}")
         if self.duration <= 0:
@@ -82,6 +87,9 @@ class ExperimentConfig:
                 f"duration must be positive: {self.duration}")
         if self.warmup < 0:
             raise ConfigurationError(f"warmup must be >= 0: {self.warmup}")
+        if self.seed < 0:
+            raise ConfigurationError(
+                f"seed must be a non-negative integer: {self.seed}")
         if self.scenario not in ("inria-umd", "umd-pitt"):
             raise ConfigurationError(f"unknown scenario {self.scenario!r}")
         if self.mode not in EXECUTION_MODES:

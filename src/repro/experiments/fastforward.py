@@ -47,9 +47,10 @@ assumption is exact there; the equivalence tests verify it empirically.
 
 from __future__ import annotations
 
+import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -390,9 +391,8 @@ class CrossReplay:
     """Both directions' cross streams, keyed and memoized per seed.
 
     A replay is a pure function of (scenario, kwargs, seed) up to its
-    build ``horizon``; :func:`replay_key` derives the memo key from the
-    same causal-fingerprint machinery as the cell cache (salt included),
-    and :class:`CrossReplayMemo` treats any entry whose horizon covers a
+    build ``horizon``; :func:`replay_key` is the memo key, and
+    :class:`CrossReplayMemo` treats any entry whose horizon covers a
     request as a hit (prefix slicing is exact, see :class:`CrossStream`).
     """
 
@@ -481,7 +481,7 @@ def slice_stream(stream: Optional[CrossStream], horizon: float,
     return stream.arrivals[:cut], stream.bits[:cut]
 
 
-#: Replay entries a :class:`CrossReplayMemo` keeps by default.  Sized for
+#: Replay entries a :class:`CrossReplayMemo` keeps.  Sized for
 #: a seed-affine lease (one hot seed, a little slack for interleaving);
 #: an entry holds ~4 float64 arrays per direction, so the bound also caps
 #: resident memory in long-lived warm workers.
@@ -489,7 +489,9 @@ DEFAULT_REPLAY_ENTRIES = 4
 
 
 class CrossReplayMemo:
-    """Bounded LRU of :class:`CrossReplay` artifacts, keyed by fingerprint.
+    """Bounded LRU of :class:`CrossReplay` artifacts, keyed by replay key.
+
+    Holds at most :data:`DEFAULT_REPLAY_ENTRIES` replays.
 
     An entry hits when its key matches *and* its build horizon covers the
     requested one (a shorter request is an exact prefix slice); a stored
@@ -500,19 +502,16 @@ class CrossReplayMemo:
     :class:`~repro.experiments.campaign.CampaignSpec`.
     """
 
-    def __init__(self, entries: int = DEFAULT_REPLAY_ENTRIES) -> None:
-        if entries < 1:
-            raise ConfigurationError(
-                f"memo needs at least one entry, got {entries}")
-        self.entries = int(entries)
-        self._replays: "OrderedDict[str, CrossReplay]" = OrderedDict()
+    def __init__(self) -> None:
+        self._replays: "OrderedDict[Hashable, CrossReplay]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._replays)
 
-    def get(self, key: str, horizon: float) -> Optional[CrossReplay]:
+    def get(self, key: Hashable,
+            horizon: float) -> Optional[CrossReplay]:
         """The covering replay for ``key``, or None (counted as a miss)."""
         replay = self._replays.get(key)
         if replay is not None and replay.horizon >= horizon:
@@ -522,10 +521,10 @@ class CrossReplayMemo:
         self.misses += 1
         return None
 
-    def put(self, key: str, replay: CrossReplay) -> None:
+    def put(self, key: Hashable, replay: CrossReplay) -> None:
         self._replays[key] = replay
         self._replays.move_to_end(key)
-        while len(self._replays) > self.entries:
+        while len(self._replays) > DEFAULT_REPLAY_ENTRIES:
             self._replays.popitem(last=False)
 
     def counters(self) -> Tuple[int, int]:
@@ -544,11 +543,18 @@ def process_replay_memo() -> CrossReplayMemo:
     return _process_memo
 
 
-def replay_key(config: ExperimentConfig) -> str:
-    """The config's replay-memo key (cell-cache fingerprint machinery)."""
-    from repro.experiments.cache import replay_fingerprint
-    return replay_fingerprint(config.scenario, config.scenario_kwargs,
-                              config.seed)
+def replay_key(config: ExperimentConfig) -> Tuple[str, str, int]:
+    """The config's replay-memo key: scenario, canonical kwargs, seed.
+
+    Exactly what determines the cross-traffic streams.  δ, duration, and
+    probe sizes are left out (cross traffic is open-loop and independent
+    of the probes — the point of sharing one replay across a δ-stack);
+    the horizon is handled by the memo's covers-semantics.  The memo never
+    outlives its process, so the key needs no code-version salt.
+    """
+    return (config.scenario,
+            json.dumps(config.scenario_kwargs, sort_keys=True, default=repr),
+            int(config.seed))
 
 
 def cell_horizon(config: ExperimentConfig) -> float:
@@ -776,7 +782,7 @@ def run_fastforward_experiment(config: ExperimentConfig,
 
     build_horizon = max(end_time, replay_horizon or 0.0)
     replay: Optional[CrossReplay] = None
-    key: Optional[str] = None
+    key: Optional[Tuple[str, str, int]] = None
     if memo is not None:
         key = replay_key(config)
         replay = memo.get(key, end_time)

@@ -3,27 +3,27 @@
 The campaign dispatcher's execution layer.  :func:`plan_leases` cuts the
 grid cells to run into deterministic *leases* — contiguous batches of
 (δ, seed) cells, seed-affine for analytic grids.  :func:`_serve_lease`
-runs one lease's cells and packs them into one pickle-ready payload
-(:func:`pack_lease`); :func:`unpack_lease` rebuilds the CellResults and
-the lease's replay-memo accounting.  Every lease takes that path, served
-one of two ways:
+runs one lease's cells and returns one payload: the lease's
+:class:`~repro.experiments.campaign.CellResult` objects as they are, plus
+its replay-memo accounting; :func:`unpack_lease` splits that payload back
+into ``(cells, info)``.  Every lease takes that path, served one of two
+ways:
 
 * :func:`serve_leases` — in this process, lease after lease (the serial
   campaign);
 * :class:`WarmWorkerPool` — ``workers`` long-lived processes.  Each
-  worker imports the repro closure once (under the preferred ``fork``
-  start method it inherits the parent's already-imported modules
+  worker imports the repro closure once (under ``fork``, preferred where
+  available, it inherits the parent's already-imported modules
   outright), reports its import-closure cache salt in a handshake, and
   then serves leases sent down its pipe until the pool is closed.
 
-Payloads carry the trace columns inline, pickled through the pipe with
-the rest of the lease (tens of kilobytes per cell), and — when span
-telemetry is on — the lease's span records: the payload is the only way
-a cell's results and telemetry reach the parent.  Everything in this
-module is execution mechanics: it moves results between processes but
-computes nothing, which is why it is excluded from the derived
-cache-salt closure and banned from the kernel call graph alongside the
-telemetry modules (OBS002).
+A pool worker's payload is pickled through its pipe (tens of kilobytes
+per cell) together with — when span telemetry is on — the lease's span
+records: the payload is the only way a cell's results and telemetry
+reach the parent.  Everything in this module is execution mechanics: it
+moves results between processes but computes nothing, which is why it is
+excluded from the derived cache-salt closure and banned from the kernel
+call graph alongside the telemetry modules (OBS002).
 
 Staleness: a long-lived pool may outlive a code edit.  Workers therefore
 report :func:`repro.experiments.cache.cache_salt` (their view of the
@@ -44,10 +44,7 @@ from collections import deque
 from multiprocessing.connection import wait as _wait_connections
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError
-from repro.netdyn.trace import ProbeTrace
 from repro.obs.spans import PHASE_LEASE, SpanTracer, optional_span
 
 
@@ -70,7 +67,6 @@ TARGET_LEASE_SECONDS = 2.0
 
 
 def plan_leases(cells: Sequence[Tuple[float, int]], workers: int,
-                batch_size: Optional[int] = None,
                 cell_seconds: Optional[float] = None,
                 affinity: Optional[str] = None,
                 ) -> List[List[Tuple[float, int]]]:
@@ -82,11 +78,11 @@ def plan_leases(cells: Sequence[Tuple[float, int]], workers: int,
     from this, since the merge re-orders by grid index, but deterministic
     leases keep span/timing telemetry comparable across runs).
 
-    ``batch_size=None`` auto-tunes: start from a fair share that gives
-    every worker about :data:`LEASES_PER_WORKER` leases, then shrink the
-    batch when the per-cell duration estimate says one lease would exceed
-    :data:`TARGET_LEASE_SECONDS` (expensive event-mode cells), so the tail
-    of the grid stays balanced.
+    The batch size is derived: start from a fair share that gives every
+    worker about :data:`LEASES_PER_WORKER` leases, then shrink the batch
+    when the per-cell duration estimate ``cell_seconds`` says one lease
+    would exceed :data:`TARGET_LEASE_SECONDS` (expensive event-mode
+    cells), so the tail of the grid stays balanced.
 
     ``affinity="seed"`` regroups the cells seed-major before batching —
     stably, so the δ order within one seed is the grid's — and never lets
@@ -97,21 +93,17 @@ CrossReplayMemo` for every further δ of that seed.  The merge re-orders
     by grid index, so affinity changes only which worker computes a cell,
     never any artifact byte.
     """
-    if batch_size is not None and batch_size < 1:
-        raise ConfigurationError(
-            f"batch_size must be >= 1, got {batch_size}")
     if affinity not in (None, "seed"):
         raise ConfigurationError(
             f"affinity must be None or 'seed', got {affinity!r}")
     cells = list(cells)
     if not cells:
         return []
-    if batch_size is None:
-        fair = math.ceil(len(cells) / (max(1, workers) * LEASES_PER_WORKER))
-        batch_size = max(1, fair)
-        if cell_seconds is not None and cell_seconds > 0:
-            by_cost = max(1, int(TARGET_LEASE_SECONDS / cell_seconds))
-            batch_size = max(1, min(batch_size, by_cost))
+    fair = math.ceil(len(cells) / (max(1, workers) * LEASES_PER_WORKER))
+    batch_size = max(1, fair)
+    if cell_seconds is not None and cell_seconds > 0:
+        by_cost = max(1, int(TARGET_LEASE_SECONDS / cell_seconds))
+        batch_size = min(batch_size, by_cost)
     if affinity == "seed":
         groups: Dict[int, List[Tuple[float, int]]] = {}
         for cell in cells:
@@ -126,81 +118,37 @@ CrossReplayMemo` for every further δ of that seed.  The merge re-orders
 # ----------------------------------------------------------------------
 # Lease payloads
 # ----------------------------------------------------------------------
-def pack_lease(results: Sequence[Any]) -> Dict[str, Any]:
-    """Serialize a lease's CellResults into one pickle-ready payload.
-
-    Every field travels inline in the pipe message — dict iteration order
-    survives pickling, which the byte-identical artifact invariant relies
-    on.  The float64 trace columns are passed as contiguous arrays, so an
-    in-process lease shares them without a copy.
-    """
-    records = []
-    for cell in results:
-        trace = cell.trace
-        records.append({
-            "delta": cell.delta,
-            "seed": cell.seed,
-            "queue_stats": cell.queue_stats,
-            "metrics": cell.metrics,
-            "wall_seconds": cell.wall_seconds,
-            "trace": {"delta": trace.delta,
-                      "payload_bytes": trace.payload_bytes,
-                      "wire_bytes": trace.wire_bytes,
-                      "meta": trace.meta},
-            "send_times": np.ascontiguousarray(trace.send_times,
-                                               dtype=np.float64),
-            "rtts": np.ascontiguousarray(trace.rtts, dtype=np.float64),
-        })
-    return {"cells": records}
-
-
 def unpack_lease(payload: Dict[str, Any]) -> Tuple[List[Any], Dict[str, Any]]:
-    """Rebuild a lease's CellResults from :func:`_serve_lease`'s payload.
+    """Split :func:`_serve_lease`'s payload into ``(cells, info)``.
 
-    Returns ``(cells, info)``.  ``info`` carries the lease's replay-memo
-    ``replay_hits``/``replay_misses`` deltas, its span records
-    (``spans``; empty when telemetry is off), and the transport facts
-    (``transport`` is always ``"inline"``, ``shm_bytes`` always 0).
+    ``cells`` are the lease's CellResults as the worker built them.
+    ``info`` carries the lease's replay-memo ``replay_hits``/
+    ``replay_misses`` deltas, its span records (``spans``; empty when
+    telemetry is off), and the transport facts ``transport`` (always
+    ``"inline"``) and ``shm_bytes`` (always 0).
     """
-    cells = [_cell_from_record(record) for record in payload["cells"]]
-    return cells, {"transport": "inline", "shm_bytes": 0,
-                   "replay_hits": payload.get("replay_hits", 0),
-                   "replay_misses": payload.get("replay_misses", 0),
-                   "spans": payload.get("spans", [])}
-
-
-def _cell_from_record(record: dict):
-    from repro.experiments.campaign import CellResult
-    header = record["trace"]
-    trace = ProbeTrace(delta=header["delta"],
-                       send_times=record["send_times"], rtts=record["rtts"],
-                       payload_bytes=header["payload_bytes"],
-                       wire_bytes=header["wire_bytes"],
-                       meta=header["meta"])
-    return CellResult(delta=record["delta"], seed=record["seed"],
-                      trace=trace, queue_stats=record["queue_stats"],
-                      metrics=record["metrics"],
-                      wall_seconds=record["wall_seconds"])
+    # transport/shm_bytes describe nothing since the shared-memory
+    # transport went; they stay because the repository benchmark wraps
+    # this function and reads both keys.
+    return payload["cells"], {
+        "transport": "inline", "shm_bytes": 0,
+        "replay_hits": payload.get("replay_hits", 0),
+        "replay_misses": payload.get("replay_misses", 0),
+        "spans": payload.get("spans", [])}
 
 
 # ----------------------------------------------------------------------
 # The worker loop
 # ----------------------------------------------------------------------
-def _worker_main(conn, salt_override: Optional[str] = None) -> None:
+def _worker_main(conn) -> None:
     """Serve leases until told to stop (runs in the worker process).
 
     The first message out is the handshake: this worker's import-closure
-    cache salt (or the injected override — tests use it to exercise the
-    stale-worker refusal without editing sources).  Under ``fork`` the
-    memoized salt is inherited from the parent; under ``spawn`` it is
-    derived fresh from the sources on disk.
+    cache salt.  Under ``fork`` the memoized salt is inherited from the
+    parent; under ``spawn`` it is derived fresh from the sources on disk.
     """
-    if salt_override is None:
-        from repro.experiments.cache import cache_salt
-        salt = cache_salt()
-    else:
-        salt = salt_override
-    conn.send(("hello", -1, {"salt": salt, "pid": os.getpid()}))
+    from repro.experiments.cache import cache_salt
+    conn.send(("hello", -1, {"salt": cache_salt(), "pid": os.getpid()}))
     while True:
         try:
             message = conn.recv()
@@ -218,13 +166,15 @@ def _worker_main(conn, salt_override: Optional[str] = None) -> None:
 
 
 def _serve_lease(request: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one lease's cells and pack them (a worker's unit of work).
+    """Run one lease's cells into one payload (a worker's unit of work).
 
     Serial campaigns call this in-process through :func:`serve_leases`;
-    pool workers call it from :func:`_worker_main`.  Replay-memo
-    accounting and span records ride beside the packed cells, never
-    inside them: the parent folds them into its timing.json dispatch
-    block and its span files, keeping cell artifacts executor-blind.
+    pool workers call it from :func:`_worker_main`.  ``payload["cells"]``
+    holds the CellResults :func:`~repro.experiments.campaign._run_cell`
+    returned.  Replay-memo accounting and span records ride beside the
+    cells, never inside them: the parent folds them into its timing.json
+    dispatch block and its span files, keeping cell artifacts
+    executor-blind.
     With ``request["spans"]`` set, one tracer times the lease and every
     cell's phases.
     """
@@ -235,11 +185,12 @@ def _serve_lease(request: Dict[str, Any]) -> Dict[str, Any]:
     hits_before, misses_before = memo.counters()
     tracer = SpanTracer() if request["spans"] else None
     with optional_span(tracer, f"lease {request['index']}", PHASE_LEASE):
-        payload = pack_lease([_run_cell(spec, delta, seed, tracer=tracer)
-                              for delta, seed in request["cells"]])
+        cells = [_run_cell(spec, delta, seed, tracer=tracer)
+                 for delta, seed in request["cells"]]
     hits, misses = memo.counters()
-    payload["replay_hits"] = hits - hits_before
-    payload["replay_misses"] = misses - misses_before
+    payload: Dict[str, Any] = {"cells": cells,
+                               "replay_hits": hits - hits_before,
+                               "replay_misses": misses - misses_before}
     if tracer is not None:
         payload["spans"] = tracer.records
     return payload
@@ -269,7 +220,8 @@ def serve_leases(spec: Any, leases: Sequence[Sequence[Tuple[float, int]]],
 # ----------------------------------------------------------------------
 # The pool
 # ----------------------------------------------------------------------
-def _default_start_method() -> str:
+def _start_method() -> str:
+    """``fork`` where available, else the platform default."""
     methods = mp.get_all_start_methods()
     return "fork" if "fork" in methods else mp.get_start_method()
 
@@ -280,34 +232,23 @@ class WarmWorkerPool:
     Parameters
     ----------
     workers:
-        Long-lived worker processes to keep.
-    start_method:
-        Multiprocessing start method (default: ``fork`` where available,
-        else the platform default).  ``fork`` makes warm-up free — the
-        repro closure is inherited already imported.
-    expected_salt:
-        Import-closure salt the parent demands in the handshake (default:
-        its own :func:`~repro.experiments.cache.cache_salt`).  Tests
-        inject a value to avoid the source analysis.
-    worker_salt:
-        Salt the workers *report* instead of deriving their own — test
-        injection for the stale-worker refusal path.
+        Long-lived worker processes to keep.  They start under ``fork``
+        where available (warm-up is then free — the repro closure is
+        inherited already imported), else the platform default.  The
+        parent demands its own
+        :func:`~repro.experiments.cache.cache_salt` in every worker's
+        handshake.
 
     :func:`~repro.experiments.campaign.run_campaign` starts one pool per
     parallel campaign and closes it when the grid is done; the pool is
     also a context manager.
     """
 
-    def __init__(self, workers: int, start_method: Optional[str] = None,
-                 expected_salt: Optional[str] = None,
-                 worker_salt: Optional[str] = None) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ConfigurationError(
                 f"pool workers must be >= 1, got {workers}")
         self.workers = int(workers)
-        self._start_method = start_method
-        self._expected_salt = expected_salt
-        self._worker_salt = worker_salt
         self._procs: List[mp.process.BaseProcess] = []
         self._conns: List[Any] = []
         #: Verified handshake salt once started.
@@ -322,23 +263,18 @@ class WarmWorkerPool:
         """Launch the workers and verify the salt handshake (idempotent)."""
         if self._procs:
             return self
-        expected = self._expected_salt
-        if expected is None:
-            # Computed (and memoized) before forking, so fork workers
-            # inherit it and the handshake costs nothing.
-            from repro.experiments.cache import cache_salt
-            expected = cache_salt()
-        context = mp.get_context(self._start_method
-                                 or _default_start_method())
+        # Computed (and memoized) before forking, so fork workers inherit
+        # it and the handshake costs nothing.
+        from repro.experiments.cache import cache_salt
+        expected = cache_salt()
+        context = mp.get_context(_start_method())
         conns: List[Any] = []
         procs: List[mp.process.BaseProcess] = []
         try:
             for _ in range(self.workers):
                 parent_end, child_end = context.Pipe()
                 proc = context.Process(target=_worker_main,
-                                       args=(child_end,
-                                             self._worker_salt),
-                                       daemon=True)
+                                       args=(child_end,), daemon=True)
                 proc.start()
                 child_end.close()
                 conns.append(parent_end)

@@ -22,13 +22,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.net.routing import Network
 from repro.netdyn.session import run_probe_experiment
 from repro.netdyn.trace import ProbeTrace
-from repro.obs import (
-    KernelTracer,
-    MetricsRegistry,
-    Observability,
-    PacketLifecycleTracer,
-    instrument_network,
-)
+from repro.obs import MetricsRegistry, Observability
 from repro.obs.spans import PHASE_SETUP, PHASE_SIM, SpanTracer, \
     optional_span
 from repro.topology.inria_umd import InriaUmdScenario, build_inria_umd
@@ -237,43 +231,26 @@ def run_experiment(config: ExperimentConfig) -> ProbeTrace:
     return execute_experiment(config).trace
 
 
-def run_observed_experiment(config: ExperimentConfig,
-                            kernel_trace: bool = False,
-                            trace_capacity: Optional[int] = None,
-                            lifecycle: bool = False,
+def run_observed_experiment(config: ExperimentConfig, trace: bool = False,
                             ) -> Tuple[ProbeTrace, Scenario, Observability]:
     """Run one experiment with the observability collectors attached.
 
     The metrics registry (network-wide counters/gauges plus the probe
-    session's counters) is always on — it is pull-based and free.  Kernel
-    event tracing and packet-lifecycle tracing are opt-in because they
-    record per-event/per-hop history.
-
-    Parameters
-    ----------
-    kernel_trace:
-        Attach a :class:`~repro.obs.KernelTracer` to the simulator.
-    trace_capacity:
-        Ring-buffer size for the kernel tracer (None = tracer default).
-    lifecycle:
-        Attach a :class:`~repro.obs.PacketLifecycleTracer` to the network.
+    session's counters) is always on — it is pull-based and free.  With
+    ``trace`` set the collectors are :meth:`Observability.full
+    <repro.obs.Observability.full>`'s, adding kernel event tracing and
+    packet-lifecycle tracing, which record per-event/per-hop history;
+    without it they are :meth:`~repro.obs.Observability.metrics_only`'s.
     """
     if config.mode == "analytic":
         raise ConfigurationError(
             "observability collectors record event-kernel activity; "
             "analytic mode runs no events (use mode='event')")
     scenario = build_scenario(config)
-    registry = MetricsRegistry()
-    kernel = None
-    if kernel_trace:
-        kernel = KernelTracer() if trace_capacity is None \
-            else KernelTracer(capacity=trace_capacity)
-        scenario.sim.attach_observer(kernel)
-    hops = PacketLifecycleTracer(scenario.network) if lifecycle else None
-    instrument_network(registry, scenario.network)
-    obs = Observability(registry=registry, kernel=kernel, lifecycle=hops)
+    obs = Observability.full(scenario.sim, scenario.network) if trace \
+        else Observability.metrics_only(scenario.network)
 
     scenario.start_traffic(at=0.0)
-    trace = probe_scenario(scenario, config, registry=registry)
+    probe_trace = probe_scenario(scenario, config, registry=obs.registry)
     obs.close(sim=scenario.sim)
-    return trace, scenario, obs
+    return probe_trace, scenario, obs

@@ -2,9 +2,12 @@
 
 A trace records, for every probe ``n``, the send time ``s_n`` and round-trip
 time ``rtt_n``; following the paper's convention, ``rtt_n = 0`` marks a lost
-probe.  All analysis modules (:mod:`repro.analysis`) consume this type, and
-it round-trips through CSV and JSON so live-network traces and simulated
-traces are interchangeable.
+probe.  All analysis modules (:mod:`repro.analysis`) consume this type.
+It round-trips through two forms: CSV (:meth:`ProbeTrace.save_csv` /
+:meth:`ProbeTrace.load_csv`), the human-readable form live-network and
+simulated traces share, and binary columnar npz
+(:meth:`ProbeTrace.save_npz` / :meth:`ProbeTrace.load_npz`), bit-exact
+float64 and the campaign cell cache's storage.
 """
 
 from __future__ import annotations
@@ -320,27 +323,6 @@ class ProbeTrace:
         except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
             raise AnalysisError(
                 f"{path}: not a readable ProbeTrace npz: {exc}") from exc
-
-    def to_json(self) -> str:
-        """Serialize the full trace as a JSON document."""
-        return json.dumps({
-            "delta": self.delta,
-            "payload_bytes": self.payload_bytes,
-            "wire_bytes": self.wire_bytes,
-            "meta": self.meta,
-            "send_times": self.send_times.tolist(),
-            "rtts": self.rtts.tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, document: str) -> "ProbeTrace":
-        """Deserialize a trace produced by :meth:`to_json`."""
-        data = json.loads(document)
-        return cls(delta=data["delta"],
-                   send_times=np.asarray(data["send_times"]),
-                   rtts=np.asarray(data["rtts"]),
-                   payload_bytes=data["payload_bytes"],
-                   wire_bytes=data["wire_bytes"], meta=data["meta"])
 
     def __repr__(self) -> str:
         return (f"<ProbeTrace delta={seconds_to_ms(self.delta):g}ms "

@@ -1,6 +1,6 @@
 """repro.obs: zero-perturbation observability for the simulator.
 
-Four parts, all passive observers of the substrate:
+Five parts, all passive observers of the substrate:
 
 * **Kernel tracing** (:mod:`repro.obs.tracer`) — every fired event with its
   simulated time, label, priority, and wall-clock cost, plus per-label
@@ -40,6 +40,11 @@ Quick start::
     metrics = obs.snapshot()              # nested dict of every counter
     obs.kernel.hot_labels(5)              # most expensive event labels
     obs.save("out/")                      # events.jsonl, hops.jsonl, ...
+
+For a configured experiment,
+``repro.experiments.runner.run_observed_experiment(config, trace=True)``
+builds the scenario, attaches :meth:`Observability.full`, and probes it;
+``trace=False`` attaches :meth:`Observability.metrics_only` instead.
 """
 
 from __future__ import annotations
@@ -144,10 +149,10 @@ __all__ = [
 class Observability:
     """One run's observability bundle: tracer + lifecycle + registry.
 
-    Build with :meth:`full` (everything on), :meth:`metrics_only`
-    (registry only — adds nothing to the hot path), or assemble the three
-    parts by hand.  ``kernel`` and ``lifecycle`` stay ``None`` when their
-    collector is disabled.
+    Build with :meth:`full` (everything on, the kernel tracer at its
+    default capacity), :meth:`metrics_only` (registry only — adds nothing
+    to the hot path), or assemble the three parts by hand.  ``kernel``
+    and ``lifecycle`` stay ``None`` when their collector is disabled.
     """
 
     registry: MetricsRegistry
@@ -155,11 +160,9 @@ class Observability:
     lifecycle: Optional[PacketLifecycleTracer] = None
 
     @classmethod
-    def full(cls, sim: "Simulator", network: "Network",
-             trace_capacity: Optional[int] = None) -> "Observability":
+    def full(cls, sim: "Simulator", network: "Network") -> "Observability":
         """Attach every collector to a built simulator + network."""
-        kernel = KernelTracer() if trace_capacity is None \
-            else KernelTracer(capacity=trace_capacity)
+        kernel = KernelTracer()
         sim.attach_observer(kernel)
         lifecycle = PacketLifecycleTracer(network)
         registry = MetricsRegistry()

@@ -14,7 +14,6 @@ import repro
 from repro.devtools.fingerprint import (
     SALT_ENTRY_FUNCTION,
     SALT_PREFIX,
-    changed_modules,
     compute_salt_report,
     derived_cache_salt,
     derived_salt_report,
@@ -129,12 +128,6 @@ class TestDerivedSalt:
             "def elsewhere():\n    return 99\n")
         assert derived_cache_salt(salt_tree,
                                   entry="pkg.worker.run_cell") == base
-
-    def test_changed_modules_names_the_culprit(self, salt_tree):
-        before = derived_salt_report(salt_tree, entry="pkg.worker.run_cell")
-        (salt_tree / "kernel.py").write_text("def step():\n    return 99\n")
-        after = derived_salt_report(salt_tree, entry="pkg.worker.run_cell")
-        assert changed_modules(before, after) == ["pkg.kernel"]
 
 
 class TestRealTree:

@@ -43,13 +43,15 @@ class TestFingerprint:
         dict(spec=dict(mode="analytic")),
         dict(salt="other-salt"),
     ])
-    def test_sensitive_to_every_causal_input(self, variation):
+    def test_sensitive_to_every_causal_input(self, variation, monkeypatch):
         base = cell_fingerprint(small_spec(), 0.1, 1)
         spec = small_spec(**variation.get("spec", {}))
+        if "salt" in variation:
+            monkeypatch.setattr(cache_module, "_salt_cache",
+                                variation["salt"])
         varied = cell_fingerprint(spec,
                                   variation.get("delta", 0.1),
-                                  variation.get("seed", 1),
-                                  salt=variation.get("salt", cache_salt()))
+                                  variation.get("seed", 1))
         assert varied != base
 
     def test_sensitive_to_probe_bytes(self, monkeypatch):
@@ -60,7 +62,7 @@ class TestFingerprint:
     def test_code_salt_bump_invalidates(self, monkeypatch):
         base = cell_fingerprint(small_spec(), 0.1, 1)
         monkeypatch.setattr(cache_module, "_salt_cache", "repro-cell-v999")
-        # Callers pick up the process's derived salt as their default.
+        # Every fingerprint reads the process's derived salt.
         assert cell_fingerprint(small_spec(), 0.1, 1) != base
 
 
@@ -74,12 +76,21 @@ class TestDerivedSalt:
         with pytest.raises(AttributeError):
             cache_module.NOT_A_THING
 
-    def test_fingerprint_defaults_to_derived_salt(self):
-        explicit = cell_fingerprint(small_spec(), 0.1, 1, salt=cache_salt())
-        assert cell_fingerprint(small_spec(), 0.1, 1) == explicit
+    def test_fingerprint_defaults_to_derived_salt(self, monkeypatch):
+        base = cell_fingerprint(small_spec(), 0.1, 1)
+        monkeypatch.setattr(cache_module, "cache_salt",
+                            lambda: "repro-cell-v999")
+        assert cell_fingerprint(small_spec(), 0.1, 1) != base
+        monkeypatch.undo()
+        assert cell_fingerprint(small_spec(), 0.1, 1) == base
 
-    def test_cache_defaults_to_derived_salt(self, tmp_path):
-        assert CampaignCache(tmp_path).salt == cache_salt()
+    def test_cache_defaults_to_derived_salt(self, tmp_path, monkeypatch):
+        cache = CampaignCache(tmp_path)
+        path = cache.entry_path(small_spec(), 0.1, 1)
+        assert path.name.endswith(
+            f"-{cell_fingerprint(small_spec(), 0.1, 1)}.npz")
+        monkeypatch.setattr(cache_module, "_salt_cache", "repro-cell-v999")
+        assert cache.entry_path(small_spec(), 0.1, 1) != path
 
     def test_matches_the_analyzer_report(self):
         from repro.devtools.fingerprint import derived_cache_salt
@@ -132,12 +143,13 @@ class TestCacheSemantics:
             cache=cache)
         assert again.cache_stats["misses"] == 1
 
-    def test_salt_bump_forces_recompute(self, tmp_path):
+    def test_salt_bump_forces_recompute(self, tmp_path, monkeypatch):
         run_campaign(small_spec(), cache=CampaignCache(tmp_path))
-        other = CampaignCache(tmp_path, salt="repro-cell-v999")
-        again = run_campaign(small_spec(), cache=other)
+        monkeypatch.setattr(cache_module, "_salt_cache", "repro-cell-v999")
+        again = run_campaign(small_spec(), cache=CampaignCache(tmp_path))
         assert again.cache_stats["misses"] == 1
         # The original salt's entry is untouched and still hits.
+        monkeypatch.undo()
         back = run_campaign(small_spec(), cache=CampaignCache(tmp_path))
         assert back.cache_stats["hits"] == 1
 

@@ -30,6 +30,31 @@ class TestCampaignSpec:
         with pytest.raises(ConfigurationError):
             CampaignSpec(deltas=(0.1,), seeds=(1,), duration=0.0)
 
+    @pytest.mark.parametrize("grid", [
+        dict(deltas=(0.05, 0.05), seeds=(1,)),
+        dict(deltas=(0.05,), seeds=(1, 1)),
+        # Distinct floats, one millisecond key: the CSVs would collide.
+        dict(deltas=(0.05, 0.0500000001), seeds=(1,)),
+    ])
+    def test_repeated_cell_key_rejected(self, grid):
+        with pytest.raises(ConfigurationError, match="'d50_s1'"):
+            CampaignSpec(**grid)
+        # Keys that differ at millisecond resolution stay accepted.
+        spec = CampaignSpec(deltas=(0.05, 0.0505), seeds=(0, 1))
+        assert [cell_key(*cell) for cell in spec.cells()] \
+            == ["d50_s0", "d50_s1", "d50.5_s0", "d50.5_s1"]
+
+    @pytest.mark.parametrize("grid", [
+        dict(deltas=(0.05,), seeds=(-1,)),
+        dict(deltas=(float("nan"),), seeds=(1,)),
+        dict(deltas=(0.05,), seeds=(1,), duration=float("inf")),
+        dict(deltas=(0.05,), seeds=(1,), scenario="mars-net"),
+    ])
+    def test_every_cell_config_validated_up_front(self, grid):
+        # Rejected when the spec is built, not later inside a lease.
+        with pytest.raises(ConfigurationError):
+            CampaignSpec(**grid)
+
 
 class TestRunCampaign:
     def test_grid_coverage(self):
@@ -258,8 +283,8 @@ class TestExecutorMatrix:
         assert warm.dispatch_stats["pool"] == "warm"
 
     def test_warm_dispatch_accounting(self, tmp_path):
-        result = run_campaign(self.analytic_spec(tmp_path),
-                              workers=2, batch_size=1)
+        # 4 cells on 2 workers: the fair share is one cell per lease.
+        result = run_campaign(self.analytic_spec(tmp_path), workers=2)
         dispatch = result.dispatch_stats
         assert dispatch["pool"] == "warm"
         assert dispatch["leases"] == 4
@@ -274,7 +299,7 @@ class TestExecutorMatrix:
         run_campaign(self.analytic_spec(None, seeds=(1,)), cache=cache)
         reference = run_campaign(self.analytic_spec(tmp_path / "plain"))
         mixed = run_campaign(self.analytic_spec(tmp_path / "mixed"),
-                             workers=2, cache=cache, batch_size=1)
+                             workers=2, cache=cache)
         assert artifact_bytes(tmp_path / "mixed") \
             == artifact_bytes(tmp_path / "plain")
         assert mixed.cache_stats["hits"] == 2
@@ -289,8 +314,3 @@ class TestExecutorMatrix:
         run_campaign(spec(tmp_path / "warm"), workers=2)
         assert artifact_bytes(tmp_path / "warm") \
             == artifact_bytes(tmp_path / "serial")
-
-    def test_batch_size_validation(self):
-        with pytest.raises(ConfigurationError):
-            run_campaign(small_spec(deltas=(0.1, 0.2)), workers=2,
-                         batch_size=0)

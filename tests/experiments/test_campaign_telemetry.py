@@ -115,7 +115,7 @@ class TestSpanRecording:
 
         reporter = NestedCampaign(total=2, workers=1, stream=io.StringIO())
         run_campaign(grid_spec(None, deltas=(0.1,), seeds=(1, 2)),
-                     workers=1, batch_size=1, spans=span_dir,
+                     workers=1, spans=span_dir,
                      progress=reporter)
         assert reporter.nested
         merged = read_spans_jsonl(span_dir / MERGED_SPAN_FILE)
@@ -170,7 +170,7 @@ class TestSpanRecording:
         for workers in (1, 2):
             out = tmp_path / f"w{workers}"
             run_campaign(grid_spec(out, deltas=(0.1,), seeds=(1, 2)),
-                         workers=workers, batch_size=1, spans=True)
+                         workers=workers, spans=True)
             merged = read_spans_jsonl(out / "spans" / MERGED_SPAN_FILE)
             names = sorted(span.name for span in merged
                            if span.phase == PHASE_LEASE)

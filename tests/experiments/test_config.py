@@ -35,6 +35,19 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(delta=0.05, scenario="mars-net")
 
+    @pytest.mark.parametrize("field", ["delta", "duration", "warmup"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_times_rejected(self, field, value):
+        kwargs = {"delta": 0.05, field: value}
+        with pytest.raises(ConfigurationError, match=f"{field} must be "
+                                                     "finite"):
+            ExperimentConfig(**kwargs)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed"):
+            ExperimentConfig(delta=0.05, seed=-1)
+        assert ExperimentConfig(delta=0.05, seed=0).seed == 0
+
     def test_scenario_kwargs_default_empty(self):
         assert ExperimentConfig(delta=0.05).scenario_kwargs == {}
 

@@ -30,8 +30,7 @@ def test_standard_cell_matches_golden_trace(tmp_path):
 
 
 def test_standard_cell_matches_golden_trace_with_observers(tmp_path):
-    trace, _, obs = run_observed_experiment(CONFIG, kernel_trace=True,
-                                            lifecycle=True)
+    trace, _, obs = run_observed_experiment(CONFIG, trace=True)
     # The observers must have actually recorded something, or this test
     # would trivially collapse into the untraced variant.
     assert obs.lifecycle is not None and len(obs.lifecycle) > 0

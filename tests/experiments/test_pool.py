@@ -6,27 +6,29 @@ is deterministic, the lease payload reproduces CellResults exactly, and
 the salt handshake refuses stale workers.
 """
 
+import os
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import cache as cache_module
+from repro.experiments import campaign as campaign_module
+from repro.experiments import pool as pool_module
 from repro.experiments.campaign import CampaignSpec, CellResult, _run_cell, \
     cell_key
 from repro.experiments.pool import (
+    LEASES_PER_WORKER,
+    TARGET_LEASE_SECONDS,
     LeaseError,
     StaleWorkerError,
     WarmWorkerPool,
-    pack_lease,
     plan_leases,
+    serve_leases,
     unpack_lease,
 )
 from repro.netdyn.trace import ProbeTrace
-
-#: Injected handshake salt: skips the (slow) source analysis in tests
-#: that only exercise the transport, not the staleness check itself.
-TEST_SALT = "repro-cell-v2-test"
 
 
 def analytic_spec(**kwargs):
@@ -36,12 +38,6 @@ def analytic_spec(**kwargs):
                     mode="analytic")
     defaults.update(kwargs)
     return CampaignSpec(**defaults)
-
-
-def fast_pool(workers=2, **kwargs):
-    kwargs.setdefault("expected_salt", TEST_SALT)
-    kwargs.setdefault("worker_salt", TEST_SALT)
-    return WarmWorkerPool(workers, **kwargs)
 
 
 def make_cell(delta=0.05, seed=1, n=16):
@@ -76,18 +72,25 @@ def assert_cells_equal(rebuilt, originals, compare_wall=True):
         assert got.trace.delta == want.trace.delta
 
 
+def cost_for_batch(batch):
+    """A per-cell estimate that caps a lease at exactly ``batch`` cells."""
+    return TARGET_LEASE_SECONDS / batch
+
+
 class TestPlanLeases:
     def test_empty_grid(self):
         assert plan_leases([], workers=4) == []
 
-    def test_explicit_batch_size_partitions_contiguously(self):
+    def test_cost_bound_batch_partitions_contiguously(self):
+        # 7 cells on 1 worker: the fair share ceil(7 / 4) gives batch 2.
+        # 24 cells on 1 worker: the fair share 6 is cut to 3 by cost.
         cells = [(0.1, s) for s in range(7)]
-        leases = plan_leases(cells, workers=2, batch_size=3)
-        assert leases == [cells[0:3], cells[3:6], cells[6:7]]
-
-    def test_batch_size_validation(self):
-        with pytest.raises(ConfigurationError):
-            plan_leases([(0.1, 1)], workers=1, batch_size=0)
+        assert plan_leases(cells, workers=1) \
+            == [cells[0:2], cells[2:4], cells[4:6], cells[6:7]]
+        cells = [(0.1, s) for s in range(24)]
+        leases = plan_leases(cells, workers=1,
+                             cell_seconds=cost_for_batch(3))
+        assert leases == [cells[i:i + 3] for i in range(0, 24, 3)]
 
     def test_deterministic(self):
         cells = [(0.05, s) for s in range(16)]
@@ -112,45 +115,69 @@ class TestPlanLeases:
             == plan_leases(cells, workers=2)
 
     def test_covers_grid_for_any_batch_size(self):
-        cells = [(0.1, s) for s in range(11)]
-        for batch in (1, 2, 3, 5, 11, 50):
-            leases = plan_leases(cells, workers=3, batch_size=batch)
-            assert [cell for lease in leases for cell in lease] == cells
+        for size in (1, 7, 11, 50):
+            cells = [(0.1, s) for s in range(size)]
+            for workers in (1, 3):
+                for cell_seconds in (None, 5.0, cost_for_batch(2)):
+                    leases = plan_leases(cells, workers=workers,
+                                         cell_seconds=cell_seconds)
+                    assert [cell for lease in leases for cell in lease] \
+                        == cells
+                    assert all(lease for lease in leases)
 
 
 class TestSeedAffinity:
     #: δ-major grid order, the shape CampaignSpec.cells() produces.
     GRID = [(delta, seed) for delta in (0.05, 0.1, 0.2) for seed in (1, 2)]
 
+    #: A 24-cell grid one worker leases 6 cells at a time (fair share).
+    WIDE = [(delta, seed) for delta in (0.02, 0.05, 0.1, 0.2, 0.3, 0.5)
+            for seed in (1, 2, 3, 4)]
+
     def test_regroups_seed_major_preserving_delta_order(self):
-        leases = plan_leases(self.GRID, workers=1, batch_size=3,
-                             affinity="seed")
-        assert leases == [[(0.05, 1), (0.1, 1), (0.2, 1)],
-                          [(0.05, 2), (0.1, 2), (0.2, 2)]]
+        # 3 deltas x 4 seeds on 1 worker: fair share 3, so every seed's
+        # three deltas make one lease.
+        grid = [(delta, seed) for delta in (0.05, 0.1, 0.2)
+                for seed in (1, 2, 3, 4)]
+        leases = plan_leases(grid, workers=1, affinity="seed")
+        assert leases == [[(0.05, seed), (0.1, seed), (0.2, seed)]
+                          for seed in (1, 2, 3, 4)]
 
     def test_lease_never_straddles_seeds(self):
-        leases = plan_leases(self.GRID, workers=1, batch_size=2,
-                             affinity="seed")
+        # Batch 2 (fair share of 6 cells on 1 worker) on 3 deltas per
+        # seed: a seed's third cell gets a lease of its own rather than
+        # joining the next seed's.
+        leases = plan_leases(self.GRID, workers=1, affinity="seed")
         for lease in leases:
             assert len({seed for _, seed in lease}) == 1
         assert leases == [[(0.05, 1), (0.1, 1)], [(0.2, 1)],
                           [(0.05, 2), (0.1, 2)], [(0.2, 2)]]
+        # Batch 4 by fair share (24 cells, 1 worker) on 6 deltas per seed.
+        assert len(self.WIDE) // LEASES_PER_WORKER == 6
+        wide = plan_leases(self.WIDE, workers=1,
+                           cell_seconds=cost_for_batch(4), affinity="seed")
+        assert [len(lease) for lease in wide] == [4, 2] * 4
+        for lease in wide:
+            assert len({seed for _, seed in lease}) == 1
 
     def test_covers_grid_exactly(self):
-        for batch in (1, 2, 3, 7):
-            leases = plan_leases(self.GRID, workers=2, batch_size=batch,
-                                 affinity="seed")
-            flat = [cell for lease in leases for cell in lease]
-            assert sorted(flat) == sorted(self.GRID)
-            assert len(flat) == len(self.GRID)
+        for grid in (self.GRID, self.WIDE):
+            for workers in (1, 2, 4):
+                for cell_seconds in (None, 5.0, cost_for_batch(3)):
+                    leases = plan_leases(grid, workers=workers,
+                                         cell_seconds=cell_seconds,
+                                         affinity="seed")
+                    flat = [cell for lease in leases for cell in lease]
+                    assert sorted(flat) == sorted(grid)
+                    assert len(flat) == len(grid)
 
     def test_deterministic(self):
         assert plan_leases(self.GRID, 2, affinity="seed") \
             == plan_leases(self.GRID, 2, affinity="seed")
 
     def test_none_affinity_unchanged(self):
-        assert plan_leases(self.GRID, 2, batch_size=2, affinity=None) \
-            == plan_leases(self.GRID, 2, batch_size=2)
+        assert plan_leases(self.GRID, 1, affinity=None) \
+            == plan_leases(self.GRID, 1)
 
     def test_unknown_affinity_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -160,16 +187,41 @@ class TestSeedAffinity:
 class TestLeaseTransports:
     def test_inline_round_trip(self):
         originals = [make_cell(seed=3), make_cell(seed=4, n=33)]
+        # Keys out of sorted order: insertion order must survive pickling.
+        for cell in originals:
+            cell.metrics = dict(reversed(list(cell.metrics.items())))
+            cell.queue_stats = {"z->y": {"drops": 2.0},
+                                **cell.queue_stats}
         # Through pickle, as over a worker pipe.
-        payload = pickle.loads(pickle.dumps(pack_lease(originals)))
+        payload = pickle.loads(pickle.dumps({"cells": originals}))
         cells, info = unpack_lease(payload)
         assert info == {"transport": "inline", "shm_bytes": 0,
                         "replay_hits": 0, "replay_misses": 0, "spans": []}
         assert_cells_equal(cells, originals)
+        for got, want in zip(cells, originals):
+            assert list(got.queue_stats) == list(want.queue_stats)
 
     def test_empty_lease(self):
-        cells, _ = unpack_lease(pack_lease([]))
+        cells, _ = unpack_lease({"cells": []})
         assert cells == []
+
+    def test_serve_leases_yields_the_run_cell_objects(self, monkeypatch):
+        returned = []
+
+        def fake_run_cell(spec, delta, seed, tracer=None):
+            cell = make_cell(delta=delta, seed=seed)
+            returned.append(cell)
+            return cell
+
+        monkeypatch.setattr(campaign_module, "_run_cell", fake_run_cell)
+        spec = analytic_spec()
+        leases = [[(0.05, 1), (0.1, 1)], [(0.05, 2)]]
+        served = list(serve_leases(spec, leases))
+        assert [index for index, _, _ in served] == [0, 1]
+        cells = [cell for _, lease_cells, _ in served
+                 for cell in lease_cells]
+        assert len(cells) == len(returned) == 3
+        assert all(got is want for got, want in zip(cells, returned))
 
 
 class TestWarmWorkerPool:
@@ -178,34 +230,48 @@ class TestWarmWorkerPool:
             WarmWorkerPool(0)
 
     def test_handshake_accepts_matching_salt(self):
-        with fast_pool(workers=2) as pool:
+        with WarmWorkerPool(2) as pool:
             assert pool.started
-            assert pool.salt == TEST_SALT
+            assert pool.salt == cache_module.cache_salt()
             assert len(pool.worker_pids) == 2
         assert not pool.started
 
-    def test_handshake_refuses_stale_worker(self):
-        pool = fast_pool(workers=1, worker_salt="repro-cell-v2-stale")
+    def test_handshake_refuses_stale_worker(self, monkeypatch):
+        # A worker whose view of the code differs from the parent's: the
+        # salt reads differently in any process but this one.
+        parent_pid = os.getpid()
+        real_salt = cache_module.cache_salt()
+
+        def salt_by_process():
+            if os.getpid() == parent_pid:
+                return real_salt
+            return "repro-cell-v2-stale"
+
+        monkeypatch.setattr(cache_module, "cache_salt", salt_by_process)
+        if pool_module._start_method() != "fork":
+            pytest.skip("the patched salt reaches workers only by fork")
+        pool = WarmWorkerPool(1)
         with pytest.raises(StaleWorkerError, match="stale"):
             pool.start()
         assert not pool.started  # refused pool fully torn down
 
     def test_start_is_idempotent(self):
-        with fast_pool(workers=1) as pool:
+        with WarmWorkerPool(1) as pool:
             pids = pool.worker_pids
             pool.start()
             assert pool.worker_pids == pids
 
     def test_close_is_idempotent(self):
-        pool = fast_pool(workers=1).start()
+        pool = WarmWorkerPool(1).start()
         pool.close()
         pool.close()
 
     def test_serves_leases_matching_serial_results(self):
         spec = analytic_spec()
         grid = spec.cells()
-        leases = plan_leases(grid, workers=2, batch_size=1)
-        with fast_pool(workers=2) as pool:
+        leases = plan_leases(grid, workers=2)
+        assert len(leases) == len(grid)  # one cell per lease
+        with WarmWorkerPool(2) as pool:
             served = {}
             for index, cells, info in pool.run_leases(spec, leases):
                 served[index] = cells
@@ -218,8 +284,8 @@ class TestWarmWorkerPool:
 
     def test_spans_ride_the_lease_payload(self):
         spec = analytic_spec(deltas=(0.1,))
-        leases = plan_leases(spec.cells(), workers=2, batch_size=1)
-        with fast_pool(workers=2) as pool:
+        leases = plan_leases(spec.cells(), workers=2)
+        with WarmWorkerPool(2) as pool:
             pids = set(pool.worker_pids)
             shipped = {index: info["spans"] for index, _, info
                        in pool.run_leases(spec, leases, spans=True)}
@@ -232,7 +298,7 @@ class TestWarmWorkerPool:
 
     def test_worker_failure_raises_lease_error_and_closes(self):
         spec = analytic_spec()
-        pool = fast_pool(workers=1).start()
+        pool = WarmWorkerPool(1).start()
         with pytest.raises(LeaseError, match="lease 0 failed"):
             # delta <= 0 fails config validation inside the worker.
             list(pool.run_leases(spec, [[(-1.0, 1)]]))

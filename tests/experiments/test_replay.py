@@ -16,9 +16,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.experiments import cache as cache_module
 from repro.experiments import fastforward as ff
-from repro.experiments.cache import cache_salt, replay_fingerprint
 from repro.experiments.campaign import (
     CampaignSpec,
     _run_cell,
@@ -165,20 +164,41 @@ class TestPrefixProperty:
 
 
 class TestReplayFingerprint:
-    def test_stable_and_salted(self):
-        key = replay_fingerprint("inria-umd", LIGHT_KWARGS, 1)
-        assert key == replay_fingerprint("inria-umd", dict(LIGHT_KWARGS), 1)
-        assert key == replay_fingerprint("inria-umd", LIGHT_KWARGS, 1,
-                                         salt=cache_salt())
-        assert key != replay_fingerprint("inria-umd", LIGHT_KWARGS, 1,
-                                         salt="other-code-version")
+    """``replay_key``: the in-process identity of one seed's replay."""
+
+    def test_ignores_kwargs_order(self):
+        reordered = dict(reversed(list(LIGHT_KWARGS.items())))
+        assert list(reordered) != list(LIGHT_KWARGS)
+        assert ff.replay_key(config_for()) == ff.replay_key(
+            dataclasses.replace(config_for(), scenario_kwargs=reordered))
 
     def test_sensitive_to_causal_inputs_only(self):
-        key = replay_fingerprint("inria-umd", LIGHT_KWARGS, 1)
-        assert key != replay_fingerprint("umd-pitt", LIGHT_KWARGS, 1)
-        assert key != replay_fingerprint("inria-umd", LIGHT_KWARGS, 2)
-        assert key != replay_fingerprint(
-            "inria-umd", dict(LIGHT_KWARGS, utilization_fwd=0.4), 1)
+        key = ff.replay_key(config_for())
+        assert key != ff.replay_key(
+            dataclasses.replace(config_for(), scenario="umd-pitt"))
+        assert key != ff.replay_key(config_for(seed=2))
+        assert key != ff.replay_key(dataclasses.replace(
+            config_for(),
+            scenario_kwargs=dict(LIGHT_KWARGS, utilization_fwd=0.4)))
+
+    def test_separates_seed_scenario_and_kwargs(self):
+        # Values that would run together if the parts were concatenated
+        # ("seed 1" + "kwargs 1x" vs "seed 11" + "kwargs x") stay apart.
+        one = dataclasses.replace(config_for(seed=1),
+                                  scenario_kwargs={"k": "1x"})
+        eleven = dataclasses.replace(config_for(seed=11),
+                                     scenario_kwargs={"k": "x"})
+        assert ff.replay_key(one) != ff.replay_key(eleven)
+        scenario, kwargs, seed = ff.replay_key(one)
+        assert (scenario, json.loads(kwargs), seed) \
+            == ("inria-umd", {"k": "1x"}, 1)
+
+    def test_needs_no_cache_salt(self, monkeypatch):
+        def unavailable():
+            raise AssertionError("replay_key must not derive the salt")
+
+        monkeypatch.setattr(cache_module, "cache_salt", unavailable)
+        assert ff.replay_key(config_for()) == ff.replay_key(config_for())
 
     def test_delta_and_duration_excluded(self):
         """Cells differing only in δ/duration share one replay key."""
@@ -202,26 +222,25 @@ class TestCrossReplayMemo:
         assert memo.counters() == (0, 1)
 
     def test_lru_eviction_bounds_entries(self):
-        memo = ff.CrossReplayMemo(entries=2)
-        for key in ("a", "b", "c"):
+        memo = ff.CrossReplayMemo()
+        keys = [f"k{i}" for i in range(ff.DEFAULT_REPLAY_ENTRIES + 1)]
+        for key in keys:
             memo.put(key, ff.CrossReplay(horizon=1.0,
                                          streams=(None, None)))
-        assert len(memo) == 2
-        assert memo.get("a", 1.0) is None  # oldest evicted
-        assert memo.get("c", 1.0) is not None
+        assert len(memo) == ff.DEFAULT_REPLAY_ENTRIES
+        assert memo.get(keys[0], 1.0) is None  # oldest evicted
+        assert memo.get(keys[-1], 1.0) is not None
 
     def test_get_refreshes_recency(self):
-        memo = ff.CrossReplayMemo(entries=2)
-        memo.put("a", ff.CrossReplay(horizon=1.0, streams=(None, None)))
-        memo.put("b", ff.CrossReplay(horizon=1.0, streams=(None, None)))
-        memo.get("a", 1.0)
-        memo.put("c", ff.CrossReplay(horizon=1.0, streams=(None, None)))
-        assert memo.get("a", 1.0) is not None  # refreshed, "b" evicted
-        assert memo.get("b", 1.0) is None
-
-    def test_rejects_zero_entries(self):
-        with pytest.raises(ConfigurationError):
-            ff.CrossReplayMemo(entries=0)
+        memo = ff.CrossReplayMemo()
+        keys = [f"k{i}" for i in range(ff.DEFAULT_REPLAY_ENTRIES)]
+        for key in keys:
+            memo.put(key, ff.CrossReplay(horizon=1.0, streams=(None, None)))
+        memo.get(keys[0], 1.0)
+        memo.put("new", ff.CrossReplay(horizon=1.0, streams=(None, None)))
+        # The oldest was refreshed, so the second oldest went instead.
+        assert memo.get(keys[0], 1.0) is not None
+        assert memo.get(keys[1], 1.0) is None
 
 
 @pytest.fixture()
@@ -308,7 +327,7 @@ class TestExecutorMatrix:
             result.trace.save_csv(path)
             reference[(delta, seed)] = (path.read_bytes(),
                                         result.queue_stats)
-        cache_salt()  # warm before forking so pool handshakes are cheap
+        cache_module.cache_salt()  # warm before forking: cheap handshakes
         manifests = {}
         for name, workers in (("serial", 1), ("warm", 2)):
             result = run_campaign(self.spec(tmp_path, name),
@@ -365,7 +384,7 @@ class TestExecutorMatrix:
         assert dispatch["replay_hits"] == len(spec.cells()) - len(seeds)
 
     def test_warm_pool_replay_accounting_in_timing(self, tmp_path):
-        cache_salt()
+        cache_module.cache_salt()
         result = run_campaign(self.spec(tmp_path, "warm-counted"),
                               workers=2)
         dispatch = result.dispatch_stats

@@ -91,12 +91,6 @@ class TestPersistence:
         assert loaded.payload_bytes == trace.payload_bytes
         assert loaded.wire_bytes == trace.wire_bytes
 
-    def test_json_roundtrip(self):
-        trace = make_trace([0.1, 0.0], meta={"live": True})
-        loaded = ProbeTrace.from_json(trace.to_json())
-        assert np.allclose(loaded.rtts, trace.rtts)
-        assert loaded.meta == {"live": True}
-
     def test_load_csv_missing_delta_infers_from_send_times(self, tmp_path):
         path = tmp_path / "bare.csv"
         path.write_text("n,send_time,rtt\n0,0.0,0.1\n1,0.025,0.2\n")

@@ -24,8 +24,7 @@ class TestSameSeedEquality:
     def test_full_observability_is_bit_identical(self):
         bare = run_experiment(ExperimentConfig(**CONFIG_KWARGS))
         observed, _scenario, obs = run_observed_experiment(
-            ExperimentConfig(**CONFIG_KWARGS),
-            kernel_trace=True, lifecycle=True)
+            ExperimentConfig(**CONFIG_KWARGS), trace=True)
         assert bits(observed) == bits(bare)
         # The collectors really ran.
         assert len(obs.kernel) > 0

@@ -117,6 +117,30 @@ class TestCampaignCli:
         with pytest.raises(SystemExit):
             cli.main_campaign(["--workers", "0"])
 
+    def test_batch_size_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main_campaign(["--batch-size", "2"])
+        assert exc.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [
+        ["--deltas-ms", "50", "50"],
+        ["--seeds", "1", "1"],
+    ])
+    def test_repeated_cell_is_a_usage_error(self, grid, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main_campaign(grid + ["--duration", "5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "d50_s1" in err
+        assert "Traceback" not in err
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main_campaign(["--seeds", "-1", "--duration", "5"])
+        assert exc.value.code == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_cache_dir_flag_warm_run_all_hits(self, tmp_path, capsys):
         args = ["--deltas-ms", "100", "--seeds", "1", "--duration", "5",
                 "--cache-dir", str(tmp_path / "cache")]
