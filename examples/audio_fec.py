@@ -20,21 +20,21 @@ delay-distribution question the paper raises.
 Run:  python examples/audio_fec.py
 """
 
-from repro import build_inria_umd, loss_stats, run_probe_experiment
+from repro import loss_stats
 from repro.apps.fec import evaluate_repair
 from repro.apps.playout import AdaptivePlayout, playout_delay_for_loss
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import execute_experiment
 
 
 def main() -> None:
     # Audio packetization intervals from the paper's discussion:
     # 22.5 ms [24] to 125 ms [27].
     for interval in (0.0225, 0.0625, 0.125):
-        scenario = build_inria_umd(seed=23)
-        scenario.start_traffic()
-        trace = run_probe_experiment(scenario.network, scenario.source,
-                                     scenario.echo, delta=interval,
-                                     count=int(180 / interval),
-                                     start_at=30.0)
+        # Three minutes of audio after a 30 s cross-traffic warm-up.
+        trace = execute_experiment(ExperimentConfig(
+            delta=interval, duration=180.0, seed=23, warmup=30.0,
+            scenario="inria-umd", mode="analytic")).trace
         stats = loss_stats(trace)
         repair = evaluate_repair(trace, group=4, depth=4)
         print(f"audio interval {interval * 1e3:6.1f} ms: "

@@ -14,19 +14,20 @@ probes to queue behind each other) and where it degrades.
 Run:  python examples/bottleneck_estimation.py
 """
 
-from repro import build_inria_umd, build_umd_pitt, run_probe_experiment
 from repro.analysis.phase import fit_compression_line, phase_points
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import execute_experiment
 
 
-def estimate(scenario_name: str, build, deltas, count: int = 4000,
-             tolerance: float = 4e-3, **build_kwargs) -> None:
-    print(f"--- {scenario_name}")
+def estimate(title: str, scenario_name: str, deltas, count: int = 4000,
+             tolerance: float = 4e-3, **scenario_kwargs) -> None:
+    print(f"--- {title}")
     for delta in deltas:
-        scenario = build(seed=11, **build_kwargs)
-        scenario.start_traffic()
-        trace = run_probe_experiment(scenario.network, scenario.source,
-                                     scenario.echo, delta=delta,
-                                     count=count, start_at=20.0)
+        result = execute_experiment(ExperimentConfig(
+            delta=delta, duration=count * delta, seed=11, warmup=20.0,
+            scenario=scenario_name, scenario_kwargs=scenario_kwargs,
+            mode="analytic"))
+        trace, scenario = result.trace, result.scenario
         fit = fit_compression_line(phase_points(trace),
                                    mu_hint=scenario.bottleneck_rate_bps,
                                    tolerance=tolerance)
@@ -46,15 +47,15 @@ def estimate(scenario_name: str, build, deltas, count: int = 4000,
 
 def main() -> None:
     estimate("INRIA -> UMd (128 kb/s transatlantic bottleneck)",
-             build_inria_umd, deltas=(0.020, 0.050, 0.100))
+             "inria-umd", deltas=(0.020, 0.050, 0.100))
     # On the fast path P/mu is ~58 us — far below the UMd host's 3 ms clock
     # tick, so the intercept cannot be read from quantized timestamps (the
     # paper likewise declines to name this path's bottleneck).  With a
     # perfect clock and a tight band the technique works again.
     estimate("UMd -> Pittsburgh, 3 ms host clock (as measured)",
-             build_umd_pitt, deltas=(0.008,))
+             "umd-pitt", deltas=(0.008,))
     estimate("UMd -> Pittsburgh, perfect host clock (counterfactual)",
-             build_umd_pitt, deltas=(0.002,), tolerance=5e-5,
+             "umd-pitt", deltas=(0.002,), tolerance=5e-5,
              quantized_clock=False)
 
 

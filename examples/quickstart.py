@@ -9,27 +9,21 @@ of Sections 4 and 5.
 Run:  python examples/quickstart.py
 """
 
-from repro import (
-    build_inria_umd,
-    estimate_bottleneck_mu,
-    loss_stats,
-    phase_points,
-    run_probe_experiment,
-    summarize,
-)
+from repro import estimate_bottleneck_mu, loss_stats, phase_points, summarize
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import execute_experiment
 from repro.plotting import scatter
 
 
 def main() -> None:
-    # Build the calibrated scenario and start its cross traffic.
-    scenario = build_inria_umd(seed=7)
-    scenario.start_traffic()
-
-    # One NetDyn experiment: delta = 50 ms, 2 simulated minutes,
-    # starting after a 30 s warm-up.
-    trace = run_probe_experiment(scenario.network, scenario.source,
-                                 scenario.echo, delta=0.050, count=2400,
-                                 start_at=30.0)
+    # One NetDyn experiment on the calibrated scenario: delta = 50 ms,
+    # 2 simulated minutes, starting after a 30 s cross-traffic warm-up.
+    # The analytic engine replays the bottleneck queue exactly (it falls
+    # back to the event simulation when a scenario is not eligible).
+    result = execute_experiment(ExperimentConfig(
+        delta=0.050, duration=120.0, seed=7, warmup=30.0,
+        scenario="inria-umd", mode="analytic"))
+    trace, scenario = result.trace, result.scenario
 
     delay = summarize(trace)
     print(f"probes: {len(trace)}  received: {delay.count}")

@@ -141,11 +141,10 @@ class Periodogram:
         return 1.0 / float(self.frequencies[peak])
 
 
-def periodogram(trace: ProbeTrace, detrend: bool = True) -> Periodogram:
-    """Periodogram of the rtt series sampled every δ seconds."""
+def periodogram(trace: ProbeTrace) -> Periodogram:
+    """Periodogram of the mean-removed rtt series sampled every δ seconds."""
     series = _contiguous_valid(trace)
-    if detrend:
-        series = series - series.mean()
+    series = series - series.mean()
     spectrum = np.abs(np.fft.rfft(series)) ** 2 / len(series)
     freqs = np.fft.rfftfreq(len(series), d=trace.delta)
     return Periodogram(frequencies=freqs[1:], power=spectrum[1:])

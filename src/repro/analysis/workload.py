@@ -71,7 +71,6 @@ def probe_gap_samples(trace: ProbeTrace) -> np.ndarray:
 
 def workload_distribution(trace: ProbeTrace, mu: float,
                           bin_width: float = 2e-3,
-                          max_gap: Optional[float] = None,
                           ) -> WorkloadDistribution:
     """Histogram the workload samples of a trace.
 
@@ -83,16 +82,15 @@ def workload_distribution(trace: ProbeTrace, mu: float,
     bin_width:
         Histogram bin width in seconds (2 ms default, comparable to the
         paper's figures).
-    max_gap:
-        Upper edge of the histogram; defaults to ``4 δ``.
+
+    The histogram spans ``[0, 4 δ]``.
     """
     if mu <= 0:
         raise AnalysisError(f"mu must be positive, got {mu}")
     if bin_width <= 0:
         raise AnalysisError(f"bin width must be positive, got {bin_width}")
     samples = probe_gap_samples(trace)
-    upper = 4 * trace.delta if max_gap is None else max_gap
-    edges = np.arange(0.0, upper + bin_width, bin_width)
+    edges = np.arange(0.0, 4 * trace.delta + bin_width, bin_width)
     counts, edges = np.histogram(samples, bins=edges)
     return WorkloadDistribution(samples=samples, counts=counts, edges=edges,
                                 delta=trace.delta, mu=mu,

@@ -28,7 +28,7 @@ from repro.analysis.timeseries import summarize
 from repro.errors import ConfigurationError
 from repro.experiments.cache import CampaignCache, cache_salt
 from repro.experiments.campaign import CampaignSpec, run_campaign
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import SCENARIO_BUILDERS, ExperimentConfig
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.report import as_text, run_all
 from repro.experiments.runner import (
@@ -49,7 +49,7 @@ def main_experiment(argv: Optional[Sequence[str]] = None) -> int:
                         help="probe interval in milliseconds (default 50)")
     parser.add_argument("--duration", type=float, default=120.0,
                         help="probe-train length in seconds (default 120)")
-    parser.add_argument("--scenario", choices=("inria-umd", "umd-pitt"),
+    parser.add_argument("--scenario", choices=tuple(SCENARIO_BUILDERS),
                         default="inria-umd")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--mode", choices=("event", "analytic"),
@@ -75,9 +75,12 @@ def main_experiment(argv: Optional[Sequence[str]] = None) -> int:
                              "metrics) as JSON")
     args = parser.parse_args(argv)
 
-    config = ExperimentConfig(delta=ms(args.delta_ms),
-                              duration=args.duration, seed=args.seed,
-                              scenario=args.scenario, mode=args.mode)
+    try:
+        config = ExperimentConfig(delta=ms(args.delta_ms),
+                                  duration=args.duration, seed=args.seed,
+                                  scenario=args.scenario, mode=args.mode)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     observed = bool(args.trace or args.metrics or args.manifest)
     if observed and args.mode == "analytic":
         parser.error("--trace/--metrics/--manifest record event-kernel "
@@ -173,7 +176,7 @@ def main_campaign(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--duration", type=float, default=120.0,
                         help="probe-train length per cell in seconds "
                              "(default 120)")
-    parser.add_argument("--scenario", choices=("inria-umd", "umd-pitt"),
+    parser.add_argument("--scenario", choices=tuple(SCENARIO_BUILDERS),
                         default="inria-umd")
     parser.add_argument("--mode", choices=("event", "analytic"),
                         default="event",
@@ -296,7 +299,12 @@ def main_figures(argv: Optional[Sequence[str]] = None) -> int:
     unknown = [n for n in args.names if n not in ALL_FIGURES]
     if unknown:
         parser.error(f"unknown figure names: {unknown}")
-    results = run_all(only=args.names or None, seed=args.seed)
+    try:
+        # Each driver builds its configs before simulating anything, so a
+        # bad --seed is reported here before any work is done.
+        results = run_all(only=args.names or None, seed=args.seed)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     print(as_text(results, renderings=args.render))
     if args.export_dir:
         from repro.experiments.report import export_results
@@ -310,13 +318,16 @@ def main_traceroute(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-traceroute",
         description="Run traceroute over a simulated paper topology.")
-    parser.add_argument("--scenario", choices=("inria-umd", "umd-pitt"),
+    parser.add_argument("--scenario", choices=tuple(SCENARIO_BUILDERS),
                         default="inria-umd")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
-    config = ExperimentConfig(delta=0.05, seed=args.seed,
-                              scenario=args.scenario)
+    try:
+        config = ExperimentConfig(delta=0.05, seed=args.seed,
+                                  scenario=args.scenario)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     scenario = build_scenario(config)
     hops = traceroute(scenario.network, scenario.source, scenario.echo)
     print(format_route_table(

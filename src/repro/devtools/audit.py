@@ -30,7 +30,6 @@ from repro.devtools.core import (
     Rule,
     all_project_rules,
     all_rules,
-    audit_source,
     get_rule,
 )
 from repro.devtools.reporters import (
@@ -69,19 +68,6 @@ def iter_python_files(paths: Sequence[str]) -> List[Path]:
         for candidate in candidates:
             by_resolved.setdefault(candidate.resolve(), candidate)
     return sorted(by_resolved.values())
-
-
-def audit_file(path: Path, rules: Optional[Sequence[Rule]] = None,
-               ) -> List[Finding]:
-    """Audit one file; syntax errors become a single PARSE001 finding."""
-    source = path.read_text(encoding="utf-8")
-    name = path.as_posix()
-    try:
-        return audit_source(source, path=name, rules=rules)
-    except SyntaxError as exc:
-        return [Finding(rule=PARSE_RULE_ID, path=name,
-                        line=exc.lineno or 1, col=(exc.offset or 1) - 1,
-                        message=f"file does not parse: {exc.msg}")]
 
 
 def _parse_contexts(files: Sequence[Path],

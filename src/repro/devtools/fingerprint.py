@@ -106,13 +106,6 @@ def fingerprint_source(source: str, path: str = "<string>") -> str:
     return digest.hexdigest()
 
 
-def fingerprint_file(path: Union[str, Path]) -> str:
-    """Fingerprint of one source file (see :func:`fingerprint_source`)."""
-    path = Path(path)
-    return fingerprint_source(path.read_text(encoding="utf-8"),
-                              path=path.as_posix())
-
-
 @dataclass
 class SaltReport:
     """The derived salt plus everything that went into it."""

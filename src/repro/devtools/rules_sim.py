@@ -58,5 +58,5 @@ class KernelPrivateAccessRule(Rule):
             yield ctx.finding(
                 self, node,
                 f"access to private kernel state `.{node.attr}`; use the "
-                f"public Simulator/EventQueue API (now, schedule, call_at, "
-                f"pending_events, streams, push/pop/peek_time)")
+                f"public Simulator API (now, schedule, call_at, "
+                f"pending_events, streams)")

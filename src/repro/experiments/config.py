@@ -8,11 +8,15 @@ suite completes in minutes.  Set the environment variable
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Any, Callable, Dict
 
 from repro.errors import ConfigurationError
+from repro.topology.inria_umd import build_inria_umd
+from repro.topology.umd_pitt import build_umd_pitt
 
 #: The probe intervals of the paper's experiments, seconds.
 PAPER_DELTAS = (0.008, 0.020, 0.050, 0.100, 0.200, 0.500)
@@ -22,6 +26,13 @@ PAPER_DURATION = 600.0
 
 #: Warm-up before probing starts, letting cross traffic reach steady state.
 DEFAULT_WARMUP = 30.0
+
+#: The topology builder of each scenario name: the ``scenario`` values
+#: :class:`ExperimentConfig` accepts and the CLIs' ``--scenario`` choices.
+SCENARIO_BUILDERS: Dict[str, Callable[..., Any]] = {
+    "inria-umd": build_inria_umd,
+    "umd-pitt": build_umd_pitt,
+}
 
 #: Execution modes: exact event simulation (the golden reference) and the
 #: analytic fluid/aggregate fast-forward of the bottleneck queue.
@@ -57,9 +68,12 @@ class ExperimentConfig:
     warmup:
         Cross-traffic warm-up before the first probe, seconds.
     scenario:
-        ``"inria-umd"`` or ``"umd-pitt"``.
+        A key of :data:`SCENARIO_BUILDERS`: ``"inria-umd"`` or
+        ``"umd-pitt"``.
     scenario_kwargs:
-        Extra arguments forwarded to the topology builder.
+        Extra keyword arguments forwarded to the scenario's builder.  Each
+        key must be a keyword the builder takes, other than ``seed``,
+        which the ``seed`` field sets.
     mode:
         ``"event"`` runs the exact event-driven simulation (the golden
         reference); ``"analytic"`` fast-forwards the bottleneck queue
@@ -90,8 +104,18 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigurationError(
                 f"seed must be a non-negative integer: {self.seed}")
-        if self.scenario not in ("inria-umd", "umd-pitt"):
+        builder = SCENARIO_BUILDERS.get(self.scenario)
+        if builder is None:
             raise ConfigurationError(f"unknown scenario {self.scenario!r}")
+        accepted = inspect.signature(builder).parameters
+        for key in sorted(self.scenario_kwargs):
+            if key == "seed":
+                raise ConfigurationError(
+                    f"scenario {self.scenario!r}: scenario_kwargs may not "
+                    f"set 'seed'; use the config's seed field")
+            if key not in accepted:
+                raise ConfigurationError(
+                    f"scenario {self.scenario!r} takes no keyword {key!r}")
         if self.mode not in EXECUTION_MODES:
             raise ConfigurationError(
                 f"unknown execution mode {self.mode!r}; "

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, \
     Union
 
 from repro.errors import ConfigurationError
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import SCENARIO_BUILDERS, ExperimentConfig
 from repro.net.routing import Network
 from repro.netdyn.session import run_probe_experiment
 from repro.netdyn.trace import ProbeTrace
@@ -26,7 +26,7 @@ from repro.obs import MetricsRegistry, Observability
 from repro.obs.spans import PHASE_SETUP, PHASE_SIM, SpanTracer, \
     optional_span
 from repro.topology.inria_umd import InriaUmdScenario, build_inria_umd
-from repro.topology.umd_pitt import UmdPittScenario, build_umd_pitt
+from repro.topology.umd_pitt import UmdPittScenario
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.experiments.fastforward import CrossReplayMemo
@@ -34,16 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 Scenario = Union[InriaUmdScenario, UmdPittScenario]
 
 
-#: The topology builder of each scenario name.
-_SCENARIO_BUILDERS = {
-    "inria-umd": build_inria_umd,
-    "umd-pitt": build_umd_pitt,
-}
-
-
 def build_scenario(config: ExperimentConfig) -> Scenario:
     """Instantiate the topology named by the configuration."""
-    builder = _SCENARIO_BUILDERS.get(config.scenario)
+    builder = SCENARIO_BUILDERS.get(config.scenario)
     if builder is None:
         # ExperimentConfig validates on construction, but a mutated config
         # must not silently fall through to the wrong topology.
@@ -93,7 +86,7 @@ def _cross_source_count(config: ExperimentConfig) -> int:
     (:func:`repro.traffic.mix.attach_internet_mix`).  Parameters the
     configuration omits take the builder's own defaults.
     """
-    builder = _SCENARIO_BUILDERS.get(config.scenario, build_inria_umd)
+    builder = SCENARIO_BUILDERS.get(config.scenario, build_inria_umd)
     defaults = inspect.signature(builder).parameters
     kwargs = config.scenario_kwargs
     bulk = kwargs.get("bulk_fraction", defaults["bulk_fraction"].default)

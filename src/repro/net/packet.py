@@ -54,16 +54,6 @@ ICMP_ERROR_KINDS = frozenset({
 _uid_counter = itertools.count(1)
 
 
-def next_packet_uid() -> int:
-    """Return the next packet uid (diagnostics only).
-
-    Uids restart from 1 whenever a :class:`~repro.sim.kernel.Simulator` is
-    constructed (see :func:`reset_packet_uids`), so they are unique within a
-    simulation, not across a whole process.
-    """
-    return next(_uid_counter)
-
-
 def reset_packet_uids() -> None:
     """Restart the uid counter at 1.
 

@@ -62,19 +62,10 @@ class DropTailQueue:
     def __len__(self) -> int:
         return len(self._packets)
 
-    @property
-    def bytes_queued(self) -> int:
-        """Total wire bytes currently buffered."""
-        return self._bytes
-
     def _occupancy_after(self, packet: Packet) -> int:
         if self.mode == MODE_PACKETS:
             return len(self._packets) + 1
         return self._bytes + packet.size_bytes
-
-    def would_drop(self, packet: Packet) -> bool:
-        """True if enqueuing ``packet`` now would overflow the buffer."""
-        return self._occupancy_after(packet) > self.capacity
 
     @property
     def lifecycle(self) -> Optional[LifecycleObserver]:

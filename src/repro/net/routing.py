@@ -61,7 +61,6 @@ class Network:
              queue_mode: str = MODE_PACKETS,
              rate_bps_ba: Optional[float] = None,
              prop_delay_ba: Optional[float] = None,
-             queue_capacity_ba: Optional[int] = None,
              ) -> tuple[Interface, Interface]:
         """Create a bidirectional link between nodes ``a`` and ``b``.
 
@@ -77,8 +76,7 @@ class Network:
             node_b, node_a,
             rate_bps if rate_bps_ba is None else rate_bps_ba,
             prop_delay if prop_delay_ba is None else prop_delay_ba,
-            queue_capacity if queue_capacity_ba is None else queue_capacity_ba,
-            queue_mode)
+            queue_capacity, queue_mode)
         self._edges.append((a, b, iface_ab))
         self._edges.append((b, a, iface_ba))
         return iface_ab, iface_ba

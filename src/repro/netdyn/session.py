@@ -13,7 +13,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError
 from repro.net.routing import Network
-from repro.netdyn import packetfmt
 from repro.netdyn.echo import ECHO_PORT, EchoAgent
 from repro.netdyn.source import SINK_PORT, SourceAgent
 from repro.netdyn.trace import ProbeTrace
@@ -31,8 +30,6 @@ DEFAULT_DRAIN = 5.0
 def run_probe_experiment(network: Network, source: str, echo: str,
                          delta: float, count: Optional[int] = None,
                          duration: Optional[float] = None,
-                         payload_bytes: int = packetfmt.PROBE_PAYLOAD_BYTES,
-                         drain: float = DEFAULT_DRAIN,
                          start_at: float = 0.0,
                          meta: Optional[dict] = None,
                          registry: Optional["MetricsRegistry"] = None,
@@ -41,7 +38,9 @@ def run_probe_experiment(network: Network, source: str, echo: str,
 
     Exactly one of ``count`` and ``duration`` must be given; ``duration``
     (seconds) is converted to a probe count, matching the paper's "each
-    experiment lasts 10 minutes" specification.
+    experiment lasts 10 minutes" specification.  Probes carry
+    :data:`~repro.netdyn.packetfmt.PROBE_PAYLOAD_BYTES` of payload, and the
+    run continues :data:`DEFAULT_DRAIN` seconds past the last send.
 
     Parameters
     ----------
@@ -71,8 +70,7 @@ def run_probe_experiment(network: Network, source: str, echo: str,
     echo_host = network.host(echo)
 
     agent = SourceAgent(source_host, echo_host=echo, echo_port=ECHO_PORT,
-                        delta=delta, count=count,
-                        payload_bytes=payload_bytes)
+                        delta=delta, count=count)
     echoer = EchoAgent(echo_host, destination=source,
                        destination_port=SINK_PORT)
     if registry is not None:
@@ -90,7 +88,7 @@ def run_probe_experiment(network: Network, source: str, echo: str,
                          description="probes bounced back by the echo agent")
     agent.start(at=start_at)
 
-    end_time = start_at + count * delta + drain
+    end_time = start_at + count * delta + DEFAULT_DRAIN
     network.sim.run(until=end_time)
 
     trace_meta = {"delta_ms": seconds_to_ms(delta), "count": count}

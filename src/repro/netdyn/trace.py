@@ -110,16 +110,6 @@ class ProbeTrace:
             raise InsufficientDataError("no received probes in trace")
         return float(valid.min())
 
-    def queueing_delays(self, base_delay: Optional[float] = None) -> np.ndarray:
-        """``w_n = rtt_n - D`` for received probes; NaN where lost.
-
-        ``base_delay`` defaults to :meth:`min_rtt`, the standard estimator
-        of the fixed component D (propagation + transmission).
-        """
-        base = self.min_rtt() if base_delay is None else base_delay
-        delays = np.where(self.received, self.rtts - base, np.nan)
-        return delays
-
     def slice(self, start: int, stop: int) -> "ProbeTrace":
         """A sub-trace of probes ``start <= n < stop`` (metadata shared)."""
         return ProbeTrace(delta=self.delta,

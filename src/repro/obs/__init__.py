@@ -4,17 +4,18 @@ Five parts, all passive observers of the substrate:
 
 * **Kernel tracing** (:mod:`repro.obs.tracer`) — every fired event with its
   simulated time, label, priority, and wall-clock cost, plus per-label
-  profiles for hot-path hunting.
-* **Metrics registry** (:mod:`repro.obs.registry`) — named counters, gauges,
-  and histograms pulled from the components' existing ``sim.monitor``
-  instruments, snapshotted into one nested dict per run.
+  profiles for hot-path hunting, kept in a bounded ring buffer.
+* **Metrics registry** (:mod:`repro.obs.registry`) — named counters and
+  gauges pulled from the components' existing ``sim.monitor`` instruments,
+  snapshotted into one nested dict per run.
 * **Packet-lifecycle tracing** (:mod:`repro.obs.lifecycle`) — per-packet hop
   records (created / enqueued / dropped / tx / delivered, with queue
   occupancy) so any probe's full path can be reconstructed and joined
   against its :class:`~repro.netdyn.trace.ProbeTrace` row.
 * **Exporters and manifests** (:mod:`repro.obs.export`,
   :mod:`repro.obs.manifest`) — JSONL, Chrome ``trace_event``, and the run
-  manifest written next to campaign outputs.
+  manifest written next to campaign outputs.  Every format is plain JSON
+  and is read back with :mod:`json`; no reader for them ships here.
 * **Campaign telemetry** (:mod:`repro.obs.spans`,
   :mod:`repro.obs.progress`, :mod:`repro.obs.bench`,
   :mod:`repro.obs.structlog`) — cross-process wall-clock spans merged into
@@ -61,10 +62,6 @@ from repro.obs.bench import (
     write_report,
 )
 from repro.obs.export import (
-    read_chrome_trace,
-    read_events_jsonl,
-    read_hops_jsonl,
-    read_spans_jsonl,
     write_chrome_trace,
     write_events_jsonl,
     write_hops_jsonl,
@@ -74,8 +71,6 @@ from repro.obs.export import (
 from repro.obs.lifecycle import HopRecord, PacketLifecycleTracer, probe_uids
 from repro.obs.manifest import (
     build_manifest,
-    read_manifest,
-    read_timing,
     write_manifest,
     write_timing,
 )
@@ -83,10 +78,8 @@ from repro.obs.progress import ProgressReporter, resolve_progress
 from repro.obs.registry import (
     CounterMetric,
     GaugeMetric,
-    HistogramMetric,
     MetricsRegistry,
     instrument_network,
-    instrument_traffic,
 )
 from repro.obs.spans import (
     SpanRecord,
@@ -105,7 +98,6 @@ __all__ = [
     "CounterMetric",
     "EventRecord",
     "GaugeMetric",
-    "HistogramMetric",
     "HopRecord",
     "KernelTracer",
     "LabelProfile",
@@ -121,17 +113,10 @@ __all__ = [
     "compare_reports",
     "format_comparison",
     "instrument_network",
-    "instrument_traffic",
     "merge_spans",
     "obs_logger",
     "probe_uids",
-    "read_chrome_trace",
-    "read_events_jsonl",
-    "read_hops_jsonl",
-    "read_manifest",
     "read_report",
-    "read_spans_jsonl",
-    "read_timing",
     "resolve_progress",
     "summarize_spans",
     "write_chrome_trace",
@@ -149,8 +134,8 @@ __all__ = [
 class Observability:
     """One run's observability bundle: tracer + lifecycle + registry.
 
-    Build with :meth:`full` (everything on, the kernel tracer at its
-    default capacity), :meth:`metrics_only` (registry only — adds nothing
+    Build with :meth:`full` (everything on, the kernel tracer keeping its
+    bounded ring), :meth:`metrics_only` (registry only — adds nothing
     to the hot path), or assemble the three parts by hand.  ``kernel``
     and ``lifecycle`` stay ``None`` when their collector is disabled.
     """

@@ -39,7 +39,7 @@ import json
 import os
 import platform
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.errors import AnalysisError
 
@@ -269,8 +269,3 @@ def flat_metrics(results: Dict[str, dict], unit: str,
             metrics[f"{workload}_{value_key}"] = metric(
                 entry[value_key], unit, direction)
     return metrics
-
-
-def iter_report_paths(directory: PathLike) -> Iterable[Path]:
-    """The ``BENCH_*.json`` files under ``directory``, name-sorted."""
-    return sorted(Path(directory).glob("BENCH_*.json"))

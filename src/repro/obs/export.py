@@ -1,9 +1,8 @@
 """Exporters for observability data: JSONL and Chrome ``trace_event``.
 
 JSONL (one JSON object per line) is the machine-readable interchange format
-for event and hop records; both directions round-trip
-(:func:`write_events_jsonl` / :func:`read_events_jsonl`,
-:func:`write_hops_jsonl` / :func:`read_hops_jsonl`).
+for event, hop and span records: each row is the record's ``as_dict()``, so
+any JSON reader loads them back (no reader ships here).
 
 :func:`write_chrome_trace` emits the Chrome ``trace_event`` JSON format
 (the ``chrome://tracing`` / Perfetto ``traceEvents`` array), laying the
@@ -50,21 +49,6 @@ def write_events_jsonl(records: Iterable[EventRecord],
     return count
 
 
-def read_events_jsonl(path: PathLike) -> List[EventRecord]:
-    """Read kernel event records written by :func:`write_events_jsonl`."""
-    records = []
-    with Path(path).open() as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            records.append(EventRecord(time=row["time"], label=row["label"],
-                                       priority=row["priority"],
-                                       wall_seconds=row["wall_seconds"]))
-    return records
-
-
 def write_hops_jsonl(records: Iterable[HopRecord], path: PathLike) -> int:
     """Write packet-lifecycle hop records as JSONL; returns the row count."""
     path = _open_for_write(path)
@@ -76,23 +60,6 @@ def write_hops_jsonl(records: Iterable[HopRecord], path: PathLike) -> int:
     return count
 
 
-def read_hops_jsonl(path: PathLike) -> List[HopRecord]:
-    """Read hop records written by :func:`write_hops_jsonl`."""
-    records = []
-    with Path(path).open() as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            records.append(HopRecord(time=row["time"], uid=row["uid"],
-                                     event=row["event"], place=row["place"],
-                                     kind=row["kind"], src=row["src"],
-                                     dst=row["dst"],
-                                     queue_len=row["queue_len"]))
-    return records
-
-
 def write_spans_jsonl(records: Iterable[SpanRecord], path: PathLike) -> int:
     """Write wall-clock span records as JSONL; returns the row count."""
     path = _open_for_write(path)
@@ -102,18 +69,6 @@ def write_spans_jsonl(records: Iterable[SpanRecord], path: PathLike) -> int:
             handle.write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
             count += 1
     return count
-
-
-def read_spans_jsonl(path: PathLike) -> List[SpanRecord]:
-    """Read span records written by :func:`write_spans_jsonl`."""
-    records = []
-    with Path(path).open() as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            records.append(SpanRecord.from_dict(json.loads(line)))
-    return records
 
 
 def write_profiles_json(tracer: KernelTracer, path: PathLike) -> None:
@@ -188,9 +143,3 @@ def write_chrome_trace(path: PathLike,
     path = _open_for_write(path)
     path.write_text(json.dumps(document))
     return len(trace_events)
-
-
-def read_chrome_trace(path: PathLike) -> List[dict]:
-    """Read back the ``traceEvents`` array of a Chrome trace file."""
-    document = json.loads(Path(path).read_text())
-    return list(document["traceEvents"])

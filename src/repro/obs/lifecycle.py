@@ -205,10 +205,6 @@ class PacketLifecycleTracer:
     def __len__(self) -> int:
         return len(self.records)
 
-    def packet_uids(self) -> List[int]:
-        """Every traced packet uid, in first-seen order."""
-        return list(self._by_uid)
-
     def path(self, uid: int) -> List[HopRecord]:
         """The full milestone sequence of one packet (time-ordered)."""
         return list(self._by_uid.get(uid, ()))

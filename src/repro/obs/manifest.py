@@ -97,11 +97,6 @@ def write_manifest(path: Union[str, Path], config: Any = None,
     return manifest
 
 
-def read_manifest(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read a manifest written by :func:`write_manifest`."""
-    return json.loads(Path(path).read_text())
-
-
 def write_timing(path: Union[str, Path], workers: int,
                  cell_wall_seconds: Dict[str, float],
                  cache: Optional[Dict[str, Any]] = None,
@@ -143,8 +138,3 @@ def write_timing(path: Union[str, Path], workers: int,
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return document
-
-
-def read_timing(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read a timing sidecar written by :func:`write_timing`."""
-    return json.loads(Path(path).read_text())

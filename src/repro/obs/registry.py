@@ -1,15 +1,13 @@
-"""The metrics registry: named counters, gauges, and histograms.
+"""The metrics registry: named counters and gauges.
 
 Components register instruments under slash-separated names
 (``net/icm-sophia.icp.net/if/Ithaca.NY.NSS.NSF.NET/queue/drops`` — slashes,
 not dots, because node names are hostnames) and a single
 :meth:`MetricsRegistry.snapshot` call collects everything into one nested
-dict per run.  Counters and gauges are *pull-based*: they hold a zero-argument
+dict per run.  Every instrument is *pull-based*: it holds a zero-argument
 callable that reads state the component already maintains (the
 ``sim.monitor`` counters and time-weighted values), so registering metrics
 adds nothing to the simulation hot path and cannot perturb event order.
-Histograms are push-based (``observe``) for consumers that want
-distributions, built on :class:`repro.sim.monitor.SampleStats`.
 
 :func:`instrument_network` walks a built :class:`~repro.net.routing.Network`
 and registers the standard per-node / per-interface / per-queue instruments,
@@ -18,10 +16,9 @@ including the per-fault drop counters.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List
 
 from repro.errors import ConfigurationError
-from repro.sim.monitor import SampleStats
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.net.routing import Network
@@ -32,7 +29,6 @@ SEPARATOR = "/"
 #: Instrument kinds (the ``kind`` field of snapshot leaves).
 KIND_COUNTER = "counter"
 KIND_GAUGE = "gauge"
-KIND_HISTOGRAM = "histogram"
 
 
 class Instrument:
@@ -53,31 +49,17 @@ class Instrument:
 
 
 class CounterMetric(Instrument):
-    """A monotonically growing count.
-
-    Either *bound* (``source`` reads an existing component counter at
-    snapshot time — the zero-overhead form) or *owned* (incremented through
-    :meth:`increment`).
-    """
+    """A monotonically growing count read from a component at snapshot time."""
 
     kind = KIND_COUNTER
 
-    def __init__(self, name: str, source: Optional[Callable[[], int]] = None,
+    def __init__(self, name: str, source: Callable[[], int],
                  description: str = "") -> None:
         super().__init__(name, description)
         self._source = source
-        self._count = 0
-
-    def increment(self, by: int = 1) -> None:
-        """Add ``by`` to an owned counter (bound counters reject this)."""
-        if self._source is not None:
-            raise ConfigurationError(
-                f"counter {self.name!r} is bound to a source; "
-                f"it cannot be incremented directly")
-        self._count += by
 
     def value(self) -> int:
-        return self._source() if self._source is not None else self._count
+        return self._source()
 
 
 class GaugeMetric(Instrument):
@@ -94,47 +76,6 @@ class GaugeMetric(Instrument):
         return float(self._source())
 
 
-class HistogramMetric(Instrument):
-    """A pushed sample distribution: streaming stats plus bucket counts.
-
-    ``bounds`` are the upper edges of the finite buckets; one overflow
-    bucket catches everything above the last bound.
-    """
-
-    kind = KIND_HISTOGRAM
-
-    def __init__(self, name: str, bounds: Sequence[float],
-                 description: str = "") -> None:
-        super().__init__(name, description)
-        if not bounds or list(bounds) != sorted(bounds):
-            raise ConfigurationError(
-                f"histogram {name!r} needs ascending bucket bounds, "
-                f"got {bounds!r}")
-        self.bounds = tuple(float(b) for b in bounds)
-        self.bucket_counts = [0] * (len(self.bounds) + 1)
-        self.stats = SampleStats()
-
-    def observe(self, sample: float) -> None:
-        """Record one sample."""
-        self.stats.add(sample)
-        for index, bound in enumerate(self.bounds):
-            if sample <= bound:
-                self.bucket_counts[index] += 1
-                return
-        self.bucket_counts[-1] += 1
-
-    def value(self) -> dict:
-        return {
-            "count": self.stats.count,
-            "mean": self.stats.mean(),
-            "stddev": self.stats.stddev(),
-            "min": self.stats.minimum(),
-            "max": self.stats.maximum(),
-            "bounds": list(self.bounds),
-            "bucket_counts": list(self.bucket_counts),
-        }
-
-
 class MetricsRegistry:
     """Holds every registered instrument and snapshots them as one dict."""
 
@@ -144,9 +85,9 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def counter(self, name: str, source: Optional[Callable[[], int]] = None,
+    def counter(self, name: str, source: Callable[[], int],
                 description: str = "") -> CounterMetric:
-        """Register (and return) a counter; ``source`` makes it pull-based."""
+        """Register (and return) a pull-based counter."""
         metric = CounterMetric(name, source=source, description=description)
         self._add(metric)
         return metric
@@ -155,13 +96,6 @@ class MetricsRegistry:
               description: str = "") -> GaugeMetric:
         """Register (and return) a pull-based gauge."""
         metric = GaugeMetric(name, source=source, description=description)
-        self._add(metric)
-        return metric
-
-    def histogram(self, name: str, bounds: Sequence[float],
-                  description: str = "") -> HistogramMetric:
-        """Register (and return) a push-based histogram."""
-        metric = HistogramMetric(name, bounds=bounds, description=description)
         self._add(metric)
         return metric
 
@@ -211,8 +145,8 @@ class MetricsRegistry:
 # ----------------------------------------------------------------------
 # Standard instrumentation of a built network
 # ----------------------------------------------------------------------
-def instrument_network(registry: MetricsRegistry, network: "Network",
-                       prefix: str = "net") -> None:
+def instrument_network(registry: MetricsRegistry,
+                       network: "Network") -> None:
     """Register the standard substrate metrics for every network component.
 
     Per node: forwarding and drop counters (plus UDP counters on hosts).
@@ -225,7 +159,7 @@ def instrument_network(registry: MetricsRegistry, network: "Network",
 
     for node_name in sorted(network.nodes):
         node = network.nodes[node_name]
-        base = f"{prefix}/{node_name}"
+        base = f"net/{node_name}"
         registry.counter(f"{base}/forwarded",
                          source=lambda n=node: n.forwarded,
                          description="packets forwarded by this node")
@@ -299,23 +233,3 @@ def _instrument_fault(registry: MetricsRegistry, base: str,
                          source=lambda f=fault: f.dropped,
                          description=f"packets discarded "
                                      f"({type(fault).__name__})")
-
-
-def instrument_traffic(registry: MetricsRegistry, sources: Sequence[Any],
-                       prefix: str = "traffic") -> None:
-    """Register sent-packet/byte counters for traffic sources.
-
-    Accepts anything with ``packets_sent`` / ``bytes_sent`` attributes
-    (every :class:`repro.traffic.base.TrafficSource` subclass qualifies).
-    """
-    for index, source in enumerate(sources):
-        base = f"{prefix}/source{index}"
-        label = type(source).__name__
-        if hasattr(source, "packets_sent"):
-            registry.counter(f"{base}/packets_sent",
-                             source=lambda s=source: s.packets_sent,
-                             description=f"packets emitted ({label})")
-        if hasattr(source, "bytes_sent"):
-            registry.counter(f"{base}/bytes_sent",
-                             source=lambda s=source: s.bytes_sent,
-                             description=f"payload bytes emitted ({label})")

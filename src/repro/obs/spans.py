@@ -133,15 +133,6 @@ class SpanRecord:
                 "worker": self.worker, "cell": self.cell,
                 "depth": self.depth}
 
-    @classmethod
-    def from_dict(cls, row: dict) -> "SpanRecord":
-        """Rebuild a record from its :meth:`as_dict` form."""
-        return cls(name=row["name"], phase=row["phase"], start=row["start"],
-                   duration=row["duration"], pid=row["pid"],
-                   worker=row["worker"], cell=row.get("cell", ""),
-                   depth=row.get("depth", 0))
-
-
 class SpanTracer:
     """Records nested spans for one process.
 

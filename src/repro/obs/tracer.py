@@ -3,10 +3,10 @@
 A :class:`KernelTracer` attaches to :meth:`repro.sim.kernel.Simulator` via
 ``sim.attach_observer(tracer)`` and records one :class:`EventRecord` per
 executed event — simulated time, label, priority, and the wall-clock cost of
-the callback.  Records go into a bounded ring buffer (or an unbounded log),
-and every event also feeds a per-label :class:`LabelProfile`, which is how
-hot paths are found: sort profiles by total wall time and the most expensive
-event kinds fall out.
+the callback.  Records go into a bounded ring buffer, and every event also
+feeds a per-label :class:`LabelProfile`, which is how hot paths are found:
+sort profiles by total wall time and the most expensive event kinds fall
+out.
 
 The tracer is purely passive: it never touches the simulator, so attaching
 it cannot change any simulated timestamp (the same-seed equality tests in
@@ -17,11 +17,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List
 
-from repro.errors import ConfigurationError
-
-#: Default ring-buffer capacity: large enough for a full short experiment,
+#: Ring-buffer capacity: large enough for a full short experiment,
 #: bounded so day-long runs cannot exhaust memory.
 DEFAULT_CAPACITY = 1_000_000
 
@@ -120,11 +118,8 @@ class LabelProfile:
 class KernelTracer:
     """Records executed kernel events into a ring buffer plus label profiles.
 
-    Parameters
-    ----------
-    capacity:
-        Ring-buffer size in records; older records are discarded once full
-        (:attr:`overwritten` counts them).  ``None`` keeps every record.
+    The ring keeps the last :data:`DEFAULT_CAPACITY` records; older ones
+    are discarded once it is full (:attr:`overwritten` counts them).
 
     Examples
     --------
@@ -138,12 +133,8 @@ class KernelTracer:
     ['tick']
     """
 
-    def __init__(self, capacity: Optional[int] = DEFAULT_CAPACITY) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ConfigurationError(
-                f"tracer capacity must be positive or None, got {capacity}")
-        self.capacity = capacity
-        self._records: Deque[EventRecord] = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self._records: Deque[EventRecord] = deque(maxlen=DEFAULT_CAPACITY)
         self._profiles: Dict[str, LabelProfile] = {}
         self.events_seen = 0
         self.total_wall_seconds = 0.0
@@ -182,10 +173,6 @@ class KernelTracer:
         return sorted(self._profiles.values(),
                       key=lambda p: (-p.total_wall_seconds, p.label))
 
-    def profile(self, label: str) -> LabelProfile:
-        """The profile for one label (KeyError if never seen)."""
-        return self._profiles[label]
-
     def events_per_wall_second(self) -> float:
         """Observed kernel throughput: events / total callback wall time."""
         if self.total_wall_seconds <= 0:
@@ -195,13 +182,6 @@ class KernelTracer:
     def hot_labels(self, n: int = 10) -> List[LabelProfile]:
         """The ``n`` labels costing the most total wall time."""
         return self.profiles()[:n]
-
-    def clear(self) -> None:
-        """Forget all records and profiles (capacity is kept)."""
-        self._records.clear()
-        self._profiles.clear()
-        self.events_seen = 0
-        self.total_wall_seconds = 0.0
 
     def __len__(self) -> int:
         return len(self._records)

@@ -122,16 +122,6 @@ class FluidQueue:
         """Seconds of service ahead of a new arrival (its Lindley wait)."""
         return (self._service_bits + self._waiting_bits) / self.rate_bps
 
-    @property
-    def waiting_packets(self) -> int:
-        """Buffered packets, excluding the one in service."""
-        return self._waiting_packets
-
-    @property
-    def waiting_bits(self) -> float:
-        """Buffered bits, excluding the packet in service."""
-        return self._waiting_bits
-
     # ------------------------------------------------------------------
     def advance(self, to_time: float) -> None:
         """Serve work until ``to_time`` (Lindley drain on the backlog).

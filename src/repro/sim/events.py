@@ -17,7 +17,6 @@ without allocating.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from typing import Any, Callable, Iterator, Optional
 
@@ -92,14 +91,21 @@ class Event:
 
 
 class EventQueue:
-    """A binary-heap pending-event set with lazy cancellation.
+    """The simulator's pending-event set: a binary heap with lazy cancellation.
 
-    Cancelled events stay in the heap and are discarded when popped; this
-    keeps :meth:`cancel` O(1) at the cost of transient heap growth, which is
-    the right trade-off for timer-heavy network simulations.  A live-event
-    counter is maintained across ``push``/``pop``/``cancel``/``clear`` so
-    ``len(queue)`` (and :meth:`Simulator.pending_events`) is O(1) instead of
-    a per-call heap scan.
+    :class:`~repro.sim.kernel.Simulator` is the only client.  Its
+    ``call_at``/``schedule`` push straight onto ``_heap`` (stamping each
+    event with ``next(_counter)`` and bumping ``_live``), and its ``run``
+    loop pops straight off it; both are inlined there because they are the
+    hottest code in the tree.  This class holds the state they share.
+
+    Cancelled events stay in the heap and are discarded when the run loop
+    reaches them; this keeps :meth:`Event.cancel` O(1) at the cost of
+    transient heap growth, which is the right trade-off for timer-heavy
+    network simulations.  The live-event counter is maintained across
+    scheduling, execution, cancellation and :meth:`clear`, so ``len(queue)``
+    (and :meth:`Simulator.pending_events`) is O(1) instead of a per-call
+    heap scan.
     """
 
     __slots__ = ("_heap", "_counter", "_live")
@@ -118,33 +124,6 @@ class EventQueue:
     def _notify_cancelled(self) -> None:
         """Bookkeeping hook called by :meth:`Event.cancel`, exactly once."""
         self._live -= 1
-
-    def push(self, time: float, action: Callable[[], Any],
-             priority: int = DEFAULT_PRIORITY, label: str = "") -> Event:
-        """Add an event and return a handle that supports ``cancel()``."""
-        event = Event(time, priority, next(self._counter), action, label)
-        event._owner = self
-        heapq.heappush(self._heap, event)
-        self._live += 1
-        return event
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest live event, or None if empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                event._owner = None
-                self._live -= 1
-                return event
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        """Return the firing time of the earliest live event, or None."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return None
-        return self._heap[0].time
 
     def clear(self) -> None:
         """Drop every pending event."""

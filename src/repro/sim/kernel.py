@@ -10,8 +10,8 @@ are naturally event-driven (a packet arrives, a timer fires), callbacks keep
 the hot path free of generator overhead, and determinism is easy to audit.
 
 The run loop is the single hottest function in the repository.  It pops the
-next live event straight off the queue's heap (one traversal, not the
-``peek_time()`` + ``pop()`` pair the public API offers) with the heap and
+next live event straight off the queue's heap (one traversal: peek at the
+head, skip it if cancelled, stop at ``until``, else pop) with the heap and
 ``heappop`` bound to locals; per-event work is limited to the cancelled-skip,
 the ``until`` bound check, the clock store, the counter bump, and the
 callback itself.  Both invariants the rest of the tree leans on are
@@ -153,8 +153,8 @@ class Simulator:
             raise SchedulingError(
                 f"cannot schedule {label or action!r} at t={time:.6f}; "
                 f"clock is already at t={self._now:.6f}")
-        # EventQueue.push, inlined down to the allocation: scheduling
-        # happens once per event, so the push() and Event.__init__ call
+        # The heap push, inlined down to the allocation: scheduling
+        # happens once per event, so a helper's and Event.__init__'s call
         # frames are both measurable (see DESIGN.md, "Hot path").  The
         # field stores must mirror Event.__init__ exactly.
         queue = self._queue
@@ -187,7 +187,7 @@ class Simulator:
             raise SchedulingError(
                 f"cannot schedule {label or action!r} with negative delay "
                 f"{delay:.6f}")
-        # EventQueue.push, inlined down to the allocation (see call_at).
+        # The heap push, inlined down to the allocation (see call_at).
         queue = self._queue
         event = _new_event(Event)
         event.time = self._now + delay

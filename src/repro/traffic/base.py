@@ -131,9 +131,3 @@ class TrafficSource:
                            dst_port=self.port, payload_bytes=payload_bytes)
         self.packets_sent += 1
         self.bytes_sent += payload_bytes
-
-    def offered_load_bps(self, elapsed: float) -> float:
-        """Average offered payload rate in bits/s over ``elapsed`` seconds."""
-        if elapsed <= 0:
-            return 0.0
-        return bytes_to_bits(self.bytes_sent) / elapsed

@@ -14,7 +14,6 @@ from repro.errors import ConfigurationError
 from repro.net.host import Host
 from repro.traffic.base import SINK_PORT, TrafficSource
 from repro.traffic.sizes import FTP_PAYLOAD_BYTES
-from repro.units import bytes_to_bits
 
 
 class FtpSource(TrafficSource):
@@ -70,11 +69,6 @@ class FtpSource(TrafficSource):
         remaining = self.rng.geometric(self._file_size_p)
         self.sessions_started += 1
         _FtpTransfer(self, remaining)
-
-    def mean_rate_bps(self) -> float:
-        """Long-run offered payload rate implied by the parameters."""
-        return (self.session_rate * self.mean_file_packets
-                * bytes_to_bits(self.payload_bytes))
 
 
 class _FtpTransfer:

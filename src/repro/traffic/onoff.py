@@ -46,8 +46,3 @@ class OnOffSource(TrafficSource):
     def _emit(self) -> None:
         if self._sim.now <= self._on_until:
             self._send(self.sizes.sample(self.rng))
-
-    @property
-    def duty_cycle(self) -> float:
-        """Long-run fraction of time the source is ON."""
-        return self.on_mean / (self.on_mean + self.off_mean)

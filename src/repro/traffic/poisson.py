@@ -107,8 +107,3 @@ class DiurnalProfile:
         import math
         cycle = math.sin(2 * math.pi * (t - self.phase) / self.period)
         return max(0.0, self.base_pps * (1.0 + self.amplitude * cycle))
-
-    @property
-    def peak_pps(self) -> float:
-        """Upper bound of the rate, for thinning."""
-        return self.base_pps * (1.0 + self.amplitude)

@@ -117,15 +117,3 @@ class ResponsiveBulkSource:
             else:
                 still_active.append((sender, receiver))
         self._active = still_active
-
-    # ------------------------------------------------------------------
-    @property
-    def active_transfers(self) -> int:
-        """Number of transfers currently in progress."""
-        self._reap_finished()
-        return len(self._active)
-
-    def total_retransmissions(self) -> int:
-        """Retransmissions across active (unreaped) transfers."""
-        return sum(sender.stats.retransmissions
-                   for sender, _ in self._active)

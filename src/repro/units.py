@@ -11,9 +11,6 @@ from __future__ import annotations
 #: Bits per byte (octet).
 BITS_PER_BYTE = 8
 
-#: Speed of light in fiber, m/s (refraction index ~1.468).
-FIBER_LIGHT_SPEED_M_PER_S = 2.0e8
-
 
 def ms(value: float) -> float:
     """Convert milliseconds to seconds."""
@@ -73,11 +70,3 @@ def transmission_delay(size_bytes: float, rate_bps: float) -> float:
     if rate_bps <= 0:
         raise ValueError(f"link rate must be positive, got {rate_bps}")
     return bytes_to_bits(size_bytes) / rate_bps
-
-
-def propagation_delay(distance_m: float,
-                      speed_m_per_s: float = FIBER_LIGHT_SPEED_M_PER_S) -> float:
-    """Propagation delay in seconds over ``distance_m`` meters of fiber."""
-    if speed_m_per_s <= 0:
-        raise ValueError(f"signal speed must be positive, got {speed_m_per_s}")
-    return distance_m / speed_m_per_s

@@ -245,12 +245,11 @@ class TestColdWarmArtifacts:
         assert mixed.queue_table() == reference.queue_table()
 
     def test_timing_sidecar_records_cache_block(self, tmp_path):
-        from repro.obs import read_timing
         cache = CampaignCache(tmp_path / "cache")
         run_campaign(small_spec(output_dir=tmp_path / "cold"), cache=cache)
         run_campaign(small_spec(output_dir=tmp_path / "warm"), cache=cache)
-        cold = read_timing(tmp_path / "cold" / "timing.json")
-        warm = read_timing(tmp_path / "warm" / "timing.json")
+        cold = json.loads((tmp_path / "cold" / "timing.json").read_text())
+        warm = json.loads((tmp_path / "warm" / "timing.json").read_text())
         assert cold["cache"]["cells"] == {"d100_s1": "miss"}
         assert cold["cache"]["bytes_written"] > 0
         assert warm["cache"]["cells"] == {"d100_s1": "hit"}

@@ -1,5 +1,7 @@
 """Tests for measurement campaigns."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,10 @@ class TestCampaignSpec:
         dict(deltas=(float("nan"),), seeds=(1,)),
         dict(deltas=(0.05,), seeds=(1,), duration=float("inf")),
         dict(deltas=(0.05,), seeds=(1,), scenario="mars-net"),
+        # A mistyped builder keyword, and a seed the grid already sets.
+        dict(deltas=(0.05,), seeds=(1,), mode="analytic",
+             scenario_kwargs={"bufer_packets": 10}),
+        dict(deltas=(0.05,), seeds=(1,), scenario_kwargs={"seed": 2}),
     ])
     def test_every_cell_config_validated_up_front(self, grid):
         # Rejected when the spec is built, not later inside a lease.
@@ -113,10 +119,9 @@ class TestRunCampaign:
         assert "100ms" in table
 
     def test_manifest_written_with_campaign(self, tmp_path):
-        from repro.obs import read_manifest
         spec = small_spec(output_dir=tmp_path)
         run_campaign(spec)
-        manifest = read_manifest(tmp_path / "manifest.json")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["deltas"] == [0.1]
         assert manifest["config"]["seeds"] == [1]
         assert "repro" in manifest["versions"]
@@ -142,11 +147,10 @@ class TestRunCampaign:
         # Regression: the manifest used to glob the output directory, so a
         # leftover trace from an earlier run in the same directory leaked
         # into the new campaign's artifact list.
-        from repro.obs import read_manifest
         (tmp_path / "trace_d999_s9.csv").write_text(
             "n,send_time,rtt\n0,0.0,0.1\n")
         run_campaign(small_spec(output_dir=tmp_path))
-        manifest = read_manifest(tmp_path / "manifest.json")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["extra"]["traces"] == ["trace_d100_s1.csv"]
 
     def test_cell_wall_seconds_recorded(self):
@@ -156,9 +160,8 @@ class TestRunCampaign:
         assert result.workers == 1
 
     def test_timing_sidecar_written(self, tmp_path):
-        from repro.obs import read_timing
         run_campaign(small_spec(output_dir=tmp_path), workers=2)
-        timing = read_timing(tmp_path / "timing.json")
+        timing = json.loads((tmp_path / "timing.json").read_text())
         assert timing["workers"] == 2
         assert set(timing["cell_wall_seconds"]) == {"d100_s1"}
         assert timing["total_cell_seconds"] > 0
@@ -191,10 +194,9 @@ class TestCellMetrics:
         assert metrics["plg_clamped"] is False
 
     def test_plg_clamped_flows_into_manifest_and_summaries(self, tmp_path):
-        from repro.obs import read_manifest
         spec = small_spec(output_dir=tmp_path)
         result = run_campaign(spec)
-        manifest = read_manifest(tmp_path / "manifest.json")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
         cell = manifest["metrics"]["cells"]["d100_s1"]
         assert cell["plg_clamped"] in (True, False)
         assert "plg_clamped" in result.summaries[0.1].values

@@ -11,8 +11,6 @@ import io
 import json
 
 from repro.experiments.campaign import CampaignSpec, run_campaign
-from repro.obs import read_timing
-from repro.obs.export import read_chrome_trace, read_spans_jsonl
 from repro.obs.progress import ProgressReporter
 from repro.obs.spans import (
     CHROME_SPAN_FILE,
@@ -26,6 +24,16 @@ from repro.obs.spans import (
     PHASE_SIM,
     SpanRecord,
 )
+
+
+def read_json(path):
+    return json.loads(path.read_text())
+
+
+def read_spans(path):
+    """The span records of a ``spans.jsonl`` file."""
+    return [SpanRecord(**json.loads(line))
+            for line in path.read_text().splitlines()]
 
 
 def grid_spec(output_dir, **kwargs):
@@ -69,7 +77,7 @@ class TestZeroPerturbation:
                      spans=True)
         manifest = (tmp_path / "manifest.json").read_text()
         assert "span" not in manifest
-        timing = read_timing(tmp_path / "timing.json")
+        timing = read_json(tmp_path / "timing.json")
         assert "spans" in timing
 
 
@@ -78,7 +86,7 @@ class TestSpanRecording:
         run_campaign(grid_spec(tmp_path, deltas=(0.1,), seeds=(1, 2)),
                      workers=2, spans=True)
         span_dir = tmp_path / "spans"
-        merged = read_spans_jsonl(span_dir / MERGED_SPAN_FILE)
+        merged = read_spans(span_dir / MERGED_SPAN_FILE)
         phases = {span.phase for span in merged}
         assert {PHASE_CAMPAIGN, PHASE_CELL, PHASE_SETUP, PHASE_SIM,
                 PHASE_ANALYSIS, PHASE_MERGE} <= phases
@@ -118,7 +126,7 @@ class TestSpanRecording:
                      workers=1, spans=span_dir,
                      progress=reporter)
         assert reporter.nested
-        merged = read_spans_jsonl(span_dir / MERGED_SPAN_FILE)
+        merged = read_spans(span_dir / MERGED_SPAN_FILE)
         cells = sorted(span.cell for span in merged
                        if span.phase == PHASE_CELL)
         assert cells == ["d100_s1", "d100_s2"]
@@ -126,7 +134,8 @@ class TestSpanRecording:
     def test_chrome_trace_written_for_campaign(self, tmp_path):
         run_campaign(grid_spec(tmp_path, deltas=(0.1,), seeds=(1,)),
                      spans=True)
-        rows = read_chrome_trace(tmp_path / "spans" / CHROME_SPAN_FILE)
+        trace = read_json(tmp_path / "spans" / CHROME_SPAN_FILE)
+        rows = trace["traceEvents"]
         assert rows
         assert all(row["cat"] == "span" and row["ph"] == "X"
                    for row in rows)
@@ -150,7 +159,7 @@ class TestSpanRecording:
             json.dumps(stale.as_dict(), sort_keys=True) + "\n")
         run_campaign(grid_spec(tmp_path, deltas=(0.1,), seeds=(1,)),
                      spans=True)
-        merged = read_spans_jsonl(span_dir / MERGED_SPAN_FILE)
+        merged = read_spans(span_dir / MERGED_SPAN_FILE)
         assert all(span.name != "stale" for span in merged)
 
     def test_spans_off_touches_nothing(self, tmp_path):
@@ -160,7 +169,7 @@ class TestSpanRecording:
     def test_timing_summary_aggregates_phases(self, tmp_path):
         run_campaign(grid_spec(tmp_path, deltas=(0.1,), seeds=(1, 2)),
                      spans=True)
-        summary = read_timing(tmp_path / "timing.json")["spans"]
+        summary = read_json(tmp_path / "timing.json")["spans"]
         assert summary[PHASE_CELL]["count"] == 2
         assert summary[PHASE_SIM]["count"] == 2
         assert summary[PHASE_CAMPAIGN]["count"] == 1
@@ -171,7 +180,7 @@ class TestSpanRecording:
             out = tmp_path / f"w{workers}"
             run_campaign(grid_spec(out, deltas=(0.1,), seeds=(1, 2)),
                          workers=workers, spans=True)
-            merged = read_spans_jsonl(out / "spans" / MERGED_SPAN_FILE)
+            merged = read_spans(out / "spans" / MERGED_SPAN_FILE)
             names = sorted(span.name for span in merged
                            if span.phase == PHASE_LEASE)
             # Both sides of every lease are timed: serving it (in this
@@ -183,7 +192,7 @@ class TestSpanRecording:
 class TestDispatchTelemetry:
     def test_timing_records_dispatch_block(self, tmp_path):
         run_campaign(grid_spec(tmp_path), workers=2)
-        dispatch = read_timing(tmp_path / "timing.json")["dispatch"]
+        dispatch = read_json(tmp_path / "timing.json")["dispatch"]
         assert dispatch["pool"] == "warm"
         assert dispatch["workers"] == 2
         assert dispatch["leases"] > 0
@@ -191,7 +200,7 @@ class TestDispatchTelemetry:
 
     def test_serial_dispatch_block(self, tmp_path):
         run_campaign(grid_spec(tmp_path, deltas=(0.1,), seeds=(1,)))
-        dispatch = read_timing(tmp_path / "timing.json")["dispatch"]
+        dispatch = read_json(tmp_path / "timing.json")["dispatch"]
         assert dispatch == {"pool": "serial", "workers": 1, "leases": 1,
                             "batch_size": 1,
                             "replay_hits": 0, "replay_misses": 0}

@@ -10,6 +10,7 @@ from repro.experiments.config import (
     default_duration,
     full_experiments,
 )
+from repro.experiments.runner import build_scenario
 
 
 class TestExperimentConfig:
@@ -50,6 +51,27 @@ class TestExperimentConfig:
 
     def test_scenario_kwargs_default_empty(self):
         assert ExperimentConfig(delta=0.05).scenario_kwargs == {}
+
+    @pytest.mark.parametrize("scenario, key", [
+        ("inria-umd", "bufer_packets"),
+        ("inria-umd", "buffer_bytes"),  # an umd-pitt keyword
+        ("umd-pitt", "buffer_packets"),  # an inria-umd keyword
+        ("inria-umd", "seed"),
+        ("umd-pitt", "seed"),
+    ])
+    def test_scenario_kwargs_must_be_builder_keywords(self, scenario, key):
+        # Caught when the config is built, not inside the first cell.
+        with pytest.raises(ConfigurationError) as exc:
+            ExperimentConfig(delta=0.05, scenario=scenario,
+                             scenario_kwargs={key: 10})
+        assert repr(key) in str(exc.value)
+        assert repr(scenario) in str(exc.value)
+
+    def test_builder_keywords_accepted(self):
+        config = ExperimentConfig(delta=0.05, scenario="umd-pitt",
+                                  scenario_kwargs={"buffer_bytes": 10_000,
+                                                   "quantized_clock": False})
+        assert build_scenario(config).bottleneck_fwd.queue.capacity == 10_000
 
     def test_mode_defaults_to_event(self):
         assert ExperimentConfig(delta=0.05).mode == "event"

@@ -174,8 +174,12 @@ class TestReplayFingerprint:
 
     def test_sensitive_to_causal_inputs_only(self):
         key = ff.replay_key(config_for())
-        assert key != ff.replay_key(
-            dataclasses.replace(config_for(), scenario="umd-pitt"))
+        # Keywords both builders take, so only the scenario name differs.
+        shared = {"utilization_fwd": 0.3, "utilization_rev": 0.3}
+        assert ff.replay_key(dataclasses.replace(
+            config_for(), scenario_kwargs=shared)) != ff.replay_key(
+            dataclasses.replace(config_for(), scenario="umd-pitt",
+                                scenario_kwargs=shared))
         assert key != ff.replay_key(config_for(seed=2))
         assert key != ff.replay_key(dataclasses.replace(
             config_for(),
@@ -185,13 +189,13 @@ class TestReplayFingerprint:
         # Values that would run together if the parts were concatenated
         # ("seed 1" + "kwargs 1x" vs "seed 11" + "kwargs x") stay apart.
         one = dataclasses.replace(config_for(seed=1),
-                                  scenario_kwargs={"k": "1x"})
+                                  scenario_kwargs={"window": "1x"})
         eleven = dataclasses.replace(config_for(seed=11),
-                                     scenario_kwargs={"k": "x"})
+                                     scenario_kwargs={"window": "x"})
         assert ff.replay_key(one) != ff.replay_key(eleven)
         scenario, kwargs, seed = ff.replay_key(one)
         assert (scenario, json.loads(kwargs), seed) \
-            == ("inria-umd", {"k": "1x"}, 1)
+            == ("inria-umd", {"window": "1x"}, 1)
 
     def test_needs_no_cache_salt(self, monkeypatch):
         def unavailable():

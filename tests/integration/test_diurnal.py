@@ -29,7 +29,7 @@ def build_diurnal_scenario(seed=17):
     sink = TrafficSink(network.host("cross-r"), port=9000)
     source = ModulatedPoissonSource(
         network.host("cross-l"), "cross-r", rate=profile,
-        peak_rate_pps=profile.peak_pps, sizes=FixedSize(512), port=9000)
+        peak_rate_pps=14.0 * (1.0 + 0.8), sizes=FixedSize(512), port=9000)
     source.start()
     return scenario, profile
 

@@ -10,7 +10,6 @@ from repro.net.packet import (
     Packet,
     UDP_WIRE_OVERHEAD_BYTES,
     make_udp,
-    next_packet_uid,
 )
 
 
@@ -46,7 +45,9 @@ class TestPacket:
         assert first.uid != second.uid
 
     def test_next_packet_uid_monotonic(self):
-        assert next_packet_uid() < next_packet_uid()
+        # Each new packet draws the next uid from the per-simulation counter.
+        uids = [Packet(src="a", dst="b").uid for _ in range(3)]
+        assert uids == sorted(uids) and len(set(uids)) == 3
 
     def test_icmp_classification(self):
         echo = Packet(src="a", dst="b", kind=KIND_ICMP_ECHO)

@@ -68,9 +68,9 @@ class TestByteMode:
     def test_bytes_queued_tracks_content(self, sim):
         queue = DropTailQueue(sim, capacity=1000, mode=MODE_BYTES)
         queue.enqueue(make_packet(300))
-        assert queue.bytes_queued == 300
+        assert queue.occupancy_bytes.value == 300
         queue.dequeue()
-        assert queue.bytes_queued == 0
+        assert queue.occupancy_bytes.value == 0
 
 
 class TestValidation:
@@ -120,4 +120,4 @@ def test_byte_mode_never_exceeds_capacity(capacity, sizes):
     queue = DropTailQueue(sim, capacity=capacity, mode=MODE_BYTES)
     for size in sizes:
         queue.enqueue(make_packet(size))
-        assert queue.bytes_queued <= capacity
+        assert queue.occupancy_bytes.value <= capacity

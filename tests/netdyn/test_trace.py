@@ -33,18 +33,6 @@ class TestBasics:
         with pytest.raises(InsufficientDataError):
             trace.min_rtt()
 
-    def test_queueing_delays(self):
-        trace = make_trace([0.14, 0.0, 0.24])
-        delays = trace.queueing_delays()
-        assert delays[0] == pytest.approx(0.0)
-        assert np.isnan(delays[1])
-        assert delays[2] == pytest.approx(0.1)
-
-    def test_queueing_delays_custom_base(self):
-        trace = make_trace([0.14, 0.24])
-        delays = trace.queueing_delays(base_delay=0.1)
-        assert delays[0] == pytest.approx(0.04)
-
     def test_send_times_spaced_by_delta(self):
         trace = make_trace([0.1] * 5, delta=0.02)
         assert np.allclose(np.diff(trace.send_times), 0.02)

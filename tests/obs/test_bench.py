@@ -14,7 +14,6 @@ from repro.obs.bench import (
     compare_reports,
     flat_metrics,
     format_comparison,
-    iter_report_paths,
     machine_info,
     metric,
     read_report,
@@ -194,9 +193,3 @@ class TestHelpers:
 
     def test_default_threshold_value(self):
         assert DEFAULT_THRESHOLD == 0.10
-
-    def test_iter_report_paths_sorted(self, tmp_path):
-        for name in ("BENCH_b.json", "BENCH_a.json", "notes.json"):
-            (tmp_path / name).write_text("{}")
-        assert [p.name for p in iter_report_paths(tmp_path)] \
-            == ["BENCH_a.json", "BENCH_b.json"]

@@ -1,4 +1,8 @@
-"""Exporters and manifests: JSONL/Chrome round-trips, Observability.save."""
+"""Exporters and manifests: JSONL/Chrome layouts, Observability.save.
+
+Every format is plain JSON, so the tests read the files back with
+:mod:`json`, as any consumer would.
+"""
 
 import json
 
@@ -11,11 +15,6 @@ from repro.obs import (
     Observability,
     SpanRecord,
     build_manifest,
-    read_chrome_trace,
-    read_events_jsonl,
-    read_hops_jsonl,
-    read_manifest,
-    read_spans_jsonl,
     write_chrome_trace,
     write_events_jsonl,
     write_hops_jsonl,
@@ -38,22 +37,26 @@ HOPS = [
 ]
 
 
+def read_jsonl(path):
+    """One dict per line of a JSONL file."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def read_trace_events(path):
+    """The ``traceEvents`` array of a Chrome trace file."""
+    return json.loads(path.read_text())["traceEvents"]
+
+
 class TestJsonlRoundTrip:
     def test_events(self, tmp_path):
         path = tmp_path / "events.jsonl"
         assert write_events_jsonl(EVENTS, path) == 2
-        assert read_events_jsonl(path) == EVENTS
+        assert read_jsonl(path) == [record.as_dict() for record in EVENTS]
 
     def test_hops(self, tmp_path):
         path = tmp_path / "hops.jsonl"
         assert write_hops_jsonl(HOPS, path) == 2
-        assert read_hops_jsonl(path) == HOPS
-
-    def test_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        write_events_jsonl(EVENTS, path)
-        path.write_text(path.read_text() + "\n\n")
-        assert read_events_jsonl(path) == EVENTS
+        assert read_jsonl(path) == [record.as_dict() for record in HOPS]
 
     def test_spans(self, tmp_path):
         spans = [SpanRecord(name="cell d50_s1", phase="cell", start=100.0,
@@ -64,23 +67,25 @@ class TestJsonlRoundTrip:
                             cell="d50_s1", depth=1)]
         path = tmp_path / "spans.jsonl"
         assert write_spans_jsonl(spans, path) == 2
-        assert read_spans_jsonl(path) == spans
+        assert read_jsonl(path) == [record.as_dict() for record in spans]
 
     def test_empty_ring_buffer_round_trips(self, tmp_path):
         # A tracer that saw nothing still exports a valid (empty) file.
         tracer = KernelTracer()
         path = tmp_path / "events.jsonl"
         assert write_events_jsonl(tracer.records, path) == 0
-        assert read_events_jsonl(path) == []
+        assert read_jsonl(path) == []
         assert write_chrome_trace(tmp_path / "trace.json",
                                   events=tracer.records) == 0
-        assert read_chrome_trace(tmp_path / "trace.json") == []
+        assert read_trace_events(tmp_path / "trace.json") == []
 
-    def test_wrapped_ring_buffer_exports_survivors_only(self, tmp_path):
+    def test_wrapped_ring_buffer_exports_survivors_only(self, tmp_path,
+                                                        monkeypatch):
         # Capacity 3, 10 events: the ring keeps the last 3; the export
         # must contain exactly those, in order, and nothing overwritten.
+        monkeypatch.setattr("repro.obs.tracer.DEFAULT_CAPACITY", 3)
         sim = Simulator(seed=1)
-        tracer = KernelTracer(capacity=3)
+        tracer = KernelTracer()
         sim.attach_observer(tracer)
         for n in range(10):
             sim.call_at(float(n), lambda: None, label=f"tick-{n}")
@@ -89,7 +94,7 @@ class TestJsonlRoundTrip:
         assert tracer.overwritten == 7
         path = tmp_path / "events.jsonl"
         assert write_events_jsonl(tracer.records, path) == 3
-        labels = [record.label for record in read_events_jsonl(path)]
+        labels = [row["label"] for row in read_jsonl(path)]
         assert labels == ["tick-7", "tick-8", "tick-9"]
 
 
@@ -100,7 +105,7 @@ class TestChromeTrace:
         assert count == 4
         document = json.loads(path.read_text())
         assert document["displayTimeUnit"] == "ms"
-        rows = read_chrome_trace(path)
+        rows = read_trace_events(path)
         kernel = [row for row in rows if row["cat"] == "kernel"]
         packet = [row for row in rows if row["cat"] == "packet"]
         assert [row["ph"] for row in kernel] == ["X", "X"]
@@ -134,7 +139,7 @@ class TestChromeTrace:
         merged = merge_spans(spans, ["d50_s1", "d50_s2"])
         path = tmp_path / "trace.json"
         assert write_chrome_trace(path, spans=merged) == 3
-        rows = read_chrome_trace(path)
+        rows = read_trace_events(path)
         assert [row["name"] for row in rows] \
             == ["campaign", "cell d50_s1", "cell d50_s2"]
         assert all(row["cat"] == "span" and row["ph"] == "X"
@@ -170,7 +175,7 @@ class TestManifest:
         written = write_manifest(path, config={"delta": 0.05}, seed=3,
                                  metrics={"net": {"x": 1}},
                                  extra={"note": "hello"})
-        assert read_manifest(path) == written
+        assert json.loads(path.read_text()) == written
         assert written["seed"] == 3
         assert written["config"] == {"delta": 0.05}
         assert "repro" in written["versions"]
@@ -202,7 +207,7 @@ class TestObservabilitySave:
         names = sorted(path.name for path in written)
         assert names == ["events.jsonl", "hops.jsonl", "profiles.json",
                          "trace.json"]
-        assert read_events_jsonl(tmp_path / "out" / "events.jsonl")
+        assert read_jsonl(tmp_path / "out" / "events.jsonl")
 
     def test_metrics_only_bundle_writes_nothing(self, tmp_path):
         from repro.topology.inria_umd import build_inria_umd

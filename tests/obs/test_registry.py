@@ -1,21 +1,15 @@
-"""Metrics registry: instruments, snapshots, and network instrumentation."""
+"""Metrics registry: pull-based instruments, snapshots, and network
+instrumentation."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import MetricsRegistry, instrument_network, instrument_traffic
+from repro.obs import MetricsRegistry, instrument_network
 from repro.obs.registry import SEPARATOR
 from repro.topology.inria_umd import build_inria_umd
 
 
 class TestInstruments:
-    def test_owned_counter(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("jobs/done")
-        counter.increment()
-        counter.increment(by=4)
-        assert counter.value() == 5
-
     def test_bound_counter_reads_source(self):
         registry = MetricsRegistry()
         state = {"n": 0}
@@ -23,45 +17,22 @@ class TestInstruments:
         state["n"] = 7
         assert counter.value() == 7
 
-    def test_bound_counter_rejects_increment(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("jobs/seen", source=lambda: 1)
-        with pytest.raises(ConfigurationError):
-            counter.increment()
-
     def test_gauge(self):
         registry = MetricsRegistry()
         gauge = registry.gauge("queue/depth", source=lambda: 3)
         assert gauge.value() == 3.0
 
-    def test_histogram_buckets(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("rtt", bounds=(0.1, 0.2, 0.5))
-        for sample in (0.05, 0.15, 0.15, 0.4, 9.0):
-            hist.observe(sample)
-        value = hist.value()
-        assert value["count"] == 5
-        assert value["bucket_counts"] == [1, 2, 1, 1]
-        assert value["max"] == 9.0
-
-    def test_histogram_bounds_must_ascend(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ConfigurationError):
-            registry.histogram("bad", bounds=(0.5, 0.1))
-        with pytest.raises(ConfigurationError):
-            registry.histogram("empty", bounds=())
-
 
 class TestRegistry:
     def test_duplicate_names_rejected(self):
         registry = MetricsRegistry()
-        registry.counter("a/b")
+        registry.counter("a/b", source=lambda: 0)
         with pytest.raises(ConfigurationError):
             registry.gauge("a/b", source=lambda: 0.0)
 
     def test_lookup_and_contains(self):
         registry = MetricsRegistry()
-        counter = registry.counter("x/y/z")
+        counter = registry.counter("x/y/z", source=lambda: 0)
         assert "x/y/z" in registry
         assert registry.get("x/y/z") is counter
         assert len(registry) == 1
@@ -122,11 +93,3 @@ class TestInstrumentNetwork:
         after = MetricsRegistry()
         instrument_network(after, scenario.network)
         assert before.flat_snapshot() == after.flat_snapshot()
-
-    def test_instrument_traffic(self, scenario):
-        registry = MetricsRegistry()
-        instrument_traffic(registry, scenario.mix_fwd.sources)
-        flat = registry.flat_snapshot()
-        sent = [value for name, value in flat.items()
-                if name.endswith("/packets_sent")]
-        assert sent and all(value > 0 for value in sent)

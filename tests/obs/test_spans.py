@@ -27,15 +27,9 @@ def record(name="sim", phase=PHASE_SIM, start=10.0, duration=1.0,
 
 class TestSpanRecord:
     def test_dict_round_trip(self):
+        # as_dict() (one spans.jsonl row) carries every constructor field.
         original = record(cell="d50_s1", depth=2)
-        assert SpanRecord.from_dict(original.as_dict()) == original
-
-    def test_from_dict_defaults_optional_fields(self):
-        row = record().as_dict()
-        del row["cell"], row["depth"]
-        rebuilt = SpanRecord.from_dict(row)
-        assert rebuilt.cell == ""
-        assert rebuilt.depth == 0
+        assert SpanRecord(**original.as_dict()) == original
 
     def test_equality_and_hash(self):
         assert record() == record()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.obs import KernelTracer
 from repro.sim import Simulator
 
@@ -33,31 +33,14 @@ class TestRecording:
         assert tracer.total_wall_seconds >= 0
         assert tracer.events_per_wall_second() > 0
 
-    def test_ring_buffer_discards_oldest(self):
-        tracer = KernelTracer(capacity=3)
+    def test_ring_buffer_discards_oldest(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.tracer.DEFAULT_CAPACITY", 3)
+        tracer = KernelTracer()
         run_ticks(tracer, count=10)
         assert len(tracer) == 3
         assert tracer.events_seen == 10
         assert tracer.overwritten == 7
         assert [record.time for record in tracer.records] == [7.0, 8.0, 9.0]
-
-    def test_unbounded_keeps_everything(self):
-        tracer = KernelTracer(capacity=None)
-        run_ticks(tracer, count=10)
-        assert len(tracer) == 10
-        assert tracer.overwritten == 0
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            KernelTracer(capacity=0)
-
-    def test_clear(self):
-        tracer = KernelTracer()
-        run_ticks(tracer, count=4)
-        tracer.clear()
-        assert len(tracer) == 0
-        assert tracer.events_seen == 0
-        assert tracer.profiles() == []
 
 
 class TestProfiles:
@@ -69,15 +52,15 @@ class TestProfiles:
             sim.call_at(float(n), lambda: None, label="a")
         sim.call_at(10.0, lambda: None, label="b")
         sim.run()
-        profile = tracer.profile("a")
+        profiles = {profile.label: profile for profile in tracer.profiles()}
+        assert sorted(profiles) == ["a", "b"]
+        profile = profiles["a"]
         assert profile.count == 4
         assert profile.first_time == 0.0
         assert profile.last_time == 3.0
         assert profile.events_per_sim_second() == pytest.approx(4 / 3.0)
         assert profile.total_wall_seconds >= profile.max_wall_seconds > 0
-        assert tracer.profile("b").count == 1
-        with pytest.raises(KeyError):
-            tracer.profile("never-scheduled")
+        assert profiles["b"].count == 1
 
     def test_hot_labels_sorted_by_total_cost(self):
         tracer = KernelTracer()

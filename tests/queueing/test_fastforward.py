@@ -69,7 +69,8 @@ class TestFluidQueueDrops:
         accepted = [queue.offer(0.0, PROBE_BITS) for _ in range(20)]
         assert accepted == [1] * 16 + [0] * 4
         assert queue.drops == 4
-        assert queue.waiting_packets == 15
+        # Backlog: the packet in service plus the 15 buffered ones.
+        assert queue.workload_seconds == pytest.approx(16 * PROBE_BITS / RATE)
 
     def test_busy_server_admits_only_capacity(self):
         queue = FluidQueue(RATE, 2, mode=MODE_PACKETS)
@@ -85,7 +86,8 @@ class TestFluidQueueDrops:
         accepted = [queue.offer(0.0, 3200.0) for _ in range(3)]
         assert accepted == [1, 1, 0]
         assert queue.drops == 1
-        assert queue.waiting_bits == 2 * 3200.0
+        assert queue.workload_seconds == pytest.approx(
+            (800.0 + 2 * 3200.0) / RATE)
 
     def test_oversized_packet_drops_even_when_idle(self):
         queue = FluidQueue(RATE, 100, mode=MODE_BYTES)

@@ -1,8 +1,15 @@
 """Tests for the command-line entry points."""
 
+import json
+
 import pytest
 
 from repro import cli
+
+
+def read_jsonl(path):
+    """One dict per line of a JSONL file."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 class TestExperimentCli:
@@ -37,9 +44,8 @@ class TestExperimentCli:
         assert code == 0
         output = capsys.readouterr().out
         assert "kernel trace written to" in output
-        from repro.obs import read_events_jsonl, read_hops_jsonl
-        assert read_events_jsonl(path)
-        assert read_hops_jsonl(tmp_path / "events_hops.jsonl")
+        assert read_jsonl(path)
+        assert read_jsonl(tmp_path / "events_hops.jsonl")
 
     def test_trace_chrome_inferred_from_extension(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
@@ -47,8 +53,7 @@ class TestExperimentCli:
                                     "--trace", str(path)])
         assert code == 0
         assert "chrome trace written to" in capsys.readouterr().out
-        from repro.obs import read_chrome_trace
-        rows = read_chrome_trace(path)
+        rows = json.loads(path.read_text())["traceEvents"]
         assert {row["cat"] for row in rows} == {"kernel", "packet"}
 
     def test_trace_format_override(self, tmp_path, capsys):
@@ -57,8 +62,7 @@ class TestExperimentCli:
                                     "--trace", str(path),
                                     "--trace-format", "jsonl"])
         assert code == 0
-        from repro.obs import read_events_jsonl
-        assert read_events_jsonl(path)  # JSONL despite the .json suffix
+        assert read_jsonl(path)  # JSONL despite the .json suffix
 
     def test_metrics_flag(self, capsys):
         code = cli.main_experiment(["--delta-ms", "100", "--duration", "5",
@@ -73,8 +77,7 @@ class TestExperimentCli:
         code = cli.main_experiment(["--delta-ms", "100", "--duration", "5",
                                     "--seed", "2", "--manifest", str(path)])
         assert code == 0
-        from repro.obs import read_manifest
-        manifest = read_manifest(path)
+        manifest = json.loads(path.read_text())
         assert manifest["config"]["seed"] == 2
         assert manifest["metrics"]["netdyn"]["probes_sent"] == 50
 
@@ -88,6 +91,27 @@ class TestExperimentCli:
                              "--trace", str(tmp_path / "t.json"),
                              "--metrics"])
         assert bare.read_bytes() == observed.read_bytes()
+
+
+class TestConfigurationErrors:
+    """A bad value becomes a one-line usage error (exit 2), not a
+    ConfigurationError traceback, and it is reported before any work."""
+
+    @pytest.mark.parametrize("main, argv, message", [
+        (cli.main_experiment, ["--delta-ms", "-5"], "delta must be positive"),
+        (cli.main_experiment, ["--duration", "0"],
+         "duration must be positive"),
+        (cli.main_traceroute, ["--seed", "-1"], "seed must be"),
+        (cli.main_figures, ["table1", "--seed", "-1"], "seed must be"),
+    ])
+    def test_usage_error(self, main, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.strip().splitlines()[-1]
+        assert "error: " in last and message in last
 
 
 class TestCampaignCli:
@@ -107,10 +131,9 @@ class TestCampaignCli:
                                   "--output-dir", str(out_dir)])
         assert code == 0
         assert (out_dir / "trace_d100_s1.csv").exists()
-        from repro.obs import read_manifest, read_timing
-        manifest = read_manifest(out_dir / "manifest.json")
+        manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["extra"]["traces"] == ["trace_d100_s1.csv"]
-        timing = read_timing(out_dir / "timing.json")
+        timing = json.loads((out_dir / "timing.json").read_text())
         assert timing["workers"] == 2
 
     def test_workers_validation(self):

@@ -31,17 +31,6 @@ class TestTransmissionDelay:
             units.transmission_delay(100, 0.0)
 
 
-class TestPropagationDelay:
-    def test_transatlantic_order_of_magnitude(self):
-        # ~6000 km of fiber: tens of milliseconds.
-        delay = units.propagation_delay(6_000_000)
-        assert 0.02 <= delay <= 0.05
-
-    def test_zero_speed_rejected(self):
-        with pytest.raises(ValueError):
-            units.propagation_delay(1000.0, 0.0)
-
-
 # ----------------------------------------------------------------------
 # Property tests: conversions round-trip exactly (power-of-two-safe
 # factors) or to float precision, across the magnitudes the library uses.

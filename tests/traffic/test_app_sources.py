@@ -68,11 +68,6 @@ class TestFtp:
         sim.run(until=10.0)
         assert sizes == {FTP_PAYLOAD_BYTES + UDP_WIRE_OVERHEAD_BYTES}
 
-    def test_mean_rate_helper(self, sim, net):
-        source = FtpSource(net.host("tx"), "rx", session_rate=2.0,
-                           mean_file_packets=10.0, payload_bytes=500)
-        assert source.mean_rate_bps() == pytest.approx(2 * 10 * 500 * 8)
-
     def test_validation(self, sim, net):
         host = net.host("tx")
         with pytest.raises(ConfigurationError):

@@ -134,7 +134,6 @@ class TestOnOff:
         sim.run(until=60.0)
         # ~50% duty at 100 pps -> ~3000 packets; be generous.
         assert 1800 <= sink.packets <= 4200
-        assert source.duty_cycle == pytest.approx(0.5)
 
     def test_validation(self, sim, net):
         with pytest.raises(ConfigurationError):
@@ -148,7 +147,7 @@ class TestModulatedPoisson:
         profile = DiurnalProfile(base_pps=100.0, amplitude=1.0, period=20.0,
                                  phase=0.0)
         source = ModulatedPoissonSource(net.host("tx"), "rx", rate=profile,
-                                        peak_rate_pps=profile.peak_pps)
+                                        peak_rate_pps=200.0)
         source.start()
         counts = {}
 
