@@ -1,8 +1,6 @@
 """Measure cold-vs-warm campaign latency; ``benchmarks/BENCH_cache.json``.
 
-Run directly (CI's cache-smoke job does) or via ``repro-bench run cache``::
-
-    python benchmarks/campaign_cache.py [OUTPUT.json]
+Run it with ``repro-bench run cache [--quick] [--output-dir DIR]``.
 
 Runs the fixed benchmark grid twice against the same cell cache: a cold
 pass (empty cache, every cell simulated and stored) and a warm pass (every
@@ -18,14 +16,13 @@ from __future__ import annotations
 
 import filecmp
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
 
 from repro.experiments.cache import CampaignCache
 from repro.experiments.campaign import CampaignSpec, run_campaign
-from repro.obs.bench import build_report, metric, write_report
+from repro.obs.bench import build_report, metric
 
 SUITE = "cache"
 
@@ -108,24 +105,3 @@ def run_suite(quick: bool = False) -> dict:
     }
     return build_report(SUITE, metrics, mode="quick" if quick else "full",
                         details=details)
-
-
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    output = argv[0] if argv else "benchmarks/BENCH_cache.json"
-    report = run_suite()
-    document = report["details"]
-    write_report(report, output)
-    print(f"campaign cell cache, {document['grid_cells']} cells:")
-    print(f"  cold: {document['cold_seconds']:7.2f}s "
-          f"({document['cold_misses']} misses)")
-    print(f"  warm: {document['warm_seconds']:7.2f}s "
-          f"({document['warm_hits']} hits)  "
-          f"-> {document['speedup']:.1f}x")
-    print(f"  artifacts byte-identical: {document['artifacts_identical']}")
-    print(f"written to {output}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,9 +1,6 @@
 """Measure campaign dispatch + scaling; ``benchmarks/BENCH_campaign.json``.
 
-Run directly (CI's campaign-bench-smoke job does) or via ``repro-bench
-run campaign``::
-
-    python benchmarks/campaign_scaling.py [OUTPUT.json] [--quick]
+Run it with ``repro-bench run campaign [--quick] [--output-dir DIR]``.
 
 Two measurements, written in the shared ``repro-bench`` report schema
 (:mod:`repro.obs.bench`):
@@ -31,13 +28,11 @@ window.
 from __future__ import annotations
 
 import os
-import sys
 from time import perf_counter
 
 from repro.experiments.cache import cache_salt
 from repro.experiments.campaign import CampaignSpec, run_campaign
-from repro.obs.bench import LOWER_IS_BETTER, build_report, metric, \
-    write_report
+from repro.obs.bench import LOWER_IS_BETTER, build_report, metric
 
 SUITE = "campaign"
 
@@ -178,36 +173,3 @@ def run_suite(quick: bool = False) -> dict:
                                      direction=LOWER_IS_BETTER)
     return build_report(SUITE, metrics, mode="quick" if quick else "full",
                         details=details)
-
-
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    quick = "--quick" in argv
-    positional = [arg for arg in argv if not arg.startswith("--")]
-    output = positional[0] if positional \
-        else "benchmarks/BENCH_campaign.json"
-    report = run_suite(quick=quick)
-    document = report["details"]
-    dispatch = document["dispatch"]
-    write_report(report, output)
-    print(f"campaign scaling on {document['cpus']} CPU(s), "
-          f"{document['grid_cells']} cells:")
-    for workers in WORKER_COUNTS:
-        wall = document["wall_seconds"][str(workers)]
-        if wall == UNMEASURED:
-            print(f"  workers={workers}: {UNMEASURED} "
-                  f"(more workers than CPUs)")
-            continue
-        speedup = document["speedup_vs_serial"][str(workers)]
-        print(f"  workers={workers}: {wall:7.2f}s  ({speedup:.2f}x)")
-    print(f"dispatch overhead ({dispatch['grid_cells']} analytic cells):")
-    print(f"  in-process: {dispatch['serial_seconds']:7.2f}s")
-    print(f"  warm pool:  {dispatch['warm_seconds']:7.2f}s "
-          f"({dispatch['workers']} workers, {dispatch['leases']} leases, "
-          f"{dispatch['dispatch_overhead_warm_seconds']:+.2f}s)")
-    print(f"written to {output}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

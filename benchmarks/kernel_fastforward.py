@@ -1,9 +1,6 @@
 """Measure analytic-vs-event speedup; ``benchmarks/BENCH_fastforward.json``.
 
-Run directly (CI's fastforward-smoke job does) or via ``repro-bench run
-fastforward``::
-
-    python benchmarks/kernel_fastforward.py [OUTPUT.json] [--quick]
+Run it with ``repro-bench run fastforward [--quick] [--output-dir DIR]``.
 
 Runs one calibrated cell (INRIA-UMd, delta=0.05) twice: once through the
 event kernel (``run_experiment``) and once through the analytic
@@ -36,7 +33,6 @@ only comparable to other quick runs, and the report says which mode ran.
 
 from __future__ import annotations
 
-import sys
 from time import perf_counter
 
 import numpy as np
@@ -49,12 +45,7 @@ from repro.experiments.fastforward import (
 )
 from repro.experiments.runner import execute_experiment, run_experiment
 from repro.netdyn.trace import LOST
-from repro.obs.bench import (
-    LOWER_IS_BETTER,
-    build_report,
-    metric,
-    write_report,
-)
+from repro.obs.bench import LOWER_IS_BETTER, build_report, metric
 
 SUITE = "fastforward"
 
@@ -224,31 +215,3 @@ def run_suite(quick: bool = False) -> dict:
     }
     return build_report(SUITE, metrics,
                         mode="quick" if quick else "full", details=details)
-
-
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    quick = "--quick" in argv
-    if quick:
-        argv.remove("--quick")
-    output = argv[0] if argv else "benchmarks/BENCH_fastforward.json"
-
-    report = run_suite(quick=quick)
-    details = report["details"]
-    write_report(report, output)
-    batched = details["batched_vs_percell"]
-    sys.stderr.write(
-        f"event: {details['event_seconds']:.2f}s  analytic: "
-        f"{details['analytic_seconds']:.2f}s  speedup: "
-        f"{details['speedup']:.1f}x\n")
-    sys.stderr.write(
-        f"grid ({batched['grid']['cells']} cells): percell "
-        f"{batched['percell_seconds']:.2f}s  batched "
-        f"{batched['batched_seconds']:.2f}s  speedup: "
-        f"{batched['batched_speedup']:.1f}x\n")
-    sys.stderr.write(f"wrote {output}\n")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,8 +1,6 @@
 """Measure kernel event throughput; ``benchmarks/BENCH_obs.json``.
 
-Run directly (CI's obs-smoke job does) or via ``repro-bench run obs``::
-
-    python benchmarks/obs_throughput.py [OUTPUT.json]
+Run it with ``repro-bench run obs [--quick] [--output-dir DIR]``.
 
 Times the bare-kernel 100k-event chain three ways — no observer, kernel
 tracing attached, and the full observed experiment — and records
@@ -13,13 +11,12 @@ events/sec for each in the shared ``repro-bench`` report schema
 
 from __future__ import annotations
 
-import sys
 from time import perf_counter
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_observed_experiment
 from repro.obs import KernelTracer
-from repro.obs.bench import build_report, metric, write_report
+from repro.obs.bench import build_report, metric
 from repro.sim import Simulator
 
 SUITE = "obs"
@@ -94,20 +91,3 @@ def run_suite(quick: bool = False) -> dict:
     }
     return build_report(SUITE, metrics, mode="quick" if quick else "full",
                         details=details)
-
-
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    output = argv[0] if argv else "benchmarks/BENCH_obs.json"
-    report = run_suite()
-    document = report["details"]
-    write_report(report, output)
-    sys.stderr.write(f"wrote {output}: "
-                     f"{document['events_per_second_untraced']} ev/s "
-                     f"untraced, {document['events_per_second_traced']} "
-                     f"ev/s traced\n")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -11,8 +11,9 @@ Cells are independent by construction — each owns its own
 :class:`~repro.sim.kernel.Simulator` seeded from the cell's seed — so the
 grid is embarrassingly parallel.  :func:`run_campaign` executes every grid
 the same way: :func:`~repro.experiments.pool.plan_leases` cuts the cells
-into deterministic *leases* (seed-affine for analytic grids, so a seed's
-cross-traffic replay is reused across its δ values), every lease runs
+into deterministic *leases* (one cell each on the event engine;
+seed-major batches for analytic grids, so a seed's cross-traffic replay
+is reused across its δ values), every lease runs
 the same pure worker (:func:`_run_cell`) and returns its CellResults in
 one lease payload — the only way a fresh cell, and its span telemetry,
 reaches this process — and a streaming
@@ -59,8 +60,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.fastforward import cell_horizon, process_replay_memo
 from repro.experiments.pool import WarmWorkerPool, plan_leases, \
     serve_leases
-from repro.experiments.runner import estimate_cell_seconds, \
-    execute_experiment
+from repro.experiments.runner import execute_experiment
 from repro.netdyn.trace import ProbeTrace
 from repro.obs.export import write_chrome_trace, write_spans_jsonl
 from repro.obs.manifest import write_manifest, write_timing
@@ -387,9 +387,8 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
         it.  Every lease runs the same per-cell worker and the merge folds
         cells in grid order, so the resulting tables, CSVs, and
         ``manifest.json`` are byte-identical for any worker count.
-        Cells per lease are derived from the grid size, the worker count,
-        and the per-cell duration estimate (see
-        :func:`~repro.experiments.pool.plan_leases`).
+        Cells per lease follow from the cell mode, the grid size, and
+        the worker count (see :func:`~repro.experiments.pool.plan_leases`).
     cache:
         Optional cell cache — a directory path or a
         :class:`~repro.experiments.cache.CampaignCache`.  The cache is
@@ -454,11 +453,7 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
                                          saved_seconds=hit.wall_seconds)
                 merge.add(hit, cached=True)
 
-        leases = plan_leases(
-            pending, workers,
-            cell_seconds=estimate_cell_seconds(
-                _cell_config(spec, spec.deltas[0], spec.seeds[0])),
-            affinity="seed" if spec.mode == "analytic" else None)
+        leases = plan_leases(pending, workers, spec.mode)
         dispatch_stats: Dict[str, Any] = {
             "pool": "serial", "workers": workers, "leases": len(leases),
             "batch_size": len(leases[0]) if leases else 0,

@@ -58,7 +58,6 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     ExperimentResult,
-    Scenario,
     build_scenario,
     event_result,
 )
@@ -71,6 +70,7 @@ from repro.net.routing import Network
 from repro.netdyn import packetfmt
 from repro.netdyn.session import DEFAULT_DRAIN
 from repro.netdyn.trace import LOST, ProbeTrace
+from repro.topology.builder import PathScenario
 from repro.analysis.lindley import lindley_waits
 from repro.queueing.fastforward import FluidQueue, fifo_waits
 from repro.traffic.ftp import FtpSource
@@ -182,7 +182,7 @@ def _fault_stages(network: Network, path: Sequence[str],
     return pre, post
 
 
-def fastforward_ineligibilities(scenario: Scenario) -> List[str]:
+def fastforward_ineligibilities(scenario: PathScenario) -> List[str]:
     """Why ``scenario`` cannot run analytically (empty = eligible).
 
     Checks are structural only and consume no randomness, so an eligible
@@ -191,10 +191,6 @@ def fastforward_ineligibilities(scenario: Scenario) -> List[str]:
     """
     reasons: List[str] = []
     network = scenario.network
-    for attr in ("bottleneck_fwd", "bottleneck_rev", "mix_fwd", "mix_rev"):
-        if not hasattr(scenario, attr):
-            return [f"scenario exposes no {attr}"]
-
     clock = network.host(scenario.source).clock
     if type(clock) not in (PerfectClock, QuantizedClock):
         reasons.append(
@@ -448,7 +444,7 @@ def _direction_stream(network: Network, mix, bottleneck: Interface,
                        access_capacity=access.queue.capacity)
 
 
-def build_cross_replay(scenario: Scenario, horizon: float) -> CrossReplay:
+def build_cross_replay(scenario: PathScenario, horizon: float) -> CrossReplay:
     """Replay both directions' cross traffic up to ``horizon``."""
     network = scenario.network
     return CrossReplay(horizon=float(horizon), streams=(

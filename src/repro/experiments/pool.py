@@ -1,13 +1,13 @@
 """Campaign leases: planning, serving, and the warm worker pool.
 
 The campaign dispatcher's execution layer.  :func:`plan_leases` cuts the
-grid cells to run into deterministic *leases* — contiguous batches of
-(δ, seed) cells, seed-affine for analytic grids.  :func:`_serve_lease`
-runs one lease's cells and returns one payload: the lease's
-:class:`~repro.experiments.campaign.CellResult` objects as they are, plus
-its replay-memo accounting; :func:`unpack_lease` splits that payload back
-into ``(cells, info)``.  Every lease takes that path, served one of two
-ways:
+grid cells to run into deterministic *leases* — one cell each for event
+grids, seed-major batches of (δ, seed) cells for analytic grids.
+:func:`_serve_lease` runs one lease's cells and returns one payload: the
+lease's :class:`~repro.experiments.campaign.CellResult` objects as they
+are, plus its replay-memo accounting; :func:`unpack_lease` splits that
+payload back into ``(cells, info)``.  Every lease takes that path,
+served one of two ways:
 
 * :func:`serve_leases` — in this process, lease after lease (the serial
   campaign);
@@ -56,63 +56,43 @@ class LeaseError(RuntimeError):
     """A lease failed inside a worker (carries the worker traceback)."""
 
 
-#: Leases each worker should serve per campaign when auto-tuning the batch
-#: size: enough batches that a slow cell cannot straggle the whole grid,
-#: few enough that per-lease IPC stays amortized.
+#: Leases each worker serves per analytic campaign: enough batches that a
+#: slow cell cannot straggle the whole grid, few enough that per-lease IPC
+#: stays amortized.
 LEASES_PER_WORKER = 4
-
-#: Target wall-clock length of one lease, seconds, used with the per-cell
-#: duration estimate to keep leases short on expensive (event-mode) grids.
-TARGET_LEASE_SECONDS = 2.0
 
 
 def plan_leases(cells: Sequence[Tuple[float, int]], workers: int,
-                cell_seconds: Optional[float] = None,
-                affinity: Optional[str] = None,
-                ) -> List[List[Tuple[float, int]]]:
-    """Partition grid cells into deterministic, contiguous lease batches.
+                mode: str) -> List[List[Tuple[float, int]]]:
+    """Partition grid cells into deterministic lease batches.
 
-    The partition depends only on the arguments — never on timing or
-    worker count *behaviour* — so the same spec always produces the same
-    leases (the serial==parallel byte-identity invariant needs nothing
-    from this, since the merge re-orders by grid index, but deterministic
-    leases keep span/timing telemetry comparable across runs).
+    The partition depends only on the arguments — never on timing — so
+    the same spec always produces the same leases (the serial==parallel
+    byte-identity invariant needs nothing from this, since the merge
+    re-orders by grid index, but deterministic leases keep span/timing
+    telemetry comparable across runs).  The cell mode picks the shape:
 
-    The batch size is derived: start from a fair share that gives every
-    worker about :data:`LEASES_PER_WORKER` leases, then shrink the batch
-    when the per-cell duration estimate ``cell_seconds`` says one lease
-    would exceed :data:`TARGET_LEASE_SECONDS` (expensive event-mode
-    cells), so the tail of the grid stays balanced.
-
-    ``affinity="seed"`` regroups the cells seed-major before batching —
-    stably, so the δ order within one seed is the grid's — and never lets
-    a lease straddle a seed boundary.  Analytic campaigns use this so a
-    warm worker serving one lease replays each seed's cross traffic once
-    and hits its in-process :class:`~repro.experiments.fastforward.\
-CrossReplayMemo` for every further δ of that seed.  The merge re-orders
-    by grid index, so affinity changes only which worker computes a cell,
-    never any artifact byte.
+    * event cells simulate at least the warm-up on the event kernel, so
+      each lease holds one cell and the tail of the grid stays balanced;
+    * analytic cells cost milliseconds, so they are regrouped seed-major
+      — stably, so the δ order within one seed is the grid's — and cut at
+      a fair share that gives every worker about
+      :data:`LEASES_PER_WORKER` leases, never letting a lease straddle a
+      seed.  A warm worker serving one lease then replays each seed's
+      cross traffic once and hits its in-process
+      :class:`~repro.experiments.fastforward.CrossReplayMemo` for every
+      further δ of that seed.
     """
-    if affinity not in (None, "seed"):
-        raise ConfigurationError(
-            f"affinity must be None or 'seed', got {affinity!r}")
     cells = list(cells)
-    if not cells:
-        return []
-    fair = math.ceil(len(cells) / (max(1, workers) * LEASES_PER_WORKER))
-    batch_size = max(1, fair)
-    if cell_seconds is not None and cell_seconds > 0:
-        by_cost = max(1, int(TARGET_LEASE_SECONDS / cell_seconds))
-        batch_size = min(batch_size, by_cost)
-    if affinity == "seed":
-        groups: Dict[int, List[Tuple[float, int]]] = {}
-        for cell in cells:
-            groups.setdefault(cell[1], []).append(cell)
-        return [group[i:i + batch_size]
-                for group in groups.values()
-                for i in range(0, len(group), batch_size)]
-    return [cells[i:i + batch_size]
-            for i in range(0, len(cells), batch_size)]
+    if mode != "analytic":
+        return [[cell] for cell in cells]
+    batch_size = math.ceil(len(cells) / (max(1, workers) * LEASES_PER_WORKER))
+    groups: Dict[int, List[Tuple[float, int]]] = {}
+    for cell in cells:
+        groups.setdefault(cell[1], []).append(cell)
+    return [group[i:i + batch_size]
+            for group in groups.values()
+            for i in range(0, len(group), batch_size)]
 
 
 # ----------------------------------------------------------------------

@@ -12,10 +12,8 @@ simulated timestamp (same seed ⇒ identical trace either way).
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, \
-    Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import SCENARIO_BUILDERS, ExperimentConfig
@@ -25,16 +23,13 @@ from repro.netdyn.trace import ProbeTrace
 from repro.obs import MetricsRegistry, Observability
 from repro.obs.spans import PHASE_SETUP, PHASE_SIM, SpanTracer, \
     optional_span
-from repro.topology.inria_umd import InriaUmdScenario, build_inria_umd
-from repro.topology.umd_pitt import UmdPittScenario
+from repro.topology.builder import PathScenario
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.experiments.fastforward import CrossReplayMemo
 
-Scenario = Union[InriaUmdScenario, UmdPittScenario]
 
-
-def build_scenario(config: ExperimentConfig) -> Scenario:
+def build_scenario(config: ExperimentConfig) -> PathScenario:
     """Instantiate the topology named by the configuration."""
     builder = SCENARIO_BUILDERS.get(config.scenario)
     if builder is None:
@@ -44,7 +39,7 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     return builder(seed=config.seed, **config.scenario_kwargs)
 
 
-def probe_scenario(scenario: Scenario, config: ExperimentConfig,
+def probe_scenario(scenario: PathScenario, config: ExperimentConfig,
                    registry: Optional[MetricsRegistry] = None) -> ProbeTrace:
     """Run the configured probe train against an already-built scenario.
 
@@ -66,57 +61,6 @@ def probe_scenario(scenario: Scenario, config: ExperimentConfig,
         registry=registry)
 
 
-#: Coarse per-cell cost model for lease planning (host seconds per
-#: simulated second, measured once on the reference host).  Only the
-#: *relative* scale matters — it sizes lease batches, never results.
-_EVENT_SECONDS_PER_SIM_SECOND = 0.07
-_ANALYTIC_BASE_SECONDS = 0.010
-#: Analytic cost is dominated by replaying each cross-traffic source's
-#: emission draws, so the slope is per *source* simulated second
-#: (calibrated on BENCH_fastforward's reference host: the default
-#: 4-source inria-umd mix costs ~0.35 ms per simulated second).
-_ANALYTIC_SECONDS_PER_SOURCE_SIM_SECOND = 9e-5
-
-def _cross_source_count(config: ExperimentConfig) -> int:
-    """Cross-traffic sources the configured scenario will build.
-
-    Mirrors the builders' wiring: each direction with positive
-    utilization gets an FTP source when ``bulk_fraction > 0`` and a
-    Telnet source when ``bulk_fraction < 1``
-    (:func:`repro.traffic.mix.attach_internet_mix`).  Parameters the
-    configuration omits take the builder's own defaults.
-    """
-    builder = SCENARIO_BUILDERS.get(config.scenario, build_inria_umd)
-    defaults = inspect.signature(builder).parameters
-    kwargs = config.scenario_kwargs
-    bulk = kwargs.get("bulk_fraction", defaults["bulk_fraction"].default)
-    per_direction = (1 if bulk > 0 else 0) + (1 if bulk < 1 else 0)
-    count = 0
-    for key in ("utilization_fwd", "utilization_rev"):
-        if kwargs.get(key, defaults[key].default) > 0:
-            count += per_direction
-    return count
-
-
-def estimate_cell_seconds(config: ExperimentConfig) -> float:
-    """A-priori wall-cost estimate of one campaign cell, host seconds.
-
-    Pure arithmetic on the configuration (no clocks, no trial runs):
-    event-mode cost scales with the simulated horizon (warm-up plus probe
-    train); analytic cells pay a small fixed setup plus a much shallower
-    slope that scales with how many cross-traffic sources the scenario
-    replays — a lightly loaded one-direction scenario costs half the
-    default mix.  The campaign dispatcher uses this to auto-tune lease
-    batch sizes — a wrong estimate costs balance, never correctness.
-    """
-    horizon = config.warmup + config.duration
-    if config.mode == "analytic":
-        return (_ANALYTIC_BASE_SECONDS
-                + _ANALYTIC_SECONDS_PER_SOURCE_SIM_SECOND
-                * _cross_source_count(config) * horizon)
-    return max(1e-3, _EVENT_SECONDS_PER_SIM_SECOND * horizon)
-
-
 @dataclass
 class ExperimentResult:
     """Everything one experiment produces (see :func:`execute_experiment`)."""
@@ -133,7 +77,7 @@ class ExperimentResult:
     #: The built scenario.  After an analytic run it was never
     #: event-driven: its queues carry no counters (``queue_stats``
     #: replaces them).
-    scenario: Scenario
+    scenario: PathScenario
 
 
 def collect_queue_stats(network: Network) -> Dict[str, Dict[str, float]]:
@@ -162,7 +106,7 @@ def collect_queue_stats(network: Network) -> Dict[str, Dict[str, float]]:
     return stats
 
 
-def event_result(scenario: Scenario, config: ExperimentConfig,
+def event_result(scenario: PathScenario, config: ExperimentConfig,
                  fallback_reasons: Sequence[str] = ()) -> ExperimentResult:
     """Probe an already-started scenario on the event engine.
 
@@ -224,8 +168,9 @@ def run_experiment(config: ExperimentConfig) -> ProbeTrace:
     return execute_experiment(config).trace
 
 
-def run_observed_experiment(config: ExperimentConfig, trace: bool = False,
-                            ) -> Tuple[ProbeTrace, Scenario, Observability]:
+def run_observed_experiment(
+        config: ExperimentConfig, trace: bool = False,
+) -> Tuple[ProbeTrace, PathScenario, Observability]:
     """Run one experiment with the observability collectors attached.
 
     The metrics registry (network-wide counters/gauges plus the probe

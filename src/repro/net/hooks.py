@@ -17,8 +17,13 @@ simulator honest (see DESIGN.md, "observers never perturb the simulation"):
   implementations byte-equivalent in simulated behavior: attaching an
   observer may never change drop decisions, occupancy accounting, or event
   timing (``tests/obs/test_determinism.py`` pins this);
-* the concrete implementation lives in :mod:`repro.obs.lifecycle` — the net
-  layer depends only on this protocol, never on ``repro.obs``.
+* each component holds one observer at a time;
+* the concrete implementations are :class:`repro.net.tap.PacketTap` (one
+  interface) and :mod:`repro.obs.lifecycle` (a whole network) — the net
+  layer depends only on this protocol, never on ``repro.obs``.  An
+  observer that subclasses the protocol inherits every milestone it does
+  not override as an explicit no-op (``return None``, so type checkers do
+  not treat the bodies as abstract).
 """
 
 from __future__ import annotations
@@ -37,32 +42,32 @@ class LifecycleObserver(Protocol):
 
     def on_created(self, node: "Node", packet: "Packet") -> None:
         """A host originated ``packet`` (UDP send or ICMP generation)."""
-        ...
+        return None
 
     def on_enqueued(self, queue: "DropTailQueue", packet: "Packet") -> None:
         """``packet`` was appended to ``queue`` (occupancy includes it)."""
-        ...
+        return None
 
     def on_queue_drop(self, queue: "DropTailQueue", packet: "Packet") -> None:
         """``packet`` overflowed ``queue`` and was tail-dropped."""
-        ...
+        return None
 
     def on_tx_start(self, interface: "Interface", packet: "Packet") -> None:
         """``interface`` began serializing ``packet``."""
-        ...
+        return None
 
     def on_tx_done(self, interface: "Interface", packet: "Packet") -> None:
         """``interface`` finished serializing ``packet`` onto the wire."""
-        ...
+        return None
 
     def on_fault_drop(self, interface: "Interface", packet: "Packet") -> None:
         """A fault model discarded ``packet`` at ``interface``."""
-        ...
+        return None
 
     def on_delivered(self, interface: "Interface", packet: "Packet") -> None:
         """``packet`` crossed ``interface`` and reached the peer node."""
-        ...
+        return None
 
     def on_received(self, node: "Node", packet: "Packet") -> None:
         """``packet`` was consumed by its final destination ``node``."""
-        ...
+        return None

@@ -80,7 +80,7 @@ class Interface:
         self._transmitting: Optional[Packet] = None
         self._inflight: deque[Packet] = deque()
         self._tx_done_ref = self._transmission_done
-        self._deliver_ref = self._dispatch_deliver
+        self._deliver_ref = self._deliver
         self._tx_label = f"tx-done {name}"
         self._deliver_label = f"deliver {name}"
 
@@ -156,12 +156,6 @@ class Interface:
         if self.lifecycle is not None:
             self.lifecycle.on_tx_done(self, packet)
         self._start_next()
-
-    def _dispatch_deliver(self) -> None:
-        # One extra call so ``self._deliver`` is looked up when the event
-        # *fires*, not when it was scheduled: a PacketTap installed while
-        # packets were already in flight still intercepts their delivery.
-        self._deliver()
 
     def _deliver(self) -> None:
         packet = self._inflight.popleft()

@@ -1,10 +1,10 @@
 """Packet taps: per-interface packet capture for the simulator.
 
-A :class:`PacketTap` wraps an interface's delivery path and records
-``(time, uid, kind, src, dst, size)`` for every packet that crosses it —
-the simulator's tcpdump.  Captures export to CSV and support simple
-interarrival/throughput queries, which the queue-dynamics analyses and
-debugging sessions use.
+A :class:`PacketTap` is an interface's lifecycle observer (see
+:mod:`repro.net.hooks`) and records ``(time, uid, kind, src, dst, size)``
+for every packet delivered across it — the simulator's tcpdump.
+Captures export to CSV and support simple interarrival/throughput
+queries, which the queue-dynamics analyses and debugging sessions use.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigurationError
+from repro.net.hooks import LifecycleObserver
 from repro.net.link import Interface
+from repro.net.packet import Packet
 from repro.units import bytes_to_bits
 
 
@@ -52,12 +54,15 @@ class CaptureRecord:
                 f"size_bytes={self.size_bytes!r})")
 
 
-class PacketTap:
+class PacketTap(LifecycleObserver):
     """Records every packet delivered through one interface.
 
-    The tap hooks the interface's ``_deliver`` step (after propagation and
-    ingress fault filtering), so it sees exactly the packets the receiving
-    node sees.
+    The tap is the interface's lifecycle observer and records in
+    :meth:`on_delivered`, which fires after propagation and ingress fault
+    filtering, so it sees exactly the packets the receiving node sees.
+    The other milestones are the protocol's no-ops.  An interface holds
+    one observer: tapping an interface that already has one raises
+    :class:`~repro.errors.ConfigurationError`.
 
     Parameters
     ----------
@@ -69,26 +74,26 @@ class PacketTap:
 
     def __init__(self, interface: Interface,
                  kinds: Optional[set] = None) -> None:
+        if interface.lifecycle is not None:
+            raise ConfigurationError(
+                f"interface {interface.name} already has a lifecycle "
+                "observer")
         self.interface = interface
         self.kinds = set(kinds) if kinds else None
         self.records: list[CaptureRecord] = []
-        self._original_deliver = interface._deliver
-        interface._deliver = self._tapped_deliver  # type: ignore[assignment]
+        interface.lifecycle = self
 
-    def _tapped_deliver(self) -> None:
-        # The arriving packet is the head of the interface's in-flight
-        # FIFO; the original _deliver pops it.
-        packet = self.interface._inflight[0]
+    def on_delivered(self, interface: Interface, packet: Packet) -> None:
         if self.kinds is None or packet.kind in self.kinds:
             self.records.append(CaptureRecord(
-                time=self.interface._sim.now, uid=packet.uid,
+                time=interface._sim.now, uid=packet.uid,
                 kind=packet.kind, src=packet.src, dst=packet.dst,
                 size_bytes=packet.size_bytes))
-        self._original_deliver()
 
     def close(self) -> None:
         """Unhook the tap; recorded packets stay available."""
-        self.interface._deliver = self._original_deliver  # type: ignore
+        if self.interface.lifecycle is self:
+            self.interface.lifecycle = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

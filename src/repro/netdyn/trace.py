@@ -65,8 +65,12 @@ class ProbeTrace:
             raise AnalysisError(
                 f"send_times and rtts lengths differ: "
                 f"{self.send_times.shape} vs {self.rtts.shape}")
-        if self.delta <= 0:
-            raise AnalysisError(f"delta must be positive, got {self.delta}")
+        if not (np.isfinite(self.delta) and self.delta > 0):
+            raise AnalysisError(
+                f"delta must be positive and finite, got {self.delta}")
+        if not (np.isfinite(self.send_times).all()
+                and np.isfinite(self.rtts).all()):
+            raise AnalysisError("non-finite send time or rtt in trace")
         if np.any(self.rtts < 0):
             raise AnalysisError("negative rtt in trace")
 
@@ -241,10 +245,14 @@ class ProbeTrace:
                 header["delta"] = float(send_times[1] - send_times[0])
             else:
                 raise AnalysisError(f"{path}: no delta header and <2 samples")
-        return cls(delta=header["delta"], send_times=np.asarray(send_times),
-                   rtts=np.asarray(rtts),
-                   payload_bytes=header["payload_bytes"],
-                   wire_bytes=header["wire_bytes"], meta=header["meta"])
+        try:
+            return cls(delta=header["delta"],
+                       send_times=np.asarray(send_times),
+                       rtts=np.asarray(rtts),
+                       payload_bytes=header["payload_bytes"],
+                       wire_bytes=header["wire_bytes"], meta=header["meta"])
+        except AnalysisError as exc:
+            raise AnalysisError(f"{path}: {exc}") from None
 
     def save_npz(self, file: Union[str, Path, BinaryIO],
                  extra: Optional[Mapping[str, Any]] = None) -> None:

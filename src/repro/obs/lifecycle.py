@@ -17,8 +17,10 @@ leaves all simulated timestamps bit-identical.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, \
+    Sequence
 
+from repro.errors import ConfigurationError
 from repro.net.packet import KIND_UDP
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -135,26 +137,38 @@ class PacketLifecycleTracer:
     # ------------------------------------------------------------------
     # Hook management
     # ------------------------------------------------------------------
+    def _components(self) -> Iterator[Any]:
+        for node in self.network.nodes.values():
+            yield node
+            for interface in node.interfaces.values():
+                yield interface
+                yield interface.queue
+
     def attach(self) -> None:
-        """Install this tracer on every component of the network."""
+        """Install this tracer on every component of the network.
+
+        A component holds one observer: when any node, interface, or
+        queue already has a different one (a
+        :class:`~repro.net.tap.PacketTap`, another tracer), this raises
+        :class:`~repro.errors.ConfigurationError` and installs nothing.
+        """
         if self._attached:
             return
-        for node in self.network.nodes.values():
-            node.lifecycle = self
-            for interface in node.interfaces.values():
-                interface.lifecycle = self
-                interface.queue.lifecycle = self
+        for component in self._components():
+            if component.lifecycle not in (None, self):
+                raise ConfigurationError(
+                    f"{component!r} already has a lifecycle observer")
+        for component in self._components():
+            component.lifecycle = self
         self._attached = True
 
     def close(self) -> None:
         """Unhook from the network; recorded history stays available."""
         if not self._attached:
             return
-        for node in self.network.nodes.values():
-            node.lifecycle = None
-            for interface in node.interfaces.values():
-                interface.lifecycle = None
-                interface.queue.lifecycle = None
+        for component in self._components():
+            if component.lifecycle is self:
+                component.lifecycle = None
         self._attached = False
 
     # ------------------------------------------------------------------

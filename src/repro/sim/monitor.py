@@ -1,37 +1,13 @@
-"""Measurement helpers: counters, time-weighted averages, and sample traces.
+"""Measurement helper: a time-weighted average of a piecewise-constant value.
 
-These are the simulator-side instruments used to validate the network
-substrate (e.g. that a queue's time-averaged occupancy matches M/D/1 theory)
-and to drive ablation benchmarks.
+The queues track their occupancy with it, which is how the network
+substrate is validated (e.g. that a queue's time-averaged occupancy
+matches M/D/1 theory).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Optional
-
 from repro.sim.kernel import Simulator
-
-
-class Counter:
-    """A plain event counter with a rate helper."""
-
-    def __init__(self, sim: Simulator, name: str = "") -> None:
-        self._sim = sim
-        self.name = name
-        self.count = 0
-        self._start = sim.now
-
-    def increment(self, by: int = 1) -> None:
-        """Add ``by`` (default 1) to the count."""
-        self.count += by
-
-    def rate(self) -> float:
-        """Events per second since the counter was created."""
-        elapsed = self._sim.now - self._start
-        if elapsed <= 0:
-            return 0.0
-        return self.count / elapsed
 
 
 class TimeWeightedValue:
@@ -80,47 +56,3 @@ class TimeWeightedValue:
     def minimum(self) -> float:
         """Smallest value observed."""
         return self._min
-
-
-class SampleStats:
-    """Streaming mean/variance/min/max over unweighted samples (Welford)."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min: Optional[float] = None
-        self._max: Optional[float] = None
-
-    def add(self, sample: float) -> None:
-        """Incorporate one sample."""
-        self.count += 1
-        delta = sample - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (sample - self._mean)
-        if self._min is None or sample < self._min:
-            self._min = sample
-        if self._max is None or sample > self._max:
-            self._max = sample
-
-    def mean(self) -> float:
-        """Sample mean (0.0 if no samples)."""
-        return self._mean if self.count else 0.0
-
-    def variance(self) -> float:
-        """Unbiased sample variance (0.0 with fewer than two samples)."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    def stddev(self) -> float:
-        """Unbiased sample standard deviation."""
-        return math.sqrt(self.variance())
-
-    def minimum(self) -> Optional[float]:
-        """Smallest sample seen, or None if empty."""
-        return self._min
-
-    def maximum(self) -> Optional[float]:
-        """Largest sample seen, or None if empty."""
-        return self._max

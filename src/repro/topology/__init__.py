@@ -1,9 +1,8 @@
 """Calibrated topologies: the paper's Table 1 / Table 2 paths and presets."""
 
-from repro.topology.builder import LinkSpec, build_path
+from repro.topology.builder import LinkSpec, PathScenario, build_path
 from repro.topology.inria_umd import (
     BOTTLENECK_RATE_BPS as INRIA_UMD_BOTTLENECK_BPS,
-    InriaUmdScenario,
     TABLE1_ROUTE,
     build_inria_umd,
 )
@@ -16,18 +15,16 @@ from repro.topology.nsfnet import (
 from repro.topology.presets import SingleBottleneck, build_single_bottleneck
 from repro.topology.umd_pitt import (
     TABLE2_ROUTE,
-    UmdPittScenario,
     build_umd_pitt,
 )
 
 __all__ = [
     "LinkSpec",
     "build_path",
-    "InriaUmdScenario",
+    "PathScenario",
     "build_inria_umd",
     "TABLE1_ROUTE",
     "INRIA_UMD_BOTTLENECK_BPS",
-    "UmdPittScenario",
     "build_umd_pitt",
     "TABLE2_ROUTE",
     "SingleBottleneck",

@@ -3,19 +3,23 @@
 The paper's connections are single stable routes (Tables 1 and 2), i.e.
 linear chains of routers between two end hosts.  :func:`build_path` turns a
 list of :class:`LinkSpec` into such a chain on a fresh
-:class:`~repro.net.routing.Network`.
+:class:`~repro.net.routing.Network`; :class:`PathScenario` is what the
+calibrated path builders return.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.errors import ConfigurationError
+from repro.net.faults import RandomDropFault
+from repro.net.link import Interface
 from repro.net.queue import MODE_PACKETS
 from repro.net.routing import Network
 from repro.net.clocks import Clock
 from repro.sim.kernel import Simulator
+from repro.traffic.mix import InternetMix
 
 
 @dataclass
@@ -40,6 +44,37 @@ class LinkSpec:
         if self.prop_delay < 0:
             raise ConfigurationError(
                 f"propagation delay must be >= 0, got {self.prop_delay}")
+
+
+@dataclass
+class PathScenario:
+    """A built calibrated path with its traffic attached.
+
+    The paper's Figure 3 model: probes cross a fixed delay and one FIFO
+    bottleneck per direction, where an Internet stream shares the link.
+    """
+
+    sim: Simulator
+    network: Network
+    source: str
+    echo: str
+    bottleneck_fwd: Interface
+    bottleneck_rev: Interface
+    mix_fwd: Optional[InternetMix]
+    mix_rev: Optional[InternetMix]
+    faults: list[RandomDropFault] = field(default_factory=list)
+
+    def start_traffic(self, at: float = 0.0) -> None:
+        """Start all cross-traffic sources."""
+        if self.mix_fwd is not None:
+            self.mix_fwd.start(at=at)
+        if self.mix_rev is not None:
+            self.mix_rev.start(at=at)
+
+    @property
+    def bottleneck_rate_bps(self) -> float:
+        """Service rate μ of the bottleneck, bits per second."""
+        return self.bottleneck_fwd.rate_bps
 
 
 def build_path(sim: Simulator, names: Sequence[str],

@@ -15,17 +15,14 @@ random-drop interface fault reported in [17].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.net.faults import RandomDropFault
-from repro.net.link import Interface
 from repro.net.queue import MODE_PACKETS
-from repro.net.routing import Network
 from repro.net.clocks import DECSTATION_RESOLUTION, QuantizedClock
 from repro.sim.kernel import Simulator
-from repro.topology.builder import LinkSpec, build_path
-from repro.traffic.mix import InternetMix, attach_internet_mix
+from repro.topology.builder import LinkSpec, PathScenario, build_path
+from repro.traffic.mix import attach_internet_mix
 from repro.units import kbps, mbps, ms
 
 #: The ten route entries of Table 1 (the first is the source host).
@@ -65,33 +62,6 @@ DEFAULT_BUFFER_PACKETS = 15
 DEFAULT_FAULT_DROP = 0.015
 
 
-@dataclass
-class InriaUmdScenario:
-    """A built INRIA-UMd network with its traffic attached."""
-
-    sim: Simulator
-    network: Network
-    source: str
-    echo: str
-    bottleneck_fwd: Interface
-    bottleneck_rev: Interface
-    mix_fwd: Optional[InternetMix]
-    mix_rev: Optional[InternetMix]
-    faults: list[RandomDropFault] = field(default_factory=list)
-
-    def start_traffic(self, at: float = 0.0) -> None:
-        """Start all cross-traffic sources."""
-        if self.mix_fwd is not None:
-            self.mix_fwd.start(at=at)
-        if self.mix_rev is not None:
-            self.mix_rev.start(at=at)
-
-    @property
-    def bottleneck_rate_bps(self) -> float:
-        """Service rate μ of the bottleneck, bits per second."""
-        return self.bottleneck_fwd.rate_bps
-
-
 def build_inria_umd(seed: int = 0,
                     utilization_fwd: float = 0.72,
                     utilization_rev: float = 0.64,
@@ -102,7 +72,7 @@ def build_inria_umd(seed: int = 0,
                     window_interval: float = 0.30,
                     mean_file_packets: float = 20.0,
                     quantized_clock: bool = True,
-                    sim: Optional[Simulator] = None) -> InriaUmdScenario:
+                    sim: Optional[Simulator] = None) -> PathScenario:
     """Build the calibrated INRIA-UMd scenario.
 
     Parameters
@@ -181,7 +151,7 @@ def build_inria_umd(seed: int = 0,
             network.interface(a, b).add_egress_fault(fault)
             faults.append(fault)
 
-    return InriaUmdScenario(
+    return PathScenario(
         sim=sim, network=network, source=SOURCE_HOST, echo=ECHO_HOST,
         bottleneck_fwd=network.interface(BOTTLENECK_A, BOTTLENECK_B),
         bottleneck_rev=network.interface(BOTTLENECK_B, BOTTLENECK_A),

@@ -11,16 +11,13 @@ banding the paper points out in Figures 5 and 6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from repro.net.link import Interface
 from repro.net.queue import MODE_BYTES
-from repro.net.routing import Network
 from repro.net.clocks import QuantizedClock, UMD_RESOLUTION
 from repro.sim.kernel import Simulator
-from repro.topology.builder import LinkSpec, build_path
-from repro.traffic.mix import InternetMix, attach_internet_mix
+from repro.topology.builder import LinkSpec, PathScenario, build_path
+from repro.traffic.mix import attach_internet_mix
 from repro.units import mbps, ms
 
 #: The fourteen route entries of Table 2 (the first is the source host).
@@ -53,39 +50,13 @@ BOTTLENECK_A = "externals.gw.pitt.edu"
 BOTTLENECK_B = "136.142.2.54"
 
 
-@dataclass
-class UmdPittScenario:
-    """A built UMd-Pitt network with its traffic attached."""
-
-    sim: Simulator
-    network: Network
-    source: str
-    echo: str
-    bottleneck_fwd: Interface
-    bottleneck_rev: Interface
-    mix_fwd: Optional[InternetMix]
-    mix_rev: Optional[InternetMix]
-
-    def start_traffic(self, at: float = 0.0) -> None:
-        """Start all cross-traffic sources."""
-        if self.mix_fwd is not None:
-            self.mix_fwd.start(at=at)
-        if self.mix_rev is not None:
-            self.mix_rev.start(at=at)
-
-    @property
-    def bottleneck_rate_bps(self) -> float:
-        """Rate of the narrowest modeled link."""
-        return self.bottleneck_fwd.rate_bps
-
-
 def build_umd_pitt(seed: int = 0,
                    utilization_fwd: float = 0.55,
                    utilization_rev: float = 0.45,
                    bulk_fraction: float = 0.85,
                    buffer_bytes: int = 30_000,
                    quantized_clock: bool = True,
-                   sim: Optional[Simulator] = None) -> UmdPittScenario:
+                   sim: Optional[Simulator] = None) -> PathScenario:
     """Build the calibrated UMd-Pitt scenario (May 1993, T3 backbone)."""
     sim = sim if sim is not None else Simulator(seed=seed)
 
@@ -134,7 +105,7 @@ def build_umd_pitt(seed: int = 0,
         mean_file_packets=40.0, base_port=9100,
         stream_prefix="mix.rev") if utilization_rev > 0 else None
 
-    return UmdPittScenario(
+    return PathScenario(
         sim=sim, network=network, source=SOURCE_HOST, echo=ECHO_HOST,
         bottleneck_fwd=network.interface(BOTTLENECK_A, BOTTLENECK_B),
         bottleneck_rev=network.interface(BOTTLENECK_B, BOTTLENECK_A),

@@ -23,6 +23,7 @@ from repro.experiments.runner import (
 )
 from repro.net.clocks import SkewedClock
 from repro.net.faults import PeriodicStallFault
+from repro.net.tap import PacketTap
 from repro.netdyn.trace import LOST
 
 
@@ -38,10 +39,16 @@ class TestEligibility:
         assert ff.fastforward_ineligibilities(built) == []
 
     def test_lifecycle_hook_blocks(self):
-        built = build_scenario(config_for("inria-umd", 0.05, 10.0))
-        built.bottleneck_fwd.lifecycle = object()
-        reasons = ff.fastforward_ineligibilities(built)
-        assert any("lifecycle" in reason for reason in reasons)
+        # Any observer on a probe-path component blocks: a bare one, and
+        # a PacketTap watching the bottleneck.
+        for hook in (lambda interface: setattr(interface, "lifecycle",
+                                               object()),
+                     PacketTap):
+            built = build_scenario(config_for("inria-umd", 0.05, 10.0))
+            hook(built.bottleneck_fwd)
+            reasons = ff.fastforward_ineligibilities(built)
+            assert any("lifecycle hook on interface" in reason
+                       for reason in reasons)
 
     def test_stall_fault_blocks(self):
         built = build_scenario(config_for("inria-umd", 0.05, 10.0))

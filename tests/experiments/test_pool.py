@@ -18,9 +18,9 @@ from repro.experiments import campaign as campaign_module
 from repro.experiments import pool as pool_module
 from repro.experiments.campaign import CampaignSpec, CellResult, _run_cell, \
     cell_key
+from repro.experiments.config import PAPER_DELTAS
 from repro.experiments.pool import (
     LEASES_PER_WORKER,
-    TARGET_LEASE_SECONDS,
     LeaseError,
     StaleWorkerError,
     WarmWorkerPool,
@@ -72,58 +72,71 @@ def assert_cells_equal(rebuilt, originals, compare_wall=True):
         assert got.trace.delta == want.trace.delta
 
 
-def cost_for_batch(batch):
-    """A per-cell estimate that caps a lease at exactly ``batch`` cells."""
-    return TARGET_LEASE_SECONDS / batch
-
-
 class TestPlanLeases:
     def test_empty_grid(self):
-        assert plan_leases([], workers=4) == []
+        assert plan_leases([], workers=4, mode="event") == []
+        assert plan_leases([], workers=4, mode="analytic") == []
 
-    def test_cost_bound_batch_partitions_contiguously(self):
-        # 7 cells on 1 worker: the fair share ceil(7 / 4) gives batch 2.
-        # 24 cells on 1 worker: the fair share 6 is cut to 3 by cost.
-        cells = [(0.1, s) for s in range(7)]
-        assert plan_leases(cells, workers=1) \
-            == [cells[0:2], cells[2:4], cells[4:6], cells[6:7]]
-        cells = [(0.1, s) for s in range(24)]
-        leases = plan_leases(cells, workers=1,
-                             cell_seconds=cost_for_batch(3))
-        assert leases == [cells[i:i + 3] for i in range(0, 24, 3)]
+    def test_event_leases_hold_one_cell(self):
+        # Event cells simulate at least the 30 s warm-up: one per lease,
+        # in grid order, whatever the grid size or worker count.
+        for size in (1, 7, 24):
+            cells = [(0.1, s) for s in range(size)]
+            for workers in (1, 2, 4):
+                assert plan_leases(cells, workers, "event") \
+                    == [[cell] for cell in cells]
 
     def test_deterministic(self):
         cells = [(0.05, s) for s in range(16)]
-        assert plan_leases(cells, 2) == plan_leases(cells, 2)
+        for mode in ("event", "analytic"):
+            assert plan_leases(cells, 2, mode) == plan_leases(cells, 2, mode)
 
     def test_auto_tune_fair_share(self):
-        # 16 cells over 2 workers x LEASES_PER_WORKER leases -> batch 2.
-        cells = [(0.05, s) for s in range(16)]
-        leases = plan_leases(cells, workers=2)
+        # 16 cells of one seed over 2 workers x LEASES_PER_WORKER leases
+        # -> batch 2.
+        cells = [(0.01 * d, 1) for d in range(1, 17)]
+        leases = plan_leases(cells, workers=2, mode="analytic")
         assert all(len(lease) == 2 for lease in leases)
         assert [cell for lease in leases for cell in lease] == cells
 
     def test_auto_tune_shrinks_for_expensive_cells(self):
-        # A cell estimated above TARGET_LEASE_SECONDS forces batch 1.
-        cells = [(0.05, s) for s in range(16)]
-        leases = plan_leases(cells, workers=2, cell_seconds=5.0)
-        assert all(len(lease) == 1 for lease in leases)
+        # Event cells are the expensive ones: a grid whose analytic fair
+        # share is 4 still leases them one at a time.
+        cells = [(0.01 * d, 1) for d in range(1, 17)]
+        assert {len(lease) for lease
+                in plan_leases(cells, workers=1, mode="analytic")} == {4}
+        assert {len(lease) for lease
+                in plan_leases(cells, workers=1, mode="event")} == {1}
 
     def test_cheap_cells_keep_fair_share(self):
-        cells = [(0.05, s) for s in range(16)]
-        assert plan_leases(cells, workers=2, cell_seconds=1e-3) \
-            == plan_leases(cells, workers=2)
+        # However long the analytic cells run, the fair share alone
+        # sizes their leases.
+        cells = [(0.01 * d, 1) for d in range(1, 25)]
+        leases = plan_leases(cells, workers=1, mode="analytic")
+        assert [len(lease) for lease in leases] == [6] * 4
 
     def test_covers_grid_for_any_batch_size(self):
         for size in (1, 7, 11, 50):
-            cells = [(0.1, s) for s in range(size)]
+            cells = [(0.1 * (s // 5 + 1), s % 5) for s in range(size)]
             for workers in (1, 3):
-                for cell_seconds in (None, 5.0, cost_for_batch(2)):
-                    leases = plan_leases(cells, workers=workers,
-                                         cell_seconds=cell_seconds)
-                    assert [cell for lease in leases for cell in lease] \
-                        == cells
+                for mode in ("event", "analytic"):
+                    leases = plan_leases(cells, workers, mode)
+                    flat = [cell for lease in leases for cell in lease]
+                    assert sorted(flat) == sorted(cells)
+                    assert len(flat) == len(cells)
                     assert all(lease for lease in leases)
+
+    @pytest.mark.parametrize("seeds, workers", [(8, 1), (16, 2)])
+    def test_benchmark_campaign_leases(self, seeds, workers):
+        # The repository benchmark's two campaign grids (the paper's six
+        # deltas x 8 seeds on 1 worker, x 16 seeds on 2 workers): one
+        # lease of six cells per seed.
+        spec = CampaignSpec(deltas=PAPER_DELTAS,
+                            seeds=list(range(1, 1 + seeds)),
+                            duration=120.0, mode="analytic")
+        leases = plan_leases(spec.cells(), workers, spec.mode)
+        assert leases == [[(delta, seed) for delta in PAPER_DELTAS]
+                          for seed in spec.seeds]
 
 
 class TestSeedAffinity:
@@ -139,7 +152,7 @@ class TestSeedAffinity:
         # three deltas make one lease.
         grid = [(delta, seed) for delta in (0.05, 0.1, 0.2)
                 for seed in (1, 2, 3, 4)]
-        leases = plan_leases(grid, workers=1, affinity="seed")
+        leases = plan_leases(grid, workers=1, mode="analytic")
         assert leases == [[(0.05, seed), (0.1, seed), (0.2, seed)]
                           for seed in (1, 2, 3, 4)]
 
@@ -147,41 +160,33 @@ class TestSeedAffinity:
         # Batch 2 (fair share of 6 cells on 1 worker) on 3 deltas per
         # seed: a seed's third cell gets a lease of its own rather than
         # joining the next seed's.
-        leases = plan_leases(self.GRID, workers=1, affinity="seed")
+        leases = plan_leases(self.GRID, workers=1, mode="analytic")
         for lease in leases:
             assert len({seed for _, seed in lease}) == 1
         assert leases == [[(0.05, 1), (0.1, 1)], [(0.2, 1)],
                           [(0.05, 2), (0.1, 2)], [(0.2, 2)]]
-        # Batch 4 by fair share (24 cells, 1 worker) on 6 deltas per seed.
+        # Batch 6 by fair share (24 cells, 1 worker) on 6 deltas per seed:
+        # one lease per seed.
         assert len(self.WIDE) // LEASES_PER_WORKER == 6
-        wide = plan_leases(self.WIDE, workers=1,
-                           cell_seconds=cost_for_batch(4), affinity="seed")
-        assert [len(lease) for lease in wide] == [4, 2] * 4
+        wide = plan_leases(self.WIDE, workers=1, mode="analytic")
+        assert [len(lease) for lease in wide] == [6] * 4
+        # Batch 3 on 2 workers: two leases per seed, none straddling.
+        wide = plan_leases(self.WIDE, workers=2, mode="analytic")
+        assert [len(lease) for lease in wide] == [3] * 8
         for lease in wide:
             assert len({seed for _, seed in lease}) == 1
 
     def test_covers_grid_exactly(self):
         for grid in (self.GRID, self.WIDE):
             for workers in (1, 2, 4):
-                for cell_seconds in (None, 5.0, cost_for_batch(3)):
-                    leases = plan_leases(grid, workers=workers,
-                                         cell_seconds=cell_seconds,
-                                         affinity="seed")
-                    flat = [cell for lease in leases for cell in lease]
-                    assert sorted(flat) == sorted(grid)
-                    assert len(flat) == len(grid)
+                leases = plan_leases(grid, workers=workers, mode="analytic")
+                flat = [cell for lease in leases for cell in lease]
+                assert sorted(flat) == sorted(grid)
+                assert len(flat) == len(grid)
 
     def test_deterministic(self):
-        assert plan_leases(self.GRID, 2, affinity="seed") \
-            == plan_leases(self.GRID, 2, affinity="seed")
-
-    def test_none_affinity_unchanged(self):
-        assert plan_leases(self.GRID, 1, affinity=None) \
-            == plan_leases(self.GRID, 1)
-
-    def test_unknown_affinity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            plan_leases(self.GRID, 2, affinity="delta")
+        assert plan_leases(self.GRID, 2, "analytic") \
+            == plan_leases(self.GRID, 2, "analytic")
 
 
 class TestLeaseTransports:
@@ -269,7 +274,7 @@ class TestWarmWorkerPool:
     def test_serves_leases_matching_serial_results(self):
         spec = analytic_spec()
         grid = spec.cells()
-        leases = plan_leases(grid, workers=2)
+        leases = plan_leases(grid, workers=2, mode=spec.mode)
         assert len(leases) == len(grid)  # one cell per lease
         with WarmWorkerPool(2) as pool:
             served = {}
@@ -279,12 +284,13 @@ class TestWarmWorkerPool:
         assert sorted(served) == list(range(len(leases)))
         flat = [cell for index in sorted(served)
                 for cell in served[index]]
-        reference = [_run_cell(spec, delta, seed) for delta, seed in grid]
+        reference = [_run_cell(spec, delta, seed)
+                     for lease in leases for delta, seed in lease]
         assert_cells_equal(flat, reference, compare_wall=False)
 
     def test_spans_ride_the_lease_payload(self):
         spec = analytic_spec(deltas=(0.1,))
-        leases = plan_leases(spec.cells(), workers=2)
+        leases = plan_leases(spec.cells(), workers=2, mode=spec.mode)
         with WarmWorkerPool(2) as pool:
             pids = set(pool.worker_pids)
             shipped = {index: info["spans"] for index, _, info

@@ -8,19 +8,19 @@ from repro.experiments.runner import (
     execute_experiment,
     run_experiment,
 )
-from repro.topology.inria_umd import InriaUmdScenario
-from repro.topology.umd_pitt import UmdPittScenario
+from repro.topology.inria_umd import SOURCE_HOST as INRIA_SOURCE
+from repro.topology.umd_pitt import SOURCE_HOST as UMD_SOURCE
 
 
 class TestBuildScenario:
     def test_inria_umd(self):
         scenario = build_scenario(ExperimentConfig(delta=0.05))
-        assert isinstance(scenario, InriaUmdScenario)
+        assert scenario.source == INRIA_SOURCE == "tom.inria.fr"
 
     def test_umd_pitt(self):
         scenario = build_scenario(ExperimentConfig(delta=0.05,
                                                    scenario="umd-pitt"))
-        assert isinstance(scenario, UmdPittScenario)
+        assert scenario.source == UMD_SOURCE == "lena.cs.umd.edu"
 
     def test_scenario_kwargs_forwarded(self):
         config = ExperimentConfig(delta=0.05,

@@ -4,11 +4,12 @@ import csv
 
 import pytest
 
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigurationError
+from repro.net.faults import RandomDropFault
 from repro.net.packet import KIND_UDP
 from repro.net.routing import Network
 from repro.net.tap import PacketTap
-from repro.sim import Simulator
+from repro.obs import PacketLifecycleTracer
 from repro.tools.ping import ping
 from repro.units import mbps, ms
 
@@ -89,6 +90,71 @@ class TestPacketTap:
         network.host("a").send_udp("b", 9, 9, payload_bytes=10)
         sim.run()
         assert len(tap) == 0
+
+    def test_ingress_fault_drop_not_recorded(self, sim):
+        # The tap sees what the receiving node sees: a packet an ingress
+        # fault discards never reaches b, so it is not captured either.
+        network = pair(sim)
+        interface = network.interface("a", "b")
+        interface.add_ingress_fault(
+            RandomDropFault(1.0, sim.streams.get("test.ingress")))
+        tap = PacketTap(interface)
+        received = []
+        network.host("b").bind_udp(9, received.append)
+        network.host("a").send_udp("b", 9, 9, payload_bytes=10)
+        sim.run()
+        assert interface.fault_drops == 1
+        assert received == []
+        assert len(tap) == 0
+
+    def test_installed_mid_flight_sees_later_delivery(self, sim):
+        # Hooks are read when the delivery event fires, so a tap added
+        # while the packet propagates still captures it.
+        network = pair(sim)
+        network.host("b").bind_udp(9, lambda p: None)
+        network.host("a").send_udp("b", 9, 9, payload_bytes=10)
+        sim.run(until=0.0005)  # transmitted, 1 ms propagation to go
+        assert network.interface("a", "b")._inflight
+        tap = PacketTap(network.interface("a", "b"))
+        sim.run()
+        assert len(tap) == 1
+
+    def test_one_tap_per_interface(self, sim):
+        network = pair(sim)
+        PacketTap(network.interface("a", "b"))
+        with pytest.raises(ConfigurationError, match="a->b"):
+            PacketTap(network.interface("a", "b"))
+
+    def test_refuses_interface_held_by_tracer(self, sim):
+        network = pair(sim)
+        tracer = PacketLifecycleTracer(network)
+        with pytest.raises(ConfigurationError):
+            PacketTap(network.interface("a", "b"))
+        assert network.interface("a", "b").lifecycle is tracer
+
+    def test_tracer_refuses_tapped_network(self, sim):
+        network = pair(sim)
+        tap = PacketTap(network.interface("a", "b"))
+        with pytest.raises(ConfigurationError, match="a->b"):
+            PacketLifecycleTracer(network)
+        # Refused before anything was installed.
+        assert network.interface("a", "b").lifecycle is tap
+        assert network.interface("b", "a").lifecycle is None
+        assert network.host("a").lifecycle is None
+        assert network.interface("a", "b").queue.lifecycle is None
+
+    def test_close_leaves_a_later_tracer_in_place(self, sim):
+        network = pair(sim)
+        tap = PacketTap(network.interface("a", "b"))
+        tap.close()
+        tracer = PacketLifecycleTracer(network)
+        tap.close()
+        assert network.interface("a", "b").lifecycle is tracer
+        network.host("b").bind_udp(9, lambda p: None)
+        network.host("a").send_udp("b", 9, 9, payload_bytes=10)
+        sim.run()
+        assert len(tap) == 0
+        assert [r.event for r in tracer.records].count("delivered") == 1
 
     def test_save_csv(self, sim, tmp_path):
         network = pair(sim)

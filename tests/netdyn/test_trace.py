@@ -64,6 +64,21 @@ class TestValidation:
             ProbeTrace(delta=0.0, send_times=np.array([0.0]),
                        rtts=np.array([0.1]))
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(AnalysisError, match="finite"):
+            ProbeTrace(delta=delta, send_times=np.array([0.0]),
+                       rtts=np.array([0.1]))
+
+    @pytest.mark.parametrize("field", ["send_times", "rtts"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_samples_rejected(self, field, value):
+        arrays = {"send_times": np.array([0.0, 0.05]),
+                  "rtts": np.array([0.1, 0.2])}
+        arrays[field][1] = value
+        with pytest.raises(AnalysisError, match="non-finite"):
+            ProbeTrace(delta=0.05, **arrays)
+
 
 class TestPersistence:
     def test_csv_roundtrip(self, tmp_path):
@@ -110,6 +125,20 @@ class TestLoadCsvMalformedRows:
         path = tmp_path / "text.csv"
         path.write_text("n,send_time,rtt\n0,0.0,0.1\n1,0.05,oops\n")
         with pytest.raises(AnalysisError, match=r"text\.csv:3.*non-numeric"):
+            ProbeTrace.load_csv(path)
+
+    @pytest.mark.parametrize("row", ["1,0.05,nan", "1,0.05,inf",
+                                     "1,nan,0.1"])
+    def test_non_finite_field(self, tmp_path, row):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"# delta=0.05\nn,send_time,rtt\n0,0.0,0.1\n{row}\n")
+        with pytest.raises(AnalysisError, match=r"nan\.csv.*non-finite"):
+            ProbeTrace.load_csv(path)
+
+    def test_non_finite_delta_header(self, tmp_path):
+        path = tmp_path / "delta.csv"
+        path.write_text("# delta=nan\nn,send_time,rtt\n0,0.0,0.1\n")
+        with pytest.raises(AnalysisError, match=r"delta\.csv.*finite"):
             ProbeTrace.load_csv(path)
 
 

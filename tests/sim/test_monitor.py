@@ -1,27 +1,8 @@
-"""Unit tests for counters and time-weighted statistics."""
-
-import math
+"""Unit tests for time-weighted statistics."""
 
 import pytest
 
-from repro.sim import Counter, SampleStats, Simulator, TimeWeightedValue
-
-
-class TestCounter:
-    def test_increment(self, sim):
-        counter = Counter(sim)
-        counter.increment()
-        counter.increment(by=3)
-        assert counter.count == 4
-
-    def test_rate(self, sim):
-        counter = Counter(sim)
-        sim.call_at(10.0, counter.increment)
-        sim.run()
-        assert counter.rate() == pytest.approx(0.1)
-
-    def test_rate_zero_elapsed(self, sim):
-        assert Counter(sim).rate() == 0.0
+from repro.sim import TimeWeightedValue
 
 
 class TestTimeWeightedValue:
@@ -49,33 +30,3 @@ class TestTimeWeightedValue:
         tracked = TimeWeightedValue(sim, initial=1.0)
         tracked.update(4.0)
         assert tracked.value == 4.0
-
-
-class TestSampleStats:
-    def test_mean_and_variance(self):
-        stats = SampleStats()
-        for x in (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0):
-            stats.add(x)
-        assert stats.mean() == pytest.approx(5.0)
-        assert stats.variance() == pytest.approx(32.0 / 7.0)
-        assert stats.stddev() == pytest.approx(math.sqrt(32.0 / 7.0))
-
-    def test_empty(self):
-        stats = SampleStats()
-        assert stats.mean() == 0.0
-        assert stats.variance() == 0.0
-        assert stats.minimum() is None
-        assert stats.maximum() is None
-
-    def test_single_sample(self):
-        stats = SampleStats()
-        stats.add(3.0)
-        assert stats.mean() == 3.0
-        assert stats.variance() == 0.0
-
-    def test_extrema(self):
-        stats = SampleStats()
-        for x in (3.0, -1.0, 10.0):
-            stats.add(x)
-        assert stats.minimum() == -1.0
-        assert stats.maximum() == 10.0

@@ -340,13 +340,14 @@ class TestBenchCli:
                             "--benchmarks-dir", str(bench_dir)])
 
     def test_real_benchmarks_dir_discovered(self, tmp_path, capsys):
-        # The repo's own benchmarks/ must expose all four suites without
+        # The repo's own benchmarks/ must expose all five suites without
         # running them: unknown-suite errors list what was discovered.
         with pytest.raises(SystemExit):
             cli.main_bench(["run", "definitely-not-a-suite"])
         err = capsys.readouterr().err
-        for suite in ("cache", "campaign", "kernel", "obs"):
-            assert suite in err
+        available = err.rsplit("available: ", 1)[1].split()
+        assert [name.rstrip(",") for name in available] \
+            == ["cache", "campaign", "fastforward", "kernel", "obs"]
 
     def compare(self, tmp_path, old_value, new_value, threshold=None):
         from repro.obs.bench import build_report, metric, write_report
