@@ -33,9 +33,11 @@ The mode only handles what it can do exactly: open-loop
 cross traffic, :class:`~repro.net.faults.RandomDropFault` on probe-only
 interfaces, and floor-quantized or perfect source clocks.  Anything else —
 a reactive mini-TCP flow, a stall fault, a lifecycle hook, a fault shared
-with cross traffic — produces an ineligibility reason and the cell falls
-back to the runner's exact event execution
-(:func:`fastforward_ineligibilities` reports why).
+with cross traffic, an access link that may overflow — produces a reason
+and the cell falls back to the runner's exact event execution
+(:func:`fastforward_ineligibilities` reports the structural ones).  One
+walk over each probe path yields both those reasons and the direction
+models the replay runs on.
 
 The remaining approximation, stated once here: probes and cross packets
 are assumed to queue *only* at the bottleneck interfaces and the mix
@@ -48,8 +50,7 @@ assumption is exact there; the equivalence tests verify it empirically.
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,7 +66,7 @@ from repro.net.clocks import PerfectClock, QuantizedClock
 from repro.net.faults import RandomDropFault
 from repro.net.link import Interface
 from repro.net.packet import UDP_WIRE_OVERHEAD_BYTES
-from repro.net.queue import MODE_PACKETS
+from repro.net.queue import MODE_PACKETS, queue_summary
 from repro.net.routing import Network
 from repro.netdyn import packetfmt
 from repro.netdyn.session import DEFAULT_DRAIN
@@ -87,15 +88,16 @@ from repro.units import (
 ACCESS_BACKLOG_MARGIN = 0.9
 
 
+#: Wire size of one probe, bytes.
+_PROBE_WIRE_BYTES = packetfmt.PROBE_PAYLOAD_BYTES + UDP_WIRE_OVERHEAD_BYTES
+
+
 @dataclass
 class DirectionModel:
     """One direction's bottleneck plus everything fixed around it."""
 
-    #: Bottleneck interface label ("a->b"), for queue statistics.
-    label: str
-    rate_bps: float
-    capacity: int
-    queue_mode: str
+    #: The bottleneck interface (its name labels the queue statistics).
+    bottleneck: Interface
     #: Probe service time at this bottleneck, seconds.
     service: float
     #: Fixed seconds from probe origination to bottleneck-queue arrival.
@@ -103,13 +105,9 @@ class DirectionModel:
     #: Fixed seconds from bottleneck service completion to delivery.
     after: float
     #: Bernoulli drop stages crossed before the queue, in path order.
-    pre_faults: List[RandomDropFault] = field(default_factory=list)
+    pre_faults: List[RandomDropFault]
     #: Bernoulli drop stages crossed after the queue, in path order.
-    post_faults: List[RandomDropFault] = field(default_factory=list)
-    #: Exact cross arrival times at the bottleneck queue, sorted.
-    cross_times: np.ndarray = field(default_factory=lambda: np.empty(0))
-    #: Wire bits of each cross arrival.
-    cross_bits: np.ndarray = field(default_factory=lambda: np.empty(0))
+    post_faults: List[RandomDropFault]
 
 
 # ---------------------------------------------------------------------------
@@ -122,96 +120,36 @@ def _hop_interfaces(network: Network, path: Sequence[str],
             for a, b in zip(path[:-1], path[1:])]
 
 
-def _fixed_segments(network: Network, path: Sequence[str],
-                    bottleneck: Interface, wire_bytes: int,
-                    ) -> Tuple[float, float]:
-    """Fixed latency before and after the bottleneck along ``path``.
+def _walk_direction(scenario: PathScenario, path: Sequence[str],
+                    bottleneck: Interface, label: str, reasons: List[str],
+                    ) -> Tuple[DirectionModel, List[Interface]]:
+    """One probe direction's model and crossed interfaces, in one walk.
 
-    ``before`` runs from origination at ``path[0]`` to arrival at the
-    bottleneck *queue* (including the bottleneck node's processing delay);
-    ``after`` runs from the end of the bottleneck's transmission to
-    delivery at ``path[-1]`` (starting with the bottleneck's propagation
-    delay).  Assumes no queueing at the non-bottleneck hops — the
-    module-level invariant.
+    Each hop either appends an ineligibility to ``reasons`` or feeds the
+    model, which is only meaningful if none was appended.  ``before`` runs
+    from origination to arrival at the bottleneck *queue* (including the
+    bottleneck node's processing delay), ``after`` from the end of its
+    transmission to delivery (starting with its propagation delay); other
+    hops are assumed not to queue — the module-level invariant.
     """
+    network = scenario.network
+    hooked = [name for name in path
+              if network.node(name).lifecycle is not None]
+    if hooked:
+        reasons.append(f"lifecycle hook on node {hooked[0]}")
+    interfaces = _hop_interfaces(network, path)
+    crossings = sum(1 for i in interfaces if i is bottleneck)
+    if crossings != 1:
+        reasons.append(
+            f"{label} probe path crosses its bottleneck "
+            f"{crossings} times (need exactly 1)")
+
     before = 0.0
     after = bottleneck.prop_delay
-    seen = False
-    for a, b in zip(path[:-1], path[1:]):
-        node = network.node(a)
-        interface = node.interface_to(b)
-        if interface is bottleneck:
-            before += node.processing_delay
-            seen = True
-            continue
-        segment = (node.processing_delay
-                   + transmission_delay(wire_bytes, interface.rate_bps)
-                   + interface.prop_delay)
-        if seen:
-            after += segment
-        else:
-            before += segment
-    if not seen:
-        raise ConfigurationError(
-            f"path {path[0]!r}->{path[-1]!r} does not cross the "
-            f"bottleneck {bottleneck.name!r}")
-    return before, after
-
-
-def _fault_stages(network: Network, path: Sequence[str],
-                  bottleneck: Interface,
-                  ) -> Tuple[List[RandomDropFault], List[RandomDropFault]]:
-    """Drop stages before/after the bottleneck, in crossing order.
-
-    Assumes eligibility already verified: no faults on the bottleneck
-    itself, every fault is a :class:`RandomDropFault` on a probe-only
-    interface.
-    """
     pre: List[RandomDropFault] = []
     post: List[RandomDropFault] = []
     seen = False
-    for interface in _hop_interfaces(network, path):
-        if interface is bottleneck:
-            seen = True
-            continue
-        bucket = post if seen else pre
-        for fault in interface.egress_faults:
-            bucket.append(fault)
-        for fault in interface.ingress_faults:
-            bucket.append(fault)
-    return pre, post
-
-
-def fastforward_ineligibilities(scenario: PathScenario) -> List[str]:
-    """Why ``scenario`` cannot run analytically (empty = eligible).
-
-    Checks are structural only and consume no randomness, so an eligible
-    scenario can proceed straight to extraction and an ineligible one can
-    be rebuilt fresh for the event fallback.
-    """
-    reasons: List[str] = []
-    network = scenario.network
-    clock = network.host(scenario.source).clock
-    if type(clock) not in (PerfectClock, QuantizedClock):
-        reasons.append(
-            f"source clock {type(clock).__name__} is not replayable")
-
-    fwd_path = network.path(scenario.source, scenario.echo)
-    rev_path = network.path(scenario.echo, scenario.source)
-    probe_interfaces: List[Interface] = []
-    for path, bottleneck, label in (
-            (fwd_path, scenario.bottleneck_fwd, "forward"),
-            (rev_path, scenario.bottleneck_rev, "reverse")):
-        interfaces = _hop_interfaces(network, path)
-        crossings = sum(1 for i in interfaces if i is bottleneck)
-        if crossings != 1:
-            reasons.append(
-                f"{label} probe path crosses its bottleneck "
-                f"{crossings} times (need exactly 1)")
-        probe_interfaces.extend(interfaces)
-
-    faults: List[RandomDropFault] = []
-    for interface in probe_interfaces:
+    for a, interface in zip(path[:-1], interfaces):
         if interface.lifecycle is not None:
             reasons.append(f"lifecycle hook on interface {interface.name}")
         if interface.queue.lifecycle is not None:
@@ -228,20 +166,55 @@ def fastforward_ineligibilities(scenario: PathScenario) -> List[str]:
                     f"{type(fault).__name__} on {interface.name} is not "
                     "a replayable random drop")
             else:
-                faults.append(fault)
-    for path in (fwd_path, rev_path):
-        for name in path:
-            node = network.node(name)
-            if node.lifecycle is not None:
-                reasons.append(f"lifecycle hook on node {name}")
-                break
+                (post if seen else pre).append(fault)
+        processing = network.node(a).processing_delay
+        if interface is bottleneck:
+            before += processing
+            seen = True
+            continue
+        segment = (processing
+                   + transmission_delay(_PROBE_WIRE_BYTES,
+                                        interface.rate_bps)
+                   + interface.prop_delay)
+        if seen:
+            after += segment
+        else:
+            before += segment
+    service = transmission_delay(_PROBE_WIRE_BYTES, bottleneck.rate_bps)
+    return DirectionModel(bottleneck, service, before, after, pre,
+                          post), interfaces
 
-    generator_ids = [id(fault._rng) for fault in faults]
+
+def _path_model(scenario: PathScenario,
+                ) -> Tuple[List[str], Tuple[DirectionModel, DirectionModel]]:
+    """The sorted ineligibility reasons and both direction models.
+
+    Structural only and consumes no randomness, so an eligible scenario
+    proceeds straight to the replay and an ineligible one can be probed
+    on the event engine as it is.
+    """
+    reasons: List[str] = []
+    network = scenario.network
+    clock = network.host(scenario.source).clock
+    if type(clock) not in (PerfectClock, QuantizedClock):
+        reasons.append(
+            f"source clock {type(clock).__name__} is not replayable")
+
+    fwd, fwd_interfaces = _walk_direction(
+        scenario, network.path(scenario.source, scenario.echo),
+        scenario.bottleneck_fwd, "forward", reasons)
+    rev, rev_interfaces = _walk_direction(
+        scenario, network.path(scenario.echo, scenario.source),
+        scenario.bottleneck_rev, "reverse", reasons)
+
+    generator_ids = [id(fault._rng)
+                     for direction in (fwd, rev)
+                     for fault in direction.pre_faults + direction.post_faults]
     if len(set(generator_ids)) != len(generator_ids):
         reasons.append("faults share a random generator "
                        "(crossing order not replayable)")
 
-    probe_ids = {id(i) for i in probe_interfaces}
+    probe_ids = {id(i) for i in fwd_interfaces + rev_interfaces}
     for mix, bottleneck, label in (
             (scenario.mix_fwd, scenario.bottleneck_fwd, "forward"),
             (scenario.mix_rev, scenario.bottleneck_rev, "reverse")):
@@ -279,7 +252,15 @@ def fastforward_ineligibilities(scenario: PathScenario) -> List[str]:
         if len(set(access_ids)) > 1:
             reasons.append(
                 f"{label} mix sources use different access links")
-    return sorted(set(reasons))
+    return sorted(set(reasons)), (fwd, rev)
+
+
+def fastforward_ineligibilities(scenario: PathScenario) -> List[str]:
+    """Why ``scenario`` cannot run analytically (empty = eligible).
+
+    The reasons half of the one path walk the engine itself runs.
+    """
+    return _path_model(scenario)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +441,10 @@ def slice_stream(stream: Optional[CrossStream], horizon: float,
 
     Applies the per-prefix no-drop certificate on the access link — the
     same check (and diagnostic) a direct replay at ``horizon`` performs,
-    read off the precomputed running peak instead of recomputed.
+    read off the precomputed running peak instead of recomputed.  A
+    failure raises :class:`~repro.errors.ConfigurationError`, whose
+    message :func:`run_fastforward_experiment` records as the cell's
+    fallback reason.
     """
     if stream is None:
         return np.empty(0), np.empty(0)
@@ -477,51 +461,44 @@ def slice_stream(stream: Optional[CrossStream], horizon: float,
     return stream.arrivals[:cut], stream.bits[:cut]
 
 
-#: Replay entries a :class:`CrossReplayMemo` keeps.  Sized for
-#: a seed-affine lease (one hot seed, a little slack for interleaving);
-#: an entry holds ~4 float64 arrays per direction, so the bound also caps
-#: resident memory in long-lived warm workers.
-DEFAULT_REPLAY_ENTRIES = 4
-
-
 class CrossReplayMemo:
-    """Bounded LRU of :class:`CrossReplay` artifacts, keyed by replay key.
+    """The last :class:`CrossReplay` built, held under its replay key.
 
-    Holds at most :data:`DEFAULT_REPLAY_ENTRIES` replays.
+    A hit needs the key to match *and* the held build horizon to cover
+    the requested one (a shorter request is an exact prefix slice); a
+    :meth:`put` replaces the held replay.  One replay is enough because
+    every campaign visits cells in
+    :func:`~repro.experiments.pool.plan_leases`' seed-major order: a
+    serial campaign serves its leases in that order and each warm worker
+    takes the next lease from its front, so once a process moves past a
+    seed it never asks for that seed again.
 
-    An entry hits when its key matches *and* its build horizon covers the
-    requested one (a shorter request is an exact prefix slice); a stored
-    replay with a longer horizon simply replaces the old entry.  Hit and
-    miss counters are execution mechanics: the campaign quarantines them
-    in timing.json's ``dispatch`` block, never in any deterministic
-    artifact — which is also why the memo lives beside the engine, not on
-    :class:`~repro.experiments.campaign.CampaignSpec`.
+    Hit and miss counters are execution mechanics: the campaign
+    quarantines them in timing.json's ``dispatch`` block, never in any
+    deterministic artifact — which is also why the memo lives beside the
+    engine, not on :class:`~repro.experiments.campaign.CampaignSpec`.
     """
 
     def __init__(self) -> None:
-        self._replays: "OrderedDict[Hashable, CrossReplay]" = OrderedDict()
+        self._key: Optional[Hashable] = None
+        self._replay: Optional[CrossReplay] = None
         self.hits = 0
         self.misses = 0
 
-    def __len__(self) -> int:
-        return len(self._replays)
-
     def get(self, key: Hashable,
             horizon: float) -> Optional[CrossReplay]:
-        """The covering replay for ``key``, or None (counted as a miss)."""
-        replay = self._replays.get(key)
-        if replay is not None and replay.horizon >= horizon:
-            self._replays.move_to_end(key)
+        """The held replay if it covers ``key`` to ``horizon``, or None."""
+        replay = self._replay
+        if replay is not None and self._key == key \
+                and replay.horizon >= horizon:
             self.hits += 1
             return replay
         self.misses += 1
         return None
 
     def put(self, key: Hashable, replay: CrossReplay) -> None:
-        self._replays[key] = replay
-        self._replays.move_to_end(key)
-        while len(self._replays) > DEFAULT_REPLAY_ENTRIES:
-            self._replays.popitem(last=False)
+        self._key = key
+        self._replay = replay
 
     def counters(self) -> Tuple[int, int]:
         """(hits, misses) snapshot, for delta accounting around a lease."""
@@ -603,11 +580,7 @@ def _exact_pass(direction: DirectionModel, cross_times: np.ndarray,
     n_probe = live_probe_times.size
     total = n_cross + n_probe
     if total == 0:
-        return np.empty(0), {
-            "arrivals": 0.0, "drops": 0.0, "departures": 0.0,
-            "loss_fraction": 0.0, "occupancy_mean_pkts": 0.0,
-            "occupancy_max_pkts": 0.0, "occupancy_mean_bytes": 0.0,
-        }
+        return np.empty(0), queue_summary(0, 0, 0, 0.0, 0.0, 0.0)
     # Both inputs are already sorted (cross arrivals are FIFO departures
     # plus constants; probe arrivals inherit the send order through FIFO
     # stages), so one searchsorted merge replaces the per-cell argsort:
@@ -625,7 +598,8 @@ def _exact_pass(direction: DirectionModel, cross_times: np.ndarray,
     bits[probe_mask] = probe_bits
     times[~probe_mask] = cross_times
     bits[~probe_mask] = cross_bits
-    rate = direction.rate_bps
+    rate = direction.bottleneck.rate_bps
+    capacity = direction.bottleneck.queue.capacity
     service = bits / rate
     gaps = np.empty_like(times)
     gaps[:-1] = np.diff(times)
@@ -638,37 +612,33 @@ def _exact_pass(direction: DirectionModel, cross_times: np.ndarray,
     # in-system count (self included) is an upper bound on what the
     # event queue's waiting+1 test sees.
     in_system = population - np.searchsorted(departs, times, side="left")
-    if direction.queue_mode == MODE_PACKETS:
-        if int(in_system.max()) > direction.capacity:
+    if direction.bottleneck.queue.mode == MODE_PACKETS:
+        if int(in_system.max()) > capacity:
             return None
     else:
         cumulative = np.concatenate([[0.0], np.cumsum(bits)])
         in_system_bits = (cumulative[population]
                           - cumulative[population - in_system])
-        if bits_to_bytes(float(in_system_bits.max())) > direction.capacity:
+        if bits_to_bytes(float(in_system_bits.max())) > capacity:
             return None
     waiting_span = np.minimum(starts, end_time) - times
     started = np.searchsorted(starts, times, side="right")
-    stats = {
-        "arrivals": float(total),
-        "drops": 0.0,
-        "departures": float(np.searchsorted(departs, end_time,
-                                            side="right")),
-        "loss_fraction": 0.0,
-        "occupancy_mean_pkts": float(waiting_span.sum()) / end_time,
-        "occupancy_max_pkts": float((population - started).max()),
-        "occupancy_mean_bytes": bits_to_bytes(
-            float((bits * waiting_span).sum())) / end_time,
-    }
+    stats = queue_summary(
+        total, 0, np.searchsorted(departs, end_time, side="right"),
+        float(waiting_span.sum()) / end_time,
+        (population - started).max(),
+        bits_to_bytes(float((bits * waiting_span).sum())) / end_time)
     return waits[probe_mask], stats
 
 
-def _queue_pass(direction: DirectionModel, probe_times: np.ndarray,
+def _queue_pass(direction: DirectionModel, cross_times: np.ndarray,
+                cross_bits: np.ndarray, probe_times: np.ndarray,
                 alive: np.ndarray, probe_bits: float,
                 end_time: float) -> Tuple[np.ndarray, dict]:
     """Run one bottleneck: merged cross arrivals + probes, in time order.
 
-    Returns the per-probe waits (zero for probes that never arrive) and
+    ``cross_times``/``cross_bits`` are the direction's sliced cross
+    stream (:func:`slice_stream`).  Returns the per-probe waits (zero for probes that never arrive) and
     the queue's statistics dict.  ``alive`` is updated in place with
     queue drops.  Tries the vectorized no-drop pass first; only when the
     buffer could overflow does the sequential :class:`FluidQueue` walk
@@ -676,9 +646,9 @@ def _queue_pass(direction: DirectionModel, probe_times: np.ndarray,
     admission decision of every single arrival matters and coarse
     batches would change which packets drop.
     """
-    keep = direction.cross_times <= end_time
-    cross_times = direction.cross_times[keep]
-    cross_bits = direction.cross_bits[keep]
+    keep = cross_times <= end_time
+    cross_times = cross_times[keep]
+    cross_bits = cross_bits[keep]
     live_probe_times = probe_times[alive]
     waits = np.zeros(probe_times.shape)
     exact = _exact_pass(direction, cross_times, cross_bits,
@@ -687,8 +657,9 @@ def _queue_pass(direction: DirectionModel, probe_times: np.ndarray,
         waits[alive] = exact[0]
         return waits, exact[1]
 
-    queue = FluidQueue(direction.rate_bps, direction.capacity,
-                       mode=direction.queue_mode)
+    bottleneck = direction.bottleneck
+    queue = FluidQueue(bottleneck.rate_bps, bottleneck.queue.capacity,
+                       mode=bottleneck.queue.mode)
     # Cross arrivals at times <= the probe's arrival go first (matching
     # event order, where the probe joins the queue behind them);
     # precomputing the per-probe cursor targets and walking plain lists
@@ -740,7 +711,9 @@ def run_fastforward_experiment(config: ExperimentConfig,
 
     The analytic entry :func:`~repro.experiments.runner.execute_experiment`
     dispatches to.  An ineligible scenario (see
-    :func:`fastforward_ineligibilities`) runs the runner's own event body
+    :func:`fastforward_ineligibilities`), or one whose access link fails
+    its no-drop certificate at this cell's horizon (:func:`slice_stream`),
+    runs the runner's own event body
     (:func:`~repro.experiments.runner.event_result`) instead.  The
     returned trace carries the same metadata keys as an event-mode trace
     plus ``mode`` (and, on fallback, ``fallback`` with the sorted
@@ -765,15 +738,14 @@ def run_fastforward_experiment(config: ExperimentConfig,
         that seed.
     """
     scenario = build_scenario(config)
-    reasons = fastforward_ineligibilities(scenario)
+    reasons, (fwd, rev) = _path_model(scenario)
     if reasons:
         scenario.start_traffic(at=0.0)
         return event_result(scenario, config, fallback_reasons=reasons)
 
     network = scenario.network
     count = config.count
-    wire_bytes = packetfmt.PROBE_PAYLOAD_BYTES + UDP_WIRE_OVERHEAD_BYTES
-    probe_bits = float(bytes_to_bits(wire_bytes))
+    probe_bits = float(bytes_to_bits(_PROBE_WIRE_BYTES))
     end_time = cell_horizon(config)
 
     build_horizon = max(end_time, replay_horizon or 0.0)
@@ -788,25 +760,17 @@ def run_fastforward_experiment(config: ExperimentConfig,
             replay = build_cross_replay(scenario, build_horizon)
         if memo is not None and key is not None:
             memo.put(key, replay)
-
-    fwd_path = network.path(scenario.source, scenario.echo)
-    rev_path = network.path(scenario.echo, scenario.source)
-    directions = []
-    for path, bottleneck, stream in (
-            (fwd_path, scenario.bottleneck_fwd, replay.streams[0]),
-            (rev_path, scenario.bottleneck_rev, replay.streams[1])):
-        before, after = _fixed_segments(network, path, bottleneck,
-                                        wire_bytes)
-        pre, post = _fault_stages(network, path, bottleneck)
-        cross_times, cross_bits = slice_stream(stream, end_time)
-        directions.append(DirectionModel(
-            label=bottleneck.name, rate_bps=bottleneck.rate_bps,
-            capacity=bottleneck.queue.capacity,
-            queue_mode=bottleneck.queue.mode,
-            service=transmission_delay(wire_bytes, bottleneck.rate_bps),
-            before=before, after=after, pre_faults=pre, post_faults=post,
-            cross_times=cross_times, cross_bits=cross_bits))
-    fwd, rev = directions
+    try:
+        (cross_fwd, bits_fwd), (cross_rev, bits_rev) = [
+            slice_stream(stream, end_time) for stream in replay.streams]
+    except ConfigurationError as overflow:
+        # The access certificate failed.  Building the replay drew from
+        # this scenario's sources, so the event fallback probes a fresh
+        # build.
+        scenario = build_scenario(config)
+        scenario.start_traffic(at=0.0)
+        return event_result(scenario, config,
+                            fallback_reasons=[str(overflow)])
 
     # Probe send times accumulate exactly like the source agent's
     # self-rescheduling timer (t += delta in floating point): cumsum is
@@ -822,14 +786,16 @@ def run_fastforward_experiment(config: ExperimentConfig,
 
     _apply_stages(fwd.pre_faults, alive)
     arrivals_fwd = send_times + fwd.before
-    waits_fwd, stats_fwd = _queue_pass(fwd, arrivals_fwd, alive, probe_bits,
+    waits_fwd, stats_fwd = _queue_pass(fwd, cross_fwd, bits_fwd,
+                                       arrivals_fwd, alive, probe_bits,
                                        end_time)
     exits_fwd = arrivals_fwd + waits_fwd + fwd.service
     _apply_stages(fwd.post_faults, alive)
 
     arrivals_rev = exits_fwd + fwd.after + rev.before
     _apply_stages(rev.pre_faults, alive)
-    waits_rev, stats_rev = _queue_pass(rev, arrivals_rev, alive, probe_bits,
+    waits_rev, stats_rev = _queue_pass(rev, cross_rev, bits_rev,
+                                       arrivals_rev, alive, probe_bits,
                                        end_time)
     exits_rev = arrivals_rev + waits_rev + rev.service
     _apply_stages(rev.post_faults, alive)
@@ -844,7 +810,8 @@ def run_fastforward_experiment(config: ExperimentConfig,
 
     trace = ProbeTrace(
         delta=config.delta, send_times=send_times, rtts=rtts,
-        payload_bytes=packetfmt.PROBE_PAYLOAD_BYTES, wire_bytes=wire_bytes,
+        payload_bytes=packetfmt.PROBE_PAYLOAD_BYTES,
+        wire_bytes=_PROBE_WIRE_BYTES,
         meta={
             "source": scenario.source,
             "echo": scenario.echo,
@@ -859,8 +826,8 @@ def run_fastforward_experiment(config: ExperimentConfig,
             "mode": "analytic",
         })
     queue_stats = {
-        fwd.label: stats_fwd,
-        rev.label: stats_rev,
+        fwd.bottleneck.name: stats_fwd,
+        rev.bottleneck.name: stats_rev,
     }
     return ExperimentResult(trace=trace, queue_stats=queue_stats,
                             mode_used="analytic", fallback_reasons=[],

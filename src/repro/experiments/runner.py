@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import SCENARIO_BUILDERS, ExperimentConfig
+from repro.net.queue import queue_summary
 from repro.net.routing import Network
 from repro.netdyn.session import run_probe_experiment
 from repro.netdyn.trace import ProbeTrace
@@ -94,15 +95,11 @@ def collect_queue_stats(network: Network) -> Dict[str, Dict[str, float]]:
             queue = node.interfaces[peer_name].queue
             if queue.arrivals == 0:
                 continue
-            stats[f"{node_name}->{peer_name}"] = {
-                "arrivals": float(queue.arrivals),
-                "drops": float(queue.drops),
-                "departures": float(queue.departures),
-                "loss_fraction": queue.loss_fraction,
-                "occupancy_mean_pkts": queue.occupancy_packets.mean(),
-                "occupancy_max_pkts": queue.occupancy_packets.maximum(),
-                "occupancy_mean_bytes": queue.occupancy_bytes.mean(),
-            }
+            stats[f"{node_name}->{peer_name}"] = queue_summary(
+                queue.arrivals, queue.drops, queue.departures,
+                queue.occupancy_packets.mean(),
+                queue.occupancy_packets.maximum(),
+                queue.occupancy_bytes.mean())
     return stats
 
 

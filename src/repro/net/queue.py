@@ -8,7 +8,7 @@ the buffer overflows.  Capacity can be expressed in packets (the paper's
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.net.hooks import LifecycleObserver
@@ -144,3 +144,25 @@ class DropTailQueue:
         return (f"<DropTailQueue {self.name!r} {len(self._packets)} pkts/"
                 f"{self._bytes}B of {self.capacity} {self.mode}, "
                 f"{self.drops} drops>")
+
+
+def queue_summary(arrivals: int, drops: int, departures: int,
+                  mean_packets: float, max_packets: float,
+                  mean_bytes: float) -> Dict[str, float]:
+    """One queue's statistics as the manifest records them.
+
+    The single spelling of the per-queue dict: the event engine fills it
+    from a :class:`DropTailQueue`'s counters and the analytic engine from
+    its bottleneck passes, so both report the same keys in the same order.
+    Occupancy means are time-weighted over the caller's window; values are
+    plain floats so the dict drops straight into JSON.
+    """
+    return {
+        "arrivals": float(arrivals),
+        "drops": float(drops),
+        "departures": float(departures),
+        "loss_fraction": drops / arrivals if arrivals else 0.0,
+        "occupancy_mean_pkts": mean_packets,
+        "occupancy_max_pkts": float(max_packets),
+        "occupancy_mean_bytes": mean_bytes,
+    }

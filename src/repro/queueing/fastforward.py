@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.analysis.lindley import lindley_waits
 from repro.errors import ConfigurationError
-from repro.net.queue import MODE_BYTES, MODE_PACKETS
+from repro.net.queue import MODE_BYTES, MODE_PACKETS, queue_summary
 from repro.units import bits_to_bytes
 
 
@@ -77,9 +77,13 @@ class FluidQueue:
     Lindley's recurrence on the backlog — so cost is O(packets), not
     O(simulated events).
 
-    Counters (``arrivals``/``drops``/``departures`` and the time-weighted
-    occupancy integrals) follow the event queue's accounting so the
-    analytic mode can report comparable queue statistics.
+    Counters (``arrivals``/``drops`` and the time-weighted occupancy
+    integrals) follow the event queue's accounting, and :meth:`stats`
+    reports them through the event engine's
+    :func:`~repro.net.queue.queue_summary`.  ``departures`` differs: it
+    counts service *completions*, while the event queue counts dequeues,
+    which are service *starts*, so it is one lower whenever a packet is
+    still in service at the end of the window.
     """
 
     def __init__(self, rate_bps: float, capacity: int,
@@ -246,17 +250,11 @@ class FluidQueue:
         if elapsed <= 0:
             raise ConfigurationError(
                 f"elapsed must be positive, got {elapsed}")
-        loss = self.drops / self.arrivals if self.arrivals else 0.0
-        return {
-            "arrivals": float(self.arrivals),
-            "drops": float(self.drops),
-            "departures": float(self.departures),
-            "loss_fraction": loss,
-            "occupancy_mean_pkts": self._occupancy_packet_seconds / elapsed,
-            "occupancy_max_pkts": float(self._occupancy_max_packets),
-            "occupancy_mean_bytes": bits_to_bytes(
-                self._occupancy_bit_seconds) / elapsed,
-        }
+        return queue_summary(
+            self.arrivals, self.drops, self.departures,
+            self._occupancy_packet_seconds / elapsed,
+            self._occupancy_max_packets,
+            bits_to_bytes(self._occupancy_bit_seconds) / elapsed)
 
     def __repr__(self) -> str:
         return (f"<FluidQueue {self._waiting_packets} pkts waiting of "

@@ -22,14 +22,72 @@ from repro.experiments.runner import (
     run_observed_experiment,
 )
 from repro.net.clocks import SkewedClock
-from repro.net.faults import PeriodicStallFault
+from repro.net.faults import PeriodicStallFault, RandomDropFault
 from repro.net.tap import PacketTap
 from repro.netdyn.trace import LOST
+from repro.traffic.poisson import PoissonSource
 
 
 def config_for(scenario, delta, duration, seed=3, mode="event"):
     return ExperimentConfig(delta=delta, duration=duration, seed=seed,
                             scenario=scenario, mode=mode)
+
+
+def probe_hops(built, start, end):
+    """The interfaces a probe crosses from ``start`` to ``end``."""
+    path = built.network.path(start, end)
+    return [built.network.node(a).interface_to(b)
+            for a, b in zip(path[:-1], path[1:])]
+
+
+def forward_access(built):
+    """The access link the forward mix enters the bottleneck through."""
+    source = built.mix_fwd.sources[0]
+    return probe_hops(built, source.host.name, source.destination)[0]
+
+
+def hook_queue(built):
+    probe_hops(built, built.source, built.echo)[0].queue.lifecycle = object()
+
+
+def hook_node(built):
+    path = built.network.path(built.source, built.echo)
+    built.network.node(path[2]).lifecycle = object()
+
+
+def hook_two_nodes(built):
+    # One reason per probe path: each direction reports the first hooked
+    # node it meets.
+    path = built.network.path(built.source, built.echo)
+    built.network.node(path[1]).lifecycle = object()
+    built.network.node(path[3]).lifecycle = object()
+
+
+def hook_echo(built):
+    built.network.node(built.echo).lifecycle = object()
+
+
+def share_generator(built):
+    rng = built.sim.streams.get("test.shared")
+    hops = probe_hops(built, built.source, built.echo)
+    hops[0].add_egress_fault(RandomDropFault(0.01, rng))
+    hops[-1].add_ingress_fault(RandomDropFault(0.01, rng))
+
+
+def add_poisson_source(built):
+    source = built.mix_fwd.sources[0]
+    built.mix_fwd.sources.append(PoissonSource(
+        source.host, source.destination, rate_pps=10.0,
+        stream="test.poisson"))
+
+
+def fault_access(built):
+    forward_access(built).add_egress_fault(
+        RandomDropFault(0.01, built.sim.streams.get("test.access")))
+
+
+def hook_access(built):
+    forward_access(built).lifecycle = object()
 
 
 class TestEligibility:
@@ -65,8 +123,28 @@ class TestEligibility:
         reasons = ff.fastforward_ineligibilities(built)
         assert any("clock" in reason for reason in reasons)
 
+    @pytest.mark.parametrize("perturb, expected", [
+        (hook_queue, ["lifecycle hook on queue of "
+                      "tom.inria.fr->t8-gw.inria.fr"]),
+        (hook_node, ["lifecycle hook on node sophia-gw.atlantic.fr"]),
+        (hook_two_nodes, ["lifecycle hook on node icm-sophia.icp.net",
+                          "lifecycle hook on node t8-gw.inria.fr"]),
+        (hook_echo, ["lifecycle hook on node mimsy.umd.edu"]),
+        (share_generator, ["faults share a random generator "
+                           "(crossing order not replayable)"]),
+        (add_poisson_source, ["forward mix has a non-open-loop source "
+                              "PoissonSource"]),
+        (fault_access, ["fault on mix interface "
+                        "cross-fr.icp.net->icm-sophia.icp.net"]),
+        (hook_access, ["lifecycle hook on mix interface "
+                       "cross-fr.icp.net->icm-sophia.icp.net"]),
+    ], ids=lambda value: getattr(value, "__name__", ""))
+    def test_exact_reasons(self, perturb, expected):
+        built = build_scenario(config_for("inria-umd", 0.05, 10.0))
+        perturb(built)
+        assert ff.fastforward_ineligibilities(built) == expected
+
     def test_fault_on_bottleneck_blocks(self):
-        from repro.net.faults import RandomDropFault
         built = build_scenario(config_for("inria-umd", 0.05, 10.0))
         built.bottleneck_rev.add_egress_fault(
             RandomDropFault(0.01, built.sim.streams.get("test.bottleneck")))
@@ -94,6 +172,9 @@ class TestExactEquivalence:
         trace = result.trace
         assert np.array_equal(event.send_times, trace.send_times)
         assert np.array_equal(event.rtts, trace.rtts)
+        # The engine writes its metadata by hand: it must be the event
+        # trace's, plus the mode.
+        assert trace.meta == {**event.meta, "mode": "analytic"}
 
     def test_losses_occur_and_match_exactly(self):
         # Guards the parametrization above: the long cell really does
@@ -144,6 +225,26 @@ class TestFallback:
         assert result.trace.meta["fallback"] == result.fallback_reasons
         # The event fallback reports every active queue, campaign-style.
         assert result.queue_stats
+
+    def test_overloaded_access_link_falls_back(self):
+        # A mix this bursty overflows the access queue, which the replay
+        # models as lossless: the cell must run on the event engine, on a
+        # freshly built scenario, and match a plain event run.
+        def config(mode):
+            return ExperimentConfig(
+                delta=0.05, duration=2.0, warmup=3.0, seed=1,
+                scenario_kwargs={"window": 400, "mean_file_packets": 400.0},
+                mode=mode)
+
+        event = run_experiment(config("event"))
+        result = ff.run_fastforward_experiment(config("analytic"))
+        assert result.mode_used == "event"
+        access = forward_access(build_scenario(config("event"))).name
+        assert any(f"access link {access}" in reason
+                   for reason in result.fallback_reasons)
+        assert result.trace.meta["fallback"] == result.fallback_reasons
+        assert np.array_equal(event.send_times, result.trace.send_times)
+        assert np.array_equal(event.rtts, result.trace.rtts)
 
 
 class TestRunnerDispatch:

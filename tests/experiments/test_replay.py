@@ -25,6 +25,7 @@ from repro.experiments.campaign import (
     run_campaign,
 )
 from repro.experiments.config import PAPER_DELTAS, ExperimentConfig
+from repro.experiments.pool import plan_leases
 from repro.experiments.runner import build_scenario
 from repro.net.packet import UDP_WIRE_OVERHEAD_BYTES
 from repro.net.routing import Network
@@ -225,26 +226,15 @@ class TestCrossReplayMemo:
         assert memo.get("k", 30.0) is None
         assert memo.counters() == (0, 1)
 
-    def test_lru_eviction_bounds_entries(self):
+    def test_new_key_replaces_held_replay(self):
         memo = ff.CrossReplayMemo()
-        keys = [f"k{i}" for i in range(ff.DEFAULT_REPLAY_ENTRIES + 1)]
-        for key in keys:
-            memo.put(key, ff.CrossReplay(horizon=1.0,
-                                         streams=(None, None)))
-        assert len(memo) == ff.DEFAULT_REPLAY_ENTRIES
-        assert memo.get(keys[0], 1.0) is None  # oldest evicted
-        assert memo.get(keys[-1], 1.0) is not None
-
-    def test_get_refreshes_recency(self):
-        memo = ff.CrossReplayMemo()
-        keys = [f"k{i}" for i in range(ff.DEFAULT_REPLAY_ENTRIES)]
-        for key in keys:
-            memo.put(key, ff.CrossReplay(horizon=1.0, streams=(None, None)))
-        memo.get(keys[0], 1.0)
-        memo.put("new", ff.CrossReplay(horizon=1.0, streams=(None, None)))
-        # The oldest was refreshed, so the second oldest went instead.
-        assert memo.get(keys[0], 1.0) is not None
-        assert memo.get(keys[1], 1.0) is None
+        first = ff.CrossReplay(horizon=50.0, streams=(None, None))
+        second = ff.CrossReplay(horizon=50.0, streams=(None, None))
+        memo.put("k1", first)
+        memo.put("k2", second)
+        assert memo.get("k2", 30.0) is second
+        assert memo.get("k1", 30.0) is None
+        assert memo.counters() == (1, 1)
 
 
 @pytest.fixture()
@@ -278,11 +268,13 @@ class TestGridExecution:
             assert cell.trace.meta == alone.trace.meta
 
     def test_grid_builds_one_replay_per_seed(self, fresh_process_memo):
-        # δ-major grid order with ragged horizons: without the grid-max
-        # build every longer δ would miss and rebuild.
+        # Lease order (seed-major, the order every campaign serves) with
+        # ragged horizons: without the grid-max build every longer δ
+        # would miss and rebuild.
         spec = self.spec(deltas=(0.03, 0.07, 0.02), duration=1.0)
-        for delta, seed in spec.cells():
-            _run_cell(spec, delta, seed)
+        for lease in plan_leases(spec.cells(), 1, "analytic"):
+            for delta, seed in lease:
+                _run_cell(spec, delta, seed)
         memo = ff.process_replay_memo()
         assert memo.misses == len(spec.seeds)
         assert memo.hits == len(spec.cells()) - len(spec.seeds)
@@ -357,9 +349,9 @@ class TestExecutorMatrix:
 
     def test_serial_builds_each_seed_replay_once(self, tmp_path,
                                                  fresh_process_memo):
-        # More seeds than the memo holds: in δ-major grid order every
-        # cell would evict a replay it needs later.  Seed-affine leases
-        # finish a seed before the next one starts.
+        # Several seeds and a memo of one replay: in δ-major grid order
+        # every cell would evict the replay the next one needs.
+        # Seed-affine leases finish a seed before the next one starts.
         seeds = (1, 2, 3, 4, 5, 6)
         spec = dataclasses.replace(self.spec(tmp_path, "many-seeds"),
                                    seeds=seeds)
