@@ -16,8 +16,9 @@ driving every cross packet through the event kernel, it
 3. advances each bottleneck either in one vectorized certificate pass —
    when the buffer provably cannot overflow, the merged cross+probe
    stream is a single Lindley recursion — or, when drops are possible,
-   through a per-packet :class:`~repro.queueing.fastforward.FluidQueue`
-   walk whose admission rules replicate the event queue exactly;
+   through one per-packet :meth:`~repro.queueing.fastforward.FluidQueue.walk`
+   over the same merged stream, whose admission rules replicate the
+   event queue exactly;
 4. replays fault decisions by drawing from the *same*
    :class:`~repro.net.faults.RandomDropFault` generators in probe order.
 
@@ -559,35 +560,22 @@ def _apply_stages(stages: Sequence[RandomDropFault],
         alive[indices[dropped]] = False
 
 
-def _exact_pass(direction: DirectionModel, cross_times: np.ndarray,
-                cross_bits: np.ndarray, live_probe_times: np.ndarray,
-                probe_bits: float, end_time: float,
-                ) -> Optional[Tuple[np.ndarray, dict]]:
-    """One vectorized Lindley pass when the buffer provably never drops.
+def _merge_arrivals(cross_times: np.ndarray, cross_bits: np.ndarray,
+                    live_probe_times: np.ndarray, probe_bits: float,
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge cross arrivals and probes into one sorted bottleneck stream.
 
-    Merges cross packets and probes per-packet (no aggregation at all),
-    computes every wait with one :func:`lindley_waits` call, and checks a
-    conservative no-overflow certificate: the in-system population at
-    each arrival — which upper-bounds the *waiting* occupancy the event
-    queue's drop test actually uses — never exceeds the capacity.  When
-    the certificate holds, no arrival can drop, so the vectorized waits
-    are the exact event-mode waits and the whole per-arrival loop is
-    skipped.  Returns ``None`` when the certificate fails (the caller
-    falls back to the sequential :class:`FluidQueue` pass, which handles
-    drops exactly).
+    Returns the merged arrival times, wire bits and probe mask.  Both
+    inputs are already sorted (cross arrivals are FIFO departures plus
+    constants; probe arrivals inherit the send order through FIFO
+    stages), so one searchsorted merge replaces an argsort:
+    ``side="right"`` puts cross packets ahead of a same-instant probe
+    (in event order the probe joins the queue behind them), and the
+    +arange offset keeps equal-time probes in send order — exactly the
+    stable-argsort ordering.
     """
-    n_cross = cross_times.size
     n_probe = live_probe_times.size
-    total = n_cross + n_probe
-    if total == 0:
-        return np.empty(0), queue_summary(0, 0, 0, 0.0, 0.0, 0.0)
-    # Both inputs are already sorted (cross arrivals are FIFO departures
-    # plus constants; probe arrivals inherit the send order through FIFO
-    # stages), so one searchsorted merge replaces the per-cell argsort:
-    # ``side="right"`` keeps cross packets ahead of a same-instant probe,
-    # matching the sequential pass's "batches at <= t go first" rule, and
-    # the +arange offset keeps equal-time probes in send order — exactly
-    # the stable-argsort ordering.
+    total = cross_times.size + n_probe
     slots = (np.searchsorted(cross_times, live_probe_times, side="right")
              + np.arange(n_probe))
     probe_mask = np.zeros(total, dtype=bool)
@@ -598,6 +586,28 @@ def _exact_pass(direction: DirectionModel, cross_times: np.ndarray,
     bits[probe_mask] = probe_bits
     times[~probe_mask] = cross_times
     bits[~probe_mask] = cross_bits
+    return times, bits, probe_mask
+
+
+def _exact_pass(direction: DirectionModel, times: np.ndarray,
+                bits: np.ndarray, probe_mask: np.ndarray, end_time: float,
+                ) -> Optional[Tuple[np.ndarray, dict]]:
+    """One vectorized Lindley pass when the buffer provably never drops.
+
+    Takes the merged stream (:func:`_merge_arrivals`), computes every
+    wait with one :func:`lindley_waits` call, and checks a conservative
+    no-overflow certificate: the in-system population at each arrival —
+    which upper-bounds the *waiting* occupancy the event queue's drop
+    test actually uses — never exceeds the capacity.  When the
+    certificate holds, no arrival can drop, so the vectorized waits are
+    the exact event-mode waits and the per-packet walk is skipped.
+    Returns the probes' waits and the queue statistics, or ``None`` when
+    the certificate fails (the caller then walks the stream through a
+    :class:`FluidQueue`, which handles drops exactly).
+    """
+    total = times.size
+    if total == 0:
+        return np.empty(0), queue_summary(0, 0, 0, 0.0, 0.0, 0.0)
     rate = direction.bottleneck.rate_bps
     capacity = direction.bottleneck.queue.capacity
     service = bits / rate
@@ -638,52 +648,32 @@ def _queue_pass(direction: DirectionModel, cross_times: np.ndarray,
     """Run one bottleneck: merged cross arrivals + probes, in time order.
 
     ``cross_times``/``cross_bits`` are the direction's sliced cross
-    stream (:func:`slice_stream`).  Returns the per-probe waits (zero for probes that never arrive) and
-    the queue's statistics dict.  ``alive`` is updated in place with
-    queue drops.  Tries the vectorized no-drop pass first; only when the
-    buffer could overflow does the sequential :class:`FluidQueue` walk
-    run — per packet, never aggregated, because near a full buffer the
-    admission decision of every single arrival matters and coarse
-    batches would change which packets drop.
+    stream (:func:`slice_stream`).  Returns the per-probe waits (zero
+    for probes that never arrive) and the queue's statistics dict;
+    ``alive`` is updated in place with queue drops.  The stream is
+    merged once; the vectorized no-drop pass runs first, and only when
+    the buffer could overflow does one :meth:`FluidQueue.walk` run over
+    the same stream — per packet, never aggregated, because near a full
+    buffer the admission decision of every single arrival matters.
     """
     keep = cross_times <= end_time
-    cross_times = cross_times[keep]
-    cross_bits = cross_bits[keep]
-    live_probe_times = probe_times[alive]
+    live = np.flatnonzero(alive)
+    times, bits, probe_mask = _merge_arrivals(
+        cross_times[keep], cross_bits[keep], probe_times[live], probe_bits)
     waits = np.zeros(probe_times.shape)
-    exact = _exact_pass(direction, cross_times, cross_bits,
-                        live_probe_times, probe_bits, end_time)
+    exact = _exact_pass(direction, times, bits, probe_mask, end_time)
     if exact is not None:
-        waits[alive] = exact[0]
+        waits[live] = exact[0]
         return waits, exact[1]
 
     bottleneck = direction.bottleneck
     queue = FluidQueue(bottleneck.rate_bps, bottleneck.queue.capacity,
                        mode=bottleneck.queue.mode)
-    # Cross arrivals at times <= the probe's arrival go first (matching
-    # event order, where the probe joins the queue behind them);
-    # precomputing the per-probe cursor targets and walking plain lists
-    # keeps the hot loop free of per-element numpy scalar boxing.
-    targets = np.searchsorted(cross_times, live_probe_times,
-                              side="right").tolist()
-    cross_times = cross_times.tolist()
-    cross_bits = cross_bits.tolist()
-    offer = queue.offer
-    cursor = 0
-    for index, at, target in zip(np.flatnonzero(alive).tolist(),
-                                 live_probe_times.tolist(), targets):
-        while cursor < target:
-            offer(cross_times[cursor], cross_bits[cursor])
-            cursor += 1
-        queue.advance(at)
-        waits[index] = queue.workload_seconds
-        if offer(at, probe_bits) == 0:
-            alive[index] = False
-    total = len(cross_times)
-    while cursor < total:
-        offer(cross_times[cursor], cross_bits[cursor])
-        cursor += 1
-    queue.advance(end_time)
+    # Plain lists keep the walk free of per-element numpy scalar boxing.
+    probe_waits, admitted = queue.walk(times.tolist(), bits.tolist(),
+                                       probe_mask.tolist(), end_time)
+    waits[live] = probe_waits
+    alive[live] = admitted
     return waits, queue.stats(end_time)
 
 

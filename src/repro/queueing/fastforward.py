@@ -6,13 +6,16 @@ through the event kernel is frequently overkill: between arrivals the
 bottleneck queue can be advanced *analytically*.  This module provides
 the two pieces the analytic execution mode is built from:
 
-* :class:`FluidQueue` — a drop-tail FIFO advanced in closed form, one
-  packet at a time; every ``advance``/``offer`` step is one application
-  of Lindley's recurrence ``w' = (w - Δt)^+ + y`` on the queue workload,
-  with event-faithful drop-tail semantics (capacity in packets or bytes,
-  the in-service packet occupying no buffer slot, exactly like
+* :class:`FluidQueue` — a drop-tail FIFO whose :meth:`~FluidQueue.walk`
+  runs a whole merged arrival stream in one loop with the queue state in
+  locals; each arrival is one application of Lindley's recurrence
+  ``w' = (w - Δt)^+ + y`` on the queue workload, with event-faithful
+  drop-tail semantics (capacity in packets or bytes, the in-service
+  packet occupying no buffer slot, exactly like
   :class:`repro.net.queue.DropTailQueue` behind a busy
-  :class:`repro.net.link.Interface`).
+  :class:`repro.net.link.Interface`).  Its float operations, in order,
+  are those of the per-packet ``advance``/``offer`` reference queue in
+  ``tests/queueing``, which the tests compare it against bit for bit.
 * :func:`fifo_waits` — the vectorized
   :func:`repro.analysis.lindley.lindley_waits` applied to an arrival
   stream through an infinite FIFO (used for the fast access links
@@ -25,7 +28,8 @@ calibrated scenarios into these primitives.
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from itertools import chain
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +67,7 @@ def fifo_waits(arrival_times: Sequence[float], sizes_bits: Sequence[float],
 
 
 class FluidQueue:
-    """A drop-tail FIFO advanced analytically between arrivals.
+    """A drop-tail FIFO walked analytically over a merged arrival stream.
 
     Mirrors the observable behaviour of a
     :class:`~repro.net.queue.DropTailQueue` behind an
@@ -72,8 +76,8 @@ class FluidQueue:
     slot; an arriving packet drops when the *waiting* occupancy plus
     itself would exceed ``capacity`` (packets or bytes per ``mode``).
 
-    Work is held as one FIFO entry per waiting packet (its bits);
-    :meth:`advance` serves whole packets in closed form — each step is
+    :meth:`walk` runs a whole sorted arrival stream in one loop: between
+    arrivals it serves whole packets in closed form — each step is
     Lindley's recurrence on the backlog — so cost is O(packets), not
     O(simulated events).
 
@@ -99,7 +103,6 @@ class FluidQueue:
         self.rate_bps = rate_bps
         self.capacity = capacity
         self.mode = mode
-        self._packets_mode = mode == MODE_PACKETS
         self._now = 0.0
         #: Remaining bits of the packet currently being transmitted.
         self._service_bits = 0.0
@@ -110,134 +113,140 @@ class FluidQueue:
         self.arrivals = 0
         self.drops = 0
         self.departures = 0
-        self._busy_seconds = 0.0
         self._occupancy_packet_seconds = 0.0
         self._occupancy_bit_seconds = 0.0
         self._occupancy_max_packets = 0
 
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Time the queue state has been advanced to."""
-        return self._now
+    def walk(self, times: Sequence[float], bits: Sequence[float],
+             probes: Sequence[bool], end_time: float,
+             ) -> Tuple[List[float], List[bool]]:
+        """Offer a sorted arrival stream, then serve work until ``end_time``.
 
-    @property
-    def workload_seconds(self) -> float:
-        """Seconds of service ahead of a new arrival (its Lindley wait)."""
-        return (self._service_bits + self._waiting_bits) / self.rate_bps
+        ``times``/``bits``/``probes`` describe one packet each, in arrival
+        order (equal times keep stream order).  Returns, for each packet
+        flagged in ``probes``, its Lindley wait — the seconds of service
+        ahead of it, read just before its own admission — and whether it
+        was admitted.  Admission follows event-drop semantics: the packet
+        in service holds no buffer slot, an idle transmitter takes the
+        packet straight into service, and in byte mode a packet larger
+        than the whole buffer drops even at an idle queue.
 
-    # ------------------------------------------------------------------
-    def advance(self, to_time: float) -> None:
-        """Serve work until ``to_time`` (Lindley drain on the backlog).
-
-        This is the analytic mode's hottest loop, so state lives in
-        locals for its duration: drop/wait semantics are unchanged from
-        the straightforward attribute-at-a-time version (the equivalence
-        tests pin them), only the Python overhead per step shrinks.
+        This is the analytic mode's hottest loop, so the queue state
+        lives in locals for the whole stream and is stored back once; a
+        later walk on the same queue continues from that state.
         """
+        if not len(times) == len(bits) == len(probes):
+            raise ConfigurationError(
+                f"stream lengths differ: {len(times)} times, "
+                f"{len(bits)} sizes, {len(probes)} probe flags")
+        rate = self.rate_bps
+        capacity = self.capacity
+        packets_mode = self.mode == MODE_PACKETS
         now = self._now
-        if to_time <= now:
-            return
         service_bits = self._service_bits
         entries = self._entries
-        if service_bits == 0.0 and not entries:
-            # Idle queue: occupancy zero, nothing to integrate.
-            self._now = to_time
-            return
-        rate = self.rate_bps
-        busy = self._busy_seconds
-        occ_pkt = self._occupancy_packet_seconds
-        occ_bit = self._occupancy_bit_seconds
+        popleft = entries.popleft
+        append = entries.append
         waiting_packets = self._waiting_packets
         waiting_bits = self._waiting_bits
+        drops = self.drops
         departures = self.departures
-        while True:
-            if service_bits > 0.0:
-                finish = now + service_bits / rate
-                if finish > to_time:
-                    span = to_time - now
-                    service_bits -= span * rate
-                    busy += span
-                    occ_pkt += waiting_packets * span
-                    occ_bit += waiting_bits * span
+        occ_pkt = self._occupancy_packet_seconds
+        occ_bit = self._occupancy_bit_seconds
+        occ_max = self._occupancy_max_packets
+        waits: List[float] = []
+        admitted: List[bool] = []
+        # A zero-size sentinel at end_time closes the stream: its drain is
+        # the final service up to end_time, and its size check ends the
+        # loop, so the hot loop carries no extra end-of-stream test.
+        for at, size, probe in chain(zip(times, bits, probes),
+                                     ((end_time, 0.0, None),)):
+            if at > now:
+                if service_bits > 0.0 or waiting_packets:
+                    # Serve until ``at`` (Lindley drain on the backlog).
+                    while True:
+                        if service_bits > 0.0:
+                            finish = now + service_bits / rate
+                            if finish > at:
+                                span = at - now
+                                service_bits -= span * rate
+                                occ_pkt += waiting_packets * span
+                                occ_bit += waiting_bits * span
+                                break
+                            span = finish - now
+                            occ_pkt += waiting_packets * span
+                            occ_bit += waiting_bits * span
+                            now = finish
+                            service_bits = 0.0
+                            departures += 1
+                        if not waiting_packets:
+                            break  # idle, occupancy zero
+                        head = popleft()
+                        waiting_packets -= 1
+                        waiting_bits -= head
+                        span = head / rate
+                        if now + span <= at:
+                            # The packet waits out its whole service
+                            # before ``at``: drain it in closed form.
+                            occ_pkt += waiting_packets * span
+                            occ_bit += waiting_bits * span
+                            departures += 1
+                            now += span
+                            continue
+                        # The packet outlives the step: it enters service
+                        # for the rest of it (its finish is past ``at``,
+                        # so only the partial span remains).
+                        service_bits = head
+                        span = at - now
+                        service_bits -= span * rate
+                        occ_pkt += waiting_packets * span
+                        occ_bit += waiting_bits * span
+                        break
+                now = at
+            if size <= 0:
+                if probe is None:
                     break
-                span = finish - now
-                busy += span
-                occ_pkt += waiting_packets * span
-                occ_bit += waiting_bits * span
-                now = finish
-                service_bits = 0.0
-                departures += 1
-                continue
-            if not entries:
-                break  # idle, occupancy zero: nothing to integrate
-            bits = entries.popleft()
-            waiting_packets -= 1
-            waiting_bits -= bits
-            span = bits / rate
-            if now + span <= to_time:
-                # The packet waits out its whole service before
-                # to_time: drain it in closed form.
-                occ_pkt += waiting_packets * span
-                occ_bit += waiting_bits * span
-                busy += span
-                departures += 1
-                now += span
-                continue
-            # The packet outlives the step: it enters service and the
-            # in-service branch handles the partial span.
-            service_bits = bits
-        self._now = to_time
+                raise ConfigurationError(
+                    f"packet bits must be positive, got {size}")
+            if probe:
+                waits.append((service_bits + waiting_bits) / rate)
+            idle = service_bits == 0.0 and not waiting_packets
+            if packets_mode:
+                room = capacity - waiting_packets
+            else:
+                size_bytes = bits_to_bytes(size)
+                free_bytes = capacity - bits_to_bytes(waiting_bits)
+                room = int(free_bytes // size_bytes)
+                if idle and room == 0 and size_bytes > capacity:
+                    # Even an empty buffer cannot hold this packet.
+                    idle = False
+            if idle:
+                service_bits = size
+                accepted = True
+            elif room < 1:
+                drops += 1
+                accepted = False
+            else:
+                append(size)
+                waiting_packets += 1
+                waiting_bits += size
+                if waiting_packets > occ_max:
+                    occ_max = waiting_packets
+                accepted = True
+            if probe:
+                admitted.append(accepted)
+        self._now = now
         self._service_bits = service_bits
-        self._busy_seconds = busy
-        self._occupancy_packet_seconds = occ_pkt
-        self._occupancy_bit_seconds = occ_bit
         self._waiting_packets = waiting_packets
         self._waiting_bits = waiting_bits
+        self.arrivals += len(times)
+        self.drops = drops
         self.departures = departures
-
-    # ------------------------------------------------------------------
-    def offer(self, at: float, bits: float) -> int:
-        """Present one packet at time ``at``; return 1 if accepted, else 0.
-
-        Advances the queue to ``at`` first, so a probe's Lindley wait is
-        ``workload_seconds`` read *before* its own ``offer``.  Admission
-        follows event-drop semantics: the packet in service holds no
-        buffer slot, and an idle transmitter takes the packet straight
-        into service.
-        """
-        if bits <= 0:
-            raise ConfigurationError(
-                f"packet bits must be positive, got {bits}")
-        if at > self._now:
-            if self._service_bits > 0.0 or self._entries:
-                self.advance(at)
-            else:
-                self._now = at
-        self.arrivals += 1
-        idle = self._service_bits == 0.0 and not self._entries
-        if self._packets_mode:
-            room = self.capacity - self._waiting_packets
-        else:
-            size_bytes = bits_to_bytes(bits)
-            free_bytes = (self.capacity
-                          - bits_to_bytes(self._waiting_bits))
-            room = int(free_bytes // size_bytes)
-            if idle and room == 0 and size_bytes > self.capacity:
-                # Even an empty buffer cannot hold this packet.
-                idle = False
-        if idle:
-            self._service_bits = bits
-            return 1
-        if room < 1:
-            self.drops += 1
-            return 0
-        self._entries.append(bits)
-        self._waiting_packets += 1
-        self._waiting_bits += bits
-        if self._waiting_packets > self._occupancy_max_packets:
-            self._occupancy_max_packets = self._waiting_packets
-        return 1
+        self._occupancy_packet_seconds = occ_pkt
+        self._occupancy_bit_seconds = occ_bit
+        self._occupancy_max_packets = occ_max
+        return waits, admitted
 
     # ------------------------------------------------------------------
     def stats(self, elapsed: float) -> dict:

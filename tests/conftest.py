@@ -6,14 +6,24 @@ test modules reuse the same measurement rather than re-simulating.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.netdyn.session import run_probe_experiment
 from repro.netdyn.trace import ProbeTrace
 from repro.sim import Simulator
 from repro.topology.inria_umd import build_inria_umd
 from repro.topology.presets import build_single_bottleneck
+
+# Hypothesis example counts for tests that do not pin their own: the
+# tier-1 default keeps the suite fast; CI's fuzz steps select the larger
+# "ci" profile through HYPOTHESIS_PROFILE.
+settings.register_profile("tier1", max_examples=100)
+settings.register_profile("ci", max_examples=2000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture

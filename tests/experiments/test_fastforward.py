@@ -8,6 +8,8 @@ divergence — one flipped loss, one shifted tick — is a bug here, never
 a re-baseline.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,80 @@ class TestExactEquivalence:
         assert "fallback" not in meta
         assert meta["scenario"] == "inria-umd"
         assert meta["seed"] == 3
+
+
+#: Per-packet bottleneck walks, pinned: (scenario, delta) -> (FluidQueue
+#: walks, sha256 of the rtt bytes, every queue_stats value as float.hex).
+#: Both cells overflow their forward buffer; the UMd-Pitt reverse
+#: direction passes the no-drop certificate, so that cell walks once.
+WALK_PINS = {
+    ("inria-umd", 0.02): (2, (
+        "f05dbdd25c43cd170c19d1a567cbbac060b670ffc59fa0e58ced8875bde7a3e7"), {
+        "icm-sophia.icp.net->Ithaca.NY.NSS.NSF.NET": {
+            "arrivals": "0x1.e500000000000p+12",
+            "drops": "0x1.3a00000000000p+9",
+            "departures": "0x1.bdc0000000000p+12",
+            "loss_fraction": "0x1.4b7afc4e1e9d5p-4",
+            "occupancy_mean_pkts": "0x1.4297dee81781ap+2",
+            "occupancy_max_pkts": "0x1.e000000000000p+3",
+            "occupancy_mean_bytes": "0x1.ccadd68110158p+9"},
+        "Ithaca.NY.NSS.NSF.NET->icm-sophia.icp.net": {
+            "arrivals": "0x1.c890000000000p+12",
+            "drops": "0x1.3980000000000p+9",
+            "departures": "0x1.a150000000000p+12",
+            "loss_fraction": "0x1.5f90faa3609e2p-4",
+            "occupancy_mean_pkts": "0x1.45f1b02554781p+2",
+            "occupancy_max_pkts": "0x1.e000000000000p+3",
+            "occupancy_mean_bytes": "0x1.0df391d6fa96cp+10"}}),
+    ("umd-pitt", 0.008): (1, (
+        "e9c4b662340d68444302aa4bc4fc48f06cdb2c713beeeeb8098919d9a14e76a1"), {
+        "externals.gw.pitt.edu->136.142.2.54": {
+            "arrivals": "0x1.2395000000000p+18",
+            "drops": "0x1.1c00000000000p+6",
+            "departures": "0x1.2383400000000p+18",
+            "loss_fraction": "0x1.f2afb960dc7aep-13",
+            "occupancy_mean_pkts": "0x1.5e85b3a56840fp+2",
+            "occupancy_max_pkts": "0x1.b800000000000p+6",
+            "occupancy_mean_bytes": "0x1.8499777c57b2bp+10"},
+        "136.142.2.54->externals.gw.pitt.edu": {
+            "arrivals": "0x1.e079000000000p+17",
+            "drops": "0x0.0p+0",
+            "departures": "0x1.e076000000000p+17",
+            "loss_fraction": "0x0.0p+0",
+            "occupancy_mean_pkts": "0x1.9323886699d93p+1",
+            "occupancy_max_pkts": "0x1.a800000000000p+5",
+            "occupancy_mean_bytes": "0x1.e0e654a8cbeabp+9"}}),
+}
+
+
+class TestWalkPinned:
+    """The drop-tail walk's exact output on two overflowing cells.
+
+    Packet mode (INRIA-UMd) and byte mode (UMd-Pitt) each pin the rtt
+    bytes and every bottleneck statistic, so any change to the walk's
+    float operations or their order shows up here.
+    """
+
+    @pytest.mark.parametrize("scenario,delta", sorted(WALK_PINS))
+    def test_walk_output_is_pinned(self, scenario, delta, monkeypatch):
+        walks = []
+
+        class CountingQueue(ff.FluidQueue):
+            def __init__(self, *args, **kwargs):
+                walks.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(ff, "FluidQueue", CountingQueue)
+        result = ff.run_fastforward_experiment(
+            config_for(scenario, delta, 60.0, seed=2, mode="analytic"))
+        expected_walks, rtt_digest, stats = WALK_PINS[scenario, delta]
+        assert result.mode_used == "analytic"
+        assert len(walks) == expected_walks
+        assert hashlib.sha256(
+            result.trace.rtts.tobytes()).hexdigest() == rtt_digest
+        assert {name: {key: float.hex(value)
+                       for key, value in queue.items()}
+                for name, queue in result.queue_stats.items()} == stats
 
 
 class TestFallback:
