@@ -20,9 +20,8 @@ Two measurements, written in the shared ``repro-bench`` report schema
   marked ``"unmeasured"``.
 
 Wall times are best-of-``REPEATS`` minima — the low-noise statistic for
-short runs — and the derived cache salt is computed *before* any timing
-so salt derivation (a one-off analysis pass) never lands in a measured
-window.
+short runs — and the cache salt is computed *before* any timing so the
+one-off source hash never lands in a measured window.
 """
 
 from __future__ import annotations
@@ -148,9 +147,9 @@ def collect_scaling(quick: bool = False) -> dict:
 
 def collect(quick: bool = False) -> dict:
     """Both measurements, merged into one details document."""
-    # The derived cache salt is memoized process state; derive it before
-    # any timed window so the one-off analysis pass (and its imports)
-    # cannot be booked against the first executor measured.
+    # The cache salt is memoized process state; compute it before any
+    # timed window so the one-off source hash cannot be booked against
+    # the first executor measured.
     cache_salt()
     document = collect_scaling(quick=quick)
     document["dispatch"] = collect_dispatch(quick=quick)

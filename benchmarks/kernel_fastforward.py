@@ -130,8 +130,8 @@ def collect_batched(quick: bool = False) -> dict:
     duration = QUICK_DURATION if quick else FULL_DURATION
     configs = _grid_configs(duration)
 
-    # Warm the one-time process costs both modes share — the derived
-    # cache salt (replay keying) and the engine's import closure — so
+    # Warm the one-time process costs both modes share — the cache salt
+    # (replay keying) and the engine's import closure — so
     # the timed region measures execution, not first-call setup.
     from repro.experiments.cache import cache_salt
     cache_salt()

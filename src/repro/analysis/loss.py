@@ -41,11 +41,6 @@ class LossStats:
         return self.clp > self.ulp + margin
 
 
-def loss_indicator(trace: ProbeTrace) -> np.ndarray:
-    """Loss sequence: 1 where the probe was lost, else 0."""
-    return trace.lost.astype(int)
-
-
 def loss_stats(trace: ProbeTrace) -> LossStats:
     """Compute ulp, clp, and plg for a trace."""
     lost = trace.lost

@@ -261,8 +261,7 @@ def main_campaign(argv: Optional[Sequence[str]] = None) -> int:
               f"({stats['saved_cell_seconds']:.1f}s of cell work saved, "
               f"{stats['directory']})")
         if cache is not None:
-            print(f"cache salt: {cache_salt()} (derived from reachable "
-                  f"code; see repro-audit fingerprint)")
+            print(f"cache salt: {cache_salt()} (digest of the sources)")
     print()
     print(result.table())
     print()

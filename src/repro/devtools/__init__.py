@@ -16,14 +16,11 @@ a time.  Whole-program rules (:class:`ProjectRule`) see the full project —
 symbol table (:mod:`repro.devtools.symbols`), call graph
 (:mod:`repro.devtools.callgraph`) — and check *reachability*: entropy is
 fine in live-measurement code, but not reachable from the simulation
-kernel.  The same machinery derives the campaign cell-cache salt from
-normalized-AST fingerprints of reachable code
-(:mod:`repro.devtools.fingerprint`), replacing the old hand-bumped
-constant.
+kernel.  Nothing under ``repro.experiments`` or ``repro.obs`` imports this
+package: the analyzer checks the code, it never runs with it.
 
 Run the linter as ``repro-audit`` or ``python -m repro.devtools.audit``;
-inspect the derived salt with ``repro-audit fingerprint``; suppress a
-finding on one line with ``# repro: noqa[RULE]``.
+suppress a finding on one line with ``# repro: noqa[RULE]``.
 """
 
 from repro.devtools.core import (

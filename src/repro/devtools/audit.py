@@ -7,7 +7,6 @@ Usage::
     repro-audit --format github src/repro  # workflow annotations (CI)
     repro-audit --select UNIT001 src/repro # one rule only
     repro-audit --list-rules
-    repro-audit fingerprint                # derived cache salt report
     python -m repro.devtools.audit src/repro
 
 Per-file rules run on each module independently; whole-program rules
@@ -160,60 +159,9 @@ def _select_rules(spec: Optional[str],
     return file_rules, project_rules
 
 
-def _main_fingerprint(argv: Sequence[str]) -> int:
-    """The ``repro-audit fingerprint`` subcommand."""
-    from repro.devtools.fingerprint import (
-        SALT_ENTRY_FUNCTION,
-        derived_salt_report,
-    )
-    from repro.errors import AnalysisError
-
-    parser = argparse.ArgumentParser(
-        prog="repro-audit fingerprint",
-        description="Report the code-derived campaign cell-cache salt.")
-    parser.add_argument("--package", metavar="DIR", default=None,
-                        help="package directory to fingerprint "
-                             "(default: the installed repro sources)")
-    parser.add_argument("--entry", default=SALT_ENTRY_FUNCTION,
-                        help="entry function/module rooting the closure "
-                             f"(default {SALT_ENTRY_FUNCTION})")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable report")
-    parser.add_argument("--verbose", action="store_true",
-                        help="list every module fingerprint folded in")
-    args = parser.parse_args(argv)
-
-    try:
-        report = derived_salt_report(args.package, entry=args.entry)
-    except AnalysisError as exc:
-        print(f"repro-audit fingerprint: {exc}", file=sys.stderr)
-        return 2
-
-    if args.json:
-        import json
-        print(json.dumps({
-            "salt": report.salt,
-            "entry": report.entry,
-            "modules": report.fingerprints,
-            "modules_in_project": report.modules_in_project,
-        }, indent=2, sort_keys=True))
-        return 0
-    print(f"salt: {report.salt}")
-    print(f"entry: {report.entry}")
-    print(f"modules: {len(report.fingerprints)} of "
-          f"{report.modules_in_project} fingerprinted")
-    if args.verbose:
-        for name, fingerprint in report.fingerprints.items():
-            print(f"  {fingerprint[:16]}  {name}")
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point shared by the console script and ``python -m``."""
     arguments = list(argv) if argv is not None else sys.argv[1:]
-    if arguments and arguments[0] == "fingerprint":
-        return _main_fingerprint(arguments[1:])
-
     parser = argparse.ArgumentParser(
         prog="repro-audit",
         description="AST lint for repro's determinism/unit-safety invariants.")

@@ -2,11 +2,9 @@
 
 Static Python call resolution is necessarily approximate; this module errs
 on the side of *over*-approximation (rapid-type-analysis style), which is
-the safe direction for both consumers:
-
-* the DET-flow rules must not miss a stochastic call hiding behind a
-  callback, and
-* the derived cache salt must not miss code that could influence results.
+the safe direction for its consumers, the reachability rules: FLOW001 and
+FLOW002 must not miss a stochastic call hiding behind a callback, and
+OBS002 must not miss a telemetry import on the kernel's call graph.
 
 Three kinds of edges are extracted from every analyzable unit (a function,
 a method, or a module body):

@@ -1,8 +1,7 @@
 """Project-wide symbol table for whole-program analysis.
 
 The per-file rules see one module at a time; the flow rules
-(:mod:`repro.devtools.rules_flow`) and the derived cache salt
-(:mod:`repro.devtools.fingerprint`) need to reason about the program as a
+(:mod:`repro.devtools.rules_flow`) need to reason about the program as a
 whole: which dotted name is defined where, what a re-exported alias really
 binds to, and which modules an entry point transitively imports.
 
@@ -316,8 +315,8 @@ class Project:
         Importing ``a.b.c`` executes ``a`` and ``a.b`` first, so ancestor
         package ``__init__`` modules are always part of the closure.  The
         result over-approximates runtime behaviour (conditional and
-        function-local imports count), which is exactly what a cache salt
-        wants: code that *could* run is code that could change results.
+        function-local imports count), which is what reachability wants:
+        code that *could* run is code whose module body executes.
         ``exclude_prefixes`` drops module subtrees (e.g. the analyzer
         itself) from the walk entirely.
         """

@@ -13,11 +13,10 @@ The governing invariant (DESIGN.md): **a cache hit is byte-identical to a
 cold run; the cache is an optimization, never an input.**  Concretely:
 
 * The fingerprint covers *every* input that can influence a cell's output,
-  including the code itself: :func:`cache_salt` derives a salt from the
-  normalized-AST fingerprints of every module reachable from the campaign
-  worker (see :mod:`repro.devtools.fingerprint`), so a semantic edit to
-  kernel/traffic/topology code invalidates old entries automatically while
-  comment/docstring-only edits leave them valid.
+  including the code itself: :func:`cache_salt` is a SHA-256 of the
+  package's own source bytes, so any edit to kernel/traffic/topology code
+  (comments and docstrings included) invalidates old entries
+  automatically.
 * Entries are written atomically (temp file + ``os.replace``), so a killed
   run never leaves a partial entry behind.
 * A corrupted entry — truncated zip, garbled JSON, fingerprint mismatch —
@@ -41,7 +40,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,31 +60,71 @@ logger = obs_logger("cache")
 #: entries are then rejected as corrupt and recomputed).
 ENTRY_FORMAT_VERSION = 1
 
-#: Salt used when the derived salt cannot be computed (sources missing,
-#: e.g. a zipapp deployment).  Deliberately not a valid derived salt, so
-#: such environments never share entries with source checkouts.
-_FALLBACK_SALT = "repro-cell-v2-unknown"
+#: Module subtrees whose sources do not feed the salt.  None of them can
+#: change a cell's result: the static analyzer never simulates anything;
+#: the warm-pool dispatcher moves results between processes but never
+#: computes them (serial == warm byte-identity is what the campaign tests
+#: enforce); and the telemetry modules observe runs whose telemetry-off
+#: twin is byte-identical.  Editing them must not throw away every cached
+#: cell.
+SALT_EXCLUDE_PREFIXES: Tuple[str, ...] = (
+    "repro.devtools",
+    "repro.experiments.pool",
+    "repro.obs.bench",
+    "repro.obs.progress",
+    "repro.obs.spans",
+    "repro.obs.structlog",
+)
+
+#: Salt used when the sources cannot be read (e.g. a zipapp deployment).
+#: Deliberately not a valid derived salt, so such environments never share
+#: entries with source checkouts.
+_FALLBACK_SALT = "repro-cell-v3-unknown"
 
 _salt_cache: Optional[str] = None
+
+
+def _source_salt(package_root: Path) -> str:
+    """Salt over the raw bytes of the package sources under ``package_root``.
+
+    Every ``.py`` file whose module lies outside
+    :data:`SALT_EXCLUDE_PREFIXES` is hashed, in relative-POSIX-path order,
+    as its relative path plus its length-prefixed bytes.
+    """
+    sources = sorted((path.relative_to(package_root).as_posix(), path)
+                     for path in package_root.rglob("*.py"))
+    digest = hashlib.sha256()
+    salted = 0
+    for relative, path in sources:
+        module = ("repro." + relative[:-len(".py")].replace("/", ".")
+                  ).removesuffix(".__init__")
+        if any(module == prefix or module.startswith(prefix + ".")
+               for prefix in SALT_EXCLUDE_PREFIXES):
+            continue
+        source = path.read_bytes()
+        digest.update(f"{relative}\0{len(source)}\0".encode("utf-8"))
+        digest.update(source)
+        salted += 1
+    if not salted:
+        raise AnalysisError(f"no package sources under {package_root}")
+    return f"repro-cell-v3-{digest.hexdigest()[:16]}"
 
 
 def cache_salt() -> str:
     """The code-version salt folded into every cell fingerprint.
 
-    Derived from the normalized-AST fingerprints of every ``repro`` module
-    transitively imported by the campaign worker's module
-    (:func:`repro.devtools.fingerprint.derived_cache_salt`), so it changes
-    exactly when the semantics of reachable simulation code can change —
-    no manual bump to forget.  Computed once per process (parsing the
-    package takes ~0.5 s) and falls back to :data:`_FALLBACK_SALT` with a
-    logged warning when the sources cannot be analyzed.
+    A SHA-256 of the raw bytes of every ``repro`` source file outside
+    :data:`SALT_EXCLUDE_PREFIXES`, so it changes whenever code that could
+    change a result is edited — no manual bump to forget.  Computed once
+    per process (hashing the sources takes a few milliseconds) and falls
+    back to :data:`_FALLBACK_SALT` with a logged warning when the sources
+    cannot be read.
     """
     global _salt_cache
     if _salt_cache is None:
         try:
-            from repro.devtools.fingerprint import derived_cache_salt
-            _salt_cache = derived_cache_salt()
-        except Exception as exc:
+            _salt_cache = _source_salt(Path(__file__).resolve().parents[1])
+        except (OSError, AnalysisError) as exc:
             # Caching stays correct on the fallback salt, but entries are
             # never shared with source checkouts.
             logger.warning("cache-salt-underivable", error=str(exc),

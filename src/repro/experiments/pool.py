@@ -21,13 +21,13 @@ A pool worker's payload is pickled through its pipe (tens of kilobytes
 per cell) together with — when span telemetry is on — the lease's span
 records: the payload is the only way a cell's results and telemetry
 reach the parent.  Everything in this module is execution mechanics: it
-moves results between processes but computes nothing, which is why it is
-excluded from the derived cache-salt closure and banned from the kernel
+moves results between processes but computes nothing, which is why its
+source is not hashed into the cache salt and it is banned from the kernel
 call graph alongside the telemetry modules (OBS002).
 
 Staleness: a long-lived pool may outlive a code edit.  Workers therefore
 report :func:`repro.experiments.cache.cache_salt` (their view of the
-import-closure code version) when they start; the parent refuses the pool
+code version) when they start; the parent refuses the pool
 with :class:`StaleWorkerError` when any worker's salt differs from its
 own.  Under ``fork`` the check is cheap (the memoized salt is inherited);
 under ``spawn`` each worker derives it from the sources on disk, making

@@ -14,7 +14,7 @@ shared document shape (``BENCH_<suite>.json``)::
         ...
       },
       "machine": {"platform": ..., "python": ..., "cpu_count": ...},
-      "salt": "repro-cell-v2-<digest>",
+      "salt": "repro-cell-v3-<digest>",
       "details": { ... suite-specific raw results ... }
     }
 
@@ -23,9 +23,10 @@ and a *direction* saying which way is better, so
 :func:`compare_reports` can decide direction-aware whether a change is a
 regression.  ``details`` keeps each suite's full raw output (rounds,
 per-workload event counts, baselines) without constraining its shape.
-``salt`` is the derived code-version salt from the whole-program analysis
-(PR 6) — two reports with different salts benchmarked different kernels,
-and the comparison says so.  Like manifests, reports carry no timestamps:
+``salt`` is the campaign cache's code-version salt, a digest of the
+package sources (:func:`repro.experiments.cache.cache_salt`) — two reports
+with different salts benchmarked different code, and the comparison says
+so.  Like manifests, reports carry no timestamps:
 a re-run on the same code and machine produces a comparable document.
 
 ``repro-bench compare OLD NEW --threshold 0.1`` (see
@@ -83,9 +84,9 @@ def build_report(suite: str, metrics: Dict[str, dict],
                  salt: Optional[str] = None) -> dict:
     """Assemble a schema-versioned benchmark report document.
 
-    ``salt`` defaults to the derived cache salt
-    (:func:`repro.experiments.cache.cache_salt`), identifying the kernel
-    code version the numbers were measured on.  The import is lazy so this
+    ``salt`` defaults to the cache salt
+    (:func:`repro.experiments.cache.cache_salt`), identifying the code
+    version the numbers were measured on.  The import is lazy so this
     module stays importable without pulling the experiment layer in.
     """
     if salt is None:

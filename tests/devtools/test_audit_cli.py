@@ -164,55 +164,6 @@ class TestGithubFormat:
         assert "\n" not in annotation
 
 
-class TestFingerprintSubcommand:
-    @pytest.fixture
-    def mini_pkg(self, tmp_path):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "__init__.py").write_text("")
-        (pkg / "worker.py").write_text("def run_cell():\n    return 1\n")
-        return pkg
-
-    def test_reports_salt(self, mini_pkg, capsys):
-        assert main(["fingerprint", "--package", str(mini_pkg),
-                     "--entry", "pkg.worker.run_cell"]) == 0
-        out = capsys.readouterr().out
-        assert "salt: repro-cell-v2-" in out
-        assert "entry: pkg.worker.run_cell" in out
-
-    def test_stable_across_runs(self, mini_pkg, capsys):
-        main(["fingerprint", "--package", str(mini_pkg),
-              "--entry", "pkg.worker"])
-        first = capsys.readouterr().out
-        main(["fingerprint", "--package", str(mini_pkg),
-              "--entry", "pkg.worker"])
-        assert capsys.readouterr().out == first
-
-    def test_json_output_parseable(self, mini_pkg, capsys):
-        assert main(["fingerprint", "--package", str(mini_pkg),
-                     "--entry", "pkg.worker", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["salt"].startswith("repro-cell-v2-")
-        assert "pkg.worker" in payload["modules"]
-        assert payload["modules_in_project"] == 2
-
-    def test_verbose_lists_modules(self, mini_pkg, capsys):
-        assert main(["fingerprint", "--package", str(mini_pkg),
-                     "--entry", "pkg.worker", "--verbose"]) == 0
-        assert "pkg.worker" in capsys.readouterr().out
-
-    def test_missing_entry_exits_two(self, mini_pkg, capsys):
-        assert main(["fingerprint", "--package", str(mini_pkg),
-                     "--entry", "pkg.gone"]) == 2
-        assert "not found" in capsys.readouterr().err
-
-    def test_default_package_is_installed_tree(self, capsys):
-        assert main(["fingerprint"]) == 0
-        out = capsys.readouterr().out
-        assert "salt: repro-cell-v2-" in out
-        assert "repro.experiments.campaign._run_cell" in out
-
-
 class TestProjectRulesInCli:
     def test_select_project_rule_only(self, tmp_path, capsys):
         pkg = tmp_path / "repro" / "sim"

@@ -1,5 +1,8 @@
 """OBS001: no print() in library code.  OBS002: kernel telemetry ban."""
 
+from pathlib import Path
+
+import repro
 from repro.devtools.core import (
     all_project_rules,
     audit_source,
@@ -220,8 +223,7 @@ class TestObs002:
         assert run_rule("OBS002", project) == []
 
     def test_real_tree_is_clean(self):
-        from repro.devtools.fingerprint import default_package_dir
         from repro.devtools.symbols import Project
 
-        project = Project.from_package(default_package_dir())
+        project = Project.from_package(Path(repro.__file__).parent)
         assert run_rule("OBS002", project) == []

@@ -1,10 +1,15 @@
 """Tests for the content-addressed campaign cell cache."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.experiments import cache as cache_module
 from repro.experiments.cache import (
     CampaignCache,
@@ -69,7 +74,7 @@ class TestFingerprint:
 class TestDerivedSalt:
     def test_salt_is_derived_from_code(self):
         salt = cache_salt()
-        assert salt.startswith("repro-cell-v2-")
+        assert salt.startswith("repro-cell-v3-")
         assert salt == cache_salt()  # memoized, stable in-process
 
     def test_unknown_module_attribute_still_raises(self):
@@ -92,18 +97,30 @@ class TestDerivedSalt:
         monkeypatch.setattr(cache_module, "_salt_cache", "repro-cell-v999")
         assert cache.entry_path(small_spec(), 0.1, 1) != path
 
-    def test_matches_the_analyzer_report(self):
-        from repro.devtools.fingerprint import derived_cache_salt
-        assert cache_salt() == derived_cache_salt()
+    def test_salt_never_imports_the_analyzer(self):
+        # The salt hashes bytes; the static analyzer (repro.devtools) is a
+        # development tool that no campaign process loads.
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from repro.experiments.cache import cache_salt\n"
+             "print(cache_salt())\n"
+             "print(sorted(m for m in sys.modules\n"
+             "             if m.startswith('repro.devtools')))"],
+            capture_output=True, text=True, check=True, env=env)
+        salt, loaded = result.stdout.splitlines()
+        assert salt.startswith("repro-cell-v3-")
+        assert loaded == "[]"
 
     def test_fallback_when_sources_unreadable(self, monkeypatch, caplog):
         monkeypatch.setattr(cache_module, "_salt_cache", None)
-        import repro.devtools.fingerprint as fp
 
-        def boom():
+        def boom(package_root):
             raise OSError("no sources")
 
-        monkeypatch.setattr(fp, "derived_cache_salt", boom)
+        monkeypatch.setattr(cache_module, "_source_salt", boom)
         with caplog.at_level("WARNING"):
             salt = cache_salt()
         assert salt == cache_module._FALLBACK_SALT
