@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import FitError, InsufficientDataError
 from repro.netdyn.trace import ProbeTrace
@@ -46,6 +45,8 @@ class ConstantPlusGammaFit:
 
     def quantile(self, q: float) -> float:
         """Inverse CDF of the fitted model (used to size playback buffers)."""
+        from scipy import stats  # scipy loads only when called
+
         return self.constant + float(
             stats.gamma.ppf(q, self.shape, scale=self.scale))
 
@@ -74,6 +75,8 @@ def fit_constant_plus_gamma(trace: ProbeTrace,
     if spread < 1e-9 or spread < 1e-4 * float(excess.mean()):
         raise FitError(
             "delays are (nearly) constant; a gamma fit is degenerate")
+    from scipy import stats  # scipy loads only when called
+
     try:
         shape, _, scale = stats.gamma.fit(excess, floc=0.0)
     except Exception as exc:  # scipy raises bare Exceptions on bad input

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import InsufficientDataError
 from repro.netdyn.trace import ProbeTrace
@@ -178,9 +177,11 @@ def runs_test(trace: ProbeTrace) -> RunsTestResult:
     if variance <= 0:
         raise InsufficientDataError("degenerate runs-test variance")
     z = (runs - expected) / math.sqrt(variance)
-    # sf(|z|) keeps precision in the far tail where 1 - cdf(|z|) rounds
-    # to exactly 0.0 (|z| >~ 8), which would turn a strong rejection into
-    # an apparent p = 0.
-    p_value = 2.0 * stats.norm.sf(abs(z))
+    from scipy.special import ndtr  # scipy loads only when called
+
+    # ndtr(-|z|) is the upper tail sf(|z|): it keeps precision in the far
+    # tail where 1 - cdf(|z|) rounds to exactly 0.0 (|z| >~ 8), which would
+    # turn a strong rejection into an apparent p = 0.
+    p_value = 2.0 * ndtr(-abs(z))
     return RunsTestResult(runs=runs, expected=expected, z=z,
                           p_value=float(p_value))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.errors import AnalysisError, InsufficientDataError
 
@@ -56,7 +55,9 @@ def wilson_interval(successes: int, trials: int,
             f"successes {successes} outside [0, {trials}]")
     if not 0.0 < confidence < 1.0:
         raise AnalysisError(f"confidence must be in (0, 1), got {confidence}")
-    z = float(scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+    from scipy.special import ndtri  # scipy loads only when called
+
+    z = float(ndtri(0.5 + confidence / 2.0))
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
@@ -83,7 +84,9 @@ def mean_interval(samples: Sequence[float],
     sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
     if sem == 0.0:
         return ConfidenceInterval(mean, mean, mean, confidence)
-    t = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1))
+    from scipy.special import stdtrit  # scipy loads only when called
+
+    t = float(stdtrit(arr.size - 1, 0.5 + confidence / 2.0))
     return ConfidenceInterval(estimate=mean, low=mean - t * sem,
                               high=mean + t * sem, confidence=confidence)
 

@@ -14,7 +14,6 @@ Installed as console scripts (see pyproject) and usable via ``python -m``:
 from __future__ import annotations
 
 import argparse
-import asyncio
 import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -342,6 +341,7 @@ def main_echo(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--host", default="0.0.0.0")
     parser.add_argument("--port", type=int, default=5201)
     args = parser.parse_args(argv)
+    import asyncio  # only the live echo server needs an event loop
 
     async def serve() -> None:
         from repro.netdyn.live import serve_echo

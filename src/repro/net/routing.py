@@ -2,7 +2,7 @@
 
 :class:`Network` owns the nodes, wires up links (a bidirectional link is a
 pair of :class:`~repro.net.link.Interface` objects), and fills every node's
-next-hop table from shortest paths computed with networkx.  Routing is
+next-hop table from shortest propagation-delay paths.  Routing is
 static, matching the paper's setting of a single stable route per connection
 (Table 1 / Table 2); dynamic effects are injected with
 :class:`~repro.net.faults.RouteFlapFault`.
@@ -10,9 +10,9 @@ static, matching the paper's setting of a single stable route per connection
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from typing import Optional
-
-import networkx as nx
 
 from repro.errors import AddressError, ConfigurationError, RoutingError
 from repro.net.host import Host
@@ -117,27 +117,43 @@ class Network:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def graph(self) -> "nx.DiGraph":
-        """The topology as a directed graph weighted by propagation delay."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self.nodes)
-        for a, b, iface in self._edges:
-            # Tiny constant keeps zero-delay LANs from producing ties
-            # resolved arbitrarily; hop count then dominates.
-            graph.add_edge(a, b, weight=iface.prop_delay + 1e-6,
-                           interface=iface)
-        return graph
-
     def compute_routes(self) -> None:
-        """Fill every node's next-hop table with shortest-path routes."""
-        graph = self.graph()
-        for source in self.nodes:
-            paths = nx.shortest_path(graph, source=source, weight="weight")
-            node = self.nodes[source]
-            for destination, path in paths.items():
-                if destination == source or len(path) < 2:
+        """Fill every node's next-hop table with shortest-path routes.
+
+        Dijkstra from every node, weighting each link by its propagation
+        delay plus 1 µs: the tiny constant keeps zero-delay LANs from
+        producing ties resolved arbitrarily, so hop count then dominates.
+        Neighbors are scanned in link-creation order, a push counter breaks
+        heap ties, and a first hop changes only on a strict improvement:
+        networkx's ``shortest_path`` rules, so equal-cost ties resolve the
+        same way.
+        """
+        adjacency: dict[str, dict[str, float]] = {name: {}
+                                                  for name in self.nodes}
+        for a, b, iface in self._edges:
+            adjacency[a][b] = iface.prop_delay + 1e-6
+        for source, node in self.nodes.items():
+            settled: set[str] = set()
+            best = {source: 0.0}
+            first_hop: dict[str, str] = {}
+            counter = itertools.count()
+            fringe = [(0.0, next(counter), source)]
+            while fringe:
+                dist, _, name = heapq.heappop(fringe)
+                if name in settled:
                     continue
-                node.set_next_hop(destination, path[1])
+                settled.add(name)
+                if name != source:
+                    node.set_next_hop(name, first_hop[name])
+                for peer, weight in adjacency[name].items():
+                    peer_dist = dist + weight
+                    if peer not in settled and (peer not in best
+                                                or peer_dist < best[peer]):
+                        best[peer] = peer_dist
+                        heapq.heappush(fringe,
+                                       (peer_dist, next(counter), peer))
+                        first_hop[peer] = (peer if name == source
+                                           else first_hop[name])
 
     # ------------------------------------------------------------------
     # Accounting

@@ -99,16 +99,21 @@ class TestDerivedSalt:
 
     def test_salt_never_imports_the_analyzer(self):
         # The salt hashes bytes; the static analyzer (repro.devtools) is a
-        # development tool that no campaign process loads.
+        # development tool that no campaign process loads.  scipy and
+        # networkx stay off every entry point's import path too: scipy is
+        # imported where a statistic is computed, and routing is our own.
         env = dict(os.environ,
                    PYTHONPATH=str(Path(repro.__file__).parents[1]))
         result = subprocess.run(
             [sys.executable, "-c",
              "import sys\n"
+             "import repro.cli, repro.experiments.campaign\n"
+             "import repro.experiments.fastforward\n"
              "from repro.experiments.cache import cache_salt\n"
              "print(cache_salt())\n"
              "print(sorted(m for m in sys.modules\n"
-             "             if m.startswith('repro.devtools')))"],
+             "             if m.startswith('repro.devtools')\n"
+             "             or m.split('.')[0] in ('scipy', 'networkx')))"],
             capture_output=True, text=True, check=True, env=env)
         salt, loaded = result.stdout.splitlines()
         assert salt.startswith("repro-cell-v3-")

@@ -1,10 +1,17 @@
 """Unit tests for the Network container and static routing."""
 
+import networkx as nx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import AddressError, ConfigurationError, RoutingError
 from repro.net.routing import Network
 from repro.sim import Simulator
+from repro.topology.inria_umd import build_inria_umd
+from repro.topology.nsfnet import build_nsfnet
+from repro.topology.presets import build_single_bottleneck
+from repro.topology.umd_pitt import build_umd_pitt
 from repro.units import mbps, ms
 
 
@@ -94,13 +101,67 @@ class TestRouting:
         with pytest.raises(RoutingError):
             network.path("a", "d")
 
-    def test_graph_has_all_edges(self, sim):
-        network = diamond(sim)
-        graph = network.graph()
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 8  # 4 links, both directions
-
     def test_repr(self, sim):
         network = diamond(sim)
         assert "4 nodes" in repr(network)
         assert "4 links" in repr(network)
+
+
+def networkx_next_hops(network):
+    """The next-hop tables networkx's weighted shortest paths give.
+
+    The oracle graph is built as routing weighs it: every interface, in
+    each node's link-creation order, weighted by propagation delay + 1 µs.
+    """
+    graph = nx.DiGraph()
+    graph.add_nodes_from(network.nodes)
+    for name, node in network.nodes.items():
+        for peer, iface in node.interfaces.items():
+            graph.add_edge(name, peer, weight=iface.prop_delay + 1e-6)
+    return {source: {destination: path[1]
+                     for destination, path in nx.shortest_path(
+                         graph, source=source, weight="weight").items()
+                     if destination != source}
+            for source in network.nodes}
+
+
+def next_hops(network):
+    return {name: dict(node.routing) for name, node in network.nodes.items()}
+
+
+#: Propagation delays with repeats and zeros, so equal-cost paths occur.
+DELAYS = [0.0, 0.0, ms(1), ms(1), ms(2), ms(3)]
+
+
+@st.composite
+def topologies(draw):
+    """2-12 routers joined by random, possibly asymmetric or parallel links."""
+    count = draw(st.integers(2, 12))
+    pairs = st.tuples(st.integers(0, count - 1), st.integers(0, count - 1))
+    links = draw(st.lists(
+        st.tuples(pairs.filter(lambda pair: pair[0] != pair[1]),
+                  st.sampled_from(DELAYS), st.sampled_from(DELAYS)),
+        max_size=3 * count))
+    return count, links
+
+
+class TestMatchesNetworkx:
+    """Every next hop equals ``nx.shortest_path(..., weight=...)[1]``."""
+
+    @pytest.mark.parametrize("build", [build_inria_umd, build_umd_pitt,
+                                       build_single_bottleneck, build_nsfnet])
+    def test_scenarios(self, build):
+        network = build(seed=1).network
+        assert next_hops(network) == networkx_next_hops(network)
+
+    @given(topologies())
+    def test_generated_graphs(self, topology):
+        count, links = topology
+        network = Network(Simulator())
+        for index in range(count):
+            network.add_router(f"r{index}")
+        for (a, b), delay_ab, delay_ba in links:
+            network.link(f"r{a}", f"r{b}", rate_bps=mbps(10),
+                         prop_delay=delay_ab, prop_delay_ba=delay_ba)
+        network.compute_routes()
+        assert next_hops(network) == networkx_next_hops(network)

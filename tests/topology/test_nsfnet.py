@@ -41,7 +41,9 @@ class TestTopology:
         scenario = build_nsfnet(seed=1)
         # backbone + one access link per site, both directions each.
         expected_edges = (len(NSFNET_LINKS) + len(NSFNET_SITES)) * 2
-        assert scenario.network.graph().number_of_edges() == expected_edges
+        interfaces = sum(len(node.interfaces)
+                         for node in scenario.network.nodes.values())
+        assert interfaces == expected_edges
 
 
 class TestMeasurementsAcrossMesh:
