@@ -12,9 +12,7 @@ Times the three hot-path workloads the perf tests guard:
 
 Each workload reports events/sec (best of ``ROUNDS``), written in the
 shared ``repro-bench`` report schema (:mod:`repro.obs.bench`) so
-``repro-bench compare`` can flag regressions between two runs.  The
-committed ``benchmarks/BENCH_kernel.json`` also keeps, under
-``details.baseline``, the numbers recorded before the hot-path rework.
+``repro-bench compare`` can flag regressions between two runs.
 
 ``--quick`` shrinks every workload (CI smoke); quick numbers are only
 comparable to other quick runs, and the report says which mode ran.

@@ -45,7 +45,7 @@ def main() -> None:
 
     print(f"\nqueue: {queue.arrivals} arrivals, {queue.drops} drops "
           f"({queue.loss_fraction:.1%}), time-averaged occupancy "
-          f"{queue.occupancy_packets.mean():.1f} of {queue.capacity}")
+          f"{queue.mean_packets():.1f} of {queue.capacity}")
     print(f"tap: {len(tap)} packets crossed, "
           f"{tap.throughput_bps() / 1e3:.0f} kb/s sustained "
           f"({tap.throughput_bps() / scenario.bottleneck_rate_bps:.0%} "

@@ -40,7 +40,6 @@ class KernelPrivateAccessRule(Rule):
         "repro/sim/kernel.py",
         "repro/sim/events.py",
         "repro/sim/random.py",
-        "repro/sim/monitor.py",
         "repro/sim/__init__.py",
     )
 

@@ -97,9 +97,8 @@ def collect_queue_stats(network: Network) -> Dict[str, Dict[str, float]]:
                 continue
             stats[f"{node_name}->{peer_name}"] = queue_summary(
                 queue.arrivals, queue.drops, queue.departures,
-                queue.occupancy_packets.mean(),
-                queue.occupancy_packets.maximum(),
-                queue.occupancy_bytes.mean())
+                queue.mean_packets(), queue.max_packets(),
+                queue.mean_bytes())
     return stats
 
 

@@ -155,7 +155,8 @@ class Interface:
         self._busy = False
         if self.lifecycle is not None:
             self.lifecycle.on_tx_done(self, packet)
-        self._start_next()
+        if self.queue._packets:
+            self._start_next()
 
     def _deliver(self) -> None:
         packet = self._inflight.popleft()

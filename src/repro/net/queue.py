@@ -3,6 +3,13 @@
 This is the buffer of Figure 3 in the paper: probe losses happen here when
 the buffer overflows.  Capacity can be expressed in packets (the paper's
 ``K``) or in bytes; both modes are exercised by the ablation benchmarks.
+
+Each queue integrates its own packet and byte occupancy over time, which
+is how the network substrate is validated (e.g. that a queue's
+time-averaged occupancy matches M/D/1 theory) and what the manifest's
+queue statistics report.  Every enqueue and dequeue of the event engine
+passes through here, so the integration is inline: one clock read and one
+span per change, feeding both integrals.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from repro.errors import ConfigurationError
 from repro.net.hooks import LifecycleObserver
 from repro.net.packet import Packet
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import TimeWeightedValue
 
 #: Capacity accounting modes.
 MODE_PACKETS = "packets"
@@ -52,8 +58,12 @@ class DropTailQueue:
         self.arrivals = 0
         self.drops = 0
         self.departures = 0
-        self.occupancy_packets = TimeWeightedValue(sim, 0.0)
-        self.occupancy_bytes = TimeWeightedValue(sim, 0.0)
+        # Occupancy integrals (count x seconds) up to ``_last_change``,
+        # the last enqueue or dequeue, and the packet peak.
+        self._started = self._last_change = sim.now
+        self._packet_seconds = 0.0
+        self._byte_seconds = 0.0
+        self._max_packets = 0
         # Sets the lifecycle property, which binds self.enqueue to the
         # no-hooks fast path until an observer is attached.
         self.lifecycle = None
@@ -91,23 +101,21 @@ class DropTailQueue:
         if self._occupancy_after(packet) > self.capacity:
             self.drops += 1
             return False
-        self._packets.append(packet)
+        self._integrate()
+        packets = self._packets
+        packets.append(packet)
         self._bytes += packet.size_bytes
-        self._record_occupancy()
+        if len(packets) > self._max_packets:
+            self._max_packets = len(packets)
         return True
 
     def _enqueue_hooked(self, packet: Packet) -> bool:
         """``enqueue`` while a lifecycle observer is attached."""
-        self.arrivals += 1
-        if self._occupancy_after(packet) > self.capacity:
-            self.drops += 1
-            self._lifecycle.on_queue_drop(self, packet)
-            return False
-        self._packets.append(packet)
-        self._bytes += packet.size_bytes
-        self._record_occupancy()
-        self._lifecycle.on_enqueued(self, packet)
-        return True
+        if self._enqueue_fast(packet):
+            self._lifecycle.on_enqueued(self, packet)
+            return True
+        self._lifecycle.on_queue_drop(self, packet)
+        return False
 
     def enqueue(self, packet: Packet) -> bool:
         """Append ``packet`` if it fits; return False (and count) on drop.
@@ -122,15 +130,42 @@ class DropTailQueue:
         """Pop the head-of-line packet, or None if empty."""
         if not self._packets:
             return None
+        self._integrate()
         packet = self._packets.popleft()
         self._bytes -= packet.size_bytes
         self.departures += 1
-        self._record_occupancy()
         return packet
 
-    def _record_occupancy(self) -> None:
-        self.occupancy_packets.update(float(len(self._packets)))
-        self.occupancy_bytes.update(float(self._bytes))
+    def _integrate(self) -> None:
+        """Add the occupancy held since the last change to the integrals.
+
+        Called just before every change, so each integral gains the count
+        held over the span that ends now.
+        """
+        now = self._sim.now
+        span = now - self._last_change
+        self._packet_seconds += len(self._packets) * span
+        self._byte_seconds += self._bytes * span
+        self._last_change = now
+
+    def _time_mean(self, integral: float, held: int) -> float:
+        now = self._sim.now
+        total = now - self._started
+        if total <= 0:
+            return float(held)
+        return (integral + held * (now - self._last_change)) / total
+
+    def mean_packets(self) -> float:
+        """Time-weighted mean occupancy in packets since creation."""
+        return self._time_mean(self._packet_seconds, len(self._packets))
+
+    def max_packets(self) -> float:
+        """Largest occupancy in packets seen so far."""
+        return float(self._max_packets)
+
+    def mean_bytes(self) -> float:
+        """Time-weighted mean occupancy in bytes since creation."""
+        return self._time_mean(self._byte_seconds, self._bytes)
 
     # ------------------------------------------------------------------
     @property

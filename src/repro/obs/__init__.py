@@ -6,8 +6,8 @@ Five parts, all passive observers of the substrate:
   simulated time, label, priority, and wall-clock cost, plus per-label
   profiles for hot-path hunting, kept in a bounded ring buffer.
 * **Metrics registry** (:mod:`repro.obs.registry`) — named counters and
-  gauges pulled from the components' existing ``sim.monitor`` instruments,
-  snapshotted into one nested dict per run.
+  gauges pulled from the components' existing counters and occupancy
+  integrals, snapshotted into one nested dict per run.
 * **Packet-lifecycle tracing** (:mod:`repro.obs.lifecycle`) — per-packet hop
   records (created / enqueued / dropped / tx / delivered, with queue
   occupancy) so any probe's full path can be reconstructed and joined

@@ -5,8 +5,8 @@ Components register instruments under slash-separated names
 not dots, because node names are hostnames) and a single
 :meth:`MetricsRegistry.snapshot` call collects everything into one nested
 dict per run.  Every instrument is *pull-based*: it holds a zero-argument
-callable that reads state the component already maintains (the
-``sim.monitor`` counters and time-weighted values), so registering metrics
+callable that reads state the component already maintains (its
+counters and the queues' time-weighted occupancy), so registering metrics
 adds nothing to the simulation hot path and cannot perturb event order.
 
 :func:`instrument_network` walks a built :class:`~repro.net.routing.Network`
@@ -215,13 +215,13 @@ def instrument_network(registry: MetricsRegistry,
                            source=lambda q=queue: q.loss_fraction,
                            description="drops / arrivals")
             registry.gauge(f"{qbase}/occupancy_mean_pkts",
-                           source=queue.occupancy_packets.mean,
+                           source=queue.mean_packets,
                            description="time-weighted mean occupancy, pkts")
             registry.gauge(f"{qbase}/occupancy_max_pkts",
-                           source=queue.occupancy_packets.maximum,
+                           source=queue.max_packets,
                            description="peak occupancy, packets")
             registry.gauge(f"{qbase}/occupancy_mean_bytes",
-                           source=queue.occupancy_bytes.mean,
+                           source=queue.mean_bytes,
                            description="time-weighted mean occupancy, bytes")
 
 

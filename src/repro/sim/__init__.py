@@ -2,20 +2,17 @@
 
 The kernel is deliberately small: an event heap with deterministic
 tie-breaking (:mod:`repro.sim.events`), a simulator clock and run loop
-(:mod:`repro.sim.kernel`), named reproducible random streams
-(:mod:`repro.sim.random`), and the time-weighted average the queues
-measure occupancy with (:mod:`repro.sim.monitor`).
+(:mod:`repro.sim.kernel`), and named reproducible random streams
+(:mod:`repro.sim.random`).
 """
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import TimeWeightedValue
 from repro.sim.random import RandomStreams
 
 __all__ = [
     "Event",
     "EventQueue",
     "Simulator",
-    "TimeWeightedValue",
     "RandomStreams",
 ]

@@ -1,4 +1,4 @@
-"""Event objects and the pending-event queue of the discrete-event kernel.
+"""Event handles and the pending-event queue of the discrete-event kernel.
 
 Events are ordered by ``(time, priority, sequence)``.  The sequence number is
 a monotonically increasing counter assigned at scheduling time, which makes
@@ -6,13 +6,13 @@ the execution order of simultaneous events deterministic (FIFO within the
 same time and priority) and therefore makes whole simulations reproducible
 from a seed.
 
-``Event`` is a hand-written ``__slots__`` class rather than a dataclass: the
-kernel creates one instance per scheduled callback and the heap compares
-events on every sift, so field access and ``__lt__`` are the hottest code in
-the simulator.  The generated ``order=True`` comparator would build a
-``(time, priority, sequence)`` tuple on *both* sides of every comparison;
-the hand-written one short-circuits on ``time`` (almost always decisive)
-without allocating.
+The heap holds ``(time, priority, sequence, event)`` tuples rather than the
+events themselves, so every sift compares tuples in C instead of calling a
+Python-level ``__lt__``.  Sequence numbers are unique, so the comparison is
+always decided before it reaches the ``Event``, which is never compared:
+it is only the caller's cancel handle and the run loop's record of the
+callback.  ``Event`` is a hand-written ``__slots__`` class because the
+kernel allocates one per scheduled callback.
 """
 
 from __future__ import annotations
@@ -57,24 +57,6 @@ class Event:
         #: dropped, so cancellation bookkeeping happens exactly once.
         self._owner: Optional["EventQueue"] = None
 
-    def __lt__(self, other: "Event") -> bool:
-        # Hot path: called on every heap sift.  Short-circuit on time; ties
-        # fall through to priority then the deterministic sequence number.
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.sequence < other.sequence
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.time == other.time and self.priority == other.priority
-                and self.sequence == other.sequence)
-
-    # Ordered-and-mutable, like the dataclass(order=True) it replaces.
-    __hash__ = None  # type: ignore[assignment]
-
     def cancel(self) -> None:
         """Mark the event so the kernel skips it when it is popped."""
         if self.cancelled:
@@ -94,10 +76,11 @@ class EventQueue:
     """The simulator's pending-event set: a binary heap with lazy cancellation.
 
     :class:`~repro.sim.kernel.Simulator` is the only client.  Its
-    ``call_at``/``schedule`` push straight onto ``_heap`` (stamping each
-    event with ``next(_counter)`` and bumping ``_live``), and its ``run``
-    loop pops straight off it; both are inlined there because they are the
-    hottest code in the tree.  This class holds the state they share.
+    ``call_at``/``schedule`` push ``(time, priority, sequence, event)``
+    entries straight onto ``_heap`` (stamping each with ``next(_counter)``
+    and bumping ``_live``), and its ``run`` loop pops straight off it;
+    both are inlined there because they are the hottest code in the tree.
+    This class holds the state they share.
 
     Cancelled events stay in the heap and are discarded when the run loop
     reaches them; this keeps :meth:`Event.cancel` O(1) at the cost of
@@ -111,7 +94,7 @@ class EventQueue:
     __slots__ = ("_heap", "_counter", "_live")
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter: Iterator[int] = itertools.count()
         self._live: int = 0
 
@@ -127,7 +110,7 @@ class EventQueue:
 
     def clear(self) -> None:
         """Drop every pending event."""
-        for event in self._heap:
-            event._owner = None
+        for entry in self._heap:
+            entry[3]._owner = None
         self._heap.clear()
         self._live = 0

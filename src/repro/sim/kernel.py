@@ -10,13 +10,15 @@ are naturally event-driven (a packet arrives, a timer fires), callbacks keep
 the hot path free of generator overhead, and determinism is easy to audit.
 
 The run loop is the single hottest function in the repository.  It pops the
-next live event straight off the queue's heap (one traversal: peek at the
+next live entry straight off the queue's heap (one traversal: peek at the
 head, skip it if cancelled, stop at ``until``, else pop) with the heap and
 ``heappop`` bound to locals; per-event work is limited to the cancelled-skip,
 the ``until`` bound check, the clock store, the counter bump, and the
-callback itself.  Both invariants the rest of the tree leans on are
-preserved: same seed ⇒ bit-identical event order, and an attached observer
-changes nothing but wall-clock bookkeeping.
+callback itself.  Heap entries are ``(time, priority, sequence, event)``
+tuples, so every sift compares them in C (see :mod:`repro.sim.events`).
+Both invariants the rest of the tree leans on are preserved: same seed ⇒
+bit-identical event order, and an attached observer changes nothing but
+wall-clock bookkeeping.
 """
 
 from __future__ import annotations
@@ -158,15 +160,16 @@ class Simulator:
         # frames are both measurable (see DESIGN.md, "Hot path").  The
         # field stores must mirror Event.__init__ exactly.
         queue = self._queue
+        sequence = next(queue._counter)
         event = _new_event(Event)
         event.time = time
         event.priority = priority
-        event.sequence = next(queue._counter)
+        event.sequence = sequence
         event.action = action
         event.label = label
         event.cancelled = False
         event._owner = queue
-        heappush(queue._heap, event)
+        heappush(queue._heap, (time, priority, sequence, event))
         queue._live += 1
         return event
 
@@ -189,15 +192,17 @@ class Simulator:
                 f"{delay:.6f}")
         # The heap push, inlined down to the allocation (see call_at).
         queue = self._queue
+        time = self._now + delay
+        sequence = next(queue._counter)
         event = _new_event(Event)
-        event.time = self._now + delay
+        event.time = time
         event.priority = priority
-        event.sequence = next(queue._counter)
+        event.sequence = sequence
         event.action = action
         event.label = label
         event.cancelled = False
         event._owner = queue
-        heappush(queue._heap, event)
+        heappush(queue._heap, (time, priority, sequence, event))
         queue._live += 1
         return event
 
@@ -235,15 +240,17 @@ class Simulator:
         executed = 0
         try:
             while heap:
-                event = heap[0]
+                entry = heap[0]
+                event = entry[3]
                 if event.cancelled:
                     pop(heap)
                     continue
-                if event.time > limit:
+                time = entry[0]
+                if time > limit:
                     break
                 pop(heap)
                 event._owner = None
-                self._now = event.time
+                self._now = time
                 executed += 1
                 if observer is None:
                     event.action()
@@ -252,7 +259,7 @@ class Simulator:
                     # event for the tracer, never enters simulated time.
                     started = perf_counter()  # repro: noqa[FLOW001]
                     event.action()
-                    observer.on_event(event.time, event.label,
+                    observer.on_event(time, event.label,
                                       event.priority,
                                       perf_counter() - started)  # repro: noqa[FLOW001]
                 if self._stopped:

@@ -8,6 +8,7 @@ from repro.errors import ConfigurationError
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue, MODE_BYTES, MODE_PACKETS
 from repro.sim import Simulator
+from tests.sim.occupancy_reference import TimeWeightedValue
 
 
 def make_packet(size=100):
@@ -68,9 +69,9 @@ class TestByteMode:
     def test_bytes_queued_tracks_content(self, sim):
         queue = DropTailQueue(sim, capacity=1000, mode=MODE_BYTES)
         queue.enqueue(make_packet(300))
-        assert queue.occupancy_bytes.value == 300
+        assert queue._bytes == 300
         queue.dequeue()
-        assert queue.occupancy_bytes.value == 0
+        assert queue._bytes == 0
 
 
 class TestValidation:
@@ -91,7 +92,7 @@ class TestOccupancyStats:
         sim.call_at(10.0, lambda: queue.dequeue())
         sim.run(until=20.0)
         # 10 s at occupancy 1, 10 s at 0 -> mean 0.5.
-        assert queue.occupancy_packets.mean() == pytest.approx(0.5)
+        assert queue.mean_packets() == pytest.approx(0.5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -120,4 +121,54 @@ def test_byte_mode_never_exceeds_capacity(capacity, sizes):
     queue = DropTailQueue(sim, capacity=capacity, mode=MODE_BYTES)
     for size in sizes:
         queue.enqueue(make_packet(size))
-        assert queue.occupancy_bytes.value <= capacity
+        assert queue._bytes <= capacity
+
+
+#: One queue operation: wait ``dt`` seconds (0.0 ties it to the previous
+#: one), then enqueue a packet of that many bytes, or dequeue.
+_OPERATIONS = st.tuples(
+    st.one_of(st.just(0.0), st.floats(0.0, 5.0, allow_subnormal=False)),
+    st.one_of(st.just("deq"), st.integers(1, 1500)))
+
+
+@settings(deadline=None)
+@given(mode=st.sampled_from([MODE_PACKETS, MODE_BYTES]),
+       capacity=st.integers(1, 8), operations=st.lists(_OPERATIONS,
+                                                       max_size=60),
+       tail=st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+def test_occupancy_matches_time_weighted_reference(mode, capacity,
+                                                   operations, tail):
+    """The queue's inline occupancy integrals equal a pair of reference
+    time-weighted values updated after every change, float for float."""
+    if mode == MODE_BYTES:
+        capacity *= 400  # one to ~five 1500 B packets: drops included
+    sim = Simulator()
+    queue = DropTailQueue(sim, capacity=capacity, mode=mode)
+    ref_packets = TimeWeightedValue(sim, 0.0)
+    ref_bytes = TimeWeightedValue(sim, 0.0)
+    held = []
+
+    def check():
+        assert queue.mean_packets() == ref_packets.mean()
+        assert queue.max_packets() == ref_packets.maximum()
+        assert queue.mean_bytes() == ref_bytes.mean()
+
+    def apply(op):
+        if op == "deq":
+            if queue.dequeue() is None:
+                return
+            held.pop(0)
+        elif queue.enqueue(make_packet(op)):
+            held.append(op)
+        else:
+            return
+        ref_packets.update(float(len(held)))
+        ref_bytes.update(float(sum(held)))
+        check()
+
+    at = 0.0
+    for dt, op in operations:
+        at += dt
+        sim.call_at(at, lambda op=op: apply(op))
+    sim.run(until=at + tail)
+    check()

@@ -6,6 +6,12 @@ priority and cancellation rules are checked through that public API, on
 the path every simulation runs.
 """
 
+import math
+from itertools import count
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.sim import Simulator
 from repro.sim.events import Event
 
@@ -92,7 +98,7 @@ class TestLiveCounter:
     """
 
     def heap_scan(self, sim):
-        return sum(1 for event in sim._queue._heap if not event.cancelled)
+        return sum(1 for entry in sim._queue._heap if not entry[3].cancelled)
 
     def test_counter_tracks_push_pop_cancel(self):
         sim = Simulator(seed=0)
@@ -166,15 +172,101 @@ class TestLiveCounter:
 
 
 class TestEvent:
-    def test_ordering_by_time_then_priority_then_sequence(self):
-        early = Event(1.0, 0, 0, lambda: None)
-        late = Event(2.0, 0, 1, lambda: None)
-        assert early < late
-        high = Event(1.0, -1, 2, lambda: None)
-        assert high < early
-
     def test_cancel_sets_flag(self):
         event = Event(1.0, 0, 0, lambda: None)
         assert not event.cancelled
         event.cancel()
         assert event.cancelled
+
+
+_PRIORITIES = st.sampled_from([-1, 0, 1])
+
+
+@st.composite
+def _schedules(draw):
+    """Top-level events on a few tied instants; each may schedule child
+    events (zero delay included) and cancel top-level events when it
+    fires.  Some are cancelled before the run, and the run stops at a few
+    checkpoints on the way."""
+    size = draw(st.integers(1, 20))
+    events = [{
+        "time": draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        "priority": draw(_PRIORITIES),
+        "children": draw(st.lists(
+            st.tuples(st.sampled_from([0.0, 0.5]), _PRIORITIES),
+            max_size=3)),
+        "cancels": draw(st.lists(st.integers(0, size - 1), max_size=2)),
+    } for _ in range(size)]
+    cancelled = draw(st.lists(st.integers(0, size - 1), max_size=3))
+    checkpoints = sorted(draw(st.lists(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.75]), max_size=3)))
+    return events, cancelled, checkpoints
+
+
+def _run_kernel(events, cancelled, checkpoints):
+    """Execution order and, after each checkpoint, the pending counts."""
+    sim = Simulator(seed=0)
+    log = []
+    handles = {}
+
+    def action(tag, spec):
+        def fire():
+            log.append(tag)
+            for index, (delay, priority) in enumerate(spec["children"]):
+                sim.schedule(delay, action((tag, index), None),
+                             priority=priority)
+            for target in spec["cancels"]:
+                handles[target].cancel()
+        return fire if spec is not None else (lambda: log.append(tag))
+
+    for tag, spec in enumerate(events):
+        handles[tag] = sim.call_at(spec["time"], action(tag, spec),
+                                   priority=spec["priority"])
+    for tag in cancelled:
+        handles[tag].cancel()
+    counts = []
+    for until in checkpoints + [None]:
+        sim.run(until=until)
+        live = sum(1 for entry in sim._queue._heap if not entry[3].cancelled)
+        counts.append((sim.pending_events(), live))
+    return log, counts
+
+
+def _reference(events, cancelled, checkpoints):
+    """The same schedule, run by repeatedly taking the minimum pending
+    event on (time, priority, scheduling order) from a plain list."""
+    order = count()
+    pending = [((spec["time"], spec["priority"], next(order)), tag, spec)
+               for tag, spec in enumerate(events)]
+    dead = set(cancelled)
+    log = []
+    counts = []
+    for until in checkpoints + [math.inf]:
+        while True:
+            live = [item for item in pending if item[1] not in dead]
+            if not live:
+                break
+            head = min(live, key=lambda item: item[0])
+            (now, _, _), tag, spec = head
+            if now > until:
+                break
+            pending.remove(head)
+            log.append(tag)
+            if spec is None:
+                continue
+            for index, (delay, priority) in enumerate(spec["children"]):
+                pending.append(((now + delay, priority, next(order)),
+                                (tag, index), None))
+            dead.update(spec["cancels"])
+        remaining = sum(1 for item in pending if item[1] not in dead)
+        counts.append((remaining, remaining))
+    return log, counts
+
+
+@settings(deadline=None)
+@given(_schedules())
+def test_execution_order_matches_reference_sort(schedule):
+    """The kernel runs events in (time, priority, scheduling order), with
+    zero-delay events scheduled from callbacks and cancellations, and its
+    live count always equals a scan of the heap's live entries."""
+    assert _run_kernel(*schedule) == _reference(*schedule)

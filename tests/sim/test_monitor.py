@@ -1,8 +1,8 @@
-"""Unit tests for time-weighted statistics."""
+"""Unit tests for the time-weighted reference the queue oracle uses."""
 
 import pytest
 
-from repro.sim import TimeWeightedValue
+from tests.sim.occupancy_reference import TimeWeightedValue
 
 
 class TestTimeWeightedValue:
