@@ -35,6 +35,11 @@ from repro.experiments.runner import (
     run_experiment,
     run_observed_experiment,
 )
+from repro.obs.spans import (
+    CHROME_SPAN_FILE,
+    MERGED_SPAN_FILE,
+    resolve_span_dir,
+)
 from repro.tools.traceroute import format_route_table, traceroute
 from repro.units import bps_to_kbps, ms, seconds_to_ms
 
@@ -233,8 +238,6 @@ def main_campaign(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--refresh needs a cache directory "
                      "(--cache-dir or $REPRO_CACHE_DIR), and conflicts "
                      "with --no-cache")
-    cache = CampaignCache(cache_dir, refresh=args.refresh) \
-        if cache_dir else None
 
     try:
         spec = CampaignSpec(deltas=tuple(ms(d) for d in args.deltas_ms),
@@ -243,6 +246,20 @@ def main_campaign(argv: Optional[Sequence[str]] = None) -> int:
                             output_dir=args.output_dir, mode=args.mode)
     except ConfigurationError as exc:
         parser.error(str(exc))
+    from pathlib import Path
+    span_dir = resolve_span_dir(args.spans, args.output_dir)
+    # A directory that cannot be made is a usage error, reported before
+    # any cell runs; an OSError later in the run still propagates.
+    for directory in (args.output_dir, cache_dir, span_dir):
+        if directory:
+            try:
+                Path(directory).mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                print(f"repro-campaign: error: cannot create directory "
+                      f"{directory}: {exc.strerror or exc}", file=sys.stderr)
+                return 2
+    cache = CampaignCache(cache_dir, refresh=args.refresh) \
+        if cache_dir else None
     progress = {None: "auto", True: "on", False: "off"}[args.progress]
     result = run_campaign(spec, workers=args.workers, cache=cache,
                           spans=args.spans, progress=progress)
@@ -268,12 +285,7 @@ def main_campaign(argv: Optional[Sequence[str]] = None) -> int:
     if args.output_dir:
         print(f"\n{cells} trace CSVs + manifest.json + timing.json "
               f"written to {args.output_dir}")
-    if args.spans is not None:
-        from pathlib import Path
-
-        from repro.obs.spans import CHROME_SPAN_FILE, MERGED_SPAN_FILE
-        span_dir = Path(args.spans) if isinstance(args.spans, str) \
-            else Path(args.output_dir) / "spans"
+    if span_dir is not None:
         print(f"spans written to {span_dir} "
               f"({MERGED_SPAN_FILE} + {CHROME_SPAN_FILE})")
     return 0

@@ -27,7 +27,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, List, Optional, Set, Union
 
 from repro.devtools.core import FileContext
 from repro.devtools.imports import ImportMap
@@ -165,30 +165,6 @@ class Project:
         project._resolve_bases()
         return project
 
-    @classmethod
-    def from_files(cls, files: Sequence[Union[str, Path]]) -> "Project":
-        """Parse and index ``files``; unparseable files are skipped.
-
-        Per-file rules report a parse failure as ``PARSE001`` already; the
-        project analysis simply proceeds without the broken module.
-        """
-        contexts = []
-        for path in files:
-            path = Path(path)
-            try:
-                source = path.read_text(encoding="utf-8")
-                contexts.append(FileContext.from_source(
-                    source, path=path.as_posix()))
-            except (OSError, SyntaxError):
-                continue
-        return cls.from_contexts(contexts)
-
-    @classmethod
-    def from_package(cls, package_dir: Union[str, Path]) -> "Project":
-        """Index every ``.py`` file under a package directory."""
-        package_dir = Path(package_dir)
-        return cls.from_files(sorted(package_dir.rglob("*.py")))
-
     def _index_module(self, info: ModuleInfo) -> None:
         assert isinstance(info.context.tree, ast.Module)
         for stmt in info.context.tree.body:
@@ -307,9 +283,7 @@ class Project:
         candidates = [".".join(parts[:i]) for i in range(1, len(parts) + 1)]
         return [c for c in candidates if c in self.modules]
 
-    def import_closure(self, entry_module: str,
-                       exclude_prefixes: Sequence[str] = (),
-                       ) -> List[str]:
+    def import_closure(self, entry_module: str) -> List[str]:
         """Project modules transitively imported by ``entry_module``, sorted.
 
         Importing ``a.b.c`` executes ``a`` and ``a.b`` first, so ancestor
@@ -317,22 +291,16 @@ class Project:
         result over-approximates runtime behaviour (conditional and
         function-local imports count), which is what reachability wants:
         code that *could* run is code whose module body executes.
-        ``exclude_prefixes`` drops module subtrees (e.g. the analyzer
-        itself) from the walk entirely.
         """
         if entry_module not in self.modules:
             raise KeyError(f"module {entry_module!r} is not in the project")
-
-        def excluded(name: str) -> bool:
-            return any(name == prefix or name.startswith(prefix + ".")
-                       for prefix in exclude_prefixes)
 
         closure: Set[str] = set()
         stack = [entry_module]
         while stack:
             name = stack.pop()
             for member in self._with_ancestor_packages(name):
-                if member in closure or excluded(member):
+                if member in closure:
                     continue
                 closure.add(member)
                 stack.extend(imported for imported

@@ -419,9 +419,10 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     cache = resolve_cache(cache)
     output_dir = Path(spec.output_dir) if spec.output_dir else None
-    if output_dir:
-        output_dir.mkdir(parents=True, exist_ok=True)
     span_dir = resolve_span_dir(spans, spec.output_dir)
+    for directory in (output_dir, span_dir):
+        if directory is not None:
+            directory.mkdir(parents=True, exist_ok=True)
     tracer = SpanTracer(worker="main") if span_dir is not None else None
     worker_records: List[SpanRecord] = []
 
@@ -551,7 +552,6 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
     if span_dir is not None and tracer is not None:
         merged = merge_spans(list(tracer.records) + worker_records,
                              grid_keys)
-        span_dir.mkdir(parents=True, exist_ok=True)
         write_spans_jsonl(merged, span_dir / MERGED_SPAN_FILE)
         write_chrome_trace(span_dir / CHROME_SPAN_FILE, spans=merged)
         span_summary = summarize_spans(merged)

@@ -13,12 +13,13 @@ driving every cross packet through the event kernel, it
    :func:`~repro.queueing.fastforward.fifo_waits` call (the reuse of the
    Lindley recurrence of :mod:`repro.analysis.lindley`), yielding exact
    bottleneck arrival times;
-3. advances each bottleneck either in one vectorized certificate pass —
-   when the buffer provably cannot overflow, the merged cross+probe
-   stream is a single Lindley recursion — or, when drops are possible,
-   through one per-packet :meth:`~repro.queueing.fastforward.FluidQueue.walk`
-   over the same merged stream, whose admission rules replicate the
-   event queue exactly;
+3. advances each bottleneck with one
+   :func:`~repro.queueing.fastforward.bottleneck_pass`: a vectorized
+   certificate pass when the buffer provably cannot overflow (the merged
+   cross+probe stream is then a single Lindley recursion), otherwise one
+   per-packet :func:`~repro.queueing.fastforward.drop_tail_walk` over the
+   same merged stream, whose admission rules replicate the event queue
+   exactly;
 4. replays fault decisions by drawing from the *same*
    :class:`~repro.net.faults.RandomDropFault` generators in probe order.
 
@@ -67,18 +68,15 @@ from repro.net.clocks import PerfectClock, QuantizedClock
 from repro.net.faults import RandomDropFault
 from repro.net.link import Interface
 from repro.net.packet import UDP_WIRE_OVERHEAD_BYTES
-from repro.net.queue import MODE_PACKETS, queue_summary
 from repro.net.routing import Network
 from repro.netdyn import packetfmt
 from repro.netdyn.session import DEFAULT_DRAIN
 from repro.netdyn.trace import LOST, ProbeTrace
 from repro.topology.builder import PathScenario
-from repro.analysis.lindley import lindley_waits
-from repro.queueing.fastforward import FluidQueue, fifo_waits
+from repro.queueing.fastforward import bottleneck_pass, fifo_waits
 from repro.traffic.ftp import FtpSource
 from repro.traffic.telnet import TelnetSource
 from repro.units import (
-    bits_to_bytes,
     bytes_to_bits,
     seconds_to_ms,
     transmission_delay,
@@ -560,121 +558,26 @@ def _apply_stages(stages: Sequence[RandomDropFault],
         alive[indices[dropped]] = False
 
 
-def _merge_arrivals(cross_times: np.ndarray, cross_bits: np.ndarray,
-                    live_probe_times: np.ndarray, probe_bits: float,
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge cross arrivals and probes into one sorted bottleneck stream.
-
-    Returns the merged arrival times, wire bits and probe mask.  Both
-    inputs are already sorted (cross arrivals are FIFO departures plus
-    constants; probe arrivals inherit the send order through FIFO
-    stages), so one searchsorted merge replaces an argsort:
-    ``side="right"`` puts cross packets ahead of a same-instant probe
-    (in event order the probe joins the queue behind them), and the
-    +arange offset keeps equal-time probes in send order — exactly the
-    stable-argsort ordering.
-    """
-    n_probe = live_probe_times.size
-    total = cross_times.size + n_probe
-    slots = (np.searchsorted(cross_times, live_probe_times, side="right")
-             + np.arange(n_probe))
-    probe_mask = np.zeros(total, dtype=bool)
-    probe_mask[slots] = True
-    times = np.empty(total)
-    bits = np.empty(total)
-    times[probe_mask] = live_probe_times
-    bits[probe_mask] = probe_bits
-    times[~probe_mask] = cross_times
-    bits[~probe_mask] = cross_bits
-    return times, bits, probe_mask
-
-
-def _exact_pass(direction: DirectionModel, times: np.ndarray,
-                bits: np.ndarray, probe_mask: np.ndarray, end_time: float,
-                ) -> Optional[Tuple[np.ndarray, dict]]:
-    """One vectorized Lindley pass when the buffer provably never drops.
-
-    Takes the merged stream (:func:`_merge_arrivals`), computes every
-    wait with one :func:`lindley_waits` call, and checks a conservative
-    no-overflow certificate: the in-system population at each arrival —
-    which upper-bounds the *waiting* occupancy the event queue's drop
-    test actually uses — never exceeds the capacity.  When the
-    certificate holds, no arrival can drop, so the vectorized waits are
-    the exact event-mode waits and the per-packet walk is skipped.
-    Returns the probes' waits and the queue statistics, or ``None`` when
-    the certificate fails (the caller then walks the stream through a
-    :class:`FluidQueue`, which handles drops exactly).
-    """
-    total = times.size
-    if total == 0:
-        return np.empty(0), queue_summary(0, 0, 0, 0.0, 0.0, 0.0)
-    rate = direction.bottleneck.rate_bps
-    capacity = direction.bottleneck.queue.capacity
-    service = bits / rate
-    gaps = np.empty_like(times)
-    gaps[:-1] = np.diff(times)
-    gaps[-1] = 0.0
-    waits = lindley_waits(service, gaps)
-    starts = times + waits
-    departs = starts + service
-    population = np.arange(1, total + 1)
-    # Strict "departed before" undercounts departures on ties, so the
-    # in-system count (self included) is an upper bound on what the
-    # event queue's waiting+1 test sees.
-    in_system = population - np.searchsorted(departs, times, side="left")
-    if direction.bottleneck.queue.mode == MODE_PACKETS:
-        if int(in_system.max()) > capacity:
-            return None
-    else:
-        cumulative = np.concatenate([[0.0], np.cumsum(bits)])
-        in_system_bits = (cumulative[population]
-                          - cumulative[population - in_system])
-        if bits_to_bytes(float(in_system_bits.max())) > capacity:
-            return None
-    waiting_span = np.minimum(starts, end_time) - times
-    started = np.searchsorted(starts, times, side="right")
-    stats = queue_summary(
-        total, 0, np.searchsorted(departs, end_time, side="right"),
-        float(waiting_span.sum()) / end_time,
-        (population - started).max(),
-        bits_to_bytes(float((bits * waiting_span).sum())) / end_time)
-    return waits[probe_mask], stats
-
-
 def _queue_pass(direction: DirectionModel, cross_times: np.ndarray,
                 cross_bits: np.ndarray, probe_times: np.ndarray,
                 alive: np.ndarray, probe_bits: float,
                 end_time: float) -> Tuple[np.ndarray, dict]:
-    """Run one bottleneck: merged cross arrivals + probes, in time order.
+    """Run one direction's bottleneck over its cross arrivals and probes.
 
     ``cross_times``/``cross_bits`` are the direction's sliced cross
     stream (:func:`slice_stream`).  Returns the per-probe waits (zero
     for probes that never arrive) and the queue's statistics dict;
-    ``alive`` is updated in place with queue drops.  The stream is
-    merged once; the vectorized no-drop pass runs first, and only when
-    the buffer could overflow does one :meth:`FluidQueue.walk` run over
-    the same stream — per packet, never aggregated, because near a full
-    buffer the admission decision of every single arrival matters.
+    ``alive`` is updated in place with queue drops.
     """
-    keep = cross_times <= end_time
     live = np.flatnonzero(alive)
-    times, bits, probe_mask = _merge_arrivals(
-        cross_times[keep], cross_bits[keep], probe_times[live], probe_bits)
+    queue = direction.bottleneck.queue
+    probe_waits, admitted, stats = bottleneck_pass(
+        cross_times, cross_bits, probe_times[live], probe_bits, end_time,
+        direction.bottleneck.rate_bps, queue.capacity, queue.mode)
     waits = np.zeros(probe_times.shape)
-    exact = _exact_pass(direction, times, bits, probe_mask, end_time)
-    if exact is not None:
-        waits[live] = exact[0]
-        return waits, exact[1]
-
-    bottleneck = direction.bottleneck
-    queue = FluidQueue(bottleneck.rate_bps, bottleneck.queue.capacity,
-                       mode=bottleneck.queue.mode)
-    # Plain lists keep the walk free of per-element numpy scalar boxing.
-    probe_waits, admitted = queue.walk(times.tolist(), bits.tolist(),
-                                       probe_mask.tolist(), end_time)
     waits[live] = probe_waits
     alive[live] = admitted
-    return waits, queue.stats(end_time)
+    return waits, stats
 
 
 def _clock_readings(sim_times: np.ndarray,

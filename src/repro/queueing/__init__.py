@@ -4,10 +4,16 @@
 model of Section 6; :mod:`~repro.queueing.mdk1` provides M/D/1(/K) oracles
 used to validate the network substrate; :mod:`~repro.queueing.palm` holds
 the Palm-calculus loss-gap identities; :mod:`~repro.queueing.fastforward`
-is the per-packet bottleneck queue behind the analytic execution mode.
+is the drop-tail bottleneck queue behind the analytic execution mode
+(:func:`bottleneck_pass`, with :func:`drop_tail_walk` and
+:func:`fifo_waits`).
 """
 
-from repro.queueing.fastforward import FluidQueue, fifo_waits
+from repro.queueing.fastforward import (
+    bottleneck_pass,
+    drop_tail_walk,
+    fifo_waits,
+)
 
 from repro.queueing.batchmodel import (
     BatchArrivalQueue,
@@ -33,7 +39,8 @@ from repro.queueing.palm import (
 )
 
 __all__ = [
-    "FluidQueue",
+    "bottleneck_pass",
+    "drop_tail_walk",
     "fifo_waits",
     "BatchArrivalQueue",
     "BatchModelResult",

@@ -3,14 +3,13 @@
 import pytest
 
 from repro.devtools.callgraph import CallGraph, kernel_reachable, module_unit
-from repro.devtools.symbols import Project
 
-from tests.devtools.test_symbols import build_tree
+from tests.devtools.test_symbols import build_tree, load_project
 
 
 def project_from(tmp_path, files):
     build_tree(tmp_path, files)
-    return Project.from_package(tmp_path / "pkg")
+    return load_project(tmp_path / "pkg")
 
 
 class TestDirectEdges:

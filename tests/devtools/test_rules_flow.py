@@ -7,9 +7,8 @@ the real tree.
 """
 
 from repro.devtools.core import all_project_rules, get_rule
-from repro.devtools.symbols import Project
 
-from tests.devtools.test_symbols import build_tree
+from tests.devtools.test_symbols import build_tree, load_project
 
 KERNEL_SKELETON = {
     "repro/__init__.py": "",
@@ -27,7 +26,7 @@ def project_from(tmp_path, files):
     merged = dict(KERNEL_SKELETON)
     merged.update(files)
     build_tree(tmp_path, merged)
-    return Project.from_package(tmp_path / "repro")
+    return load_project(tmp_path / "repro")
 
 
 def run_rule(rule_id, project):

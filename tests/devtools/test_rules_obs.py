@@ -10,6 +10,7 @@ from repro.devtools.core import (
 )
 
 from tests.devtools.test_rules_flow import project_from, run_rule
+from tests.devtools.test_symbols import load_project
 
 #: Minimal telemetry stubs so banned targets resolve as project modules.
 TELEMETRY_STUBS = {
@@ -223,7 +224,5 @@ class TestObs002:
         assert run_rule("OBS002", project) == []
 
     def test_real_tree_is_clean(self):
-        from repro.devtools.symbols import Project
-
-        project = Project.from_package(Path(repro.__file__).parent)
+        project = load_project(Path(repro.__file__).parent)
         assert run_rule("OBS002", project) == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import campaign as campaign_module
 from repro.experiments.campaign import (
     CampaignSpec,
     _run_cell,
@@ -98,6 +99,18 @@ class TestRunCampaign:
     def test_single_seed_table(self):
         result = run_campaign(small_spec())
         assert "±" not in result.table()
+
+    def test_unwritable_span_dir_fails_before_any_cell(self, tmp_path,
+                                                       monkeypatch):
+        ran = []
+        monkeypatch.setattr(campaign_module, "_run_cell",
+                            lambda *args, **kwargs: ran.append(args))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(OSError):
+            run_campaign(small_spec(output_dir=tmp_path / "out"),
+                         spans=blocker / "spans")
+        assert ran == []
 
     def test_queue_stats_collected_per_cell(self):
         spec = small_spec(deltas=(0.1,), seeds=(1, 2))

@@ -13,6 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import repro.queueing.fastforward as qff
 from repro.errors import ConfigurationError
 from repro.experiments import fastforward as ff
 from repro.experiments.campaign import CampaignSpec, run_campaign
@@ -161,7 +162,7 @@ class TestExactEquivalence:
         ("inria-umd", 0.05, 12.0),
         ("inria-umd", 0.5, 30.0),
         # Long enough for the bottleneck to overflow: the per-packet
-        # FluidQueue walk must reproduce every drop decision, not just
+        # drop-tail walk must reproduce every drop decision, not just
         # the no-drop certificate path.
         ("inria-umd", 0.05, 60.0),
         ("umd-pitt", 0.02, 4.0),
@@ -208,10 +209,13 @@ class TestExactEquivalence:
         assert meta["seed"] == 3
 
 
-#: Per-packet bottleneck walks, pinned: (scenario, delta) -> (FluidQueue
-#: walks, sha256 of the rtt bytes, every queue_stats value as float.hex).
-#: Both cells overflow their forward buffer; the UMd-Pitt reverse
-#: direction passes the no-drop certificate, so that cell walks once.
+#: Bottleneck passes, pinned: (scenario, delta) -> (drop-tail walks,
+#: sha256 of the rtt bytes, every queue_stats value as float.hex).  The
+#: INRIA-UMd 20 ms and UMd-Pitt cells overflow their forward buffer; the
+#: UMd-Pitt reverse direction passes the byte-mode no-drop certificate,
+#: so that cell walks once.  The deep-buffer INRIA-UMd 50 ms cell (the
+#: perfbench ``campaign_pool`` shape) passes the packet-mode certificate
+#: both ways.
 WALK_PINS = {
     ("inria-umd", 0.02): (2, (
         "f05dbdd25c43cd170c19d1a567cbbac060b670ffc59fa0e58ced8875bde7a3e7"), {
@@ -249,29 +253,53 @@ WALK_PINS = {
             "occupancy_mean_pkts": "0x1.9323886699d93p+1",
             "occupancy_max_pkts": "0x1.a800000000000p+5",
             "occupancy_mean_bytes": "0x1.e0e654a8cbeabp+9"}}),
+    ("inria-umd", 0.05): (0, (
+        "1a3ff8aaab79c243d811a99870b5064dc76c6f95d4b3b72e86c73ec29ea7cb92"), {
+        "icm-sophia.icp.net->Ithaca.NY.NSS.NSF.NET": {
+            "arrivals": "0x1.7480000000000p+12",
+            "drops": "0x0.0p+0",
+            "departures": "0x1.7480000000000p+12",
+            "loss_fraction": "0x0.0p+0",
+            "occupancy_mean_pkts": "0x1.5759c325a9661p+5",
+            "occupancy_max_pkts": "0x1.3500000000000p+8",
+            "occupancy_mean_bytes": "0x1.0e28db5ad1a6dp+13"},
+        "Ithaca.NY.NSS.NSF.NET->icm-sophia.icp.net": {
+            "arrivals": "0x1.6840000000000p+12",
+            "drops": "0x0.0p+0",
+            "departures": "0x1.6830000000000p+12",
+            "loss_fraction": "0x0.0p+0",
+            "occupancy_mean_pkts": "0x1.90bb74320932ap+5",
+            "occupancy_max_pkts": "0x1.1d00000000000p+8",
+            "occupancy_mean_bytes": "0x1.9892fb065707bp+13"}}),
 }
+#: Scenario kwargs of the pinned cells that are not the calibrated default.
+PIN_SCENARIO_KWARGS = {("inria-umd", 0.05): {"buffer_packets": 8192}}
 
 
 class TestWalkPinned:
-    """The drop-tail walk's exact output on two overflowing cells.
+    """The bottleneck passes' exact output on three cells.
 
     Packet mode (INRIA-UMd) and byte mode (UMd-Pitt) each pin the rtt
-    bytes and every bottleneck statistic, so any change to the walk's
-    float operations or their order shows up here.
+    bytes and every bottleneck statistic of the drop-tail walk, and the
+    deep-buffer cell pins the packet-mode certificate's, so any change to
+    either path's float operations or their order shows up here.
     """
 
     @pytest.mark.parametrize("scenario,delta", sorted(WALK_PINS))
     def test_walk_output_is_pinned(self, scenario, delta, monkeypatch):
         walks = []
+        walk = qff.drop_tail_walk
 
-        class CountingQueue(ff.FluidQueue):
-            def __init__(self, *args, **kwargs):
-                walks.append(args)
-                super().__init__(*args, **kwargs)
+        def counting_walk(*args):
+            walks.append(args)
+            return walk(*args)
 
-        monkeypatch.setattr(ff, "FluidQueue", CountingQueue)
-        result = ff.run_fastforward_experiment(
-            config_for(scenario, delta, 60.0, seed=2, mode="analytic"))
+        monkeypatch.setattr(qff, "drop_tail_walk", counting_walk)
+        config = ExperimentConfig(
+            delta=delta, duration=60.0, seed=2, scenario=scenario,
+            mode="analytic",
+            scenario_kwargs=PIN_SCENARIO_KWARGS.get((scenario, delta), {}))
+        result = ff.run_fastforward_experiment(config)
         expected_walks, rtt_digest, stats = WALK_PINS[scenario, delta]
         assert result.mode_used == "analytic"
         assert len(walks) == expected_walks

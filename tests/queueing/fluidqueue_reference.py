@@ -2,7 +2,7 @@
 
 :class:`ReferenceFluidQueue` is the per-packet ``advance``/``offer``
 drop-tail queue the analytic engine walked one call at a time before
-:meth:`repro.queueing.fastforward.FluidQueue.walk` fused the loop.  Its
+:func:`repro.queueing.fastforward.drop_tail_walk` fused the loop.  Its
 methods are kept verbatim; :func:`reference_walk` drives them the way the
 bottleneck pass did (advance to each arrival, read a probe's wait, offer
 it, then advance to the end of the window).  Tests compare the fused walk

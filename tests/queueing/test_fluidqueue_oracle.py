@@ -1,18 +1,20 @@
 """Differential test: the fused drop-tail walk against the per-packet oracle.
 
-:meth:`FluidQueue.walk` must run the same float operations, in the same
-order, as the ``advance``/``offer`` queue it replaced
+:func:`~repro.queueing.fastforward.drop_tail_walk` must run the same float
+operations, in the same order, as the ``advance``/``offer`` queue it replaced
 (:mod:`tests.queueing.fluidqueue_reference`), so every probe wait,
 admission and statistic is compared bit for bit (``float.hex``), never
 with a tolerance.  The example count comes from the active hypothesis
 profile (``HYPOTHESIS_PROFILE``, see ``tests/conftest.py``).
 """
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.net.queue import MODE_BYTES, MODE_PACKETS
-from repro.queueing.fastforward import FluidQueue
+from repro.queueing.fastforward import drop_tail_walk
 
 from tests.queueing.fluidqueue_reference import (
     ReferenceFluidQueue,
@@ -79,12 +81,17 @@ def test_walk_matches_per_packet_oracle(stream):
     reference = ReferenceFluidQueue(rate, capacity, mode)
     expected_waits, expected_admitted = reference_walk(
         reference, times, sizes, probes, end_time)
-    queue = FluidQueue(rate, capacity, mode)
-    waits, admitted = queue.walk(times, sizes, probes, end_time)
-    assert hexed(waits) == hexed(expected_waits)
-    assert admitted == expected_admitted
-    if end_time > 0:
-        got = queue.stats(end_time)
-        want = reference.stats(end_time)
-        assert list(got) == list(want)
-        assert hexed(got.values()) == hexed(want.values())
+    if end_time <= 0:
+        # The walk reports statistics over [0, end_time], so it refuses
+        # an empty window before walking.
+        with pytest.raises(ConfigurationError):
+            drop_tail_walk(times, sizes, probes, end_time, rate, capacity,
+                           mode)
+        return
+    walk = drop_tail_walk(times, sizes, probes, end_time, rate, capacity,
+                          mode)
+    assert hexed(walk.waits) == hexed(expected_waits)
+    assert walk.admitted == expected_admitted
+    want = reference.stats(end_time)
+    assert list(walk.stats) == list(want)
+    assert hexed(walk.stats.values()) == hexed(want.values())

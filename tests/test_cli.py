@@ -158,6 +158,25 @@ class TestCampaignCli:
         assert "d50_s1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--output-dir", "--cache-dir",
+                                      "--spans"])
+    def test_uncreatable_directory_is_a_usage_error(self, flag, tmp_path,
+                                                    capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run_campaign",
+                            lambda *args, **kwargs: ran.append(args))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        target = str(blocker / "dir")
+        code = cli.main_campaign(["--duration", "1", flag, target])
+        assert code == 2
+        assert ran == []
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == [
+            f"repro-campaign: error: cannot create directory {target}: "
+            "Not a directory"]
+
     def test_negative_seed_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main_campaign(["--seeds", "-1", "--duration", "5"])
