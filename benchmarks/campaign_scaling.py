@@ -6,11 +6,12 @@ Two measurements, written in the shared ``repro-bench`` report schema
 (:mod:`repro.obs.bench`):
 
 * **Dispatch overhead**: the same analytic-mode grid served in-process
-  (``workers=1``) and by the warm worker pool (persistent salt-verified
-  workers, batched leases, streaming merge).  Analytic cells cost
-  milliseconds, so the wall-time difference *is* what the pool adds —
-  worker start-up, pipe round trips, pickling — and it is recorded as
-  measured (``dispatch_overhead_warm_seconds`` in ``details``).
+  (``workers=1``) and by the warm worker pool (a ``ProcessPoolExecutor``
+  started for the campaign, batched salt-checked leases, streaming
+  merge).  Analytic cells cost milliseconds, so the wall-time difference
+  *is* what the pool adds — worker start-up, lease submission, pickling
+  — and it is recorded as measured
+  (``dispatch_overhead_warm_seconds`` in ``details``).
 * **Worker scaling**: the fixed event-mode (δ × seed) grid timed
   serially and with 2 and 4 warm workers.  Cells are independent
   simulations, so on an unloaded machine with >= 4 CPUs the 4-worker

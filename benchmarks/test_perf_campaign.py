@@ -1,6 +1,7 @@
 """Campaign parallelization benchmarks.
 
-The governing requirement of the warm worker pool: fanning the (δ × seed)
+The governing requirement of the warm worker pool (a
+``ProcessPoolExecutor`` started per campaign): fanning the (δ × seed)
 grid over worker processes changes *nothing* about the results (that is
 tier-1 tested in ``tests/experiments/test_campaign.py``) and makes the
 sweep faster wherever there are cores to fan out over.

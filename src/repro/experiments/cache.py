@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import tempfile
 from pathlib import Path
@@ -49,12 +50,12 @@ from repro.experiments.config import DEFAULT_WARMUP
 from repro.net.packet import UDP_WIRE_OVERHEAD_BYTES
 from repro.netdyn.packetfmt import PROBE_PAYLOAD_BYTES
 from repro.netdyn.trace import ProbeTrace
-from repro.obs.structlog import obs_logger
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.experiments.campaign import CampaignSpec, CellResult
 
-logger = obs_logger("cache")
+#: Warnings name an event, then its context as sorted ``key=value`` pairs.
+logger = logging.getLogger("repro.obs.cache")
 
 #: Layout version of one cache entry; bump on incompatible changes (old
 #: entries are then rejected as corrupt and recomputed).
@@ -73,7 +74,6 @@ SALT_EXCLUDE_PREFIXES: Tuple[str, ...] = (
     "repro.obs.bench",
     "repro.obs.progress",
     "repro.obs.spans",
-    "repro.obs.structlog",
 )
 
 #: Salt used when the sources cannot be read (e.g. a zipapp deployment).
@@ -127,8 +127,8 @@ def cache_salt() -> str:
         except (OSError, AnalysisError) as exc:
             # Caching stays correct on the fallback salt, but entries are
             # never shared with source checkouts.
-            logger.warning("cache-salt-underivable", error=str(exc),
-                           fallback=_FALLBACK_SALT)
+            logger.warning("cache-salt-underivable error=%r fallback=%r",
+                           str(exc), _FALLBACK_SALT)
             _salt_cache = _FALLBACK_SALT
     return _salt_cache
 
@@ -229,9 +229,9 @@ class CampaignCache:
             result = self._read_entry(path, fingerprint)
         except Exception as exc:
             # A miss, not an error: the cell recomputes and overwrites.
-            logger.warning("cache-entry-unreadable", entry=path.name,
-                           delta=float(delta), seed=int(seed),
-                           fingerprint=fingerprint, error=str(exc))
+            logger.warning("cache-entry-unreadable delta=%r entry=%r "
+                           "error=%r fingerprint=%r seed=%r", float(delta),
+                           path.name, str(exc), fingerprint, int(seed))
             self.corrupt_entries += 1
             self.misses += 1
             return None

@@ -22,10 +22,11 @@ artifacts.  Only the lease source differs:
 
 * ``workers=1`` — leases are served one by one in this process
   (:func:`~repro.experiments.pool.serve_leases`).
-* ``workers=N > 1`` — a :class:`~repro.experiments.pool.WarmWorkerPool`:
-  workers import the repro closure once (verified by a cache-salt
-  handshake) and serve leases through pipes, while the parent folds
-  completed leases as later ones are still simulating.
+* ``workers=N > 1`` — a :class:`~repro.experiments.pool.WarmWorkerPool`
+  (a :class:`concurrent.futures.ProcessPoolExecutor` of ``N`` processes)
+  serves them, while the parent folds completed leases as later ones are
+  still simulating.  Every lease carries the parent's cache salt, and a
+  worker holding other code refuses every lease it is sent.
 
 Either way the tables, trace CSVs, and ``manifest.json`` are
 byte-identical.  Execution mechanics — worker counts, lease/batch shapes,
@@ -162,7 +163,7 @@ class CellResult:
     """Everything one (delta, seed) cell produces.
 
     Returned by :func:`_run_cell`; plain data (numpy arrays, dicts,
-    floats) so it pickles cleanly through a worker's pipe.
+    floats) so it pickles cleanly between processes.
     """
 
     delta: float

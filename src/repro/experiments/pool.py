@@ -11,13 +11,13 @@ served one of two ways:
 
 * :func:`serve_leases` — in this process, lease after lease (the serial
   campaign);
-* :class:`WarmWorkerPool` — ``workers`` long-lived processes.  Each
-  worker imports the repro closure once (under ``fork``, preferred where
-  available, it inherits the parent's already-imported modules
-  outright), reports its import-closure cache salt in a handshake, and
-  then serves leases sent down its pipe until the pool is closed.
+* :class:`WarmWorkerPool` — a
+  :class:`concurrent.futures.ProcessPoolExecutor` of ``workers``
+  processes, started for one campaign.  Under ``fork``, preferred where
+  available, each worker inherits the parent's already-imported repro
+  closure outright.
 
-A pool worker's payload is pickled through its pipe (tens of kilobytes
+A pool worker's payload is pickled back to the parent (tens of kilobytes
 per cell) together with — when span telemetry is on — the lease's span
 records: the payload is the only way a cell's results and telemetry
 reach the parent.  Everything in this module is execution mechanics: it
@@ -25,13 +25,15 @@ moves results between processes but computes nothing, which is why its
 source is not hashed into the cache salt and it is banned from the kernel
 call graph alongside the telemetry modules (OBS002).
 
-Staleness: a long-lived pool may outlive a code edit.  Workers therefore
-report :func:`repro.experiments.cache.cache_salt` (their view of the
-code version) when they start; the parent refuses the pool
-with :class:`StaleWorkerError` when any worker's salt differs from its
-own.  Under ``fork`` the check is cheap (the memoized salt is inherited);
-under ``spawn`` each worker derives it from the sources on disk, making
-the handshake a real cross-process code-version check.
+Staleness: a worker may hold code other than the parent's.  Every lease
+request therefore carries the parent's
+:func:`repro.experiments.cache.cache_salt` (its view of the code
+version), and :func:`_serve_lease` raises :class:`StaleWorkerError` when
+the process serving the lease derives a different one, so a stale worker
+refuses every lease it is sent.  The salt is memoized per process: the
+check is free for serial leases and for ``fork`` workers, which inherit
+it; under ``spawn`` each worker derives it once from the sources on disk,
+making the check a real cross-process code-version check.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 import os
-import traceback
-from collections import deque
-from multiprocessing.connection import wait as _wait_connections
+import pickle
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -49,7 +51,7 @@ from repro.obs.spans import PHASE_LEASE, SpanTracer, optional_span
 
 
 class StaleWorkerError(RuntimeError):
-    """A pool worker reported an import-closure salt the parent rejects."""
+    """A lease's worker derives an import-closure salt the parent rejects."""
 
 
 class LeaseError(RuntimeError):
@@ -117,49 +119,31 @@ def unpack_lease(payload: Dict[str, Any]) -> Tuple[List[Any], Dict[str, Any]]:
         "spans": payload.get("spans", [])}
 
 
-# ----------------------------------------------------------------------
-# The worker loop
-# ----------------------------------------------------------------------
-def _worker_main(conn) -> None:
-    """Serve leases until told to stop (runs in the worker process).
-
-    The first message out is the handshake: this worker's import-closure
-    cache salt.  Under ``fork`` the memoized salt is inherited from the
-    parent; under ``spawn`` it is derived fresh from the sources on disk.
-    """
-    from repro.experiments.cache import cache_salt
-    conn.send(("hello", -1, {"salt": cache_salt(), "pid": os.getpid()}))
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:
-            return  # parent went away; nothing left to serve
-        if message[0] == "stop":
-            return
-        request = message[1]
-        try:
-            payload = _serve_lease(request)
-        except BaseException:
-            conn.send(("error", request["index"], traceback.format_exc()))
-            continue
-        conn.send(("result", request["index"], payload))
-
-
 def _serve_lease(request: Dict[str, Any]) -> Dict[str, Any]:
     """Run one lease's cells into one payload (a worker's unit of work).
 
     Serial campaigns call this in-process through :func:`serve_leases`;
-    pool workers call it from :func:`_worker_main`.  ``payload["cells"]``
-    holds the CellResults :func:`~repro.experiments.campaign._run_cell`
-    returned.  Replay-memo accounting and span records ride beside the
-    cells, never inside them: the parent folds them into its timing.json
-    dispatch block and its span files, keeping cell artifacts
-    executor-blind.
+    pool workers run it through :func:`_serve_lease_pickled`.  It first
+    refuses the lease with :class:`StaleWorkerError` when this process's
+    cache salt differs from ``request["salt"]``.
+    ``payload["cells"]`` holds the CellResults
+    :func:`~repro.experiments.campaign._run_cell` returned, and
+    ``payload["pid"]`` names the process that ran them.  Replay-memo
+    accounting and span records ride beside the cells, never inside them:
+    the parent folds them into its timing.json dispatch block and its span
+    files, keeping cell artifacts executor-blind.
     With ``request["spans"]`` set, one tracer times the lease and every
     cell's phases.
     """
+    from repro.experiments.cache import cache_salt
     from repro.experiments.campaign import _run_cell
     from repro.experiments.fastforward import process_replay_memo
+    salt = cache_salt()
+    if salt != request["salt"]:
+        raise StaleWorkerError(
+            f"worker pid {os.getpid()} derives import-closure salt "
+            f"{salt!r} but the parent expects {request['salt']!r}; the "
+            "worker is running stale code — rerun on the current sources")
     spec = request["spec"]
     memo = process_replay_memo()
     hits_before, misses_before = memo.counters()
@@ -168,7 +152,7 @@ def _serve_lease(request: Dict[str, Any]) -> Dict[str, Any]:
         cells = [_run_cell(spec, delta, seed, tracer=tracer)
                  for delta, seed in request["cells"]]
     hits, misses = memo.counters()
-    payload: Dict[str, Any] = {"cells": cells,
+    payload: Dict[str, Any] = {"cells": cells, "pid": os.getpid(),
                                "replay_hits": hits - hits_before,
                                "replay_misses": misses - misses_before}
     if tracer is not None:
@@ -176,10 +160,24 @@ def _serve_lease(request: Dict[str, Any]) -> Dict[str, Any]:
     return payload
 
 
+def _serve_lease_pickled(request: Dict[str, Any]) -> bytes:
+    """A pool worker's task: :func:`_serve_lease`'s payload, pickled.
+
+    :meth:`WarmWorkerPool.run_leases` unpickles it in its own thread.  Left
+    to the executor, the payload would be unpickled by the executor's
+    result thread, into that thread's malloc arena, which stays resident
+    and is inherited, unusable, by every later campaign's forked workers
+    (about 5 MB more peak memory per worker on the repository benchmark's
+    pooled campaign).  The module attribute ``_serve_lease`` is read in the
+    worker, so a wrapper bound to it before the workers fork runs too.
+    """
+    return pickle.dumps(_serve_lease(request), pickle.HIGHEST_PROTOCOL)
+
+
 def _lease_request(index: int, cells: Sequence[Tuple[float, int]],
-                   spec: Any, spans: bool) -> Dict[str, Any]:
+                   spec: Any, spans: bool, salt: str) -> Dict[str, Any]:
     return {"index": index, "spec": spec, "cells": list(cells),
-            "spans": spans}
+            "spans": spans, "salt": salt}
 
 
 def serve_leases(spec: Any, leases: Sequence[Sequence[Tuple[float, int]]],
@@ -189,12 +187,14 @@ def serve_leases(spec: Any, leases: Sequence[Sequence[Tuple[float, int]]],
 
     The serial twin of :meth:`WarmWorkerPool.run_leases`: every lease goes
     through the same :func:`_serve_lease` and :func:`unpack_lease` a pool
-    worker's lease does, minus the pipe, and yields the same
-    ``(index, cells, info)`` triples.
+    worker's lease does, and yields the same ``(index, cells, info)``
+    triples.
     """
+    from repro.experiments.cache import cache_salt
+    salt = cache_salt()
     for index, cells in enumerate(leases):
         yield (index, *unpack_lease(_serve_lease(
-            _lease_request(index, cells, spec, spans))))
+            _lease_request(index, cells, spec, spans, salt))))
 
 
 # ----------------------------------------------------------------------
@@ -207,17 +207,18 @@ def _start_method() -> str:
 
 
 class WarmWorkerPool:
-    """Persistent campaign workers serving batched cell leases.
+    """Campaign worker processes serving batched cell leases.
 
     Parameters
     ----------
     workers:
-        Long-lived worker processes to keep.  They start under ``fork``
-        where available (warm-up is then free — the repro closure is
-        inherited already imported), else the platform default.  The
-        parent demands its own
-        :func:`~repro.experiments.cache.cache_salt` in every worker's
-        handshake.
+        Worker processes of the underlying
+        :class:`~concurrent.futures.ProcessPoolExecutor`.  They start
+        when the first lease is submitted, under ``fork`` where available
+        (warm-up is then free — the repro closure is inherited already
+        imported), else the platform default.  Every lease demands the
+        parent's :func:`~repro.experiments.cache.cache_salt` of the
+        worker serving it.
 
     :func:`~repro.experiments.campaign.run_campaign` starts one pool per
     parallel campaign and closes it when the grid is done; the pool is
@@ -229,107 +230,83 @@ class WarmWorkerPool:
             raise ConfigurationError(
                 f"pool workers must be >= 1, got {workers}")
         self.workers = int(workers)
-        self._procs: List[mp.process.BaseProcess] = []
-        self._conns: List[Any] = []
-        #: Verified handshake salt once started.
+        self._executor: Optional[ProcessPoolExecutor] = None
+        #: The cache salt every lease demands of its worker, once started.
         self.salt: Optional[str] = None
+        #: Pids of the workers that have served a lease, until closed.
         self.worker_pids: List[int] = []
 
     @property
     def started(self) -> bool:
-        return bool(self._procs)
+        return self._executor is not None
 
     def start(self) -> "WarmWorkerPool":
-        """Launch the workers and verify the salt handshake (idempotent)."""
-        if self._procs:
-            return self
-        # Computed (and memoized) before forking, so fork workers inherit
-        # it and the handshake costs nothing.
-        from repro.experiments.cache import cache_salt
-        expected = cache_salt()
-        context = mp.get_context(_start_method())
-        conns: List[Any] = []
-        procs: List[mp.process.BaseProcess] = []
-        try:
-            for _ in range(self.workers):
-                parent_end, child_end = context.Pipe()
-                proc = context.Process(target=_worker_main,
-                                       args=(child_end,), daemon=True)
-                proc.start()
-                child_end.close()
-                conns.append(parent_end)
-                procs.append(proc)
-            pids = []
-            for conn in conns:
-                kind, _, hello = conn.recv()
-                if kind != "hello":
-                    raise LeaseError(
-                        f"expected worker handshake, got {kind!r}")
-                if hello["salt"] != expected:
-                    raise StaleWorkerError(
-                        f"worker pid {hello['pid']} reports import-closure "
-                        f"salt {hello['salt']!r} but the parent expects "
-                        f"{expected!r}; the worker is running stale code — "
-                        "restart the pool on the current sources")
-                pids.append(hello["pid"])
-        except BaseException:
-            _teardown(conns, procs)
-            raise
-        self._conns = conns
-        self._procs = procs
-        self.worker_pids = pids
-        self.salt = expected
+        """Create the executor (idempotent); workers start with a lease."""
+        if self._executor is None:
+            # Computed (and memoized) before any worker forks, so fork
+            # workers inherit it and checking it costs them nothing.
+            from repro.experiments.cache import cache_salt
+            self.salt = cache_salt()
+            self._executor = ProcessPoolExecutor(
+                self.workers, mp_context=mp.get_context(_start_method()))
         return self
 
     def run_leases(self, spec: Any,
                    leases: Sequence[Sequence[Tuple[float, int]]],
                    spans: bool = False,
                    ) -> Iterator[Tuple[int, List[Any], Dict[str, Any]]]:
-        """Dispatch leases and yield ``(index, cells, info)`` as they land.
+        """Submit every lease and yield ``(index, cells, info)`` as they land.
 
         Completion order, not lease order: the caller's streaming merge
-        re-orders by grid index.  Every worker holds at most one lease;
-        finishing one immediately earns the next, so the pool stays busy
-        without any global barrier.  A worker error or crash closes the
-        pool (its pipes are in an unknown state) and raises
-        :class:`LeaseError`.  ``info`` is :func:`unpack_lease`'s: the
-        lease's worker-side ``replay_hits``/``replay_misses`` deltas (zero
-        for event-mode leases) and, with ``spans``, its span records.
+        re-orders by grid index.  A failed lease closes the pool and
+        raises :class:`StaleWorkerError` when its worker holds other code,
+        :class:`LeaseError` when a worker died mid-lease, and
+        :class:`LeaseError` carrying the worker traceback for any other
+        exception.  ``info`` is :func:`unpack_lease`'s: the lease's
+        worker-side ``replay_hits``/``replay_misses`` deltas (zero for
+        event-mode leases) and, with ``spans``, its span records.
         """
         self.start()
-        pending = deque(enumerate(leases))
-        active = self._conns[:len(pending)]
-        for conn in active:
-            self._dispatch(conn, pending.popleft(), spec, spans)
-        while active:
-            for conn in _wait_connections(active):
-                try:
-                    kind, index, payload = conn.recv()
-                except EOFError:
-                    self.close()
-                    raise LeaseError(
-                        "a pool worker exited mid-lease (killed or "
-                        "crashed); the pool has been closed")
-                if kind == "error":
-                    self.close()
-                    raise LeaseError(
-                        f"lease {index} failed in worker:\n{payload}")
-                cells, info = unpack_lease(payload)
-                if pending:
-                    self._dispatch(conn, pending.popleft(), spec, spans)
-                else:
-                    active.remove(conn)
-                yield index, cells, info
-
-    def _dispatch(self, conn, numbered_lease, spec, spans) -> None:
-        conn.send(("lease", _lease_request(*numbered_lease, spec, spans)))
+        assert self._executor is not None and self.salt is not None
+        futures = {
+            self._executor.submit(_serve_lease_pickled, _lease_request(
+                index, cells, spec, spans, self.salt)): index
+            for index, cells in enumerate(leases)}
+        for future in as_completed(futures):
+            # Popped, so a lease's payload is freed once it is merged.
+            index = futures.pop(future)
+            try:
+                pickled = future.result()
+            except StaleWorkerError:
+                self.close()
+                raise
+            except BrokenProcessPool:
+                self.close()
+                raise LeaseError(
+                    "a pool worker exited mid-lease (killed or crashed); "
+                    "the pool has been closed") from None
+            except Exception as exc:
+                self.close()
+                # concurrent.futures attaches the worker-side traceback to
+                # the exception as its cause, as text in triple quotes.
+                remote = str(exc.__cause__ or exc).strip()
+                remote = remote.removeprefix('"""').removesuffix('"""')
+                raise LeaseError(f"lease {index} failed in worker:\n"
+                                 f"{remote.strip()}") from None
+            payload = pickle.loads(pickled)
+            if payload["pid"] not in self.worker_pids:
+                self.worker_pids.append(payload["pid"])
+            yield (index, *unpack_lease(payload))
 
     def close(self) -> None:
-        """Stop the workers; safe to call twice (and from error paths)."""
-        conns, procs = self._conns, self._procs
-        self._conns, self._procs = [], []
+        """Cancel unstarted leases and wait for every worker to exit.
+
+        Safe to call twice (and from error paths).
+        """
+        executor, self._executor = self._executor, None
         self.worker_pids = []
-        _teardown(conns, procs)
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "WarmWorkerPool":
         return self.start()
@@ -340,22 +317,3 @@ class WarmWorkerPool:
     def __repr__(self) -> str:
         state = "started" if self.started else "cold"
         return f"<WarmWorkerPool workers={self.workers} {state}>"
-
-
-def _teardown(conns: List[Any], procs: List[mp.process.BaseProcess]) -> None:
-    for conn in conns:
-        try:
-            conn.send(("stop",))
-        except (OSError, ValueError):
-            pass
-    for conn in conns:
-        try:
-            conn.close()
-        except OSError:
-            pass
-    for proc in procs:
-        proc.join(timeout=5.0)
-    for proc in procs:
-        if proc.is_alive():  # pragma: no cover - stuck-worker backstop
-            proc.terminate()
-            proc.join(timeout=5.0)

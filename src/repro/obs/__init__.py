@@ -17,11 +17,10 @@ Five parts, all passive observers of the substrate:
   manifest written next to campaign outputs.  Every format is plain JSON
   and is read back with :mod:`json`; no reader for them ships here.
 * **Campaign telemetry** (:mod:`repro.obs.spans`,
-  :mod:`repro.obs.progress`, :mod:`repro.obs.bench`,
-  :mod:`repro.obs.structlog`) — cross-process wall-clock spans merged into
-  one flame graph, a live progress line for ``repro-campaign``,
-  schema-versioned ``BENCH_*.json`` reports with regression comparison,
-  and structured key=value logging for library warnings.
+  :mod:`repro.obs.progress`, :mod:`repro.obs.bench`) — cross-process
+  wall-clock spans merged into one flame graph, a live progress line for
+  ``repro-campaign``, and schema-versioned ``BENCH_*.json`` reports with
+  regression comparison.
 
 The governing invariant (enforced by ``tests/obs/test_determinism.py``):
 with observability disabled the hot path is untouched, and enabling it
@@ -87,7 +86,6 @@ from repro.obs.spans import (
     merge_spans,
     summarize_spans,
 )
-from repro.obs.structlog import ObsLogger, obs_logger
 from repro.obs.tracer import EventRecord, KernelTracer, LabelProfile
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -102,7 +100,6 @@ __all__ = [
     "KernelTracer",
     "LabelProfile",
     "MetricsRegistry",
-    "ObsLogger",
     "Observability",
     "PacketLifecycleTracer",
     "ProgressReporter",
@@ -114,7 +111,6 @@ __all__ = [
     "format_comparison",
     "instrument_network",
     "merge_spans",
-    "obs_logger",
     "probe_uids",
     "read_report",
     "resolve_progress",

@@ -87,18 +87,8 @@ class ProgressReporter:
         self.saved_seconds += max(0.0, saved_seconds)
         self._draw()
 
-    def cell_done(self, key: str, wall_seconds: float = 0.0,
-                  cached: bool = False) -> None:
-        """One cell finished (``wall_seconds`` of worker time).
-
-        ``cached=True`` routes the event to the cache-hit accounting
-        (same as :meth:`cell_cached`): a hit's wall cost is time *saved*,
-        not time spent, so it stays out of the ETA mean by construction
-        even when a caller funnels every completion through this method.
-        """
-        if cached:
-            self.cell_cached(key, saved_seconds=wall_seconds)
-            return
+    def cell_done(self, key: str, wall_seconds: float = 0.0) -> None:
+        """One cell was simulated (``wall_seconds`` of worker time)."""
         self.done += 1
         self.busy_seconds += max(0.0, wall_seconds)
         self._draw()

@@ -304,7 +304,7 @@ class TestExecutorMatrix:
         assert dispatch["pool"] == "warm"
         assert dispatch["leases"] == 4
         assert dispatch["batch_size"] == 1
-        assert dispatch["salt"]  # handshake-verified closure salt
+        assert dispatch["salt"]  # the salt every lease demanded
 
     def test_mixed_cache_hits_and_fresh_cells(self, tmp_path):
         from repro.experiments.cache import CampaignCache

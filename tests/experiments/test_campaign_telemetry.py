@@ -114,8 +114,8 @@ class TestSpanRecording:
         class NestedCampaign(ProgressReporter):
             nested = False
 
-            def cell_done(self, key, wall_seconds=0.0, cached=False):
-                super().cell_done(key, wall_seconds, cached)
+            def cell_done(self, key, wall_seconds=0.0):
+                super().cell_done(key, wall_seconds)
                 if not self.nested:
                     self.nested = True
                     run_campaign(grid_spec(None, deltas=(0.1,), seeds=(7,)),

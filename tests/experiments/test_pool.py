@@ -1,11 +1,12 @@
-"""Campaign leases: planning, payloads, handshake, warm-pool serving.
+"""Campaign leases: planning, payloads, salt checks, warm-pool serving.
 
 The pool is pure transport — it moves CellResults between processes but
-computes nothing — so these tests pin three things: the lease partition
-is deterministic, the lease payload reproduces CellResults exactly, and
-the salt handshake refuses stale workers.
+computes nothing — so these tests pin four things: the lease partition
+is deterministic, the lease payload reproduces CellResults exactly, a
+stale worker refuses every lease, and no failure leaves a worker behind.
 """
 
+import multiprocessing as mp
 import os
 import pickle
 
@@ -17,7 +18,7 @@ from repro.experiments import cache as cache_module
 from repro.experiments import campaign as campaign_module
 from repro.experiments import pool as pool_module
 from repro.experiments.campaign import CampaignSpec, CellResult, _run_cell, \
-    cell_key
+    cell_key, run_campaign
 from repro.experiments.config import PAPER_DELTAS
 from repro.experiments.pool import (
     LEASES_PER_WORKER,
@@ -234,14 +235,23 @@ class TestWarmWorkerPool:
         with pytest.raises(ConfigurationError):
             WarmWorkerPool(0)
 
-    def test_handshake_accepts_matching_salt(self):
+    def test_lease_accepts_matching_salt(self):
+        spec = analytic_spec()
+        leases = plan_leases(spec.cells(), workers=2, mode=spec.mode)
         with WarmWorkerPool(2) as pool:
             assert pool.started
             assert pool.salt == cache_module.cache_salt()
-            assert len(pool.worker_pids) == 2
+            served = list(pool.run_leases(spec, leases))
+            children = {child.pid for child in mp.active_children()}
+            assert 1 <= len(pool.worker_pids) <= 2
+            assert set(pool.worker_pids) <= children
+        assert len(served) == len(leases)
         assert not pool.started
+        assert pool.worker_pids == []
 
-    def test_handshake_refuses_stale_worker(self, monkeypatch):
+    @pytest.mark.skipif(pool_module._start_method() != "fork",
+                        reason="the patched salt reaches workers only by fork")
+    def test_stale_worker_refuses_every_lease(self, monkeypatch):
         # A worker whose view of the code differs from the parent's: the
         # salt reads differently in any process but this one.
         parent_pid = os.getpid()
@@ -253,12 +263,22 @@ class TestWarmWorkerPool:
             return "repro-cell-v2-stale"
 
         monkeypatch.setattr(cache_module, "cache_salt", salt_by_process)
-        if pool_module._start_method() != "fork":
-            pytest.skip("the patched salt reaches workers only by fork")
+        spec = analytic_spec()
         pool = WarmWorkerPool(1)
         with pytest.raises(StaleWorkerError, match="stale"):
-            pool.start()
+            list(pool.run_leases(spec, [[cell] for cell in spec.cells()]))
         assert not pool.started  # refused pool fully torn down
+        assert mp.active_children() == []
+        with pytest.raises(StaleWorkerError, match="stale"):
+            run_campaign(spec, workers=2)
+        assert mp.active_children() == []
+
+    def test_serial_leases_check_the_salt(self):
+        spec = analytic_spec(deltas=(0.1,), seeds=(1,))
+        request = pool_module._lease_request(0, spec.cells(), spec, False,
+                                             "repro-cell-v2-stale")
+        with pytest.raises(StaleWorkerError, match="stale"):
+            pool_module._serve_lease(request)
 
     def test_start_is_idempotent(self):
         with WarmWorkerPool(1) as pool:
@@ -292,9 +312,10 @@ class TestWarmWorkerPool:
         spec = analytic_spec(deltas=(0.1,))
         leases = plan_leases(spec.cells(), workers=2, mode=spec.mode)
         with WarmWorkerPool(2) as pool:
-            pids = set(pool.worker_pids)
             shipped = {index: info["spans"] for index, _, info
                        in pool.run_leases(spec, leases, spans=True)}
+            pids = set(pool.worker_pids)
+        assert pids and os.getpid() not in pids
         for index, (cell,) in enumerate(leases):
             spans = shipped[index]
             assert {span.pid for span in spans} <= pids
@@ -305,7 +326,54 @@ class TestWarmWorkerPool:
     def test_worker_failure_raises_lease_error_and_closes(self):
         spec = analytic_spec()
         pool = WarmWorkerPool(1).start()
-        with pytest.raises(LeaseError, match="lease 0 failed"):
+        with pytest.raises(LeaseError, match="lease 0 failed") as raised:
             # delta <= 0 fails config validation inside the worker.
             list(pool.run_leases(spec, [[(-1.0, 1)]]))
         assert not pool.started
+        assert mp.active_children() == []
+        # The message carries the worker-side traceback.
+        message = str(raised.value)
+        assert message.startswith("lease 0 failed in worker:\nTraceback")
+        assert "_serve_lease" in message
+        assert "ConfigurationError: delta must be positive" in message
+
+
+def _fail_in_worker_for_seed(seed, fail):
+    """A ``_run_cell`` that calls ``fail()`` in a worker running ``seed``."""
+    run_cell = campaign_module._run_cell
+    parent_pid = os.getpid()
+
+    def run_cell_or_fail(spec, delta, cell_seed, tracer=None):
+        if cell_seed == seed and os.getpid() != parent_pid:
+            fail()
+        return run_cell(spec, delta, cell_seed, tracer=tracer)
+    return run_cell_or_fail
+
+
+def _raise_value_error():
+    raise ValueError("cell refused")
+
+
+@pytest.mark.skipif(pool_module._start_method() != "fork",
+                    reason="the patched _run_cell reaches workers only by fork")
+class TestNoWorkerOutlivesTheCampaign:
+    """Every pooled campaign leaves no child process, however it ends."""
+
+    def test_clean_campaign(self):
+        run_campaign(analytic_spec(), workers=2)
+        assert mp.active_children() == []
+
+    def test_killed_worker_fails_loudly(self, monkeypatch):
+        # Patched before the pool forks, so only the workers inherit it.
+        monkeypatch.setattr(campaign_module, "_run_cell",
+                            _fail_in_worker_for_seed(2, lambda: os._exit(1)))
+        with pytest.raises(LeaseError, match="exited mid-lease"):
+            run_campaign(analytic_spec(), workers=2)
+        assert mp.active_children() == []
+
+    def test_failing_lease(self, monkeypatch):
+        monkeypatch.setattr(campaign_module, "_run_cell",
+                            _fail_in_worker_for_seed(2, _raise_value_error))
+        with pytest.raises(LeaseError, match="ValueError: cell refused"):
+            run_campaign(analytic_spec(), workers=2)
+        assert mp.active_children() == []

@@ -323,7 +323,7 @@ class TestExecutorMatrix:
             result.trace.save_csv(path)
             reference[(delta, seed)] = (path.read_bytes(),
                                         result.queue_stats)
-        cache_module.cache_salt()  # warm before forking: cheap handshakes
+        cache_module.cache_salt()  # warm before forking: cheap salt checks
         manifests = {}
         for name, workers in (("serial", 1), ("warm", 2)):
             result = run_campaign(self.spec(tmp_path, name),

@@ -132,18 +132,6 @@ class TestEtaCacheSkew:
         assert mixed.saved_seconds == pytest.approx(400.0)
         assert mixed.busy_seconds == pytest.approx(16.0)
 
-    def test_cell_done_cached_routes_to_hit_accounting(self):
-        progress = reporter(total=4, workers=1)
-        progress.start()
-        progress.cell_done("fresh", wall_seconds=2.0)
-        progress.cell_done("hit", wall_seconds=50.0, cached=True)
-        assert progress.done == 2
-        assert progress.cached == 1
-        assert progress.busy_seconds == pytest.approx(2.0)
-        assert progress.saved_seconds == pytest.approx(50.0)
-        # ETA projects from the one simulated cell only.
-        assert progress.eta_seconds() == pytest.approx(2 * 2.0)
-
     def test_saved_seconds_clamped_nonnegative(self):
         progress = reporter()
         progress.cell_cached("a", saved_seconds=-3.0)
