@@ -9,8 +9,8 @@ The paper builds on exactly that tooling.
 This example injects the same three faults into the calibrated topology and
 shows how each one has a distinct signature in the probe trace:
 
-* periodic stalls -> a spike train in the rtt series and a spectral line at
-  1/period in the periodogram;
+* periodic stalls -> a spike train in the rtt series, whose cluster spacing
+  is the stall period;
 * faulty interface -> elevated *random* loss (runs test does not reject
   independence);
 * route flap -> the minimum rtt alternates between two levels.

@@ -41,11 +41,7 @@ from repro.net import Network
 from repro.netdyn import ProbeTrace, run_probe_experiment
 from repro.sim import Simulator
 from repro.tools import ping, traceroute
-from repro.topology import (
-    build_inria_umd,
-    build_single_bottleneck,
-    build_umd_pitt,
-)
+from repro.topology import build_inria_umd, build_umd_pitt
 
 __version__ = "1.0.0"
 
@@ -57,7 +53,6 @@ __all__ = [
     "run_probe_experiment",
     "build_inria_umd",
     "build_umd_pitt",
-    "build_single_bottleneck",
     "ping",
     "traceroute",
     "loss_stats",

@@ -4,12 +4,12 @@
   bandwidth estimation (Figures 2, 4, 5, 6).
 * :mod:`~repro.analysis.workload` — equation (6) workload estimation and
   peak classification (Figures 8, 9).
-* :mod:`~repro.analysis.loss` — ulp/clp/plg, loss runs, Gilbert fit, runs
-  test (Table 3).
+* :mod:`~repro.analysis.loss` — ulp/clp/plg and the runs test (Table 3).
 * :mod:`~repro.analysis.lindley` — Lindley recurrence solvers (Figure 7).
-* :mod:`~repro.analysis.timeseries` — summaries, ACF, periodogram.
-* :mod:`~repro.analysis.distributions` — constant+gamma fits [19], ECDF,
-  playback-buffer sizing.
+* :mod:`~repro.analysis.timeseries` — summaries, ACF, spike clusters.
+* :mod:`~repro.analysis.distributions` — constant+gamma fits [19].
+* :mod:`~repro.analysis.stats` — confidence intervals and seed
+  replication.
 * :mod:`~repro.analysis.arma` — AR fitting and delay prediction (Section 3's
   parallel investigation).
 * :mod:`~repro.analysis.compression` — probe compression episodes.
@@ -29,59 +29,28 @@ from repro.analysis.compression import (
 )
 from repro.analysis.distributions import (
     ConstantPlusGammaFit,
-    delay_histogram,
-    ecdf,
     fit_constant_plus_gamma,
-    playback_buffer_delay,
 )
-from repro.analysis.lindley import (
-    estimate_batch_bits,
-    lindley_waits,
-    lindley_waits_loop,
-    positive_part,
-    probe_waits_with_batches,
-)
-from repro.analysis.loss import (
-    GilbertModel,
-    LossStats,
-    RunsTestResult,
-    fit_gilbert,
-    loss_gap_distribution,
-    loss_runs,
-    loss_stats,
-    mean_loss_gap,
-    runs_test,
-)
+from repro.analysis.lindley import lindley_waits, lindley_waits_loop
+from repro.analysis.loss import LossStats, RunsTestResult, loss_stats, runs_test
 from repro.analysis.phase import (
     CompressionLineFit,
     PhasePlot,
     diagonal_fraction,
     estimate_bottleneck_mu,
-    estimate_fixed_delay,
     fit_compression_line,
     phase_points,
-)
-from repro.analysis.jitter import (
-    IpdvSummary,
-    ipdv,
-    jitter_vs_buffer_tradeoff,
-    rfc3550_jitter,
 )
 from repro.analysis.stats import (
     ConfidenceInterval,
     ReplicationSummary,
     mean_interval,
     replicate,
-    wilson_interval,
 )
 from repro.analysis.timeseries import (
     DelaySummary,
-    Periodogram,
     autocorrelation,
-    delay_change_rate,
-    moving_average,
     periodic_spike_period,
-    periodogram,
     spike_clusters,
     summarize,
 )
@@ -98,21 +67,14 @@ __all__ = [
     "ARModel", "PredictionReport", "evaluate_prediction", "fit_ar",
     "select_order",
     "CompressionEpisode", "CompressionReport", "detect_compression",
-    "ConstantPlusGammaFit", "delay_histogram", "ecdf",
-    "fit_constant_plus_gamma", "playback_buffer_delay",
-    "estimate_batch_bits", "lindley_waits", "lindley_waits_loop",
-    "positive_part", "probe_waits_with_batches",
-    "GilbertModel", "LossStats", "RunsTestResult", "fit_gilbert",
-    "loss_gap_distribution", "loss_runs", "loss_stats", "mean_loss_gap",
-    "runs_test",
+    "ConstantPlusGammaFit", "fit_constant_plus_gamma",
+    "lindley_waits", "lindley_waits_loop",
+    "LossStats", "RunsTestResult", "loss_stats", "runs_test",
     "CompressionLineFit", "PhasePlot", "diagonal_fraction",
-    "estimate_bottleneck_mu", "estimate_fixed_delay",
-    "fit_compression_line", "phase_points",
-    "IpdvSummary", "ipdv", "jitter_vs_buffer_tradeoff", "rfc3550_jitter",
+    "estimate_bottleneck_mu", "fit_compression_line", "phase_points",
     "ConfidenceInterval", "ReplicationSummary", "mean_interval",
-    "replicate", "wilson_interval",
-    "DelaySummary", "Periodogram", "autocorrelation", "delay_change_rate",
-    "moving_average", "periodic_spike_period", "periodogram",
+    "replicate",
+    "DelaySummary", "autocorrelation", "periodic_spike_period",
     "spike_clusters", "summarize",
     "Peak", "WorkloadDistribution", "classify_peaks", "find_peaks",
     "probe_gap_samples", "workload_distribution",

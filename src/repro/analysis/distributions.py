@@ -3,8 +3,8 @@
 Mukherjee's study — which the paper reviews as the reference for behavior
 over minute time scales — finds end-to-end delay best modeled by a constant
 (the fixed path delay D) plus a gamma-distributed variable part.  This
-module fits that model to a trace and provides ECDF/histogram helpers and a
-Kolmogorov–Smirnov goodness-of-fit check.
+module fits that model to a trace, with a Kolmogorov–Smirnov
+goodness-of-fit check.
 """
 
 from __future__ import annotations
@@ -87,41 +87,3 @@ def fit_constant_plus_gamma(trace: ProbeTrace,
                                 ks_statistic=float(ks.statistic),
                                 ks_p_value=float(ks.pvalue))
 
-
-def ecdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF: returns (sorted values, cumulative probabilities)."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise InsufficientDataError("ecdf of empty sample")
-    ordered = np.sort(values)
-    probabilities = np.arange(1, len(ordered) + 1) / len(ordered)
-    return ordered, probabilities
-
-
-def delay_histogram(trace: ProbeTrace, bin_width: float = 10e-3,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram (counts, edges) of received rtts with fixed-width bins."""
-    valid = trace.valid_rtts
-    if valid.size == 0:
-        raise InsufficientDataError("no received probes")
-    upper = valid.max() + bin_width
-    edges = np.arange(valid.min(), upper + bin_width, bin_width)
-    counts, edges = np.histogram(valid, bins=edges)
-    return counts, edges
-
-
-def playback_buffer_delay(trace: ProbeTrace, target_loss: float = 0.01,
-                          ) -> float:
-    """Playback delay so that at most ``target_loss`` of packets arrive late.
-
-    This is the audio-application sizing question of Section 5 / [24]: a
-    packet is late if its rtt exceeds the chosen playback delay.  Lost
-    packets are excluded here — they must be repaired by FEC or repetition
-    regardless of buffering.
-    """
-    if not 0.0 < target_loss < 1.0:
-        raise FitError(f"target_loss must be in (0, 1), got {target_loss}")
-    valid = trace.valid_rtts
-    if valid.size == 0:
-        raise InsufficientDataError("no received probes")
-    return float(np.percentile(valid, 100.0 * (1.0 - target_loss)))

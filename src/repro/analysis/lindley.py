@@ -1,4 +1,4 @@
-"""Lindley's recurrence and the paper's two-stage application of it.
+"""Lindley's recurrence for single-server FIFO waiting times.
 
 Lindley's recurrence (Figure 7 of the paper) relates consecutive waiting
 times in a single-server FIFO queue::
@@ -8,7 +8,8 @@ times in a single-server FIFO queue::
 where ``y_n`` is the service time of customer ``n`` and ``x_n`` the
 inter-arrival time between customers ``n`` and ``n+1``.  Section 4 of the
 paper applies it twice — probe, then cross-traffic batch — to derive the
-workload estimator ``b_n = μ(w_{n+1} − w_n + δ) − P`` (equation 6).
+workload estimator ``b_n = μ(w_{n+1} − w_n + δ) − P`` (equation 6), which
+:attr:`repro.analysis.workload.WorkloadDistribution.batch_bits` computes.
 """
 
 from __future__ import annotations
@@ -18,11 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import AnalysisError
-
-
-def positive_part(x: np.ndarray) -> np.ndarray:
-    """The paper's ``x^+`` operator: elementwise max(x, 0)."""
-    return np.maximum(x, 0.0)
 
 
 def lindley_waits(service_times: Sequence[float],
@@ -95,57 +91,3 @@ def lindley_waits_loop(service_times: Sequence[float],
         waits[n + 1] = w
     return waits
 
-
-def probe_waits_with_batches(delta: float, probe_service: float,
-                             batch_bits: Sequence[float], mu: float,
-                             batch_offsets: Sequence[float] = (),
-                             ) -> np.ndarray:
-    """Waiting times of periodic probes sharing a queue with batches.
-
-    This is the exact two-stage recursion of Section 4: probe ``n`` arrives
-    at ``n δ``; between probes ``n`` and ``n+1`` a batch of ``b_n`` bits
-    arrives at ``n δ + t_n`` (``t_n`` from ``batch_offsets``, default
-    ``δ/2``) and is served at rate ``mu``.
-
-    Returns the probe waiting times ``w_0 .. w_{N}`` where ``N`` is
-    ``len(batch_bits)``.
-    """
-    b = np.asarray(batch_bits, dtype=float)
-    if np.any(b < 0):
-        raise AnalysisError("negative batch size")
-    if delta <= 0 or mu <= 0 or probe_service < 0:
-        raise AnalysisError("delta and mu must be positive, service >= 0")
-    if len(batch_offsets) == 0:
-        offsets = np.full(len(b), delta / 2.0)
-    else:
-        offsets = np.asarray(batch_offsets, dtype=float)
-        if offsets.shape != b.shape:
-            raise AnalysisError("batch_offsets length mismatch")
-        if np.any((offsets < 0) | (offsets > delta)):
-            raise AnalysisError("batch offsets must lie in [0, delta]")
-
-    waits = np.empty(len(b) + 1)
-    w = 0.0
-    waits[0] = w
-    for n in range(len(b)):
-        # Stage 1 (eq. 4): wait of the batch behind probe n.
-        wb = max(0.0, w + probe_service - offsets[n])
-        # Stage 2 (eq. 5): wait of probe n+1 behind the batch remnant.
-        w = max(0.0, wb + b[n] / mu - (delta - offsets[n]))
-        waits[n + 1] = w
-    return waits
-
-
-def estimate_batch_bits(waits: Sequence[float], delta: float, mu: float,
-                        probe_bits: float) -> np.ndarray:
-    """Equation (6): ``b_n = μ (w_{n+1} − w_n + δ) − P``.
-
-    Valid when the queue does not empty between consecutive probes; values
-    are clipped below at 0 since a negative workload just signals an idle
-    period (the regime where equation 6 does not hold).
-    """
-    w = np.asarray(waits, dtype=float)
-    if w.ndim != 1 or w.size < 2:
-        raise AnalysisError("need at least two waiting times")
-    b = mu * (np.diff(w) + delta) - probe_bits
-    return positive_part(b)

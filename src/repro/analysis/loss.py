@@ -5,8 +5,7 @@ The paper characterizes probe loss by the unconditional loss probability
 ``clp = P(rtt_{n+1} = 0 | rtt_n = 0)``, and the packet loss gap
 ``plg = 1 / (1 − clp)`` (the mean number of consecutive losses, assuming
 stationarity and ergodicity — a Palm-calculus identity).  Beyond those we
-provide loss-run extraction, a Gilbert (2-state Markov) model fit, and a
-Wald–Wolfowitz runs test for randomness of the loss sequence.
+provide a Wald–Wolfowitz runs test for randomness of the loss sequence.
 """
 
 from __future__ import annotations
@@ -55,93 +54,6 @@ def loss_stats(trace: ProbeTrace) -> LossStats:
         clp = float((lost[:-1] & lost[1:]).sum() / predecessors)
     plg = math.inf if clp >= 1.0 else 1.0 / (1.0 - clp)
     return LossStats(ulp=ulp, clp=clp, plg=plg, count=n, losses=losses)
-
-
-def loss_runs(trace: ProbeTrace) -> list[int]:
-    """Lengths of maximal runs of consecutive losses, in order."""
-    runs = []
-    current = 0
-    for is_lost in trace.lost:
-        if is_lost:
-            current += 1
-        elif current:
-            runs.append(current)
-            current = 0
-    if current:
-        runs.append(current)
-    return runs
-
-
-def loss_gap_distribution(trace: ProbeTrace) -> dict[int, int]:
-    """Histogram of loss-run lengths: {run length: occurrences}."""
-    histogram: dict[int, int] = {}
-    for run in loss_runs(trace):
-        histogram[run] = histogram.get(run, 0) + 1
-    return histogram
-
-
-def mean_loss_gap(trace: ProbeTrace) -> float:
-    """Empirical mean run length; converges to plg for long traces."""
-    runs = loss_runs(trace)
-    if not runs:
-        raise InsufficientDataError("no losses in trace")
-    return float(np.mean(runs))
-
-
-@dataclass
-class GilbertModel:
-    """A 2-state Markov (Gilbert) loss model.
-
-    State G delivers, state B drops.  ``p`` is the G->B transition
-    probability, ``q`` the B->G probability.
-    """
-
-    p: float
-    q: float
-
-    @property
-    def stationary_loss(self) -> float:
-        """Long-run loss probability p / (p + q)."""
-        if self.p + self.q == 0:
-            return 0.0
-        return self.p / (self.p + self.q)
-
-    @property
-    def mean_burst_length(self) -> float:
-        """Expected loss-run length 1/q."""
-        return math.inf if self.q == 0 else 1.0 / self.q
-
-    @property
-    def conditional_loss(self) -> float:
-        """P(loss | previous loss) = 1 - q."""
-        return 1.0 - self.q
-
-    def simulate(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Generate a synthetic loss indicator sequence of length ``n``."""
-        out = np.zeros(n, dtype=int)
-        state_bad = rng.random() < self.stationary_loss
-        for i in range(n):
-            out[i] = 1 if state_bad else 0
-            if state_bad:
-                state_bad = rng.random() >= self.q
-            else:
-                state_bad = rng.random() < self.p
-        return out
-
-
-def fit_gilbert(trace: ProbeTrace) -> GilbertModel:
-    """Maximum-likelihood Gilbert fit from transition counts."""
-    lost = trace.lost
-    if len(lost) < 2:
-        raise InsufficientDataError("need at least two probes")
-    prev, nxt = lost[:-1], lost[1:]
-    good_prev = int((~prev).sum())
-    bad_prev = int(prev.sum())
-    g_to_b = int((~prev & nxt).sum())
-    b_to_g = int((prev & ~nxt).sum())
-    p = g_to_b / good_prev if good_prev else 0.0
-    q = b_to_g / bad_prev if bad_prev else 1.0
-    return GilbertModel(p=p, q=q)
 
 
 @dataclass

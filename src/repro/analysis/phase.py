@@ -120,11 +120,6 @@ def fit_compression_line(plot: PhasePlot, mu_hint: float,
                               x_intercept=intercept)
 
 
-def estimate_fixed_delay(trace: ProbeTrace) -> float:
-    """Estimate D, the fixed round-trip component, as the minimum rtt."""
-    return trace.min_rtt()
-
-
 def estimate_bottleneck_mu(trace: ProbeTrace, mu_hint: float,
                            tolerance: float = 4e-3) -> Optional[float]:
     """One-call bottleneck estimator: phase plot + compression-line fit."""

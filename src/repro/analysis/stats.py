@@ -1,9 +1,8 @@
 """Statistical machinery for measurement campaigns.
 
 The paper reports single-run numbers; a reproduction should quantify how
-stable those numbers are.  This module provides Wilson confidence intervals
-for the loss probabilities (binomial proportions), Student-t intervals for
-means, and an aggregator that replicates an experiment across seeds and
+stable those numbers are.  This module provides Student-t intervals for
+means and an aggregator that replicates an experiment across seeds and
 reports per-metric spread.
 """
 
@@ -39,36 +38,6 @@ class ConfidenceInterval:
     def __str__(self) -> str:
         return (f"{self.estimate:.4g} "
                 f"[{self.low:.4g}, {self.high:.4g}]@{self.confidence:.0%}")
-
-
-def wilson_interval(successes: int, trials: int,
-                    confidence: float = 0.95) -> ConfidenceInterval:
-    """Wilson score interval for a binomial proportion.
-
-    Better behaved than the normal approximation at the small loss counts
-    sparse probing produces (e.g. δ = 500 ms gives 1200 probes per run).
-    """
-    if trials <= 0:
-        raise AnalysisError(f"trials must be positive, got {trials}")
-    if not 0 <= successes <= trials:
-        raise AnalysisError(
-            f"successes {successes} outside [0, {trials}]")
-    if not 0.0 < confidence < 1.0:
-        raise AnalysisError(f"confidence must be in (0, 1), got {confidence}")
-    from scipy.special import ndtri  # scipy loads only when called
-
-    z = float(ndtri(0.5 + confidence / 2.0))
-    p_hat = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (p_hat + z * z / (2 * trials)) / denom
-    margin = (z / denom) * math.sqrt(
-        p_hat * (1 - p_hat) / trials + z * z / (4 * trials * trials))
-    # Clamp to [0, 1] and guard against float residue pushing a bound
-    # past the point estimate (exact at successes = 0 or = trials).
-    low = min(max(0.0, center - margin), p_hat)
-    high = max(min(1.0, center + margin), p_hat)
-    return ConfidenceInterval(estimate=p_hat, low=low, high=high,
-                              confidence=confidence)
 
 
 def mean_interval(samples: Sequence[float],

@@ -1,10 +1,8 @@
 """Time-series statistics for delay traces.
 
-Summary statistics, autocorrelation, moving averages, and a periodogram.
-The spectral tools mirror the analysis of Mukherjee [19], whose spectral
-decomposition of average delays exposed the diurnal congestion cycle; the
-example scripts use the periodogram to recover the period of injected
-periodic faults (the 90-second gateway 'debug' stalls of [22]).
+Summary statistics, autocorrelation, and spike clustering.  The example
+scripts use the spike clusters to recover the period of injected periodic
+faults (the 90-second gateway 'debug' stalls of [22]).
 """
 
 from __future__ import annotations
@@ -115,41 +113,6 @@ def autocorrelation(trace: ProbeTrace, max_lag: int) -> np.ndarray:
     return autocorrelation_sums(centered, max_lag) / denominator
 
 
-def moving_average(trace: ProbeTrace, window: int) -> np.ndarray:
-    """Centered moving average of the (interpolated) rtt series."""
-    if window < 1:
-        raise AnalysisError(f"window must be >= 1, got {window}")
-    series = _contiguous_valid(trace)
-    kernel = np.ones(window) / window
-    return np.convolve(series, kernel, mode="valid")
-
-
-@dataclass
-class Periodogram:
-    """One-sided periodogram of the rtt series."""
-
-    #: Frequencies in Hz (excludes DC).
-    frequencies: np.ndarray
-    #: Power at each frequency.
-    power: np.ndarray
-
-    def dominant_period(self) -> float:
-        """Period (seconds) of the strongest spectral component."""
-        if self.power.size == 0:
-            raise InsufficientDataError("empty periodogram")
-        peak = int(np.argmax(self.power))
-        return 1.0 / float(self.frequencies[peak])
-
-
-def periodogram(trace: ProbeTrace) -> Periodogram:
-    """Periodogram of the mean-removed rtt series sampled every δ seconds."""
-    series = _contiguous_valid(trace)
-    series = series - series.mean()
-    spectrum = np.abs(np.fft.rfft(series)) ** 2 / len(series)
-    freqs = np.fft.rfftfreq(len(series), d=trace.delta)
-    return Periodogram(frequencies=freqs[1:], power=spectrum[1:])
-
-
 def spike_clusters(trace: ProbeTrace, threshold: float,
                    guard: float = 5.0) -> np.ndarray:
     """Start times of clusters of extreme rtts (rtt > threshold).
@@ -188,17 +151,3 @@ def periodic_spike_period(trace: ProbeTrace, threshold: float,
             f"found {starts.size} spike cluster(s); need >= 2")
     return float(np.median(np.diff(starts)))
 
-
-def delay_change_rate(trace: ProbeTrace, threshold: float) -> float:
-    """Fraction of consecutive received pairs whose rtt jumps > threshold.
-
-    A cheap instability metric: the 'rapid fluctuations of queueing delays
-    over small intervals' the paper reports show up as a high change rate
-    at small δ.
-    """
-    r = trace.rtts
-    both = trace.received[:-1] & trace.received[1:]
-    if not np.any(both):
-        raise InsufficientDataError("no consecutive received pairs")
-    jumps = np.abs(np.diff(r))[both]
-    return float(np.mean(jumps > threshold))

@@ -15,7 +15,6 @@ from repro.apps.fec import (
 from repro.apps.playout import (
     AdaptivePlayout,
     PlayoutReport,
-    fixed_playout,
     playout_delay_for_loss,
 )
 
@@ -27,6 +26,5 @@ __all__ = [
     "interleaved_xor_fec",
     "AdaptivePlayout",
     "PlayoutReport",
-    "fixed_playout",
     "playout_delay_for_loss",
 ]

@@ -6,11 +6,10 @@ playback buffering: an audio receiver schedules each packet's playout at
 are as good as lost.  The "shape of the delay distribution is crucial for
 the proper sizing of playback buffers".
 
-Two policies are provided:
-
-* :func:`fixed_playout` — one playout delay for the whole session;
-* :class:`AdaptivePlayout` — the classic exponentially-smoothed
-  mean + k·deviation estimator adjusting between talkspurts.
+:func:`playout_delay_for_loss` sizes one playout delay for the whole
+session from the measured delays; :class:`AdaptivePlayout` is the classic
+exponentially-smoothed mean + k·deviation estimator adjusting between
+talkspurts.
 """
 
 from __future__ import annotations
@@ -45,25 +44,6 @@ class PlayoutReport:
 def _arrival_delays(trace: ProbeTrace) -> np.ndarray:
     """One-way-ish delays: rtts stand in for delivery delays (NaN = lost)."""
     return np.where(trace.received, trace.rtts, np.nan)
-
-
-def fixed_playout(trace: ProbeTrace, playout_delay: float) -> PlayoutReport:
-    """Play the trace with a constant playout delay."""
-    if playout_delay <= 0:
-        raise ConfigurationError(
-            f"playout delay must be positive, got {playout_delay}")
-    delays = _arrival_delays(trace)
-    received = ~np.isnan(delays)
-    if not received.any():
-        raise InsufficientDataError("no received packets")
-    on_time = received & (delays <= playout_delay)
-    late = received & ~on_time
-    buffering = playout_delay - delays[on_time]
-    return PlayoutReport(
-        network_loss=float(np.mean(~received)),
-        late_loss=float(np.mean(late)),
-        mean_buffering=float(buffering.mean()) if buffering.size else 0.0,
-        playout_delay=playout_delay)
 
 
 class AdaptivePlayout:

@@ -30,7 +30,7 @@ from repro.devtools.core import (
     Rule,
     all_project_rules,
     all_rules,
-    audit_source,
+    check_file,
     get_rule,
     register,
     register_project,
@@ -43,7 +43,7 @@ __all__ = [
     "Rule",
     "all_project_rules",
     "all_rules",
-    "audit_source",
+    "check_file",
     "get_rule",
     "register",
     "register_project",

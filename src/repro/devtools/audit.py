@@ -29,6 +29,7 @@ from repro.devtools.core import (
     Rule,
     all_project_rules,
     all_rules,
+    check_file,
     get_rule,
 )
 from repro.devtools.reporters import (
@@ -121,11 +122,7 @@ def audit_paths(paths: Sequence[str],
     contexts, findings = _parse_contexts(files)
     active = list(rules) if rules is not None else all_rules()
     for ctx in contexts:
-        findings.extend(
-            finding
-            for rule in active if rule.applies_to(ctx.path)
-            for finding in rule.check(ctx)
-            if not ctx.is_suppressed(finding))
+        findings.extend(check_file(ctx, active))
     active_project = list(project_rules) if project_rules is not None \
         else all_project_rules()
     findings.extend(_check_project(contexts, active_project))

@@ -23,7 +23,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Optional,
     Sequence,
     Set,
     Type,
@@ -282,18 +281,15 @@ def get_rule(rule_id: str) -> Union[Rule, ProjectRule]:
     return _REGISTRY[rule_id]()
 
 
-def audit_source(source: str, path: str = "<string>",
-                 rules: Optional[Sequence[Rule]] = None) -> List[Finding]:
-    """Run ``rules`` (default: all) over ``source`` and return findings.
+def check_file(ctx: FileContext, rules: Sequence[Rule]) -> List[Finding]:
+    """Run the per-file ``rules`` over one parsed module.
 
-    Findings on lines with a matching ``# repro: noqa[...]`` comment are
-    dropped.  This is the single entry point both the CLI and the unit tests
-    go through.
+    Rules whose :meth:`Rule.applies_to` excludes the path are skipped and
+    findings on lines with a matching ``# repro: noqa[...]`` comment are
+    dropped.  Returns the findings location-sorted.
     """
-    ctx = FileContext.from_source(source, path=path)
-    active = list(rules) if rules is not None else all_rules()
     findings = [finding
-                for rule in active if rule.applies_to(path)
+                for rule in rules if rule.applies_to(ctx.path)
                 for finding in rule.check(ctx)
                 if not ctx.is_suppressed(finding)]
     findings.sort(key=Finding.sort_key)

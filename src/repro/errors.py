@@ -52,4 +52,4 @@ class InsufficientDataError(AnalysisError):
 
 
 class FitError(AnalysisError):
-    """A model fit (gamma, AR, Gilbert, ...) failed to converge."""
+    """A model fit (gamma, AR, ...) failed to converge."""

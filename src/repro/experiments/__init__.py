@@ -10,7 +10,6 @@ from repro.experiments.campaign import (
     CampaignSpec,
     run_campaign,
 )
-from repro.experiments.calibration import validate_calibration
 from repro.experiments.config import (
     DEFAULT_WARMUP,
     ExperimentConfig,
@@ -52,7 +51,6 @@ __all__ = [
     "CampaignResult",
     "cell_fingerprint",
     "run_campaign",
-    "validate_calibration",
     "ExperimentConfig",
     "PAPER_DELTAS",
     "PAPER_DURATION",

@@ -4,8 +4,8 @@ The paper's timestamps come from real host clocks: the INRIA source host was
 a DECstation 5000 with a **3.906 ms** clock resolution, and the UMd host used
 for the UMd-Pittsburgh experiments had a **3 ms** resolution (the cause of
 the regular banding visible in Figures 5 and 6).  :class:`QuantizedClock`
-reproduces that artifact; :class:`SkewedClock` additionally models offset and
-drift, which is why NetDyn (and this reproduction) only ever interprets
+reproduces that artifact.  Host clocks also differ in offset and drift,
+which is why NetDyn (and this reproduction) only ever interprets
 *differences* of timestamps taken on the *same* host.
 """
 
@@ -67,32 +67,3 @@ class QuantizedClock(Clock):
     def resolution(self) -> float:
         return self._resolution
 
-
-class SkewedClock(Clock):
-    """A clock with constant offset and frequency skew (optionally quantized).
-
-    ``host_time = offset + (1 + skew) * sim_time``, floored to ``resolution``
-    when one is given.  Used by tests to demonstrate that round-trip
-    measurements are immune to offset but one-way timestamps are not — the
-    reason Bolot sources and sinks probes on the same host.
-    """
-
-    def __init__(self, sim: Simulator, offset: float = 0.0, skew: float = 0.0,
-                 resolution: float = 0.0) -> None:
-        if resolution < 0:
-            raise ConfigurationError(
-                f"clock resolution must be >= 0, got {resolution}")
-        self._sim = sim
-        self._offset = offset
-        self._skew = skew
-        self._resolution = resolution
-
-    def now(self) -> float:
-        reading = self._offset + (1.0 + self._skew) * self._sim.now
-        if self._resolution > 0:
-            reading = int(reading / self._resolution) * self._resolution
-        return reading
-
-    @property
-    def resolution(self) -> float:
-        return self._resolution

@@ -23,10 +23,7 @@ from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.net.host import Host
-from repro.net.packet import Packet, UDP_WIRE_OVERHEAD_BYTES
-
-#: Pure-ACK wire size: headers only.
-ACK_WIRE_BYTES = UDP_WIRE_OVERHEAD_BYTES
+from repro.net.packet import Packet
 
 #: Conventional initial retransmission timeout, seconds.
 INITIAL_RTO = 1.0

@@ -12,7 +12,6 @@ from repro.netdyn.clocks import (
     DECSTATION_RESOLUTION,
     PerfectClock,
     QuantizedClock,
-    SkewedClock,
     UMD_RESOLUTION,
 )
 from repro.netdyn.echo import ECHO_PORT, EchoAgent
@@ -22,11 +21,6 @@ from repro.netdyn.packetfmt import (
     decode_probe,
     encode_probe,
 )
-from repro.netdyn.oneway import (
-    OneWaySinkAgent,
-    OneWaySourceAgent,
-    run_one_way_experiment,
-)
 from repro.netdyn.session import run_probe_experiment
 from repro.netdyn.source import SINK_PORT, SourceAgent
 from repro.netdyn.trace import LOST, ProbeTrace
@@ -35,7 +29,6 @@ __all__ = [
     "Clock",
     "PerfectClock",
     "QuantizedClock",
-    "SkewedClock",
     "DECSTATION_RESOLUTION",
     "UMD_RESOLUTION",
     "EchoAgent",
@@ -47,9 +40,6 @@ __all__ = [
     "decode_probe",
     "PROBE_PAYLOAD_BYTES",
     "run_probe_experiment",
-    "run_one_way_experiment",
-    "OneWaySinkAgent",
-    "OneWaySourceAgent",
     "ProbeTrace",
     "LOST",
 ]

@@ -11,7 +11,6 @@ from repro.net.clocks import (
     DECSTATION_RESOLUTION,
     PerfectClock,
     QuantizedClock,
-    SkewedClock,
     UMD_RESOLUTION,
 )
 
@@ -19,7 +18,6 @@ __all__ = [
     "Clock",
     "PerfectClock",
     "QuantizedClock",
-    "SkewedClock",
     "DECSTATION_RESOLUTION",
     "UMD_RESOLUTION",
 ]

@@ -2,8 +2,8 @@
 
 :mod:`~repro.queueing.batchmodel` implements the D + batch-D / D / 1 / K
 model of Section 6; :mod:`~repro.queueing.mdk1` provides M/D/1(/K) oracles
-used to validate the network substrate; :mod:`~repro.queueing.palm` holds
-the Palm-calculus loss-gap identities; :mod:`~repro.queueing.fastforward`
+used to validate the network substrate; :mod:`~repro.queueing.closure`
+fits the batch model to a measured run; :mod:`~repro.queueing.fastforward`
 is the drop-tail bottleneck queue behind the analytic execution mode
 (:func:`bottleneck_pass`, with :func:`drop_tail_walk` and
 :func:`fifo_waits`).
@@ -27,15 +27,8 @@ from repro.queueing.closure import (
     fit_batch_distribution,
 )
 from repro.queueing.mdk1 import (
-    md1_mean_queue_length,
     md1_mean_wait,
     mdk1_blocking_probability,
-    mdk1_loss_vs_buffer,
-)
-from repro.queueing.palm import (
-    clp_from_loss_gap,
-    empirical_identity_gap,
-    loss_gap_from_clp,
 )
 
 __all__ = [
@@ -45,13 +38,8 @@ __all__ = [
     "BatchArrivalQueue",
     "BatchModelResult",
     "geometric_packet_batches",
-    "md1_mean_queue_length",
     "md1_mean_wait",
     "mdk1_blocking_probability",
-    "mdk1_loss_vs_buffer",
-    "clp_from_loss_gap",
-    "empirical_identity_gap",
-    "loss_gap_from_clp",
     "ClosureReport",
     "EmpiricalBatchDistribution",
     "closed_loop_comparison",

@@ -28,11 +28,6 @@ def md1_mean_wait(arrival_rate: float, service_time: float) -> float:
     return rho * service_time / (2.0 * (1.0 - rho))
 
 
-def md1_mean_queue_length(arrival_rate: float, service_time: float) -> float:
-    """Mean number waiting in queue (Little's law on the mean wait)."""
-    return arrival_rate * md1_mean_wait(arrival_rate, service_time)
-
-
 def _poisson_pmf(mean: float, count: int) -> np.ndarray:
     """P(N = 0..count) for N ~ Poisson(mean)."""
     pmf = np.empty(count + 1)
@@ -86,9 +81,3 @@ def mdk1_blocking_probability(arrival_rate: float, service_time: float,
     p_block = 1.0 - p.sum()
     return float(min(max(p_block, 0.0), 1.0))
 
-
-def mdk1_loss_vs_buffer(arrival_rate: float, service_time: float,
-                        buffer_sizes: list[int]) -> list[float]:
-    """Blocking probability for each K in ``buffer_sizes``."""
-    return [mdk1_blocking_probability(arrival_rate, service_time, k)
-            for k in buffer_sizes]

@@ -1,4 +1,9 @@
-"""Calibrated topologies: the paper's Table 1 / Table 2 paths and presets."""
+"""Calibrated topologies: the paper's Table 1 / Table 2 paths and NSFNET.
+
+:func:`build_inria_umd` and :func:`build_umd_pitt` are the two measured
+paths; :func:`build_path` is the generic chain builder under them, and
+:func:`build_nsfnet` the T1 backbone of the survey example.
+"""
 
 from repro.topology.builder import LinkSpec, PathScenario, build_path
 from repro.topology.inria_umd import (
@@ -12,7 +17,6 @@ from repro.topology.nsfnet import (
     NsfnetScenario,
     build_nsfnet,
 )
-from repro.topology.presets import SingleBottleneck, build_single_bottleneck
 from repro.topology.umd_pitt import (
     TABLE2_ROUTE,
     build_umd_pitt,
@@ -27,8 +31,6 @@ __all__ = [
     "INRIA_UMD_BOTTLENECK_BPS",
     "build_umd_pitt",
     "TABLE2_ROUTE",
-    "SingleBottleneck",
-    "build_single_bottleneck",
     "NsfnetScenario",
     "build_nsfnet",
     "NSFNET_SITES",

@@ -1,32 +1,22 @@
 """Traffic generators: the "Internet stream" of the paper's model.
 
-Primitives (:class:`CBRSource`, :class:`PoissonSource`, :class:`BatchSource`,
-:class:`OnOffSource`) plus application-flavored sources (:class:`FtpSource`,
-:class:`TelnetSource`) and the calibrated composite
-(:func:`attach_internet_mix`).
+The calibrated composite (:func:`attach_internet_mix`) is built from the
+application sources :class:`FtpSource` (bulk transfers of 512-byte packets)
+and :class:`TelnetSource` (interactive small packets).
+:class:`PoissonSource` is the memoryless stream of the kernel throughput
+benchmark, and :class:`ResponsiveBulkSource` the window-controlled bulk
+flow of the responsive-traffic ablation.
 """
 
 from repro.traffic.base import SINK_PORT, TrafficSink, TrafficSource
-from repro.traffic.batch import (
-    BatchSource,
-    fixed_batches,
-    geometric_batches,
-)
-from repro.traffic.deterministic import CBRSource
 from repro.traffic.ftp import FtpSource
 from repro.traffic.mix import InternetMix, attach_internet_mix
-from repro.traffic.onoff import OnOffSource
-from repro.traffic.poisson import (
-    DiurnalProfile,
-    ModulatedPoissonSource,
-    PoissonSource,
-)
+from repro.traffic.poisson import PoissonSource
 from repro.traffic.sizes import (
     EmpiricalSize,
     FixedSize,
     FTP_PAYLOAD_BYTES,
     SizeDistribution,
-    ftp_sizes,
     telnet_sizes,
 )
 from repro.traffic.tcpflows import ResponsiveBulkSource
@@ -36,22 +26,14 @@ __all__ = [
     "SINK_PORT",
     "TrafficSink",
     "TrafficSource",
-    "BatchSource",
-    "fixed_batches",
-    "geometric_batches",
-    "CBRSource",
     "FtpSource",
     "InternetMix",
     "attach_internet_mix",
-    "OnOffSource",
-    "DiurnalProfile",
-    "ModulatedPoissonSource",
     "PoissonSource",
     "EmpiricalSize",
     "FixedSize",
     "FTP_PAYLOAD_BYTES",
     "SizeDistribution",
-    "ftp_sizes",
     "telnet_sizes",
     "TelnetSource",
     "ResponsiveBulkSource",

@@ -88,7 +88,3 @@ def telnet_sizes() -> EmpiricalSize:
     weights = [0.35, 0.15, 0.12, 0.12, 0.1, 0.08, 0.08]
     return EmpiricalSize(TELNET_PAYLOAD_CHOICES, weights)
 
-
-def ftp_sizes() -> FixedSize:
-    """Bulk data packets: full 512-byte segments."""
-    return FixedSize(FTP_PAYLOAD_BYTES)

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from repro.analysis.distributions import (
-    delay_histogram,
-    ecdf,
-    fit_constant_plus_gamma,
-    playback_buffer_delay,
-)
+from repro.analysis.distributions import fit_constant_plus_gamma
 from repro.errors import FitError, InsufficientDataError
 from repro.netdyn.trace import ProbeTrace
 
@@ -70,51 +65,6 @@ class TestConstantPlusGamma:
     def test_constant_above_samples_rejected(self):
         with pytest.raises(FitError):
             fit_constant_plus_gamma(gamma_trace(), constant=10.0)
-
-
-class TestEcdf:
-    def test_sorted_and_reaches_one(self):
-        values, probabilities = ecdf(np.array([3.0, 1.0, 2.0]))
-        assert values.tolist() == [1.0, 2.0, 3.0]
-        assert probabilities.tolist() == pytest.approx([1 / 3, 2 / 3, 1.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            ecdf(np.array([]))
-
-
-class TestDelayHistogram:
-    def test_counts_sum_to_samples(self):
-        trace = gamma_trace(n=500)
-        counts, edges = delay_histogram(trace, bin_width=5e-3)
-        assert counts.sum() == 500
-        assert len(edges) == len(counts) + 1
-
-    def test_losses_excluded(self):
-        trace = ProbeTrace.from_samples(delta=0.05,
-                                        rtts=[0.1, 0.0, 0.2, 0.15] * 10)
-        counts, _ = delay_histogram(trace)
-        assert counts.sum() == 30
-
-
-class TestPlaybackBuffer:
-    def test_matches_percentile(self):
-        trace = gamma_trace(n=5000)
-        delay = playback_buffer_delay(trace, target_loss=0.05)
-        late = np.mean(trace.valid_rtts > delay)
-        assert late == pytest.approx(0.05, abs=0.01)
-
-    def test_stricter_target_needs_larger_buffer(self):
-        trace = gamma_trace(n=5000)
-        assert playback_buffer_delay(trace, target_loss=0.001) > \
-            playback_buffer_delay(trace, target_loss=0.1)
-
-    def test_validation(self):
-        trace = gamma_trace(n=100)
-        with pytest.raises(FitError):
-            playback_buffer_delay(trace, target_loss=0.0)
-        with pytest.raises(FitError):
-            playback_buffer_delay(trace, target_loss=1.0)
 
 
 class TestOnRealSimulation:

@@ -5,20 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.lindley import (
-    estimate_batch_bits,
-    lindley_waits,
-    lindley_waits_loop,
-    positive_part,
-    probe_waits_with_batches,
-)
+from repro.analysis.lindley import lindley_waits, lindley_waits_loop
 from repro.errors import AnalysisError
-
-
-class TestPositivePart:
-    def test_clips_negatives(self):
-        result = positive_part(np.array([-1.0, 0.0, 2.0]))
-        assert result.tolist() == [0.0, 0.0, 2.0]
 
 
 class TestLindleyWaits:
@@ -86,79 +74,3 @@ def test_lindley_monotone_in_service(services):
     base = lindley_waits(services, gaps)
     inflated = lindley_waits([s + 0.1 for s in services], gaps)
     assert np.all(inflated >= base - 1e-12)
-
-
-class TestProbeWaitsWithBatches:
-    def test_no_batches_no_wait(self):
-        waits = probe_waits_with_batches(delta=0.05, probe_service=0.0045,
-                                         batch_bits=[0.0] * 10, mu=128e3)
-        assert np.allclose(waits, 0.0)
-
-    def test_single_large_batch_creates_backlog(self):
-        # One 3200-bit batch at offset delta/2: takes 25 ms to serve,
-        # arriving 25 ms before the next probe -> next wait ~ 0 + spillover.
-        batches = [6400.0, 0.0, 0.0]
-        waits = probe_waits_with_batches(delta=0.05, probe_service=0.0045,
-                                         batch_bits=batches, mu=128e3)
-        assert waits[0] == 0.0
-        assert waits[1] > 0.0
-        assert waits[2] <= waits[1]
-
-    def test_sustained_batches_grow_waits(self):
-        # Batches of delta*mu bits: queue just saturated by cross traffic,
-        # probe bits push it over -> monotone growth.
-        batch = 0.05 * 128e3
-        waits = probe_waits_with_batches(delta=0.05, probe_service=0.0045,
-                                         batch_bits=[batch] * 20, mu=128e3)
-        assert np.all(np.diff(waits[5:]) >= -1e-9)
-        assert waits[-1] > waits[5]
-
-    def test_offsets_validation(self):
-        with pytest.raises(AnalysisError):
-            probe_waits_with_batches(delta=0.05, probe_service=0.001,
-                                     batch_bits=[1.0], mu=1e3,
-                                     batch_offsets=[0.06])  # > delta
-        with pytest.raises(AnalysisError):
-            probe_waits_with_batches(delta=0.0, probe_service=0.001,
-                                     batch_bits=[1.0], mu=1e3)
-
-
-class TestEstimateBatchBits:
-    def test_recovers_exact_batches_when_busy(self):
-        """Equation (6) inverts the recursion while the queue stays busy."""
-        mu = 128e3
-        delta = 0.02
-        probe_bits = 576.0
-        rng = np.random.default_rng(7)
-        # Heavy load so the queue never empties between probes.
-        batches = rng.uniform(0.8, 1.4, size=200) * delta * mu
-        waits = probe_waits_with_batches(delta=delta,
-                                         probe_service=probe_bits / mu,
-                                         batch_bits=batches, mu=mu)
-        estimated = estimate_batch_bits(waits, delta=delta, mu=mu,
-                                        probe_bits=probe_bits)
-        busy = waits[:-1] > delta  # definitely no idle period before next
-        assert np.allclose(estimated[busy], batches[busy], rtol=1e-9)
-
-    def test_idle_periods_break_equation_six(self):
-        """When the buffer empties, eq. (6) does not hold (documented).
-
-        An idle queue gives ``w_{n+1} = w_n = 0`` so the estimator returns
-        ``μ δ − P`` regardless of the true (tiny) batch — this is exactly
-        the paper's caveat, and why the δ-peak of Figures 8/9 corresponds
-        to 'idle', not to a real workload of ``μ δ − P`` bits.
-        """
-        mu = 128e3
-        delta = 0.05
-        batches = np.zeros(10)
-        batches[5] = 320.0  # a tiny batch into an idle queue
-        waits = probe_waits_with_batches(delta=delta, probe_service=0.0045,
-                                         batch_bits=batches, mu=mu)
-        estimated = estimate_batch_bits(waits, delta=delta, mu=mu,
-                                        probe_bits=576.0)
-        assert estimated[5] == pytest.approx(mu * delta - 576.0)
-        assert estimated[5] != pytest.approx(batches[5])
-
-    def test_validation(self):
-        with pytest.raises(AnalysisError):
-            estimate_batch_bits([1.0], delta=0.05, mu=1e3, probe_bits=1.0)

@@ -6,7 +6,6 @@ import pytest
 from repro.analysis.phase import (
     diagonal_fraction,
     estimate_bottleneck_mu,
-    estimate_fixed_delay,
     fit_compression_line,
     phase_points,
 )
@@ -106,16 +105,18 @@ class TestCompressionLine:
 
 
 class TestFixedDelay:
+    """D, the fixed round-trip component, is the minimum rtt."""
+
     def test_min_rtt(self):
         trace = ProbeTrace.from_samples(delta=0.05, rtts=[0.3, 0.14, 0.5])
-        assert estimate_fixed_delay(trace) == pytest.approx(0.14)
+        assert trace.min_rtt() == pytest.approx(0.14)
 
 
 class TestOnRealSimulation:
     """Phase analysis on traces from the calibrated topology."""
 
     def test_fixed_delay_on_loaded_path(self, loaded_trace):
-        assert 0.12 <= estimate_fixed_delay(loaded_trace) <= 0.16
+        assert 0.12 <= loaded_trace.min_rtt() <= 0.16
 
     def test_mu_estimate_on_loaded_path(self, loaded_trace):
         mu = estimate_bottleneck_mu(loaded_trace, mu_hint=128e3)

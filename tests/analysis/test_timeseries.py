@@ -9,10 +9,7 @@ from repro.analysis import timeseries as timeseries_module
 from repro.analysis.timeseries import (
     autocorrelation,
     autocorrelation_sums,
-    delay_change_rate,
-    moving_average,
     periodic_spike_period,
-    periodogram,
     spike_clusters,
     summarize,
 )
@@ -88,6 +85,18 @@ class TestAutocorrelation:
         with pytest.raises(InsufficientDataError):
             autocorrelation(trace_of(rtts + [0.0]), max_lag=5)
 
+    def test_interpolates_occasional_losses(self):
+        # A 2-second period sampled at delta = 0.1 s, ~6% of it lost: the
+        # interpolated series keeps its period-20 correlation.
+        n, delta, period = 1000, 0.1, 2.0
+        t = np.arange(n) * delta
+        rtts = 0.15 + 0.05 * np.sin(2 * np.pi * t / period)
+        rtts[::17] = 0.0
+        acf = autocorrelation(trace_of(rtts.tolist(), delta=delta),
+                              max_lag=20)
+        assert acf[20] > 0.9
+        assert acf[10] < -0.9
+
 
 class TestAutocorrelationSums:
     """The vectorized lag-sum kernel must match the scalar loop exactly.
@@ -146,40 +155,6 @@ class TestAutocorrelationSums:
             autocorrelation_sums(np.zeros(4), max_lag=4)
 
 
-class TestMovingAverage:
-    def test_window_one_is_identity(self):
-        rtts = [0.1, 0.2, 0.3]
-        assert moving_average(trace_of(rtts), window=1).tolist() == \
-            pytest.approx(rtts)
-
-    def test_smooths_spikes(self):
-        rtts = [0.1] * 10 + [1.0] + [0.1] * 10
-        smoothed = moving_average(trace_of(rtts), window=5)
-        assert smoothed.max() < 1.0
-
-    def test_validation(self):
-        with pytest.raises(AnalysisError):
-            moving_average(trace_of([0.1] * 10), window=0)
-
-
-class TestPeriodogram:
-    def test_detects_injected_period(self):
-        # 2-second period sampled at delta = 0.1 s.
-        n, delta, period = 1000, 0.1, 2.0
-        t = np.arange(n) * delta
-        rtts = 0.15 + 0.05 * np.sin(2 * np.pi * t / period)
-        spectrum = periodogram(trace_of(rtts.tolist(), delta=delta))
-        assert spectrum.dominant_period() == pytest.approx(period, rel=0.05)
-
-    def test_interpolates_occasional_losses(self):
-        n, delta, period = 1000, 0.1, 2.0
-        t = np.arange(n) * delta
-        rtts = 0.15 + 0.05 * np.sin(2 * np.pi * t / period)
-        rtts[::17] = 0.0  # ~6% losses
-        spectrum = periodogram(trace_of(rtts.tolist(), delta=delta))
-        assert spectrum.dominant_period() == pytest.approx(period, rel=0.05)
-
-
 class TestSpikes:
     def test_cluster_extraction(self):
         rtts = [0.1] * 100
@@ -232,20 +207,6 @@ class TestSpikes:
     def test_guard_validation(self):
         with pytest.raises(AnalysisError):
             spike_clusters(trace_of([0.1]), threshold=1.0, guard=0.0)
-
-
-class TestChangeRate:
-    def test_stable_series(self):
-        assert delay_change_rate(trace_of([0.1] * 20),
-                                 threshold=0.01) == 0.0
-
-    def test_volatile_series(self):
-        rtts = [0.1, 0.3] * 20
-        assert delay_change_rate(trace_of(rtts), threshold=0.1) == 1.0
-
-    def test_no_pairs(self):
-        with pytest.raises(InsufficientDataError):
-            delay_change_rate(trace_of([0.1, 0.0, 0.1]), threshold=0.01)
 
 
 class TestOnRealSimulation:

@@ -32,6 +32,19 @@ def trace_with_gaps(gaps, delta=0.02):
                                    wire_bytes=72)
 
 
+def two_stage_waits(delta, batch_bits, mu=MU, probe_bits=WIRE_BITS):
+    """Probe waits of Section 4's two-stage Lindley recursion.
+
+    Probe ``n`` arrives at ``n δ``; a batch of ``b_n`` bits arrives ``δ/2``
+    later, and both are served at ``mu``.
+    """
+    waits = [0.0]
+    for bits in batch_bits:
+        batch_wait = max(0.0, waits[-1] + probe_bits / mu - delta / 2)
+        waits.append(max(0.0, batch_wait + bits / mu - delta / 2))
+    return np.asarray(waits)
+
+
 class TestProbeGapSamples:
     def test_equals_rtt_difference_plus_delta(self):
         trace = ProbeTrace.from_samples(delta=0.02, rtts=[0.10, 0.13, 0.12])
@@ -61,6 +74,36 @@ class TestWorkloadDistribution:
         dist = workload_distribution(trace_with_gaps(gaps), mu=MU)
         # b = mu * 0.035 - P = 4480 - 576 = 3904 bits = 488 bytes.
         assert dist.batch_bits()[0] == pytest.approx(3904.0)
+
+    def test_batch_bits_recover_batches_when_busy(self):
+        """Equation (6) inverts the recursion while the queue stays busy."""
+        rng = np.random.default_rng(7)
+        # Heavy load so the queue never empties between probes.
+        batches = rng.uniform(0.8, 1.4, size=200) * 0.02 * MU
+        waits = two_stage_waits(0.02, batches)
+        trace = ProbeTrace.from_samples(delta=0.02,
+                                        rtts=(0.14 + waits).tolist(),
+                                        wire_bytes=72)
+        estimated = workload_distribution(trace, mu=MU).batch_bits()
+        busy = waits[:-1] > 0.02  # definitely no idle period before next
+        assert np.allclose(estimated[busy], batches[busy], rtol=1e-9)
+
+    def test_batch_bits_idle_queue_reads_delta_peak(self):
+        """When the buffer empties, eq. (6) does not hold.
+
+        An idle queue gives ``w_{n+1} = w_n = 0``, so the estimator returns
+        ``μ δ − P`` whatever the true (tiny) batch: the δ-peak of Figures
+        8/9 means 'idle', not a real workload of ``μ δ − P`` bits.
+        """
+        batches = np.zeros(10)
+        batches[5] = 320.0  # a tiny batch into an idle queue
+        waits = two_stage_waits(0.05, batches)
+        trace = ProbeTrace.from_samples(delta=0.05,
+                                        rtts=(0.14 + waits).tolist(),
+                                        wire_bytes=72)
+        estimated = workload_distribution(trace, mu=MU).batch_bits()
+        assert estimated[5] == pytest.approx(MU * 0.05 - WIRE_BITS)
+        assert estimated[5] != pytest.approx(batches[5])
 
     def test_validation(self):
         trace = trace_with_gaps([0.02] * 5)

@@ -5,11 +5,30 @@ import pytest
 
 from repro.apps.playout import (
     AdaptivePlayout,
-    fixed_playout,
+    PlayoutReport,
     playout_delay_for_loss,
 )
 from repro.errors import ConfigurationError, InsufficientDataError
 from repro.netdyn.trace import ProbeTrace
+
+
+def fixed_playout(trace, playout_delay):
+    """Play the trace with one constant playout delay (the oracle)."""
+    if playout_delay <= 0:
+        raise ConfigurationError(
+            f"playout delay must be positive, got {playout_delay}")
+    delays = np.where(trace.received, trace.rtts, np.nan)
+    received = ~np.isnan(delays)
+    if not received.any():
+        raise InsufficientDataError("no received packets")
+    on_time = received & (delays <= playout_delay)
+    late = received & ~on_time
+    buffering = playout_delay - delays[on_time]
+    return PlayoutReport(
+        network_loss=float(np.mean(~received)),
+        late_loss=float(np.mean(late)),
+        mean_buffering=float(buffering.mean()) if buffering.size else 0.0,
+        playout_delay=playout_delay)
 
 
 def jittery_trace(base=0.14, jitter=0.05, loss=0.05, n=2000, seed=0):
@@ -20,6 +39,8 @@ def jittery_trace(base=0.14, jitter=0.05, loss=0.05, n=2000, seed=0):
 
 
 class TestFixedPlayout:
+    """The constant-delay oracle the sizing and adaptive tests rely on."""
+
     def test_huge_delay_no_late_loss(self):
         trace = jittery_trace()
         report = fixed_playout(trace, playout_delay=10.0)

@@ -5,7 +5,8 @@ import pytest
 
 from repro.baselines.merit import merit_sampling, MeritStats
 from repro.errors import ConfigurationError, InsufficientDataError
-from repro.topology.presets import build_single_bottleneck
+
+from tests.topology.single_bottleneck import build_single_bottleneck
 
 
 class TestMeritSampling:

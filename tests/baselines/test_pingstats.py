@@ -5,9 +5,10 @@ import pytest
 
 from repro.baselines.pingstats import grouped_ping
 from repro.errors import ConfigurationError
-from repro.topology.presets import build_single_bottleneck
 from repro.traffic.mix import attach_internet_mix
 from repro.units import kbps
+
+from tests.topology.single_bottleneck import build_single_bottleneck
 
 
 def loaded_scenario(seed=4, utilization=0.6):

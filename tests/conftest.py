@@ -16,7 +16,8 @@ from repro.netdyn.session import run_probe_experiment
 from repro.netdyn.trace import ProbeTrace
 from repro.sim import Simulator
 from repro.topology.inria_umd import build_inria_umd
-from repro.topology.presets import build_single_bottleneck
+
+from tests.topology.single_bottleneck import build_single_bottleneck
 
 # Hypothesis example counts for tests that do not pin their own: the
 # tier-1 default keeps the suite fast; CI's fuzz steps select the larger

@@ -10,13 +10,14 @@ from repro.devtools.core import (
     Rule,
     all_project_rules,
     all_rules,
-    audit_source,
     expand_statement_suppressions,
     get_rule,
     parse_suppressions,
     register,
     register_project,
 )
+
+from tests.devtools.source_audit import audit_source
 
 EXPECTED_RULES = {"DET001", "DET002", "UNIT001", "UNIT002", "SIM001",
                   "EXC001"}

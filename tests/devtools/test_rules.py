@@ -2,7 +2,9 @@
 
 import textwrap
 
-from repro.devtools.core import audit_source, get_rule
+from repro.devtools.core import get_rule
+
+from tests.devtools.source_audit import audit_source
 
 
 def rules_hit(source: str, path: str = "src/repro/example.py") -> set:

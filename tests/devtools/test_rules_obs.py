@@ -3,12 +3,9 @@
 from pathlib import Path
 
 import repro
-from repro.devtools.core import (
-    all_project_rules,
-    audit_source,
-    get_rule,
-)
+from repro.devtools.core import all_project_rules, get_rule
 
+from tests.devtools.source_audit import audit_source
 from tests.devtools.test_rules_flow import project_from, run_rule
 from tests.devtools.test_symbols import load_project
 

@@ -1,6 +1,8 @@
 """PERF001: no slot-less dataclasses in the sim/net hot-path packages."""
 
-from repro.devtools.core import audit_source, get_rule
+from repro.devtools.core import get_rule
+
+from tests.devtools.source_audit import audit_source
 
 
 def findings(source, path="src/repro/sim/events.py"):

@@ -24,7 +24,7 @@ from repro.experiments.runner import (
     run_experiment,
     run_observed_experiment,
 )
-from repro.net.clocks import SkewedClock
+from repro.net.clocks import Clock
 from repro.net.faults import PeriodicStallFault, RandomDropFault
 from repro.net.tap import PacketTap
 from repro.netdyn.trace import LOST
@@ -121,8 +121,12 @@ class TestEligibility:
 
     def test_skewed_clock_blocks(self):
         built = build_scenario(config_for("inria-umd", 0.05, 10.0))
-        built.network.host(built.source).clock = SkewedClock(
-            built.sim, offset=1.0)
+
+        class OffsetClock(Clock):
+            def now(self):
+                return 1.0 + built.sim.now
+
+        built.network.host(built.source).clock = OffsetClock()
         reasons = ff.fastforward_ineligibilities(built)
         assert any("clock" in reason for reason in reasons)
 

@@ -13,9 +13,10 @@ from repro.queueing.batchmodel import (
     geometric_packet_batches,
 )
 from repro.topology.inria_umd import build_inria_umd
-from repro.topology.presets import build_single_bottleneck
 from repro.traffic.mix import attach_internet_mix
 from repro.units import kbps
+
+from tests.topology.single_bottleneck import build_single_bottleneck
 
 
 class TestMeasurementPipeline:

@@ -7,7 +7,6 @@ from repro.net.clocks import (
     DECSTATION_RESOLUTION,
     PerfectClock,
     QuantizedClock,
-    SkewedClock,
 )
 from repro.sim import Simulator
 
@@ -54,35 +53,3 @@ class TestQuantizedClock:
         with pytest.raises(ConfigurationError):
             QuantizedClock(sim, resolution=0.0)
 
-
-class TestSkewedClock:
-    def test_offset(self, sim):
-        clock = SkewedClock(sim, offset=100.0)
-        sim.run(until=2.0)
-        assert clock.now() == pytest.approx(102.0)
-
-    def test_skew(self, sim):
-        clock = SkewedClock(sim, skew=0.01)
-        sim.run(until=100.0)
-        assert clock.now() == pytest.approx(101.0)
-
-    def test_rtt_immune_to_offset_one_way_is_not(self, sim):
-        """Why the paper sources and sinks probes on the same host."""
-        local = SkewedClock(sim, offset=0.0)
-        remote = SkewedClock(sim, offset=5.0)
-        send_time = local.now()
-        sim.run(until=0.1)  # one-way trip
-        one_way = remote.now() - send_time  # wrong: offset pollutes it
-        sim.run(until=0.2)  # return trip
-        rtt = local.now() - send_time  # right: same clock both ends
-        assert one_way == pytest.approx(5.1)
-        assert rtt == pytest.approx(0.2)
-
-    def test_quantized_skewed(self, sim):
-        clock = SkewedClock(sim, offset=0.0005, resolution=0.001)
-        sim.run(until=0.0012)
-        assert clock.now() == pytest.approx(0.001)
-
-    def test_negative_resolution_rejected(self, sim):
-        with pytest.raises(ConfigurationError):
-            SkewedClock(sim, resolution=-1.0)

@@ -10,9 +10,10 @@ from repro.net.routing import Network
 from repro.sim import Simulator
 from repro.topology.inria_umd import build_inria_umd
 from repro.topology.nsfnet import build_nsfnet
-from repro.topology.presets import build_single_bottleneck
 from repro.topology.umd_pitt import build_umd_pitt
 from repro.units import mbps, ms
+
+from tests.topology.single_bottleneck import build_single_bottleneck
 
 
 def diamond(sim):

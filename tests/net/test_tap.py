@@ -173,15 +173,14 @@ class TestPacketTap:
         """Taps verify the physics behind the phase plots: compressed
         probes leave the bottleneck one service time apart."""
         from repro.netdyn.session import run_probe_experiment
-        from repro.topology.presets import build_single_bottleneck
-        from repro.traffic.batch import BatchSource, fixed_batches
+        from tests.topology.single_bottleneck import build_single_bottleneck
+        from tests.traffic.periodic_source import PeriodicSource
         import numpy as np
 
         scenario = build_single_bottleneck(seed=9)
         tap = PacketTap(scenario.bottleneck_fwd, kinds={KIND_UDP})
-        source = BatchSource(scenario.network.host("cross-l"), "cross-r",
-                             batch_rate=2.0, batch_sizes=fixed_batches(3),
-                             deterministic=True)
+        source = PeriodicSource(scenario.network.host("cross-l"), "cross-r",
+                                interval=0.5, payload_bytes=512, burst=3)
         source.start()
         run_probe_experiment(scenario.network, scenario.source,
                              scenario.echo, delta=0.02, count=300,

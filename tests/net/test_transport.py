@@ -99,13 +99,13 @@ class TestCongestionControl:
 
     def test_backs_off_under_competing_load(self, sim):
         """The responsive behavior the open-loop sources lack."""
-        from repro.traffic.deterministic import CBRSource
         from repro.traffic.base import TrafficSink
+        from tests.traffic.periodic_source import PeriodicSource
         network = two_hosts(sim, rate_bps=kbps(256), capacity=8)
         # Competing CBR claiming ~80% of the link from t=30.
         sink = TrafficSink(network.host("b"), port=9000)
-        cbr = CBRSource(network.host("a"), "b", interval=0.022,
-                        payload_bytes=512, port=9000)
+        cbr = PeriodicSource(network.host("a"), "b", interval=0.022,
+                             payload_bytes=512, port=9000)
         sender, receiver = start_transfer(network.host("a"),
                                           network.host("b"), port=5000,
                                           total_segments=100_000)

@@ -9,8 +9,9 @@ from repro.net.faults import RandomDropFault
 from repro.netdyn.echo import ECHO_PORT, EchoAgent
 from repro.netdyn.session import run_probe_experiment
 from repro.netdyn.source import SINK_PORT, SourceAgent
-from repro.topology.presets import build_single_bottleneck
 from repro.units import kbps, ms
+
+from tests.topology.single_bottleneck import build_single_bottleneck
 
 
 def make_net(**kwargs):

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.queueing.mdk1 import (
-    md1_mean_queue_length,
-    md1_mean_wait,
-    mdk1_blocking_probability,
-    mdk1_loss_vs_buffer,
-)
+from repro.queueing.mdk1 import md1_mean_wait, mdk1_blocking_probability
 
 
 class TestMD1:
@@ -29,10 +24,6 @@ class TestMD1:
         with pytest.raises(ConfigurationError):
             md1_mean_wait(2.0, 1.0)
 
-    def test_littles_law(self):
-        assert md1_mean_queue_length(0.8, 1.0) == pytest.approx(
-            0.8 * md1_mean_wait(0.8, 1.0))
-
 
 class TestMDK1:
     def test_blocking_increases_with_load(self):
@@ -41,7 +32,8 @@ class TestMDK1:
         assert 0.0 <= low < high < 1.0
 
     def test_blocking_decreases_with_buffer(self):
-        values = mdk1_loss_vs_buffer(0.8, 1.0, [1, 2, 4, 8, 16])
+        values = [mdk1_blocking_probability(0.8, 1.0, k)
+                  for k in (1, 2, 4, 8, 16)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_large_buffer_negligible_blocking_under_load_below_one(self):

@@ -1,0 +1,163 @@
+"""Every public top-level symbol in ``src/repro`` has a user.
+
+A user is a reference that survives outside the test suite:
+
+* code under ``examples/``, ``benchmarks/`` or ``perfbench/``;
+* a code span or code block in README.md, DESIGN.md or EXPERIMENTS.md;
+* a ``[project.scripts]`` target in ``pyproject.toml``;
+* a class or function registered as an audit rule by decorator;
+* module-level statements of ``src/repro`` that are not definitions;
+* and, transitively, the body of any ``src/repro`` definition that is
+  itself reached.
+
+References are matched by name: a ``Name``, an ``Attribute``'s attribute,
+or an identifier-shaped string constant (``"repro.units.bps_to_mbps"``,
+``"build_scenario"``), which is how perfbench and the lint tables point at
+code.  Imports, ``__all__`` entries and docstrings are not references, so
+a package ``__init__`` re-export alone keeps nothing alive.  Tests are not
+users either: a symbol only tests reach belongs under ``tests/``.
+"""
+
+from __future__ import annotations
+
+import ast
+import functools
+import re
+from pathlib import Path
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
+
+import repro
+
+PACKAGE_ROOT = Path(repro.__file__).parent
+REPO_ROOT = PACKAGE_ROOT.parent.parent
+USER_DIRS = ("examples", "benchmarks", "perfbench")
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+RULE_DECORATORS = {"register", "register_project"}
+
+#: Symbols kept without a user, each with its reason.
+EXEMPT: Dict[str, str] = {
+    "repro.analysis.lindley.lindley_waits_loop":
+        "the loop reference test_lindley checks lindley_waits against",
+    "repro.queueing.mdk1.md1_mean_wait":
+        "the M/D/1 oracle of test_md1_wait_matches_simulated_link",
+}
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:[.:][A-Za-z_][A-Za-z0-9_]*)*")
+_CODE = re.compile(r"```.*?```|`[^`\n]+`", re.DOTALL)
+_SCRIPT = re.compile(r"\"(repro[\w.]*):(\w+)\"")
+
+Definition = Tuple[str, str]  # (module, symbol)
+
+
+def _module_name(path: Path) -> str:
+    parts = list(path.relative_to(PACKAGE_ROOT.parent).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _names(node: ast.AST) -> Iterator[str]:
+    """Every name ``node`` refers to, imports and docstrings excluded."""
+    docstrings = {id(stmt.value) for stmt in ast.walk(node)
+                  if isinstance(stmt, ast.Expr)
+                  and isinstance(stmt.value, ast.Constant)}
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif (isinstance(child, ast.Constant) and isinstance(child.value, str)
+              and id(child) not in docstrings
+              and _DOTTED.fullmatch(child.value)):
+            yield from re.split(r"[.:]", child.value)
+
+
+def _defined_names(stmt: ast.stmt) -> List[str]:
+    """The top-level names ``stmt`` defines, or [] for any other statement."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets: List[ast.expr] = []
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    if targets and all(isinstance(t, ast.Name) for t in targets):
+        return [t.id for t in targets]  # type: ignore[attr-defined]
+    return []
+
+
+def _is_registered_rule(stmt: ast.stmt) -> bool:
+    decorators = getattr(stmt, "decorator_list", [])
+    return any(isinstance(d, ast.Name) and d.id in RULE_DECORATORS
+               for d in decorators)
+
+
+@functools.lru_cache(maxsize=None)
+def scan() -> Tuple[Set[Definition], Set[Definition]]:
+    """Return ``(public, reached)`` definitions of ``src/repro``."""
+    bodies: Dict[str, List[Tuple[Definition, ast.stmt]]] = {}
+    roots: List[ast.AST] = []
+    root_names: Set[str] = set()
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        module = _module_name(path)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            names = _defined_names(stmt)
+            if names == ["__all__"]:
+                continue
+            if not names:
+                roots.append(stmt)
+            elif _is_registered_rule(stmt):
+                root_names.update(names)
+            for name in names:
+                bodies.setdefault(name, []).append(((module, name), stmt))
+    for directory in USER_DIRS:
+        for path in sorted((REPO_ROOT / directory).rglob("*.py")):
+            roots.append(ast.parse(path.read_text(encoding="utf-8")))
+    for doc in DOCS:
+        for span in _CODE.findall((REPO_ROOT / doc).read_text(encoding="utf-8")):
+            root_names.update(_IDENTIFIER.findall(span))
+    pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    root_names.update(name for _, name in _SCRIPT.findall(pyproject))
+
+    reached: Set[Definition] = set()
+    seen: Set[str] = set()
+    pending = list(root_names)
+    for node in roots:
+        pending.extend(_names(node))
+    while pending:
+        name = pending.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for definition, stmt in bodies.get(name, ()):
+            reached.add(definition)
+            pending.extend(_names(stmt))
+    public = {definition for entries in bodies.values()
+              for definition, _ in entries
+              if not definition[1].startswith("_")}
+    return public, reached
+
+
+def _dotted(definitions: Iterable[Definition]) -> List[str]:
+    return sorted(f"{module}.{name}" for module, name in definitions)
+
+
+def test_every_public_symbol_has_a_user():
+    public, reached = scan()
+    unused = [name for name in _dotted(public - reached) if name not in EXEMPT]
+    assert not unused, (
+        "public symbols no user reaches (delete them, move them under "
+        "tests/, or add them to EXEMPT with a reason):\n  "
+        + "\n  ".join(unused))
+
+
+def test_every_exemption_is_still_needed():
+    public, reached = scan()
+    unused = set(_dotted(public - reached))
+    stale = sorted(name for name in EXEMPT if name not in unused)
+    assert not stale, f"EXEMPT entries that exist and have a user, or are " \
+                      f"gone: {stale}"

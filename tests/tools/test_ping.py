@@ -5,7 +5,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.net.faults import RandomDropFault
 from repro.tools.ping import ping
-from repro.topology.presets import build_single_bottleneck
+
+from tests.topology.single_bottleneck import build_single_bottleneck
 
 
 class TestPing:

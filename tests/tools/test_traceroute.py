@@ -9,7 +9,8 @@ from repro.tools.traceroute import (
     traceroute,
 )
 from repro.topology.inria_umd import TABLE1_ROUTE, build_inria_umd
-from repro.topology.presets import build_single_bottleneck
+
+from tests.topology.single_bottleneck import build_single_bottleneck
 
 
 class TestTraceroute:

@@ -8,9 +8,10 @@ from repro.topology.inria_umd import (
     TABLE1_ROUTE,
     build_inria_umd,
 )
-from repro.topology.presets import build_single_bottleneck
 from repro.topology.umd_pitt import TABLE2_ROUTE, build_umd_pitt
 from repro.units import kbps
+
+from tests.topology.single_bottleneck import build_single_bottleneck
 
 
 class TestInriaUmd:

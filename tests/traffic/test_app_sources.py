@@ -14,7 +14,6 @@ from repro.traffic.sizes import (
     EmpiricalSize,
     FixedSize,
     FTP_PAYLOAD_BYTES,
-    ftp_sizes,
     telnet_sizes,
 )
 from repro.traffic.telnet import TelnetSource
@@ -155,11 +154,11 @@ class TestSizes:
 
     def test_fixed_consumes_no_draw(self, rng):
         state = rng.bit_generator.state
-        assert ftp_sizes().sample(rng) == FTP_PAYLOAD_BYTES
+        assert FixedSize(FTP_PAYLOAD_BYTES).sample(rng) == FTP_PAYLOAD_BYTES
         assert rng.bit_generator.state == state
 
     def test_presets(self, rng):
-        assert ftp_sizes().mean() == FTP_PAYLOAD_BYTES
+        assert FixedSize(FTP_PAYLOAD_BYTES).mean() == FTP_PAYLOAD_BYTES
         assert 1 <= telnet_sizes().mean() <= 64
 
 
