@@ -43,13 +43,6 @@ class ConstantPlusGammaFit:
         """Variance of the fitted distribution."""
         return self.shape * self.scale ** 2
 
-    def quantile(self, q: float) -> float:
-        """Inverse CDF of the fitted model (used to size playback buffers)."""
-        from scipy import stats  # scipy loads only when called
-
-        return self.constant + float(
-            stats.gamma.ppf(q, self.shape, scale=self.scale))
-
 
 def fit_constant_plus_gamma(trace: ProbeTrace,
                             constant: Optional[float] = None,

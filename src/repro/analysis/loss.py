@@ -34,10 +34,6 @@ class LossStats:
     #: Number of lost probes.
     losses: int
 
-    def is_bursty(self, margin: float = 0.05) -> bool:
-        """True if losses are positively correlated (clp > ulp + margin)."""
-        return self.clp > self.ulp + margin
-
 
 def loss_stats(trace: ProbeTrace) -> LossStats:
     """Compute ulp, clp, and plg for a trace."""

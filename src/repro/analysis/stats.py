@@ -31,10 +31,6 @@ class ConfidenceInterval:
         """Interval width, high − low."""
         return self.high - self.low
 
-    def contains(self, value: float) -> bool:
-        """True if ``value`` lies inside the interval."""
-        return self.low <= value <= self.high
-
     def __str__(self) -> str:
         return (f"{self.estimate:.4g} "
                 f"[{self.low:.4g}, {self.high:.4g}]@{self.confidence:.0%}")

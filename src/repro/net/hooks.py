@@ -11,9 +11,9 @@ simulator honest (see DESIGN.md, "observers never perturb the simulation"):
   mutate packets or component state;
 * a disabled hook costs at most one ``is not None`` check on the hot path —
   and components may do better: :class:`~repro.net.queue.DropTailQueue`
-  rebinds its ``enqueue`` method when ``lifecycle`` is assigned, so the
-  untraced enqueue path carries no hook check at all (the *no-hooks fast
-  path*).  Any component using that pattern must keep the fast and hooked
+  rebinds its ``enqueue`` and ``pass_through`` methods when ``lifecycle``
+  is assigned, so the untraced enqueue path carries no hook check at all
+  (the *no-hooks fast path*).  Any component using that pattern must keep the fast and hooked
   implementations byte-equivalent in simulated behavior: attaching an
   observer may never change drop decisions, occupancy accounting, or event
   timing (``tests/obs/test_determinism.py`` pins this);

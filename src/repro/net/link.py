@@ -115,18 +115,15 @@ class Interface:
                 return False
         if self._busy:
             return self.queue.enqueue(packet)
-        # Transmitter idle: the packet still passes through the queue's
-        # accounting so arrival/occupancy statistics cover every packet.
-        if not self.queue.enqueue(packet):
+        # Transmitter idle, so the queue is empty: the packet crosses it in
+        # one call that keeps the arrival/occupancy statistics exact.
+        if not self.queue.pass_through(packet):
             return False
-        self._start_next()
+        self._start_transmission(packet)
         return True
 
-    def _start_next(self) -> None:
-        """Begin transmitting the head-of-line packet (transmitter idle)."""
-        packet = self.queue.dequeue()
-        if packet is None:
-            return
+    def _start_transmission(self, packet: Packet) -> None:
+        """Begin serializing ``packet`` (the transmitter was idle)."""
         sim = self._sim
         now = sim.now
         self._busy = True
@@ -155,8 +152,9 @@ class Interface:
         self._busy = False
         if self.lifecycle is not None:
             self.lifecycle.on_tx_done(self, packet)
-        if self.queue._packets:
-            self._start_next()
+        queue = self.queue
+        if queue._packets:
+            self._start_transmission(queue.dequeue())
 
     def _deliver(self) -> None:
         packet = self._inflight.popleft()

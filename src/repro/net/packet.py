@@ -77,6 +77,10 @@ class Packet:
         One of the ``KIND_*`` constants; selects the local delivery path.
     size_bytes:
         Wire size, including all protocol overhead.
+    size_bits:
+        Wire size in bits, computed once at construction (links read it
+        at every hop).  ``size_bytes`` is never reassigned after a packet
+        is built, so the two stay consistent.
     ttl:
         Remaining hop budget; routers decrement it and emit ICMP
         time-exceeded when it reaches zero.
@@ -98,9 +102,9 @@ class Packet:
         given explicitly).
     """
 
-    __slots__ = ("src", "dst", "kind", "size_bytes", "ttl", "src_port",
-                 "dst_port", "payload", "created_at", "hops", "context",
-                 "record", "uid")
+    __slots__ = ("src", "dst", "kind", "size_bytes", "size_bits", "ttl",
+                 "src_port", "dst_port", "payload", "created_at", "hops",
+                 "context", "record", "uid")
 
     def __init__(self, src: str, dst: str, kind: str = KIND_UDP,
                  size_bytes: int = UDP_WIRE_OVERHEAD_BYTES,
@@ -115,6 +119,7 @@ class Packet:
         self.dst = dst
         self.kind = kind
         self.size_bytes = size_bytes
+        self.size_bits = size_bytes * BITS_PER_BYTE
         self.ttl = ttl
         self.src_port = src_port
         self.dst_port = dst_port
@@ -124,11 +129,6 @@ class Packet:
         self.context = context
         self.record = record
         self.uid = next(_uid_counter) if uid is None else uid
-
-    @property
-    def size_bits(self) -> int:
-        """Wire size in bits."""
-        return self.size_bytes * BITS_PER_BYTE
 
     @property
     def is_icmp(self) -> bool:

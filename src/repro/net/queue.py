@@ -9,7 +9,9 @@ is how the network substrate is validated (e.g. that a queue's
 time-averaged occupancy matches M/D/1 theory) and what the manifest's
 queue statistics report.  Every enqueue and dequeue of the event engine
 passes through here, so the integration is inline: one clock read and one
-span per change, feeding both integrals.
+span per change, feeding both integrals.  A packet that finds its
+transmitter idle crosses the empty queue in one call,
+:meth:`DropTailQueue.pass_through`, instead of an enqueue and a dequeue.
 """
 
 from __future__ import annotations
@@ -64,8 +66,9 @@ class DropTailQueue:
         self._packet_seconds = 0.0
         self._byte_seconds = 0.0
         self._max_packets = 0
-        # Sets the lifecycle property, which binds self.enqueue to the
-        # no-hooks fast path until an observer is attached.
+        # Sets the lifecycle property, which binds self.enqueue and
+        # self.pass_through to the no-hooks fast paths until an observer
+        # is attached.
         self.lifecycle = None
 
     # ------------------------------------------------------------------
@@ -81,19 +84,24 @@ class DropTailQueue:
     def lifecycle(self) -> Optional[LifecycleObserver]:
         """Optional packet-lifecycle observer (see repro.net.hooks).
 
-        Assigning an observer swaps ``self.enqueue`` to the hooked
-        implementation; assigning ``None`` restores the no-hooks fast path,
-        so the common untraced case pays zero per-packet hook checks on the
-        enqueue step.  Both implementations do identical queue accounting —
-        attaching an observer never changes drop decisions or occupancy.
+        Assigning an observer swaps ``self.enqueue`` and
+        ``self.pass_through`` to the hooked implementations; assigning
+        ``None`` restores the no-hooks fast paths, so the common untraced
+        case pays zero per-packet hook checks on the enqueue step.  Both
+        implementations do identical queue accounting — attaching an
+        observer never changes drop decisions or occupancy.
         """
         return self._lifecycle
 
     @lifecycle.setter
     def lifecycle(self, observer: Optional[LifecycleObserver]) -> None:
         self._lifecycle = observer
-        self.enqueue = (self._enqueue_fast if observer is None
-                        else self._enqueue_hooked)
+        if observer is None:
+            self.enqueue = self._enqueue_fast
+            self.pass_through = self._pass_through_fast
+        else:
+            self.enqueue = self._enqueue_hooked
+            self.pass_through = self._pass_through_hooked
 
     def _enqueue_fast(self, packet: Packet) -> bool:
         """``enqueue`` with no lifecycle observer attached."""
@@ -125,6 +133,48 @@ class DropTailQueue:
         introspection and subclasses that bypass ``__init__``.
         """
         return self._enqueue_fast(packet)
+
+    def _pass_through_fast(self, packet: Packet) -> bool:
+        """``pass_through`` with no lifecycle observer attached.
+
+        The accounting of an enqueue and a dequeue of ``packet`` at one
+        instant into an empty queue, without the deque traffic.  Both
+        ``_integrate`` calls that pair makes would add only +0.0 to the
+        integrals (an empty queue holds 0 packets and 0 bytes over the
+        span since the last change, and the packet is held for a span of
+        0.0), and adding +0.0 leaves a non-negative float unchanged, so
+        only ``_last_change`` moves.
+        """
+        self.arrivals += 1
+        # _occupancy_after on an empty queue: a packet-mode buffer always
+        # has room, a byte-mode one drops a packet larger than the buffer.
+        if (packet.size_bytes if self.mode == MODE_BYTES else 1) \
+                > self.capacity:
+            self.drops += 1
+            return False
+        self._last_change = self._sim.now
+        if not self._max_packets:
+            self._max_packets = 1
+        self.departures += 1
+        return True
+
+    def _pass_through_hooked(self, packet: Packet) -> bool:
+        """``pass_through`` while a lifecycle observer is attached."""
+        if not self._enqueue_hooked(packet):
+            return False
+        self.dequeue()
+        return True
+
+    def pass_through(self, packet: Packet) -> bool:
+        """Admit ``packet`` into an empty queue and hand it straight out.
+
+        The caller's transmitter is idle, so the queue is empty and the
+        packet leaves the instant it arrives.  Returns False (and counts a
+        drop) when it does not fit.  Rebound per instance by the
+        ``lifecycle`` setter, like :meth:`enqueue`: the hooked variant is
+        a plain enqueue then dequeue, so observers see the same milestones.
+        """
+        return self._pass_through_fast(packet)
 
     def dequeue(self) -> Optional[Packet]:
         """Pop the head-of-line packet, or None if empty."""

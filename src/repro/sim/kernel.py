@@ -13,7 +13,8 @@ The run loop is the single hottest function in the repository.  It pops the
 next live entry straight off the queue's heap (one traversal: peek at the
 head, skip it if cancelled, stop at ``until``, else pop) with the heap and
 ``heappop`` bound to locals; per-event work is limited to the cancelled-skip,
-the ``until`` bound check, the clock store, the counter bump, and the
+the ``until`` bound check, the clock store (``now`` is a plain attribute,
+so components read it without a property call), the counter bump, and the
 callback itself.  Heap entries are ``(time, priority, sequence, event)``
 tuples, so every sift compares them in C (see :mod:`repro.sim.events`).
 Both invariants the rest of the tree leans on are preserved: same seed ⇒
@@ -79,7 +80,11 @@ class Simulator:
 
     def __init__(self, seed: int = 0) -> None:
         self._queue = EventQueue()
-        self._now = 0.0
+        #: Current simulation time in seconds.  A plain attribute, not a
+        #: property: components read it on every packet, and only the run
+        #: loop writes it (lint rule SIM001 flags a store from outside
+        #: ``repro.sim``).
+        self.now = 0.0
         self._running = False
         self._stopped = False
         self._events_executed = 0
@@ -91,13 +96,8 @@ class Simulator:
         reset_packet_uids()
 
     # ------------------------------------------------------------------
-    # Clock
+    # Diagnostics
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
     @property
     def events_executed(self) -> int:
         """Number of events executed so far (diagnostics, ablations).
@@ -147,14 +147,14 @@ class Simulator:
         """
         # One chained comparison covers all three rejects: a NaN fails both
         # sides, +inf fails the right, and -inf / the past fail the left.
-        if not self._now <= time < _INF:
+        if not self.now <= time < _INF:
             if time != time or time in (_INF, -_INF):
                 raise SchedulingError(
                     f"cannot schedule {label or action!r} at non-finite "
                     f"t={time!r}")
             raise SchedulingError(
                 f"cannot schedule {label or action!r} at t={time:.6f}; "
-                f"clock is already at t={self._now:.6f}")
+                f"clock is already at t={self.now:.6f}")
         # The heap push, inlined down to the allocation: scheduling
         # happens once per event, so a helper's and Event.__init__'s call
         # frames are both measurable (see DESIGN.md, "Hot path").  The
@@ -192,7 +192,7 @@ class Simulator:
                 f"{delay:.6f}")
         # The heap push, inlined down to the allocation (see call_at).
         queue = self._queue
-        time = self._now + delay
+        time = self.now + delay
         sequence = next(queue._counter)
         event = _new_event(Event)
         event.time = time
@@ -250,7 +250,7 @@ class Simulator:
                     break
                 pop(heap)
                 event._owner = None
-                self._now = time
+                self.now = time
                 executed += 1
                 if observer is None:
                     event.action()
@@ -264,8 +264,8 @@ class Simulator:
                                       perf_counter() - started)  # repro: noqa[FLOW001]
                 if self._stopped:
                     break
-            if until is not None and self._now < until and not self._stopped:
-                self._now = until
+            if until is not None and self.now < until and not self._stopped:
+                self.now = until
         finally:
             self._events_executed += executed
             queue._live -= executed

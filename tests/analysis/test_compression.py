@@ -1,6 +1,5 @@
 """Tests for probe-compression episode detection."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.compression import detect_compression

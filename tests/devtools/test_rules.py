@@ -192,8 +192,39 @@ class TestSIM001KernelPrivateAccess:
     def test_foreign_now_access_flagged(self):
         assert "SIM001" in rules_hit("""\
             def rewind(sim):
-                sim._now = 0.0
+                sim.now = 0.0
         """)
+
+    def test_foreign_clock_augmented_store_and_delete_flagged(self):
+        assert "SIM001" in rules_hit("""\
+            def skip(sim, seconds):
+                sim.now += seconds
+        """)
+        assert "SIM001" in rules_hit("""\
+            def forget(sim):
+                del sim.now
+        """)
+
+    def test_clock_read_clean(self):
+        assert "SIM001" not in rules_hit("""\
+            def stamp(sim, packet):
+                packet.created_at = sim.now
+                return sim.now + 1.0
+        """)
+
+    def test_own_clock_store_clean(self):
+        assert "SIM001" not in rules_hit("""\
+            class FakeSim:
+                def __init__(self):
+                    self.now = 0.0
+
+                def advance(self, seconds):
+                    self.now += seconds
+        """)
+
+    def test_clock_store_inside_kernel_exempt(self):
+        source = "def rewind(sim):\n    sim.now = 0.0\n"
+        assert audit_source(source, path="src/repro/sim/kernel.py") == []
 
     def test_foreign_heap_access_flagged(self):
         assert "SIM001" in rules_hit("""\

@@ -5,8 +5,6 @@ function runs with a reduced sample count and must produce a structurally
 complete result (rows, rendering) with the cheap checks passing.
 """
 
-import pytest
-
 from repro.experiments import figures
 
 

@@ -1,6 +1,6 @@
 """Tests for report generation."""
 
-from repro.experiments.figures import ComparisonRow, FigureResult
+from repro.experiments.figures import FigureResult
 from repro.experiments.report import as_markdown, as_text
 
 

@@ -1,6 +1,5 @@
 """Network-wide packet conservation: nothing is silently created or lost."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis.compression import detect_compression
 from repro.analysis.loss import loss_stats
-from repro.analysis.phase import estimate_bottleneck_mu, phase_points
+from repro.analysis.phase import estimate_bottleneck_mu
 from repro.analysis.workload import probe_gap_samples
 from repro.netdyn.session import run_probe_experiment
 from repro.queueing.batchmodel import (

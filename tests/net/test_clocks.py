@@ -8,7 +8,6 @@ from repro.net.clocks import (
     PerfectClock,
     QuantizedClock,
 )
-from repro.sim import Simulator
 
 
 class TestPerfectClock:

@@ -12,7 +12,6 @@ from repro.net.faults import (
 )
 from repro.net.packet import Packet
 from repro.net.routing import Network
-from repro.sim import Simulator
 from repro.units import mbps
 
 

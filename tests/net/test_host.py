@@ -6,7 +6,6 @@ from repro.errors import PortInUseError
 from repro.net.clocks import QuantizedClock
 from repro.net.packet import KIND_ICMP_PORT_UNREACHABLE
 from repro.net.routing import Network
-from repro.sim import Simulator
 from repro.units import mbps
 
 

@@ -9,7 +9,6 @@ from repro.net.node import Node
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
 from repro.net.routing import Network
-from repro.sim import Simulator
 
 
 def make_link(sim, rate_bps=8000.0, prop_delay=0.0, capacity=16):

@@ -11,7 +11,6 @@ from repro.net.packet import (
 )
 from repro.net import icmp
 from repro.net.routing import Network
-from repro.sim import Simulator
 from repro.units import mbps
 
 

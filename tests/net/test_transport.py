@@ -6,7 +6,6 @@ from repro.errors import ConfigurationError
 from repro.net.faults import RandomDropFault
 from repro.net.routing import Network
 from repro.net.transport import (
-    MiniTcpReceiver,
     MiniTcpSender,
     start_transfer,
 )

@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.netdyn.live import EchoServerProtocol, probe, serve_echo
+from repro.netdyn.live import probe, serve_echo
 
 #: Loopback port range for these tests; chosen to avoid common services.
 BASE_PORT = 15201

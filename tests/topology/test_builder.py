@@ -6,7 +6,6 @@ from repro.errors import ConfigurationError
 from repro.net.clocks import QuantizedClock
 from repro.net.host import Host
 from repro.net.node import Node
-from repro.sim import Simulator
 from repro.topology.builder import LinkSpec, build_path
 from repro.units import mbps, ms
 

@@ -1,7 +1,5 @@
 """Tests for the NSFNET backbone mesh."""
 
-import pytest
-
 from repro.netdyn.session import run_probe_experiment
 from repro.tools.ping import ping
 from repro.tools.traceroute import route_names, traceroute

@@ -4,7 +4,6 @@ import pytest
 
 from repro.netdyn.session import run_probe_experiment
 from repro.topology.inria_umd import (
-    BOTTLENECK_RATE_BPS,
     TABLE1_ROUTE,
     build_inria_umd,
 )

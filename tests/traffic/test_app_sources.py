@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.net.packet import UDP_WIRE_OVERHEAD_BYTES
 from repro.net.routing import Network
-from repro.sim import Simulator
 from repro.traffic.base import TrafficSink
 from repro.traffic.ftp import FtpSource
 from repro.traffic.mix import attach_internet_mix

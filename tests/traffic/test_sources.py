@@ -5,8 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.net.routing import Network
-from repro.sim import Simulator
-from repro.traffic.base import TrafficSink, TrafficSource
+from repro.traffic.base import TrafficSink
 from repro.traffic.poisson import PoissonSource
 from repro.traffic.sizes import FixedSize
 from repro.units import mbps

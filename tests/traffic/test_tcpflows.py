@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.net.routing import Network
-from repro.sim import Simulator
 from repro.traffic.tcpflows import ResponsiveBulkSource
 from repro.units import kbps, mbps, ms
 
