@@ -123,8 +123,7 @@ def _emit_observability(args: argparse.Namespace, config: ExperimentConfig,
 
     from repro.obs import (
         write_chrome_trace,
-        write_events_jsonl,
-        write_hops_jsonl,
+        write_jsonl,
         write_manifest,
     )
 
@@ -140,10 +139,10 @@ def _emit_observability(args: argparse.Namespace, config: ExperimentConfig,
                   f"({len(obs.kernel)} events, "
                   f"{len(obs.lifecycle.records)} hops)")
         else:
-            write_events_jsonl(obs.kernel.records, path)
+            write_jsonl(obs.kernel.records, path)
             hops_path = path.with_name(
                 path.stem + "_hops" + (path.suffix or ".jsonl"))
-            write_hops_jsonl(obs.lifecycle.records, hops_path)
+            write_jsonl(obs.lifecycle.records, hops_path)
             print(f"kernel trace written to {path} "
                   f"({len(obs.kernel)} events)")
             print(f"packet hops written to {hops_path} "

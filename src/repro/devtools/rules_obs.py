@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import PurePath
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, Tuple
 
 from repro.devtools.callgraph import CallGraph
 from repro.devtools.core import (
@@ -34,7 +34,7 @@ from repro.devtools.core import (
     register,
     register_project,
 )
-from repro.devtools.symbols import Project
+from repro.devtools.symbols import Project, statement_module_names
 
 
 @register
@@ -86,32 +86,6 @@ def _is_telemetry(module_name: str) -> bool:
                for banned in TELEMETRY_MODULES)
 
 
-def _absolute_module(node: ast.ImportFrom, importer: str) -> str:
-    """Absolute module path of a (possibly relative) ``from`` import."""
-    if not node.level:
-        return node.module or ""
-    parts = importer.split(".")
-    base = parts[:len(parts) - node.level]
-    if node.module:
-        base.append(node.module)
-    return ".".join(base)
-
-
-def _imported_modules(node: ast.AST, importer: str) -> List[str]:
-    """Module names an import statement brings into scope.
-
-    For ``from pkg import name`` both ``pkg`` and ``pkg.name`` are
-    candidates — ``name`` may be a submodule (``from repro.obs import
-    spans``), which only the caller's module index can tell apart.
-    """
-    if isinstance(node, ast.Import):
-        return [alias.name for alias in node.names]
-    if isinstance(node, ast.ImportFrom):
-        base = _absolute_module(node, importer)
-        return [base] + [f"{base}.{alias.name}" for alias in node.names]
-    return []
-
-
 @register_project
 class KernelTelemetryImportRule(ProjectRule):
     """OBS002: telemetry modules must stay off the simulator call graph."""
@@ -143,7 +117,8 @@ class KernelTelemetryImportRule(ProjectRule):
                 continue
             via = " -> ".join(reach.chain(first_unit[module_name]))
             for node in ast.walk(module.context.tree):
-                for target in _imported_modules(node, module_name):
+                for target in statement_module_names(
+                        node, module_name, module.is_package):
                     if not _is_telemetry(target) \
                             or target not in project.modules:
                         continue

@@ -59,37 +59,43 @@ def module_name_for_path(path: Union[str, Path]) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
+def statement_module_names(node: ast.AST, module_name: str,
+                           is_package: bool) -> List[str]:
+    """Module names one import statement in ``module_name`` brings in.
+
+    For ``from pkg import name`` both ``pkg`` and ``pkg.name`` are
+    candidates — ``name`` may be a submodule; non-module names are
+    filtered out later by intersecting with the project's module table.
+    Any other statement brings in nothing.
+    """
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    if node.level == 0:
+        base = node.module or ""
+    else:
+        # Relative import: level 1 is the containing package (a package
+        # __init__ contains itself), each extra level walks one package up.
+        parts = module_name.split(".")
+        package_parts = parts if is_package else parts[:-1]
+        prefix = package_parts[:len(package_parts) - (node.level - 1)]
+        base = ".".join(prefix + ([node.module] if node.module else []))
+    if not base:
+        return []
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
 def _imported_module_names(tree: ast.AST, module_name: str,
                            is_package: bool) -> Set[str]:
     """Every module name statically imported anywhere in ``tree``.
 
     Conservative on purpose: function-local and ``TYPE_CHECKING`` imports
-    are included (they over-approximate what can execute), and for
-    ``from pkg import name`` both ``pkg`` and ``pkg.name`` are recorded —
-    ``name`` may be a submodule; non-module names are filtered out later
-    by intersecting with the project's module table.
+    are included (they over-approximate what can execute).
     """
     names: Set[str] = set()
-    parts = module_name.split(".")
-    package_parts = parts if is_package else parts[:-1]
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                names.add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                base = node.module or ""
-            else:
-                # Relative import: level 1 is the containing package,
-                # each extra level walks one package up.
-                prefix = package_parts[:len(package_parts)
-                                       - (node.level - 1)]
-                base = ".".join(prefix + ([node.module] if node.module
-                                          else []))
-            if base:
-                names.add(base)
-                for alias in node.names:
-                    names.add(f"{base}.{alias.name}")
+        names.update(statement_module_names(node, module_name, is_package))
     return names
 
 
@@ -133,6 +139,11 @@ class ModuleInfo:
     #: Module names this module statically imports (project and external).
     imported_modules: Set[str] = field(default_factory=set)
 
+    @property
+    def is_package(self) -> bool:
+        """True for a package's ``__init__`` module."""
+        return Path(self.path).name == "__init__.py"
+
 
 class Project:
     """Symbol table and import resolver over a set of parsed modules."""
@@ -153,12 +164,10 @@ class Project:
             name = module_name_for_path(ctx.path)
             if name is None or name in project.modules:
                 continue
-            is_package = Path(ctx.path).name == "__init__.py"
-            info = ModuleInfo(
-                name=name, path=ctx.path, context=ctx,
-                imports=ImportMap.from_tree(ctx.tree),
-                imported_modules=_imported_module_names(
-                    ctx.tree, name, is_package))
+            info = ModuleInfo(name=name, path=ctx.path, context=ctx,
+                              imports=ImportMap.from_tree(ctx.tree))
+            info.imported_modules = _imported_module_names(
+                ctx.tree, name, info.is_package)
             project.modules[name] = info
         for info in sorted(project.modules.values(), key=lambda m: m.name):
             project._index_module(info)

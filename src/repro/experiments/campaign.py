@@ -63,7 +63,7 @@ from repro.experiments.pool import WarmWorkerPool, plan_leases, \
     serve_leases
 from repro.experiments.runner import execute_experiment
 from repro.netdyn.trace import ProbeTrace
-from repro.obs.export import write_chrome_trace, write_spans_jsonl
+from repro.obs.export import write_chrome_trace, write_jsonl
 from repro.obs.manifest import write_manifest, write_timing
 from repro.obs.progress import ProgressLike, resolve_progress
 from repro.obs.spans import (
@@ -553,7 +553,7 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
     if span_dir is not None and tracer is not None:
         merged = merge_spans(list(tracer.records) + worker_records,
                              grid_keys)
-        write_spans_jsonl(merged, span_dir / MERGED_SPAN_FILE)
+        write_jsonl(merged, span_dir / MERGED_SPAN_FILE)
         write_chrome_trace(span_dir / CHROME_SPAN_FILE, spans=merged)
         span_summary = summarize_spans(merged)
 

@@ -151,8 +151,6 @@ def _walk_direction(scenario: PathScenario, path: Sequence[str],
     for a, interface in zip(path[:-1], interfaces):
         if interface.lifecycle is not None:
             reasons.append(f"lifecycle hook on interface {interface.name}")
-        if interface.queue.lifecycle is not None:
-            reasons.append(f"lifecycle hook on queue of {interface.name}")
         on_bottleneck = (interface is scenario.bottleneck_fwd
                          or interface is scenario.bottleneck_rev)
         for fault in (list(interface.egress_faults)
@@ -244,8 +242,7 @@ def _path_model(scenario: PathScenario,
                     if interface is not bottleneck:
                         reasons.append(
                             f"fault on mix interface {interface.name}")
-                if interface.lifecycle is not None \
-                        or interface.queue.lifecycle is not None:
+                if interface.lifecycle is not None:
                     reasons.append(
                         f"lifecycle hook on mix interface {interface.name}")
         if len(set(access_ids)) > 1:

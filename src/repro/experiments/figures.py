@@ -21,6 +21,7 @@ from repro.analysis.phase import (
     phase_points,
 )
 from repro.analysis.workload import (
+    WorkloadDistribution,
     classify_peaks,
     find_peaks,
     workload_distribution,
@@ -81,43 +82,39 @@ class FigureResult:
 # ----------------------------------------------------------------------
 # Tables 1 and 2: routes
 # ----------------------------------------------------------------------
-def table1(seed: int = 1) -> FigureResult:
-    """Table 1: the traceroute route INRIA -> UMd."""
-    config = ExperimentConfig(delta=0.05, seed=seed,
-                              scenario_kwargs={"utilization_fwd": 0.0,
-                                               "utilization_rev": 0.0,
-                                               "fault_drop_prob": 0.0})
-    scenario = build_scenario(config)
-    hops = traceroute(scenario.network, scenario.source, scenario.echo)
-    observed = [scenario.source] + route_names(hops)
-    expected = list(TABLE1_ROUTE)
-    result = FigureResult(
-        "Table 1", "Route between INRIA and UMd (July 1992)")
-    result.add("route (10 entries)", " / ".join(expected[:3]) + " ...",
-               " / ".join(observed[:3]) + " ...",
+def _route_table(table_id: str, description: str, scenario: str,
+                 scenario_kwargs: dict, expected: list[str], shown: int,
+                 seed: int) -> FigureResult:
+    """Traceroute an idle calibrated scenario and compare the route."""
+    config = ExperimentConfig(delta=0.05, seed=seed, scenario=scenario,
+                              scenario_kwargs=scenario_kwargs)
+    built = build_scenario(config)
+    hops = traceroute(built.network, built.source, built.echo)
+    observed = [built.source] + route_names(hops)
+    result = FigureResult(table_id, description)
+    result.add(f"route ({len(expected)} entries)",
+               " / ".join(expected[:shown]) + " ...",
+               " / ".join(observed[:shown]) + " ...",
                observed[:len(expected)] == expected)
     result.rendering = "\n".join(
         f"{i + 1:3d}  {name}" for i, name in enumerate(observed))
     return result
+
+
+def table1(seed: int = 1) -> FigureResult:
+    """Table 1: the traceroute route INRIA -> UMd."""
+    return _route_table(
+        "Table 1", "Route between INRIA and UMd (July 1992)", "inria-umd",
+        {"utilization_fwd": 0.0, "utilization_rev": 0.0,
+         "fault_drop_prob": 0.0}, list(TABLE1_ROUTE), 3, seed)
 
 
 def table2(seed: int = 1) -> FigureResult:
     """Table 2: the traceroute route UMd -> Pittsburgh."""
-    config = ExperimentConfig(delta=0.05, seed=seed, scenario="umd-pitt",
-                              scenario_kwargs={"utilization_fwd": 0.0,
-                                               "utilization_rev": 0.0})
-    scenario = build_scenario(config)
-    hops = traceroute(scenario.network, scenario.source, scenario.echo)
-    observed = [scenario.source] + route_names(hops)
-    expected = list(TABLE2_ROUTE)
-    result = FigureResult(
-        "Table 2", "Route between UMd and Pittsburgh (May 1993)")
-    result.add("route (14 entries)", " / ".join(expected[:2]) + " ...",
-               " / ".join(observed[:2]) + " ...",
-               observed[:len(expected)] == expected)
-    result.rendering = "\n".join(
-        f"{i + 1:3d}  {name}" for i, name in enumerate(observed))
-    return result
+    return _route_table(
+        "Table 2", "Route between UMd and Pittsburgh (May 1993)", "umd-pitt",
+        {"utilization_fwd": 0.0, "utilization_rev": 0.0},
+        list(TABLE2_ROUTE), 2, seed)
 
 
 # ----------------------------------------------------------------------
@@ -258,8 +255,25 @@ def _workload_bin_width(trace: ProbeTrace) -> float:
     return max(2e-3, resolution)
 
 
+def _distribution(trace: ProbeTrace) -> WorkloadDistribution:
+    """The workload distribution of an INRIA-UMd trace (Figures 8/9)."""
+    return workload_distribution(trace, mu=INRIA_MU,
+                                 bin_width=_workload_bin_width(trace))
+
+
+def _classified_peaks(trace: ProbeTrace, dist: WorkloadDistribution,
+                      delta: float, min_height_fraction: float) -> dict:
+    """The peaks of ``dist`` (of ``trace``), classified by what made them."""
+    peaks = find_peaks(dist, min_height_fraction=min_height_fraction)
+    return classify_peaks(peaks, delta=delta, mu=INRIA_MU,
+                          probe_bits=bytes_to_bits(trace.wire_bytes),
+                          tolerance=max(4e-3, _workload_bin_width(trace)))
+
+
 def _workload_figure(figure_id: str, delta: float, seed: int,
-                     duration: float) -> tuple[FigureResult, ProbeTrace]:
+                     duration: float,
+                     ) -> tuple[FigureResult, WorkloadDistribution]:
+    """Run, render and check one workload figure; returns its distribution."""
     config = ExperimentConfig(delta=delta, duration=duration, seed=seed)
     trace = run_experiment(config)
     result = FigureResult(
@@ -267,23 +281,19 @@ def _workload_figure(figure_id: str, delta: float, seed: int,
         f"Distribution of w_n+1 - w_n + delta, "
         f"delta = {seconds_to_ms(delta):g} ms")
     result.trace = trace
-    dist = workload_distribution(trace, mu=INRIA_MU,
-                                 bin_width=_workload_bin_width(trace))
+    dist = _distribution(trace)
     result.rendering = ascii_plots.histogram(
         dist.counts, seconds_to_ms(dist.edges), unit="ms",
         title=f"w_n+1 - w_n + delta (ms), delta={seconds_to_ms(delta):g}ms",
         min_count=max(1, int(0.002 * dist.counts.sum())))
-    return result, trace
+    _peak_rows(result, trace, dist, delta)
+    return result, dist
 
 
 def _peak_rows(result: FigureResult, trace: ProbeTrace,
-               delta: float) -> dict:
-    bin_width = _workload_bin_width(trace)
-    dist = workload_distribution(trace, mu=INRIA_MU, bin_width=bin_width)
-    peaks = find_peaks(dist, min_height_fraction=0.004)
-    classified = classify_peaks(peaks, delta=delta, mu=INRIA_MU,
-                                probe_bits=bytes_to_bits(trace.wire_bytes),
-                                tolerance=max(4e-3, bin_width))
+               dist: WorkloadDistribution, delta: float) -> None:
+    classified = _classified_peaks(trace, dist, delta,
+                                   min_height_fraction=0.004)
     service_ms = seconds_to_ms(
         transmission_delay(trace.wire_bytes, INRIA_MU))
     comp = classified["compression"]
@@ -308,14 +318,12 @@ def _peak_rows(result: FigureResult, trace: ProbeTrace,
     else:
         result.add("first cross-packet peak", "~488 B + headers", "absent",
                    False)
-    return classified
 
 
 def figure8(seed: int = 1, duration: Optional[float] = None) -> FigureResult:
     """Figure 8: workload distribution at δ = 20 ms."""
     duration = default_duration(240.0) if duration is None else duration
-    result, trace = _workload_figure("Figure 8", 0.020, seed, duration)
-    _peak_rows(result, trace, 0.020)
+    result, _ = _workload_figure("Figure 8", 0.020, seed, duration)
     return result
 
 
@@ -323,20 +331,18 @@ def figure9(seed: int = 1, duration: Optional[float] = None) -> FigureResult:
     """Figure 9: workload distribution at δ = 100 ms; compression peak
     much smaller relative to the idle peak than at δ = 20 ms."""
     duration = default_duration(360.0) if duration is None else duration
-    result, trace = _workload_figure("Figure 9", 0.100, seed, duration)
-    classified = _peak_rows(result, trace, 0.100)
+    result, dist = _workload_figure("Figure 9", 0.100, seed, duration)
+    assert result.trace is not None
 
     # The paper's key observation comparing Figures 8 and 9.
     config8 = ExperimentConfig(delta=0.020, duration=duration / 2, seed=seed)
     trace8 = run_experiment(config8)
     ratio = {}
-    for name, tr, delta in (("fig8", trace8, 0.020), ("fig9", trace, 0.100)):
-        bin_width = _workload_bin_width(tr)
-        dist = workload_distribution(tr, mu=INRIA_MU, bin_width=bin_width)
-        peaks = find_peaks(dist, min_height_fraction=0.005)
-        cls = classify_peaks(peaks, delta=delta, mu=INRIA_MU,
-                             probe_bits=bytes_to_bits(tr.wire_bytes),
-                             tolerance=max(4e-3, bin_width))
+    for name, trace, trace_dist, delta in (
+            ("fig8", trace8, _distribution(trace8), 0.020),
+            ("fig9", result.trace, dist, 0.100)):
+        cls = _classified_peaks(trace, trace_dist, delta,
+                                min_height_fraction=0.005)
         if cls["compression"] and cls["idle"]:
             ratio[name] = cls["compression"].height / cls["idle"].height
         else:

@@ -1,22 +1,22 @@
 """Observer protocols for the network substrate's lifecycle hooks.
 
-Components (:class:`~repro.net.queue.DropTailQueue`,
-:class:`~repro.net.link.Interface`, :class:`~repro.net.node.Node`) each carry
-an optional ``lifecycle`` attribute, ``None`` by default.  When set, the
-component reports packet milestones — created, enqueued, dropped, tx-start,
-tx-done, delivered, received — to the observer.  The contract that keeps the
-simulator honest (see DESIGN.md, "observers never perturb the simulation"):
+Components (:class:`~repro.net.link.Interface`, :class:`~repro.net.node.Node`)
+each carry an optional ``lifecycle`` attribute, ``None`` by default.  When
+set, the component reports packet milestones — created, enqueued, dropped,
+tx-start, tx-done, delivered, received — to the observer.  A
+:class:`~repro.net.queue.DropTailQueue` has no observer of its own: the
+interface that owns it reports its ``enqueued`` and ``queue_drop``
+milestones right after the queue admits or drops the packet.  The contract
+that keeps the simulator honest (see DESIGN.md, "observers never perturb
+the simulation"):
 
 * observers only *record*; they never schedule events, draw randomness, or
   mutate packets or component state;
-* a disabled hook costs at most one ``is not None`` check on the hot path —
-  and components may do better: :class:`~repro.net.queue.DropTailQueue`
-  rebinds its ``enqueue`` and ``pass_through`` methods when ``lifecycle``
-  is assigned, so the untraced enqueue path carries no hook check at all
-  (the *no-hooks fast path*).  Any component using that pattern must keep the fast and hooked
-  implementations byte-equivalent in simulated behavior: attaching an
-  observer may never change drop decisions, occupancy accounting, or event
-  timing (``tests/obs/test_determinism.py`` pins this);
+* a disabled hook costs one ``is not None`` check on the hot path, and a
+  traced run executes the same component code as an untraced one: no
+  component rebinds its methods when an observer is attached, so attaching
+  one cannot change drop decisions, occupancy accounting, or event timing
+  (``tests/obs/test_determinism.py`` pins this);
 * each component holds one observer at a time;
 * the concrete implementations are :class:`repro.net.tap.PacketTap` (one
   interface) and :mod:`repro.obs.lifecycle` (a whole network) — the net
@@ -45,7 +45,11 @@ class LifecycleObserver(Protocol):
         return None
 
     def on_enqueued(self, queue: "DropTailQueue", packet: "Packet") -> None:
-        """``packet`` was appended to ``queue`` (occupancy includes it)."""
+        """``queue`` admitted ``packet`` (occupancy includes it).
+
+        A packet admitted onto an idle link crosses the empty queue without
+        entering it, so ``len(queue)`` may read 0 here.
+        """
         return None
 
     def on_queue_drop(self, queue: "DropTailQueue", packet: "Packet") -> None:

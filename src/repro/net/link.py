@@ -69,7 +69,8 @@ class Interface:
         self._created_at = sim.now
         self._busy_since = 0.0
         self._busy_time = 0.0
-        #: Optional packet-lifecycle observer (see repro.net.hooks).
+        #: Optional packet-lifecycle observer (see repro.net.hooks); it
+        #: also hears this interface's queue milestones.
         self.lifecycle: Optional[LifecycleObserver] = None
         # Hot-path state (see DESIGN.md, "Hot path").  The transmitter is
         # serial and the propagation delay is a per-interface constant, so
@@ -113,14 +114,20 @@ class Interface:
                 if self.lifecycle is not None:
                     self.lifecycle.on_fault_drop(self, packet)
                 return False
-        if self._busy:
-            return self.queue.enqueue(packet)
-        # Transmitter idle, so the queue is empty: the packet crosses it in
+        queue = self.queue
+        idle = not self._busy
+        # An idle transmitter means an empty queue: the packet crosses it in
         # one call that keeps the arrival/occupancy statistics exact.
-        if not self.queue.pass_through(packet):
-            return False
-        self._start_transmission(packet)
-        return True
+        admitted = queue.pass_through(packet) if idle \
+            else queue.enqueue(packet)
+        if self.lifecycle is not None:
+            if admitted:
+                self.lifecycle.on_enqueued(queue, packet)
+            else:
+                self.lifecycle.on_queue_drop(queue, packet)
+        if admitted and idle:
+            self._start_transmission(packet)
+        return admitted
 
     def _start_transmission(self, packet: Packet) -> None:
         """Begin serializing ``packet`` (the transmitter was idle)."""

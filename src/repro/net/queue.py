@@ -12,6 +12,8 @@ passes through here, so the integration is inline: one clock read and one
 span per change, feeding both integrals.  A packet that finds its
 transmitter idle crosses the empty queue in one call,
 :meth:`DropTailQueue.pass_through`, instead of an enqueue and a dequeue.
+The queue has no observer of its own: the interface that owns it reports
+its ``enqueued`` and ``queue_drop`` milestones (see :mod:`repro.net.hooks`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from collections import deque
 from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
-from repro.net.hooks import LifecycleObserver
 from repro.net.packet import Packet
 from repro.sim.kernel import Simulator
 
@@ -44,6 +45,11 @@ class DropTailQueue:
         Diagnostic label.
     """
 
+    __slots__ = ("_sim", "capacity", "mode", "name", "_packets", "_bytes",
+                 "arrivals", "drops", "departures", "_started",
+                 "_last_change", "_packet_seconds", "_byte_seconds",
+                 "_max_packets")
+
     def __init__(self, sim: Simulator, capacity: int,
                  mode: str = MODE_PACKETS, name: str = "") -> None:
         if capacity <= 0:
@@ -66,10 +72,6 @@ class DropTailQueue:
         self._packet_seconds = 0.0
         self._byte_seconds = 0.0
         self._max_packets = 0
-        # Sets the lifecycle property, which binds self.enqueue and
-        # self.pass_through to the no-hooks fast paths until an observer
-        # is attached.
-        self.lifecycle = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -80,31 +82,8 @@ class DropTailQueue:
             return len(self._packets) + 1
         return self._bytes + packet.size_bytes
 
-    @property
-    def lifecycle(self) -> Optional[LifecycleObserver]:
-        """Optional packet-lifecycle observer (see repro.net.hooks).
-
-        Assigning an observer swaps ``self.enqueue`` and
-        ``self.pass_through`` to the hooked implementations; assigning
-        ``None`` restores the no-hooks fast paths, so the common untraced
-        case pays zero per-packet hook checks on the enqueue step.  Both
-        implementations do identical queue accounting — attaching an
-        observer never changes drop decisions or occupancy.
-        """
-        return self._lifecycle
-
-    @lifecycle.setter
-    def lifecycle(self, observer: Optional[LifecycleObserver]) -> None:
-        self._lifecycle = observer
-        if observer is None:
-            self.enqueue = self._enqueue_fast
-            self.pass_through = self._pass_through_fast
-        else:
-            self.enqueue = self._enqueue_hooked
-            self.pass_through = self._pass_through_hooked
-
-    def _enqueue_fast(self, packet: Packet) -> bool:
-        """``enqueue`` with no lifecycle observer attached."""
+    def enqueue(self, packet: Packet) -> bool:
+        """Append ``packet`` if it fits; return False (and count) on drop."""
         self.arrivals += 1
         if self._occupancy_after(packet) > self.capacity:
             self.drops += 1
@@ -117,33 +96,18 @@ class DropTailQueue:
             self._max_packets = len(packets)
         return True
 
-    def _enqueue_hooked(self, packet: Packet) -> bool:
-        """``enqueue`` while a lifecycle observer is attached."""
-        if self._enqueue_fast(packet):
-            self._lifecycle.on_enqueued(self, packet)
-            return True
-        self._lifecycle.on_queue_drop(self, packet)
-        return False
+    def pass_through(self, packet: Packet) -> bool:
+        """Admit ``packet`` into an empty queue and hand it straight out.
 
-    def enqueue(self, packet: Packet) -> bool:
-        """Append ``packet`` if it fits; return False (and count) on drop.
-
-        Rebound per instance by the ``lifecycle`` setter to the fast or
-        hooked implementation; this class-level fallback only exists for
-        introspection and subclasses that bypass ``__init__``.
-        """
-        return self._enqueue_fast(packet)
-
-    def _pass_through_fast(self, packet: Packet) -> bool:
-        """``pass_through`` with no lifecycle observer attached.
-
-        The accounting of an enqueue and a dequeue of ``packet`` at one
-        instant into an empty queue, without the deque traffic.  Both
-        ``_integrate`` calls that pair makes would add only +0.0 to the
-        integrals (an empty queue holds 0 packets and 0 bytes over the
-        span since the last change, and the packet is held for a span of
-        0.0), and adding +0.0 leaves a non-negative float unchanged, so
-        only ``_last_change`` moves.
+        The caller's transmitter is idle, so the queue is empty and the
+        packet leaves the instant it arrives.  Returns False (and counts a
+        drop) when it does not fit.  This is the accounting of an enqueue
+        and a dequeue of ``packet`` at one instant, without the deque
+        traffic.  Both ``_integrate`` calls that pair makes would add only
+        +0.0 to the integrals (an empty queue holds 0 packets and 0 bytes
+        over the span since the last change, and the packet is held for a
+        span of 0.0), and adding +0.0 leaves a non-negative float
+        unchanged, so only ``_last_change`` moves.
         """
         self.arrivals += 1
         # _occupancy_after on an empty queue: a packet-mode buffer always
@@ -157,24 +121,6 @@ class DropTailQueue:
             self._max_packets = 1
         self.departures += 1
         return True
-
-    def _pass_through_hooked(self, packet: Packet) -> bool:
-        """``pass_through`` while a lifecycle observer is attached."""
-        if not self._enqueue_hooked(packet):
-            return False
-        self.dequeue()
-        return True
-
-    def pass_through(self, packet: Packet) -> bool:
-        """Admit ``packet`` into an empty queue and hand it straight out.
-
-        The caller's transmitter is idle, so the queue is empty and the
-        packet leaves the instant it arrives.  Returns False (and counts a
-        drop) when it does not fit.  Rebound per instance by the
-        ``lifecycle`` setter, like :meth:`enqueue`: the hooked variant is
-        a plain enqueue then dequeue, so observers see the same milestones.
-        """
-        return self._pass_through_fast(packet)
 
     def dequeue(self) -> Optional[Packet]:
         """Pop the head-of-line packet, or None if empty."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -22,36 +22,15 @@ from repro.net.packet import Packet
 from repro.units import bytes_to_bits
 
 
-class CaptureRecord:
-    """One captured packet crossing (immutable value object)."""
+class CaptureRecord(NamedTuple):
+    """One captured packet crossing (an immutable tuple)."""
 
-    __slots__ = ("time", "uid", "kind", "src", "dst", "size_bytes")
-
-    def __init__(self, time: float, uid: int, kind: str, src: str,
-                 dst: str, size_bytes: int) -> None:
-        self.time = time
-        self.uid = uid
-        self.kind = kind
-        self.src = src
-        self.dst = dst
-        self.size_bytes = size_bytes
-
-    def _key(self) -> tuple:
-        return (self.time, self.uid, self.kind, self.src, self.dst,
-                self.size_bytes)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CaptureRecord):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"CaptureRecord(time={self.time!r}, uid={self.uid!r}, "
-                f"kind={self.kind!r}, src={self.src!r}, dst={self.dst!r}, "
-                f"size_bytes={self.size_bytes!r})")
+    time: float
+    uid: int
+    kind: str
+    src: str
+    dst: str
+    size_bytes: int
 
 
 class PacketTap(LifecycleObserver):

@@ -7,13 +7,6 @@ Simulated agents (:mod:`~repro.netdyn.source`, :mod:`~repro.netdyn.echo`,
 (:mod:`~repro.netdyn.trace`).
 """
 
-from repro.netdyn.clocks import (
-    Clock,
-    DECSTATION_RESOLUTION,
-    PerfectClock,
-    QuantizedClock,
-    UMD_RESOLUTION,
-)
 from repro.netdyn.echo import ECHO_PORT, EchoAgent
 from repro.netdyn.packetfmt import (
     PROBE_PAYLOAD_BYTES,
@@ -26,11 +19,6 @@ from repro.netdyn.source import SINK_PORT, SourceAgent
 from repro.netdyn.trace import LOST, ProbeTrace
 
 __all__ = [
-    "Clock",
-    "PerfectClock",
-    "QuantizedClock",
-    "DECSTATION_RESOLUTION",
-    "UMD_RESOLUTION",
     "EchoAgent",
     "ECHO_PORT",
     "SourceAgent",

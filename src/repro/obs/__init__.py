@@ -10,12 +10,15 @@ Five parts, all passive observers of the substrate:
   integrals, snapshotted into one nested dict per run.
 * **Packet-lifecycle tracing** (:mod:`repro.obs.lifecycle`) — per-packet hop
   records (created / enqueued / dropped / tx / delivered, with queue
-  occupancy) so any probe's full path can be reconstructed and joined
-  against its :class:`~repro.netdyn.trace.ProbeTrace` row.
+  occupancy) from every node and interface — an interface reports its
+  queue's milestones — so any probe's full path can be reconstructed and
+  joined against its :class:`~repro.netdyn.trace.ProbeTrace` row.
 * **Exporters and manifests** (:mod:`repro.obs.export`,
   :mod:`repro.obs.manifest`) — JSONL, Chrome ``trace_event``, and the run
-  manifest written next to campaign outputs.  Every format is plain JSON
-  and is read back with :mod:`json`; no reader for them ships here.
+  manifest written next to campaign outputs.  Event, hop and span records
+  are NamedTuples, and a JSONL row is a record's ``_asdict()``.  Every
+  format is plain JSON and is read back with :mod:`json`; no reader for
+  them ships here.
 * **Campaign telemetry** (:mod:`repro.obs.spans`,
   :mod:`repro.obs.progress`, :mod:`repro.obs.bench`) — cross-process
   wall-clock spans merged into one flame graph, a live progress line for
@@ -62,10 +65,8 @@ from repro.obs.bench import (
 )
 from repro.obs.export import (
     write_chrome_trace,
-    write_events_jsonl,
-    write_hops_jsonl,
+    write_jsonl,
     write_profiles_json,
-    write_spans_jsonl,
 )
 from repro.obs.lifecycle import HopRecord, PacketLifecycleTracer, probe_uids
 from repro.obs.manifest import (
@@ -116,12 +117,10 @@ __all__ = [
     "resolve_progress",
     "summarize_spans",
     "write_chrome_trace",
-    "write_events_jsonl",
-    "write_hops_jsonl",
+    "write_jsonl",
     "write_manifest",
     "write_profiles_json",
     "write_report",
-    "write_spans_jsonl",
     "write_timing",
 ]
 
@@ -182,14 +181,14 @@ class Observability:
         written: List[Path] = []
         if self.kernel is not None:
             events_path = directory / "events.jsonl"
-            write_events_jsonl(self.kernel.records, events_path)
+            write_jsonl(self.kernel.records, events_path)
             written.append(events_path)
             profiles_path = directory / "profiles.json"
             write_profiles_json(self.kernel, profiles_path)
             written.append(profiles_path)
         if self.lifecycle is not None:
             hops_path = directory / "hops.jsonl"
-            write_hops_jsonl(self.lifecycle.records, hops_path)
+            write_jsonl(self.lifecycle.records, hops_path)
             written.append(hops_path)
         if self.kernel is not None or self.lifecycle is not None:
             chrome_path = directory / "trace.json"

@@ -1,8 +1,9 @@
 """Exporters for observability data: JSONL and Chrome ``trace_event``.
 
 JSONL (one JSON object per line) is the machine-readable interchange format
-for event, hop and span records: each row is the record's ``as_dict()``, so
-any JSON reader loads them back (no reader ships here).
+for event, hop and span records: each row is the record's ``_asdict()``
+(every record is a NamedTuple), so any JSON reader loads them back (no
+reader ships here).
 
 :func:`write_chrome_trace` emits the Chrome ``trace_event`` JSON format
 (the ``chrome://tracing`` / Perfetto ``traceEvents`` array), laying the
@@ -26,6 +27,8 @@ from repro.obs.tracer import EventRecord, KernelTracer
 from repro.units import seconds_to_us
 
 PathLike = Union[str, Path]
+#: Any record the JSONL writer takes: each is a NamedTuple.
+_Record = Union[EventRecord, HopRecord, SpanRecord]
 
 
 def _open_for_write(path: PathLike) -> Path:
@@ -37,36 +40,13 @@ def _open_for_write(path: PathLike) -> Path:
 # ----------------------------------------------------------------------
 # JSONL
 # ----------------------------------------------------------------------
-def write_events_jsonl(records: Iterable[EventRecord],
-                       path: PathLike) -> int:
-    """Write kernel event records as JSONL; returns the row count."""
+def write_jsonl(records: Iterable[_Record], path: PathLike) -> int:
+    """Write event, hop or span records as JSONL; returns the row count."""
     path = _open_for_write(path)
     count = 0
     with path.open("w") as handle:
         for record in records:
-            handle.write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
-            count += 1
-    return count
-
-
-def write_hops_jsonl(records: Iterable[HopRecord], path: PathLike) -> int:
-    """Write packet-lifecycle hop records as JSONL; returns the row count."""
-    path = _open_for_write(path)
-    count = 0
-    with path.open("w") as handle:
-        for record in records:
-            handle.write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
-            count += 1
-    return count
-
-
-def write_spans_jsonl(records: Iterable[SpanRecord], path: PathLike) -> int:
-    """Write wall-clock span records as JSONL; returns the row count."""
-    path = _open_for_write(path)
-    count = 0
-    with path.open("w") as handle:
-        for record in records:
-            handle.write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
+            handle.write(json.dumps(record._asdict(), sort_keys=True) + "\n")
             count += 1
     return count
 
@@ -122,7 +102,7 @@ def write_chrome_trace(path: PathLike,
             "s": "t",
             "pid": 0,
             "tid": hop.place,
-            "args": hop.as_dict(),
+            "args": hop._asdict(),
         })
     span_records = list(spans) if spans is not None else []
     if span_records:

@@ -1,8 +1,9 @@
 """Packet-lifecycle tracing: every hop of every packet, reconstructable.
 
 A :class:`PacketLifecycleTracer` installs itself as the ``lifecycle``
-observer of every node, interface, and queue of a built network (see
-:mod:`repro.net.hooks`) and records one :class:`HopRecord` per milestone:
+observer of every node and interface of a built network (an interface
+reports its queue's milestones too; see :mod:`repro.net.hooks`) and
+records one :class:`HopRecord` per milestone:
 ``created``, ``enqueued`` (with queue occupancy), ``queue_drop``,
 ``tx_start``, ``tx_done``, ``fault_drop``, ``delivered``, ``received``.
 From those records any packet's full path — which queue it waited in, what
@@ -17,8 +18,8 @@ leaves all simulated timestamps bit-identical.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, \
-    Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, NamedTuple, \
+    Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.net.packet import KIND_UDP
@@ -45,11 +46,11 @@ TERMINAL_EVENTS = frozenset({EVENT_QUEUE_DROP, EVENT_FAULT_DROP,
                              EVENT_RECEIVED})
 
 
-class HopRecord:
+class HopRecord(NamedTuple):
     """One packet milestone.
 
-    A slotted immutable-by-convention value object (several are allocated
-    per packet per hop while tracing, so instance size matters).
+    An immutable tuple, several per packet per hop while tracing;
+    ``_asdict()`` is its JSONL row.
 
     Attributes
     ----------
@@ -73,43 +74,14 @@ class HopRecord:
         packet bounced off); -1 elsewhere.
     """
 
-    __slots__ = ("time", "uid", "event", "place", "kind", "src", "dst",
-                 "queue_len")
-
-    def __init__(self, time: float, uid: int, event: str, place: str,
-                 kind: str, src: str, dst: str, queue_len: int = -1) -> None:
-        self.time = time
-        self.uid = uid
-        self.event = event
-        self.place = place
-        self.kind = kind
-        self.src = src
-        self.dst = dst
-        self.queue_len = queue_len
-
-    def _key(self) -> tuple:
-        return (self.time, self.uid, self.event, self.place, self.kind,
-                self.src, self.dst, self.queue_len)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HopRecord):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"HopRecord(time={self.time!r}, uid={self.uid!r}, "
-                f"event={self.event!r}, place={self.place!r}, "
-                f"kind={self.kind!r}, src={self.src!r}, dst={self.dst!r}, "
-                f"queue_len={self.queue_len!r})")
-
-    def as_dict(self) -> dict:
-        """JSON-serializable form (one JSONL row)."""
-        return {"time": self.time, "uid": self.uid, "event": self.event,
-                "place": self.place, "kind": self.kind, "src": self.src,
-                "dst": self.dst, "queue_len": self.queue_len}
+    time: float
+    uid: int
+    event: str
+    place: str
+    kind: str
+    src: str
+    dst: str
+    queue_len: int = -1
 
 
 class PacketLifecycleTracer:
@@ -118,7 +90,7 @@ class PacketLifecycleTracer:
     Parameters
     ----------
     network:
-        A built network; the tracer hooks every node, interface, and queue.
+        A built network; the tracer hooks every node and interface.
     kinds:
         Optional filter: record only these packet kinds (``None`` = all).
 
@@ -140,15 +112,13 @@ class PacketLifecycleTracer:
     def _components(self) -> Iterator[Any]:
         for node in self.network.nodes.values():
             yield node
-            for interface in node.interfaces.values():
-                yield interface
-                yield interface.queue
+            yield from node.interfaces.values()
 
     def attach(self) -> None:
         """Install this tracer on every component of the network.
 
-        A component holds one observer: when any node, interface, or
-        queue already has a different one (a
+        A component holds one observer: when any node or interface
+        already has a different one (a
         :class:`~repro.net.tap.PacketTap`, another tracer), this raises
         :class:`~repro.errors.ConfigurationError` and installs nothing.
         """
@@ -189,8 +159,11 @@ class PacketLifecycleTracer:
         self._record(packet, EVENT_CREATED, node.name)
 
     def on_enqueued(self, queue: "DropTailQueue", packet: "Packet") -> None:
+        # A packet admitted onto an idle link crosses the empty queue
+        # without entering it (DropTailQueue.pass_through), yet held it
+        # alone for an instant: occupancy 1.
         self._record(packet, EVENT_ENQUEUED, queue.name,
-                     queue_len=len(queue))
+                     queue_len=max(1, len(queue)))
 
     def on_queue_drop(self, queue: "DropTailQueue",
                       packet: "Packet") -> None:

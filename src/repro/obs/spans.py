@@ -27,8 +27,8 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import ContextManager, Dict, Iterator, List, Optional, \
-    Sequence, Union
+from typing import ContextManager, Dict, Iterator, List, NamedTuple, \
+    Optional, Sequence, Union
 
 # Host-side telemetry needs an epoch clock so spans recorded by different
 # worker processes land on one comparable timeline.  The timestamps are
@@ -62,11 +62,11 @@ MERGED_SPAN_FILE = "spans.jsonl"
 CHROME_SPAN_FILE = "trace.json"
 
 
-class SpanRecord:
+class SpanRecord(NamedTuple):
     """One completed span: a named wall-clock interval with context.
 
-    A slotted value object (campaigns record a handful per cell, but the
-    format is shared with finer-grained tracers).
+    An immutable tuple (campaigns record a handful per cell);
+    ``_asdict()`` is its JSONL row.
 
     Attributes
     ----------
@@ -93,45 +93,15 @@ class SpanRecord:
         Nesting depth at entry (0 = top-level span of its tracer).
     """
 
-    __slots__ = ("name", "phase", "start", "duration", "pid", "worker",
-                 "cell", "depth")
+    name: str
+    phase: str
+    start: float
+    duration: float
+    pid: int
+    worker: str
+    cell: str = ""
+    depth: int = 0
 
-    def __init__(self, name: str, phase: str, start: float, duration: float,
-                 pid: int, worker: str, cell: str = "",
-                 depth: int = 0) -> None:
-        self.name = name
-        self.phase = phase
-        self.start = start
-        self.duration = duration
-        self.pid = pid
-        self.worker = worker
-        self.cell = cell
-        self.depth = depth
-
-    def _key(self) -> tuple:
-        return (self.name, self.phase, self.start, self.duration, self.pid,
-                self.worker, self.cell, self.depth)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpanRecord):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"SpanRecord(name={self.name!r}, phase={self.phase!r}, "
-                f"start={self.start!r}, duration={self.duration!r}, "
-                f"pid={self.pid!r}, worker={self.worker!r}, "
-                f"cell={self.cell!r}, depth={self.depth!r})")
-
-    def as_dict(self) -> dict:
-        """JSON-serializable form (one JSONL row)."""
-        return {"name": self.name, "phase": self.phase, "start": self.start,
-                "duration": self.duration, "pid": self.pid,
-                "worker": self.worker, "cell": self.cell,
-                "depth": self.depth}
 
 class SpanTracer:
     """Records nested spans for one process.

@@ -17,18 +17,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List
+from typing import Deque, Dict, List, NamedTuple
 
 #: Ring-buffer capacity: large enough for a full short experiment,
 #: bounded so day-long runs cannot exhaust memory.
 DEFAULT_CAPACITY = 1_000_000
 
 
-class EventRecord:
+class EventRecord(NamedTuple):
     """One executed kernel event.
 
-    A slotted immutable-by-convention value object (one is allocated per
-    executed event while tracing, so instance size matters).
+    An immutable tuple, one per executed event while tracing;
+    ``_asdict()`` is its JSONL row.
 
     Attributes
     ----------
@@ -42,36 +42,10 @@ class EventRecord:
         Wall-clock cost of the event callback, seconds.
     """
 
-    __slots__ = ("time", "label", "priority", "wall_seconds")
-
-    def __init__(self, time: float, label: str, priority: int,
-                 wall_seconds: float) -> None:
-        self.time = time
-        self.label = label
-        self.priority = priority
-        self.wall_seconds = wall_seconds
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EventRecord):
-            return NotImplemented
-        return (self.time == other.time and self.label == other.label
-                and self.priority == other.priority
-                and self.wall_seconds == other.wall_seconds)
-
-    def __hash__(self) -> int:
-        return hash((self.time, self.label, self.priority,
-                     self.wall_seconds))
-
-    def __repr__(self) -> str:
-        return (f"EventRecord(time={self.time!r}, label={self.label!r}, "
-                f"priority={self.priority!r}, "
-                f"wall_seconds={self.wall_seconds!r})")
-
-    def as_dict(self) -> dict:
-        """JSON-serializable form (one JSONL row)."""
-        return {"time": self.time, "label": self.label,
-                "priority": self.priority,
-                "wall_seconds": self.wall_seconds}
+    time: float
+    label: str
+    priority: int
+    wall_seconds: float
 
 
 @dataclass

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.devtools.core import all_project_rules, get_rule
 
@@ -168,6 +170,31 @@ class TestObs002:
                 "    return build_report('x', {})\n"),
         })
         assert run_rule("OBS002", project) == []
+
+    @pytest.mark.parametrize("statement", [
+        "from repro.obs.spans import SpanTracer",
+        "from ..obs.spans import SpanTracer",
+        "from ..obs import spans",
+    ])
+    def test_import_in_reached_package_init_flagged(self, tmp_path,
+                                                     statement):
+        # In a package __init__ a level-1 relative import names the
+        # package itself, so ``..`` is its parent: ``repro``.
+        project = telemetry_project(tmp_path, {
+            "repro/sim/__init__.py": (
+                f"{statement}\n"
+                "def advance():\n"
+                "    return 0\n"),
+            "repro/sim/kernel.py": (
+                "from repro.sim import advance\n"
+                "class Simulator:\n"
+                "    def run(self):\n"
+                "        return advance()\n"),
+        })
+        findings = run_rule("OBS002", project)
+        assert len(findings) == 1
+        assert findings[0].path.endswith("repro/sim/__init__.py")
+        assert "repro.obs.spans" in findings[0].message
 
     def test_non_telemetry_obs_import_ok(self, tmp_path):
         # The registry/tracer side of repro.obs stays allowed; only the

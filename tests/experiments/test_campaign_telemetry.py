@@ -156,7 +156,7 @@ class TestSpanRecording:
                            duration=1.0, pid=999, worker="w999",
                            cell="d999_s9")
         (span_dir / "spans-w999.jsonl").write_text(
-            json.dumps(stale.as_dict(), sort_keys=True) + "\n")
+            json.dumps(stale._asdict(), sort_keys=True) + "\n")
         run_campaign(grid_spec(tmp_path, deltas=(0.1,), seeds=(1,)),
                      spans=True)
         merged = read_spans(span_dir / MERGED_SPAN_FILE)

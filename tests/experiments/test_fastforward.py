@@ -49,10 +49,6 @@ def forward_access(built):
     return probe_hops(built, source.host.name, source.destination)[0]
 
 
-def hook_queue(built):
-    probe_hops(built, built.source, built.echo)[0].queue.lifecycle = object()
-
-
 def hook_node(built):
     path = built.network.path(built.source, built.echo)
     built.network.node(path[2]).lifecycle = object()
@@ -131,8 +127,6 @@ class TestEligibility:
         assert any("clock" in reason for reason in reasons)
 
     @pytest.mark.parametrize("perturb, expected", [
-        (hook_queue, ["lifecycle hook on queue of "
-                      "tom.inria.fr->t8-gw.inria.fr"]),
         (hook_node, ["lifecycle hook on node sophia-gw.atlantic.fr"]),
         (hook_two_nodes, ["lifecycle hook on node icm-sophia.icp.net",
                           "lifecycle hook on node t8-gw.inria.fr"]),

@@ -2,14 +2,14 @@
 
 A packet that finds its transmitter idle crosses the (empty) queue in one
 ``DropTailQueue.pass_through`` call instead of an enqueue and a dequeue.
-Attaching a lifecycle observer to the queue rebinds it to the hooked
-path, which still runs the enqueue and the dequeue.  Driving one
-``Interface`` with the same arrivals both ways must give the same queue
-statistics and the same delivery times, float for float, and both must
-match the reference time-weighted monitor of
-``tests/sim/occupancy_reference.py``.
+Driving one ``Interface`` with the same arrivals with and without a
+lifecycle observer must give the same queue statistics and the same
+delivery times, float for float, and both must match the reference
+time-weighted monitor of ``tests/sim/occupancy_reference.py``, fed from
+the milestones the interface reports.
 """
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -41,9 +41,12 @@ class _Endpoint:
 class _OccupancyMirror(LifecycleObserver):
     """Feeds the reference monitors after every occupancy change.
 
-    On the hooked path every change is an enqueue (``on_enqueued``) or
-    the dequeue right before a transmission starts (``on_tx_start``).
-    It only reads queue state, so it leaves the simulation unchanged.
+    Every change is an admission (``on_enqueued``) or the dequeue right
+    before a transmission starts (``on_tx_start``).  A packet admitted
+    onto an idle link never enters the deque, but it holds the queue
+    alone for an instant: the mirror counts it as one packet (and its
+    bytes) until its transmission starts at the same time.  It only reads
+    queue state, so it leaves the simulation unchanged.
     """
 
     def __init__(self, sim, queue):
@@ -51,12 +54,16 @@ class _OccupancyMirror(LifecycleObserver):
         self.packets = TimeWeightedValue(sim, 0.0)
         self.bytes = TimeWeightedValue(sim, 0.0)
 
-    def _update(self):
-        self.packets.update(float(len(self._queue)))
-        self.bytes.update(float(self._queue._bytes))
+    def _update(self, packet=None):
+        held = len(self._queue)
+        held_bytes = self._queue._bytes
+        if packet is not None and not held:
+            held, held_bytes = 1, packet.size_bytes
+        self.packets.update(float(held))
+        self.bytes.update(float(held_bytes))
 
     def on_enqueued(self, queue, packet):
-        self._update()
+        self._update(packet)
 
     def on_tx_start(self, interface, packet):
         self._update()
@@ -74,7 +81,6 @@ def drive(mode, capacity, arrivals, stall, tail, hooked):
     mirror = None
     if hooked:
         mirror = _OccupancyMirror(sim, queue)
-        queue.lifecycle = mirror
         iface.lifecycle = mirror
     at = 0.0
     for dt, size in arrivals:
@@ -135,3 +141,11 @@ def test_packet_larger_than_byte_buffer_dropped_on_idle_link():
     arrived, dropped, departed, _, _, peak = fast
     assert (arrived, dropped, departed, peak) == (2, 1, 1, 1.0)
     assert [uid for _, uid in deliveries] == [2]
+
+
+def test_queue_takes_no_observer():
+    # Queue milestones come from the owning interface; a queue-level
+    # observer would silently record nothing, so assigning one fails.
+    queue = DropTailQueue(Simulator(seed=3), capacity=1)
+    with pytest.raises(AttributeError):
+        queue.lifecycle = _OccupancyMirror(queue._sim, queue)

@@ -141,7 +141,6 @@ class TestPacketTap:
         assert network.interface("a", "b").lifecycle is tap
         assert network.interface("b", "a").lifecycle is None
         assert network.host("a").lifecycle is None
-        assert network.interface("a", "b").queue.lifecycle is None
 
     def test_close_leaves_a_later_tracer_in_place(self, sim):
         network = pair(sim)

@@ -16,11 +16,9 @@ from repro.obs import (
     SpanRecord,
     build_manifest,
     write_chrome_trace,
-    write_events_jsonl,
-    write_hops_jsonl,
+    write_jsonl,
     write_manifest,
     write_profiles_json,
-    write_spans_jsonl,
 )
 from repro.sim import Simulator
 
@@ -50,13 +48,13 @@ def read_trace_events(path):
 class TestJsonlRoundTrip:
     def test_events(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        assert write_events_jsonl(EVENTS, path) == 2
-        assert read_jsonl(path) == [record.as_dict() for record in EVENTS]
+        assert write_jsonl(EVENTS, path) == 2
+        assert read_jsonl(path) == [record._asdict() for record in EVENTS]
 
     def test_hops(self, tmp_path):
         path = tmp_path / "hops.jsonl"
-        assert write_hops_jsonl(HOPS, path) == 2
-        assert read_jsonl(path) == [record.as_dict() for record in HOPS]
+        assert write_jsonl(HOPS, path) == 2
+        assert read_jsonl(path) == [record._asdict() for record in HOPS]
 
     def test_spans(self, tmp_path):
         spans = [SpanRecord(name="cell d50_s1", phase="cell", start=100.0,
@@ -66,14 +64,14 @@ class TestJsonlRoundTrip:
                             duration=1.0, pid=11, worker="w11",
                             cell="d50_s1", depth=1)]
         path = tmp_path / "spans.jsonl"
-        assert write_spans_jsonl(spans, path) == 2
-        assert read_jsonl(path) == [record.as_dict() for record in spans]
+        assert write_jsonl(spans, path) == 2
+        assert read_jsonl(path) == [record._asdict() for record in spans]
 
     def test_empty_ring_buffer_round_trips(self, tmp_path):
         # A tracer that saw nothing still exports a valid (empty) file.
         tracer = KernelTracer()
         path = tmp_path / "events.jsonl"
-        assert write_events_jsonl(tracer.records, path) == 0
+        assert write_jsonl(tracer.records, path) == 0
         assert read_jsonl(path) == []
         assert write_chrome_trace(tmp_path / "trace.json",
                                   events=tracer.records) == 0
@@ -93,7 +91,7 @@ class TestJsonlRoundTrip:
         assert tracer.events_seen == 10
         assert tracer.overwritten == 7
         path = tmp_path / "events.jsonl"
-        assert write_events_jsonl(tracer.records, path) == 3
+        assert write_jsonl(tracer.records, path) == 3
         labels = [row["label"] for row in read_jsonl(path)]
         assert labels == ["tick-7", "tick-8", "tick-9"]
 

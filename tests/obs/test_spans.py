@@ -27,9 +27,9 @@ def record(name="sim", phase=PHASE_SIM, start=10.0, duration=1.0,
 
 class TestSpanRecord:
     def test_dict_round_trip(self):
-        # as_dict() (one spans.jsonl row) carries every constructor field.
+        # _asdict() (one spans.jsonl row) carries every constructor field.
         original = record(cell="d50_s1", depth=2)
-        assert SpanRecord(**original.as_dict()) == original
+        assert SpanRecord(**original._asdict()) == original
 
     def test_equality_and_hash(self):
         assert record() == record()
