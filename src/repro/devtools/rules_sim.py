@@ -1,9 +1,9 @@
 """Simulator-encapsulation rule: SIM001.
 
-The kernel's invariants (clock monotonicity, heap ordering, lazy
-cancellation) only hold if outside code goes through the public API
+The kernel's invariants (clock monotonicity, heap ordering, unique
+sequence numbers) only hold if outside code goes through the public API
 (``sim.now``, ``schedule``, ``call_at``, ``pending_events``, ``streams``).
-Reaching into ``sim._queue`` or ``queue._heap`` from a component silently
+Reaching into ``sim._heap`` or ``sim._counter`` from a component silently
 couples it to kernel internals and lets it corrupt them.  The clock
 ``sim.now`` is a plain attribute so the hot path reads it without a
 property call; only the run loop may write it, so a store to (or delete
@@ -17,9 +17,8 @@ from typing import Iterator
 
 from repro.devtools.core import FileContext, Finding, Rule, register
 
-#: Private attributes of Simulator / EventQueue / RandomStreams.
+#: Private attributes of Simulator / RandomStreams.
 _KERNEL_PRIVATE_ATTRS = frozenset({
-    "_queue",
     "_running",
     "_stopped",
     "_events_executed",
@@ -35,13 +34,12 @@ class KernelPrivateAccessRule(Rule):
     """SIM001: no private kernel state access or clock store outside repro.sim."""
 
     rule_id = "SIM001"
-    summary = ("private kernel state (`._queue`, `._heap`, ...) may only be "
+    summary = ("private kernel state (`._heap`, `._counter`, ...) may only be "
                "touched, and the clock `.now` only written, inside "
                "repro.sim; use the public API")
     # The kernel may touch its own internals.
     exempt_suffixes = (
         "repro/sim/kernel.py",
-        "repro/sim/events.py",
         "repro/sim/random.py",
         "repro/sim/__init__.py",
     )

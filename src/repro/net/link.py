@@ -62,7 +62,6 @@ class Interface:
         self.peer: Optional["Node"] = None
         self.egress_faults: list[FaultModel] = []
         self.ingress_faults: list[FaultModel] = []
-        self._busy = False
         self.transmitted = 0
         self.transmitted_bits = 0
         self.fault_drops = 0
@@ -115,7 +114,7 @@ class Interface:
                     self.lifecycle.on_fault_drop(self, packet)
                 return False
         queue = self.queue
-        idle = not self._busy
+        idle = self._transmitting is None
         # An idle transmitter means an empty queue: the packet crosses it in
         # one call that keeps the arrival/occupancy statistics exact.
         admitted = queue.pass_through(packet) if idle \
@@ -133,7 +132,6 @@ class Interface:
         """Begin serializing ``packet`` (the transmitter was idle)."""
         sim = self._sim
         now = sim.now
-        self._busy = True
         self._busy_since = now
         start = now
         for fault in self.egress_faults:
@@ -156,7 +154,6 @@ class Interface:
         self._inflight.append(packet)
         sim.call_at(now + self.prop_delay, self._deliver_ref,
                     label=self._deliver_label)
-        self._busy = False
         if self.lifecycle is not None:
             self.lifecycle.on_tx_done(self, packet)
         queue = self.queue
@@ -180,7 +177,7 @@ class Interface:
     @property
     def busy(self) -> bool:
         """True while a packet is being serialized."""
-        return self._busy
+        return self._transmitting is not None
 
     @property
     def busy_time(self) -> float:
@@ -190,7 +187,7 @@ class Interface:
         fault-stall time spent holding a packet.
         """
         accumulated = self._busy_time
-        if self._busy:
+        if self._transmitting is not None:
             accumulated += self._sim.now - self._busy_since
         return accumulated
 
@@ -209,4 +206,4 @@ class Interface:
     def __repr__(self) -> str:
         return (f"<Interface {self.name} {self.rate_bps:.0f}bps "
                 f"prop={seconds_to_ms(self.prop_delay):.1f}ms "
-                f"busy={self._busy}>")
+                f"busy={self.busy}>")

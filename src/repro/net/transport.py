@@ -123,6 +123,12 @@ class MiniTcpSender:
         Initial slow-start threshold, in segments.
     max_window:
         Hard cap on the congestion window (receiver window), segments.
+
+    The retransmission timer is never cancelled in the kernel, which
+    returns no handle.  Re-arming it, completing the transfer or closing
+    the sender bumps ``_timer_token`` instead; each armed timer carries
+    the token it was armed with, and one whose token is stale fires as a
+    no-op.
     """
 
     def __init__(self, host: Host, destination: str, port: int,
@@ -152,7 +158,7 @@ class MiniTcpSender:
         self._rto = INITIAL_RTO
         self._srtt: Optional[float] = None
         self._rttvar = 0.0
-        self._timer = None
+        self._timer_token = 0
         self._send_times: dict[int, float] = {}
         self._resent: set[int] = set()
         # RTT is measured on one "timed" segment at a time (the classic
@@ -207,11 +213,12 @@ class MiniTcpSender:
                            payload_bytes=self.segment_bytes)
 
     def _arm_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
+        self._timer_token += 1
         if self._in_flight() > 0:
-            self._timer = self.host.sim.schedule(self._rto, self._on_timeout,
-                                                 label="minitcp-rto")
+            token = self._timer_token
+            self.host.sim.schedule(self._rto,
+                                   lambda: self._on_timeout(token),
+                                   label="minitcp-rto")
 
     # ------------------------------------------------------------------
     def _on_ack(self, packet: Packet) -> None:
@@ -279,7 +286,9 @@ class MiniTcpSender:
         self.stats.fast_retransmits += 1
         self._enter_recovery()
 
-    def _on_timeout(self) -> None:
+    def _on_timeout(self, token: int) -> None:
+        if token != self._timer_token:
+            return  # superseded by a re-arm, completion or close
         if self.finished or self._in_flight() == 0:
             return
         self.stats.timeouts += 1
@@ -300,14 +309,11 @@ class MiniTcpSender:
     def _complete(self) -> None:
         self.finished = True
         self.finish_time = self.host.sim.now
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        self._timer_token += 1
 
     def close(self) -> None:
-        """Release the UDP port and cancel timers."""
-        if self._timer is not None:
-            self._timer.cancel()
+        """Release the UDP port and disarm the retransmission timer."""
+        self._timer_token += 1
         self.host.unbind_udp(self.port)
 
 

@@ -18,7 +18,7 @@ leaves all simulated timestamps bit-identical.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, NamedTuple, \
+from typing import TYPE_CHECKING, Any, Iterator, List, NamedTuple, \
     Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -102,7 +102,6 @@ class PacketLifecycleTracer:
         self.network = network
         self.kinds = frozenset(kinds) if kinds is not None else None
         self.records: List[HopRecord] = []
-        self._by_uid: Dict[int, List[HopRecord]] = {}
         self._attached = False
         self.attach()
 
@@ -148,12 +147,10 @@ class PacketLifecycleTracer:
                 queue_len: int = -1) -> None:
         if self.kinds is not None and packet.kind not in self.kinds:
             return
-        record = HopRecord(time=self.network.sim.now, uid=packet.uid,
-                           event=event, place=place, kind=packet.kind,
-                           src=packet.src, dst=packet.dst,
-                           queue_len=queue_len)
-        self.records.append(record)
-        self._by_uid.setdefault(packet.uid, []).append(record)
+        self.records.append(HopRecord(
+            time=self.network.sim.now, uid=packet.uid, event=event,
+            place=place, kind=packet.kind, src=packet.src, dst=packet.dst,
+            queue_len=queue_len))
 
     def on_created(self, node: "Node", packet: "Packet") -> None:
         self._record(packet, EVENT_CREATED, node.name)
@@ -193,8 +190,12 @@ class PacketLifecycleTracer:
         return len(self.records)
 
     def path(self, uid: int) -> List[HopRecord]:
-        """The full milestone sequence of one packet (time-ordered)."""
-        return list(self._by_uid.get(uid, ()))
+        """The full milestone sequence of one packet (time-ordered).
+
+        A scan of :attr:`records`: the tracer keeps no per-uid index, which
+        would hold every record a second time.
+        """
+        return [record for record in self.records if record.uid == uid]
 
     def fate(self, uid: int) -> Optional[HopRecord]:
         """The terminal milestone of a packet, or None if still in flight.
@@ -204,7 +205,7 @@ class PacketLifecycleTracer:
         echo host are not the end of the measured journey, but each leg's
         packet has its own uid, so per-uid the first terminal suffices.
         """
-        for record in reversed(self._by_uid.get(uid, ())):
+        for record in reversed(self.path(uid)):
             if record.event in TERMINAL_EVENTS:
                 return record
         return None
@@ -215,8 +216,7 @@ class PacketLifecycleTracer:
                 if record.event in (EVENT_QUEUE_DROP, EVENT_FAULT_DROP)]
 
     def __repr__(self) -> str:
-        return (f"<PacketLifecycleTracer {len(self.records)} records, "
-                f"{len(self._by_uid)} packets"
+        return (f"<PacketLifecycleTracer {len(self.records)} records"
                 f"{'' if self._attached else ' (closed)'}>")
 
 

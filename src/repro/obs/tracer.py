@@ -101,7 +101,7 @@ class KernelTracer:
     >>> sim = Simulator(seed=1)
     >>> tracer = KernelTracer()
     >>> sim.attach_observer(tracer)
-    >>> _ = sim.call_at(1.0, lambda: None, label="tick")
+    >>> sim.call_at(1.0, lambda: None, label="tick")
     >>> sim.run()
     >>> [record.label for record in tracer.records]
     ['tick']

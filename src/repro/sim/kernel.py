@@ -1,42 +1,50 @@
 """The discrete-event simulator: clock, scheduling, and the run loop.
 
-A :class:`Simulator` owns a single :class:`~repro.sim.events.EventQueue` and a
-clock that only advances when events fire.  Components (links, queues,
-traffic sources, probe agents) hold a reference to the simulator and schedule
+A :class:`Simulator` owns a binary heap of pending callbacks and a clock
+that only advances when they fire.  Components (links, queues, traffic
+sources, probe agents) hold a reference to the simulator and schedule
 their work through :meth:`Simulator.schedule` / :meth:`Simulator.call_at`.
+
+Events are ordered by ``(time, priority, sequence)``.  The sequence number
+is a monotonically increasing counter assigned at scheduling time, which
+makes the execution order of simultaneous events deterministic (FIFO
+within the same time and priority) and therefore makes whole simulations
+reproducible from a seed.
 
 The kernel is callback-based rather than coroutine-based: network components
 are naturally event-driven (a packet arrives, a timer fires), callbacks keep
 the hot path free of generator overhead, and determinism is easy to audit.
+Scheduling returns no handle and the kernel cancels nothing: a client that
+may need to retract a callback (the mini-TCP retransmission timer) guards
+it itself and lets a stale one fire as a no-op.
 
-The run loop is the single hottest function in the repository.  It pops the
-next live entry straight off the queue's heap (one traversal: peek at the
-head, skip it if cancelled, stop at ``until``, else pop) with the heap and
-``heappop`` bound to locals; per-event work is limited to the cancelled-skip,
-the ``until`` bound check, the clock store (``now`` is a plain attribute,
-so components read it without a property call), the counter bump, and the
-callback itself.  Heap entries are ``(time, priority, sequence, event)``
-tuples, so every sift compares them in C (see :mod:`repro.sim.events`).
-Both invariants the rest of the tree leans on are preserved: same seed ⇒
-bit-identical event order, and an attached observer changes nothing but
-wall-clock bookkeeping.
+The run loop is the single hottest function in the repository.  Heap
+entries are plain ``(time, priority, sequence, action, label)`` tuples, so
+every sift compares them in C, and the sequence numbers are unique, so a
+comparison never reaches the callback.  The loop peeks at the head, stops
+at ``until``, else pops and unpacks the entry, with the heap and
+``heappop`` bound to locals; per-event work is limited to the ``until``
+bound check, the clock store (``now`` is a plain attribute, so components
+read it without a property call), the counter bump, and the callback
+itself.  Both invariants the rest of the tree leans on are preserved: same
+seed ⇒ bit-identical event order, and an attached observer changes nothing
+but wall-clock bookkeeping.
 """
 
 from __future__ import annotations
 
+import itertools
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Optional, Protocol
+from typing import Any, Callable, Iterator, Optional, Protocol
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.events import DEFAULT_PRIORITY, Event, EventQueue
 from repro.sim.random import RandomStreams
 
-_INF = float("inf")
+#: Default event priority.  Lower values run first at equal timestamps.
+DEFAULT_PRIORITY = 0
 
-#: Allocate an Event without running ``Event.__init__`` (the scheduling
-#: fast path sets every slot itself).
-_new_event = Event.__new__
+_INF = float("inf")
 
 
 class KernelObserver(Protocol):
@@ -72,14 +80,17 @@ class Simulator:
     --------
     >>> sim = Simulator(seed=1)
     >>> fired = []
-    >>> _ = sim.call_at(2.5, lambda: fired.append(sim.now))
+    >>> sim.call_at(2.5, lambda: fired.append(sim.now))
     >>> sim.run()
     >>> fired
     [2.5]
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._queue = EventQueue()
+        #: Pending events as ``(time, priority, sequence, action, label)``
+        #: tuples; ``call_at``/``schedule`` push, only ``run`` pops.
+        self._heap: list[tuple[float, int, int, Callable[[], Any], str]] = []
+        self._counter: Iterator[int] = itertools.count()
         #: Current simulation time in seconds.  A plain attribute, not a
         #: property: components read it on every packet, and only the run
         #: loop writes it (lint rule SIM001 flags a store from outside
@@ -135,7 +146,7 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
     def call_at(self, time: float, action: Callable[[], Any],
-                priority: int = DEFAULT_PRIORITY, label: str = "") -> Event:
+                priority: int = DEFAULT_PRIORITY, label: str = "") -> None:
         """Schedule ``action`` at absolute time ``time``.
 
         Raises
@@ -155,26 +166,11 @@ class Simulator:
             raise SchedulingError(
                 f"cannot schedule {label or action!r} at t={time:.6f}; "
                 f"clock is already at t={self.now:.6f}")
-        # The heap push, inlined down to the allocation: scheduling
-        # happens once per event, so a helper's and Event.__init__'s call
-        # frames are both measurable (see DESIGN.md, "Hot path").  The
-        # field stores must mirror Event.__init__ exactly.
-        queue = self._queue
-        sequence = next(queue._counter)
-        event = _new_event(Event)
-        event.time = time
-        event.priority = priority
-        event.sequence = sequence
-        event.action = action
-        event.label = label
-        event.cancelled = False
-        event._owner = queue
-        heappush(queue._heap, (time, priority, sequence, event))
-        queue._live += 1
-        return event
+        heappush(self._heap,
+                 (time, priority, next(self._counter), action, label))
 
     def schedule(self, delay: float, action: Callable[[], Any],
-                 priority: int = DEFAULT_PRIORITY, label: str = "") -> Event:
+                 priority: int = DEFAULT_PRIORITY, label: str = "") -> None:
         """Schedule ``action`` after a relative ``delay`` (seconds).
 
         Raises
@@ -190,30 +186,17 @@ class Simulator:
             raise SchedulingError(
                 f"cannot schedule {label or action!r} with negative delay "
                 f"{delay:.6f}")
-        # The heap push, inlined down to the allocation (see call_at).
-        queue = self._queue
-        time = self.now + delay
-        sequence = next(queue._counter)
-        event = _new_event(Event)
-        event.time = time
-        event.priority = priority
-        event.sequence = sequence
-        event.action = action
-        event.label = label
-        event.cancelled = False
-        event._owner = queue
-        heappush(queue._heap, (time, priority, sequence, event))
-        queue._live += 1
-        return event
+        heappush(self._heap, (self.now + delay, priority,
+                              next(self._counter), action, label))
 
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:
-        """Execute events until the queue empties or the clock hits ``until``.
+        """Execute events until none is pending or the clock hits ``until``.
 
         When ``until`` is given, the clock is left exactly at ``until`` even
-        if the queue drained earlier, so repeated ``run(until=...)`` calls
+        if the heap drained earlier, so repeated ``run(until=...)`` calls
         advance time monotonically.
         """
         if self._running:
@@ -222,45 +205,36 @@ class Simulator:
         self._stopped = False
         # The observer is bound once per run() call: the untraced loop stays
         # the seed-identical hot path, and the traced loop differs only by
-        # wall-clock bookkeeping around event.action() — simulated state
-        # (clock, queue, streams) is advanced identically in both.
+        # wall-clock bookkeeping around action() — simulated state
+        # (clock, heap, streams) is advanced identically in both.
         observer = self._observer
-        # Hot locals: the heap and heappop are bound once; actions mutate
-        # the heap in place (push/cancel), never rebind it.
-        queue = self._queue
-        heap = queue._heap
+        # Hot locals: the heap and heappop are bound once; actions push
+        # onto the heap in place, never rebind it.
+        heap = self._heap
         pop = heappop
-        # Scheduling rejects non-finite times, so every live event's time is
-        # strictly below +inf and an unbounded run needs no separate branch.
+        # Scheduling rejects non-finite times, so every pending event's
+        # time is strictly below +inf and an unbounded run needs no
+        # separate branch.
         limit = _INF if until is None else until
         # Executed events are counted in a local and folded into
-        # self._events_executed and the queue's live counter when the loop
-        # exits: both are between-runs diagnostics (events_executed,
-        # pending_events), and no action reads them mid-run.
+        # self._events_executed when the loop exits: it is a between-runs
+        # diagnostic, and no action reads it mid-run.
         executed = 0
         try:
             while heap:
-                entry = heap[0]
-                event = entry[3]
-                if event.cancelled:
-                    pop(heap)
-                    continue
-                time = entry[0]
-                if time > limit:
+                if heap[0][0] > limit:
                     break
-                pop(heap)
-                event._owner = None
+                time, priority, _, action, label = pop(heap)
                 self.now = time
                 executed += 1
                 if observer is None:
-                    event.action()
+                    action()
                 else:
                     # Observer wall-cost profiling: measures host time per
                     # event for the tracer, never enters simulated time.
                     started = perf_counter()  # repro: noqa[FLOW001]
-                    event.action()
-                    observer.on_event(time, event.label,
-                                      event.priority,
+                    action()
+                    observer.on_event(time, label, priority,
                                       perf_counter() - started)  # repro: noqa[FLOW001]
                 if self._stopped:
                     break
@@ -268,7 +242,6 @@ class Simulator:
                 self.now = until
         finally:
             self._events_executed += executed
-            queue._live -= executed
             self._running = False
 
     def stop(self) -> None:
@@ -276,9 +249,5 @@ class Simulator:
         self._stopped = True
 
     def pending_events(self) -> int:
-        """Number of live events still scheduled.
-
-        Exact between :meth:`run` calls; from inside an event callback the
-        count may still include events this run has already executed.
-        """
-        return len(self._queue)
+        """Number of events scheduled but not yet executed."""
+        return len(self._heap)

@@ -249,7 +249,7 @@ class TestSIM001KernelPrivateAccess:
         """)
 
     def test_kernel_itself_exempt(self):
-        source = "def peek(self):\n    return self._queue._heap\n"
+        source = "def peek(sim):\n    return sim._heap, sim._counter\n"
         assert audit_source(source, path="src/repro/sim/kernel.py") == []
 
 

@@ -273,3 +273,53 @@ class TestValidation:
                                total_segments=5)
         sender.close()
         MiniTcpSender(network.host("a"), "b", port=7777, total_segments=5)
+
+
+class TestRetransmissionTimer:
+    """A superseded retransmission timer still fires, as a no-op.
+
+    The kernel cancels nothing: re-arming, completing and closing bump the
+    sender's timer token, and a timer armed under an older token must
+    neither count a timeout nor resend.  No receiver is bound, so no ACK
+    ever returns and only the timers move the sender.
+    """
+
+    def unacked_sender(self, sim):
+        network = two_hosts(sim)
+        sender = MiniTcpSender(network.host("a"), "b", port=5000,
+                               total_segments=10)
+        sender.start()
+        # Segment 0 leaves at t=0 and arms the timer for t=1.0.
+        sim.run(until=0.5)
+        assert sender.stats.segments_sent == 1
+        return sender
+
+    def assert_untouched(self, sender):
+        assert sender.stats.timeouts == 0
+        assert sender.stats.retransmissions == 0
+        assert sender.stats.segments_sent == 1
+
+    def test_noop_after_rearm(self, sim):
+        sender = self.unacked_sender(sim)
+        sender._arm_timer()  # the new timer fires at t=1.5
+        assert sim.pending_events() == 2
+        sim.run(until=1.2)  # the superseded t=1.0 timer has fired
+        assert sim.pending_events() == 1
+        self.assert_untouched(sender)
+        sim.run(until=1.6)  # the current one still acts
+        assert sender.stats.timeouts == 1
+        assert sender.stats.retransmissions == 1
+
+    def test_noop_after_complete(self, sim):
+        sender = self.unacked_sender(sim)
+        sender._complete()
+        sim.run(until=2.0)
+        assert sim.pending_events() == 0
+        self.assert_untouched(sender)
+
+    def test_noop_after_close(self, sim):
+        sender = self.unacked_sender(sim)
+        sender.close()
+        sim.run(until=2.0)
+        assert sim.pending_events() == 0
+        self.assert_untouched(sender)
