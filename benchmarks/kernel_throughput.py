@@ -25,7 +25,7 @@ from time import perf_counter
 from repro.net.routing import Network
 from repro.netdyn.session import run_probe_experiment
 from repro.obs.bench import build_report, flat_metrics
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 from repro.topology.inria_umd import build_inria_umd
 from repro.traffic.base import TrafficSink
 from repro.traffic.poisson import PoissonSource

@@ -15,9 +15,9 @@ from time import perf_counter
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_observed_experiment
-from repro.obs import KernelTracer
 from repro.obs.bench import build_report, metric
-from repro.sim import Simulator
+from repro.obs.tracer import KernelTracer
+from repro.sim.kernel import Simulator
 
 SUITE = "obs"
 

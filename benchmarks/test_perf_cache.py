@@ -3,26 +3,21 @@
 The governing requirement of the cache (DESIGN.md): a cache hit is
 byte-identical to a cold run — the cache is an optimization, never an
 input — and a warm full-grid re-run is at least an order of magnitude
-faster than the cold one.  This module records the numbers in
-``BENCH_cache.json`` and asserts both halves.
+faster than the cold one.  ``repro-bench run cache`` records the numbers in
+``BENCH_cache.json``; this module re-runs the suite in memory, writes
+no report, and asserts both halves.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 from campaign_cache import SPEEDUP_FLOOR, run_suite
-
-from repro.obs.bench import write_report
 
 
 @pytest.fixture(scope="module")
 def cache_document():
-    """Run the cold/warm passes once and persist BENCH_cache.json."""
+    """Run the cold/warm passes once, in memory."""
     report = run_suite()
-    out = Path(__file__).resolve().parent / "BENCH_cache.json"
-    write_report(report, out)
     return report["details"]
 
 

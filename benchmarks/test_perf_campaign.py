@@ -14,8 +14,6 @@ recorded as unmeasured, never as a sub-1× "speedup".
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 from campaign_scaling import (
     UNMEASURED,
@@ -25,17 +23,13 @@ from campaign_scaling import (
     time_campaign,
 )
 
-from repro.obs.bench import write_report
-
 SPEEDUP_FLOOR = 1.5
 
 
 @pytest.fixture(scope="module")
 def scaling_document():
-    """Run the full scaling grid once and persist BENCH_campaign.json."""
+    """Run the full scaling grid once, in memory."""
     report = run_suite()
-    out = Path(__file__).resolve().parent / "BENCH_campaign.json"
-    write_report(report, out)
     return report["details"]
 
 

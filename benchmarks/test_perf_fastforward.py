@@ -3,18 +3,15 @@
 The governing requirement of the analytic mode (DESIGN.md): event mode is
 golden — the fast-forward must reproduce its traces bit for bit — and a
 calibrated cell must run at least an order of magnitude faster
-analytically.  This module records the numbers in
-``BENCH_fastforward.json`` and asserts both halves.
+analytically.  ``repro-bench run fastforward`` records the numbers in
+``BENCH_fastforward.json``; this module re-runs the suite in memory, writes
+no report, and asserts both halves.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 from kernel_fastforward import SPEEDUP_FLOOR, run_suite
-
-from repro.obs.bench import write_report
 
 #: Noise-tolerant floor for the grid-batched section (the committed
 #: benchmark records >= 3x; shared CI runners get headroom).
@@ -23,10 +20,8 @@ BATCHED_TEST_FLOOR = 2.0
 
 @pytest.fixture(scope="module")
 def fastforward_document():
-    """Run both kernels once and persist BENCH_fastforward.json."""
+    """Run both kernels once, in memory."""
     report = run_suite()
-    out = Path(__file__).resolve().parent / "BENCH_fastforward.json"
-    write_report(report, out)
     return report["details"]
 
 

@@ -10,8 +10,8 @@ turning everything on).
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment, run_observed_experiment
-from repro.obs import KernelTracer
-from repro.sim import Simulator
+from repro.obs.tracer import KernelTracer
+from repro.sim.kernel import Simulator
 
 EVENT_COUNT = 100_000
 

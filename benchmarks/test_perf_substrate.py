@@ -9,7 +9,7 @@ against performance regressions that would make the paper-length
 
 from repro.net.routing import Network
 from repro.netdyn.session import run_probe_experiment
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 from repro.topology.inria_umd import build_inria_umd
 from repro.traffic.base import TrafficSink
 from repro.traffic.poisson import PoissonSource

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.net.routing import Network
 from repro.net.transport import start_transfer
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 from repro.traffic.ftp import FtpSource
 from repro.traffic.base import TrafficSink
 from repro.units import kbps, ms, seconds_to_ms

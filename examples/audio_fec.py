@@ -20,7 +20,7 @@ delay-distribution question the paper raises.
 Run:  python examples/audio_fec.py
 """
 
-from repro import loss_stats
+from repro.analysis.loss import loss_stats
 from repro.apps.fec import evaluate_repair
 from repro.apps.playout import AdaptivePlayout, playout_delay_for_loss
 from repro.experiments.config import ExperimentConfig

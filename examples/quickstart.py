@@ -9,10 +9,12 @@ of Sections 4 and 5.
 Run:  python examples/quickstart.py
 """
 
-from repro import estimate_bottleneck_mu, loss_stats, phase_points, summarize
+from repro.analysis.loss import loss_stats
+from repro.analysis.phase import estimate_bottleneck_mu, phase_points
+from repro.analysis.timeseries import summarize
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import execute_experiment
-from repro.plotting import scatter
+from repro.plotting.ascii import scatter
 
 
 def main() -> None:

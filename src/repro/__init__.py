@@ -19,47 +19,19 @@ The library has three layers:
 
 Quick start::
 
-    from repro import build_inria_umd, run_probe_experiment, loss_stats
+    from repro.analysis.loss import loss_stats
+    from repro.netdyn.session import run_probe_experiment
+    from repro.topology.inria_umd import build_inria_umd
+
     scenario = build_inria_umd(seed=1)
     scenario.start_traffic()
     trace = run_probe_experiment(scenario.network, scenario.source,
                                  scenario.echo, delta=0.05, count=2000,
                                  start_at=30.0)
     print(loss_stats(trace))
+
+Every name is imported from the module that defines it; the packages
+re-export nothing.
 """
 
-from repro.analysis import (
-    detect_compression,
-    estimate_bottleneck_mu,
-    fit_constant_plus_gamma,
-    loss_stats,
-    phase_points,
-    summarize,
-    workload_distribution,
-)
-from repro.net import Network
-from repro.netdyn import ProbeTrace, run_probe_experiment
-from repro.sim import Simulator
-from repro.tools import ping, traceroute
-from repro.topology import build_inria_umd, build_umd_pitt
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "__version__",
-    "Simulator",
-    "Network",
-    "ProbeTrace",
-    "run_probe_experiment",
-    "build_inria_umd",
-    "build_umd_pitt",
-    "ping",
-    "traceroute",
-    "loss_stats",
-    "phase_points",
-    "estimate_bottleneck_mu",
-    "workload_distribution",
-    "detect_compression",
-    "fit_constant_plus_gamma",
-    "summarize",
-]

@@ -4,27 +4,3 @@
 paper recommends for audio/video; :mod:`~repro.apps.playout` sizes and
 simulates playback buffers against measured delay distributions.
 """
-
-from repro.apps.fec import (
-    RepairReport,
-    evaluate_repair,
-    interleaved_xor_fec,
-    repeat_last,
-    xor_fec,
-)
-from repro.apps.playout import (
-    AdaptivePlayout,
-    PlayoutReport,
-    playout_delay_for_loss,
-)
-
-__all__ = [
-    "RepairReport",
-    "evaluate_repair",
-    "repeat_last",
-    "xor_fec",
-    "interleaved_xor_fec",
-    "AdaptivePlayout",
-    "PlayoutReport",
-    "playout_delay_for_loss",
-]

@@ -1,12 +1,1 @@
 """Baseline measurement methodologies the paper compares against."""
-
-from repro.baselines.merit import MERIT_INTERVAL, MeritStats, merit_sampling
-from repro.baselines.pingstats import GroupedPingResult, grouped_ping
-
-__all__ = [
-    "MERIT_INTERVAL",
-    "MeritStats",
-    "merit_sampling",
-    "GroupedPingResult",
-    "grouped_ping",
-]

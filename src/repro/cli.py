@@ -121,11 +121,8 @@ def _emit_observability(args: argparse.Namespace, config: ExperimentConfig,
     """Write/print whatever --trace / --metrics / --manifest asked for."""
     from pathlib import Path
 
-    from repro.obs import (
-        write_chrome_trace,
-        write_jsonl,
-        write_manifest,
-    )
+    from repro.obs.export import write_chrome_trace, write_jsonl
+    from repro.obs.manifest import write_manifest
 
     if args.trace:
         path = Path(args.trace)

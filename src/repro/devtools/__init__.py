@@ -11,8 +11,9 @@ everywhere in ``src/repro``:
   with conversions expressed through :mod:`repro.units` helpers rather than
   hand-written ``* 1e-3`` style literals.
 
-Two layers enforce them.  Per-file rules (:class:`Rule`) lint one module at
-a time.  Whole-program rules (:class:`ProjectRule`) see the full project —
+Two layers enforce them.  Per-file rules (:class:`~repro.devtools.core.Rule`)
+lint one module at a time.  Whole-program rules
+(:class:`~repro.devtools.core.ProjectRule`) see the full project —
 symbol table (:mod:`repro.devtools.symbols`), call graph
 (:mod:`repro.devtools.callgraph`) — and check *reachability*: entropy is
 fine in live-measurement code, but not reachable from the simulation
@@ -22,29 +23,3 @@ package: the analyzer checks the code, it never runs with it.
 Run the linter as ``repro-audit`` or ``python -m repro.devtools.audit``;
 suppress a finding on one line with ``# repro: noqa[RULE]``.
 """
-
-from repro.devtools.core import (
-    FileContext,
-    Finding,
-    ProjectRule,
-    Rule,
-    all_project_rules,
-    all_rules,
-    check_file,
-    get_rule,
-    register,
-    register_project,
-)
-
-__all__ = [
-    "FileContext",
-    "Finding",
-    "ProjectRule",
-    "Rule",
-    "all_project_rules",
-    "all_rules",
-    "check_file",
-    "get_rule",
-    "register",
-    "register_project",
-]

@@ -96,8 +96,8 @@ class KernelTelemetryImportRule(ProjectRule):
                "the simulation, it never runs inside it")
 
     def check_project(self, project: Project) -> Iterator[Finding]:
-        # The root's *import closure* over-approximates wildly (package
-        # __init__ re-exports pull in the whole tree), so unlike FLOW001
+        # The root's *import closure* over-approximates (a module imports
+        # much that the kernel never executes), so unlike FLOW001
         # this walks the unseeded call graph: only modules whose code the
         # kernel actually executes are checked.
         graph = CallGraph(project)

@@ -15,7 +15,7 @@ binds to, and which modules an entry point transitively imports.
 * ``classes`` — fully-qualified class name -> :class:`ClassInfo` with its
   method table and resolved project base classes.
 
-:meth:`Project.resolve` follows re-export chains (``repro.obs.KernelTracer``
+:meth:`Project.resolve` follows import chains (``repro.obs.KernelTracer``
 -> ``repro.obs.tracer.KernelTracer``) until it lands on a definition, and
 :meth:`Project.import_closure` computes the set of project modules that
 executing an entry module imports — including ancestor package
@@ -225,7 +225,7 @@ class Project:
         or ``None`` when the path leaves the project (stdlib, numpy, a
         dynamic attribute, ...).  Handles aliasing through any number of
         ``from x import y as z`` hops and attribute suffixes on re-exports
-        (``repro.sim.Simulator.run``).
+        (``repro.obs.KernelTracer.on_event``).
         """
         seen: Set[str] = set()
         while path is not None and path not in seen:

@@ -21,7 +21,8 @@ from repro.net.queue import queue_summary
 from repro.net.routing import Network
 from repro.netdyn.session import run_probe_experiment
 from repro.netdyn.trace import ProbeTrace
-from repro.obs import MetricsRegistry, Observability
+from repro.obs import Observability
+from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import PHASE_SETUP, PHASE_SIM, SpanTracer, \
     optional_span
 from repro.topology.builder import PathScenario

@@ -6,60 +6,3 @@ paper models (Figure 3) emerges from :class:`~repro.net.queue.DropTailQueue`
 plus :class:`~repro.net.link.Interface` serialization; nothing is special-
 cased for the experiments.
 """
-
-from repro.net.faults import (
-    FaultModel,
-    PeriodicStallFault,
-    RandomDropFault,
-    RouteFlapFault,
-)
-from repro.net.host import Host
-from repro.net.link import Interface
-from repro.net.node import Node
-from repro.net.packet import (
-    DEFAULT_TTL,
-    KIND_ICMP_ECHO,
-    KIND_ICMP_ECHO_REPLY,
-    KIND_ICMP_PORT_UNREACHABLE,
-    KIND_ICMP_TIME_EXCEEDED,
-    KIND_UDP,
-    UDP_WIRE_OVERHEAD_BYTES,
-    Packet,
-    make_udp,
-)
-from repro.net.queue import DropTailQueue, MODE_BYTES, MODE_PACKETS
-from repro.net.routing import Network
-from repro.net.tap import CaptureRecord, PacketTap
-from repro.net.transport import (
-    MiniTcpReceiver,
-    MiniTcpSender,
-    start_transfer,
-)
-
-__all__ = [
-    "FaultModel",
-    "PeriodicStallFault",
-    "RandomDropFault",
-    "RouteFlapFault",
-    "Host",
-    "Interface",
-    "Node",
-    "Packet",
-    "make_udp",
-    "DEFAULT_TTL",
-    "KIND_UDP",
-    "KIND_ICMP_ECHO",
-    "KIND_ICMP_ECHO_REPLY",
-    "KIND_ICMP_TIME_EXCEEDED",
-    "KIND_ICMP_PORT_UNREACHABLE",
-    "UDP_WIRE_OVERHEAD_BYTES",
-    "DropTailQueue",
-    "MODE_BYTES",
-    "MODE_PACKETS",
-    "Network",
-    "PacketTap",
-    "CaptureRecord",
-    "MiniTcpReceiver",
-    "MiniTcpSender",
-    "start_transfer",
-]

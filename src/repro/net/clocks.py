@@ -47,7 +47,7 @@ class PerfectClock(Clock):
 class QuantizedClock(Clock):
     """A clock whose readings are floored to a fixed tick.
 
-    >>> from repro.sim import Simulator
+    >>> from repro.sim.kernel import Simulator
     >>> sim = Simulator()
     >>> clock = QuantizedClock(sim, resolution=DECSTATION_RESOLUTION)
     """

@@ -55,7 +55,7 @@ def run_probe_experiment(network: Network, source: str, echo: str,
         Simulation time of the first probe.  Set it past zero to let cross
         traffic reach steady state first (warm-up).
     registry:
-        Optional :class:`~repro.obs.MetricsRegistry`; when given, the
+        Optional :class:`~repro.obs.registry.MetricsRegistry`; when given, the
         session registers its probe counters (``netdyn/probes_sent``,
         ``duplicates``, ``reordered``, ``echo_forwarded``) as pull-based
         instruments, so they appear in the run's metrics snapshot.

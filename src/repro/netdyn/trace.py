@@ -6,15 +6,13 @@ probe.  All analysis modules (:mod:`repro.analysis`) consume this type.
 It round-trips through two forms: CSV (:meth:`ProbeTrace.save_csv` /
 :meth:`ProbeTrace.load_csv`), the human-readable form live-network and
 simulated traces share, and binary columnar npz
-(:meth:`ProbeTrace.save_npz` / :meth:`ProbeTrace.load_npz`), bit-exact
-float64 and the campaign cell cache's storage.
+(:meth:`ProbeTrace.save_npz` / :meth:`ProbeTrace.from_npz_arrays`),
+bit-exact float64 and the campaign cell cache's storage.
 """
 
 from __future__ import annotations
 
-import io
 import json
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO, Mapping, Optional, Sequence, Union
@@ -114,15 +112,6 @@ class ProbeTrace:
             raise InsufficientDataError("no received probes in trace")
         return float(valid.min())
 
-    def slice(self, start: int, stop: int) -> "ProbeTrace":
-        """A sub-trace of probes ``start <= n < stop`` (metadata shared)."""
-        return ProbeTrace(delta=self.delta,
-                          send_times=self.send_times[start:stop],
-                          rtts=self.rtts[start:stop],
-                          payload_bytes=self.payload_bytes,
-                          wire_bytes=self.wire_bytes,
-                          meta=dict(self.meta))
-
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
@@ -166,46 +155,19 @@ class ProbeTrace:
             handle.write("n,send_time,rtt\r\n")
             handle.write(rows)
 
-    @staticmethod
-    def _parse_rows_slow(path: Path, rows: "list[tuple[int, str]]",
-                         ) -> "tuple[list[float], list[float]]":
-        """Row-by-row data parse with exact ``file:line`` diagnostics.
-
-        The authoritative (historical) parser: the vectorized fast path in
-        :meth:`load_csv` defers to this whenever anything about the data
-        block looks unusual, so malformed rows always surface the same
-        :class:`AnalysisError` they did before vectorization.
-        """
-        send_times: list[float] = []
-        rtts: list[float] = []
-        for lineno, line in rows:
-            fields = line.split(",")
-            if len(fields) != 3:
-                raise AnalysisError(
-                    f"{path}:{lineno}: expected 3 fields "
-                    f"(n, send_time, rtt), got {len(fields)}: {line!r}")
-            try:
-                send_times.append(float(fields[1]))
-                rtts.append(float(fields[2]))
-            except ValueError as exc:
-                raise AnalysisError(
-                    f"{path}:{lineno}: non-numeric field in row "
-                    f"{line!r}") from exc
-        return send_times, rtts
-
     @classmethod
     def load_csv(cls, path: Union[str, Path]) -> "ProbeTrace":
         """Read a trace written by :meth:`save_csv`.
 
-        Well-formed data blocks are parsed in one ``np.loadtxt`` call (a C
-        parser, not a Python loop); any anomaly — wrong field count, a
-        non-numeric field — falls back to the row-by-row parser, which
-        raises :class:`AnalysisError` naming the exact file and line.
+        Data rows are parsed one by one, so a malformed row (wrong field
+        count, a non-numeric field) raises :class:`AnalysisError` naming
+        the exact file and line.
         """
         path = Path(path)
         header: dict[str, Any] = {"delta": None, "payload_bytes": 32,
                                   "wire_bytes": 72, "meta": {}}
-        rows: list[tuple[int, str]] = []
+        send_times: list[float] = []
+        rtts: list[float] = []
         with path.open() as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.strip()
@@ -222,23 +184,18 @@ class ProbeTrace:
                     continue
                 if line.startswith("n,"):
                     continue
-                rows.append((lineno, line))
-
-        send_times: Union[np.ndarray, list[float]]
-        rtts: Union[np.ndarray, list[float]]
-        if rows:
-            try:
-                block = np.loadtxt(
-                    io.StringIO("\n".join(line for _, line in rows)),
-                    delimiter=",", dtype=float, ndmin=2)
-            except Exception:
-                block = None
-            if block is not None and block.shape[1] == 3:
-                send_times, rtts = block[:, 1], block[:, 2]
-            else:
-                send_times, rtts = cls._parse_rows_slow(path, rows)
-        else:
-            send_times, rtts = [], []
+                fields = line.split(",")
+                if len(fields) != 3:
+                    raise AnalysisError(
+                        f"{path}:{lineno}: expected 3 fields "
+                        f"(n, send_time, rtt), got {len(fields)}: {line!r}")
+                try:
+                    send_times.append(float(fields[1]))
+                    rtts.append(float(fields[2]))
+                except ValueError as exc:
+                    raise AnalysisError(
+                        f"{path}:{lineno}: non-numeric field in row "
+                        f"{line!r}") from exc
         if header["delta"] is None:
             if len(send_times) >= 2:
                 header["delta"] = float(send_times[1] - send_times[0])
@@ -294,9 +251,9 @@ class ProbeTrace:
     def from_npz_arrays(cls, data: Mapping[str, np.ndarray]) -> "ProbeTrace":
         """Rebuild a trace from the arrays of an open npz file.
 
-        Split out of :meth:`load_npz` so consumers that embed extra arrays
-        next to the trace (the campaign cell cache) can decode the trace
-        from an ``np.load`` handle they already hold.
+        The reader of :meth:`save_npz`: the caller opens the file with
+        ``np.load`` and may read the extra arrays it stored next to the
+        trace (the campaign cell cache does).
         """
         header = json.loads(str(data["header"][()]))
         return cls(delta=header["delta"],
@@ -304,22 +261,6 @@ class ProbeTrace:
                    rtts=np.asarray(data["rtts"], dtype=float),
                    payload_bytes=header["payload_bytes"],
                    wire_bytes=header["wire_bytes"], meta=header["meta"])
-
-    @classmethod
-    def load_npz(cls, path: Union[str, Path]) -> "ProbeTrace":
-        """Read a trace written by :meth:`save_npz`.
-
-        Raises :class:`AnalysisError` on anything unreadable — truncated
-        zip, missing arrays, garbled header JSON — so callers can treat a
-        damaged file as one condition.
-        """
-        path = Path(path)
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                return cls.from_npz_arrays(data)
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-            raise AnalysisError(
-                f"{path}: not a readable ProbeTrace npz: {exc}") from exc
 
     def __repr__(self) -> str:
         return (f"<ProbeTrace delta={seconds_to_ms(self.delta):g}ms "

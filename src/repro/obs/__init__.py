@@ -32,8 +32,9 @@ never changes a simulated timestamp — same seed ⇒ bit-identical
 
 Quick start::
 
-    from repro import build_inria_umd, run_probe_experiment
+    from repro.netdyn.session import run_probe_experiment
     from repro.obs import Observability
+    from repro.topology.inria_umd import build_inria_umd
 
     scenario = build_inria_umd(seed=1)
     obs = Observability.full(scenario.sim, scenario.network)
@@ -56,73 +57,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
-from repro.obs.bench import (
-    build_report,
-    compare_reports,
-    format_comparison,
-    read_report,
-    write_report,
-)
 from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
     write_profiles_json,
 )
-from repro.obs.lifecycle import HopRecord, PacketLifecycleTracer, probe_uids
-from repro.obs.manifest import (
-    build_manifest,
-    write_manifest,
-    write_timing,
-)
-from repro.obs.progress import ProgressReporter, resolve_progress
-from repro.obs.registry import (
-    CounterMetric,
-    GaugeMetric,
-    MetricsRegistry,
-    instrument_network,
-)
-from repro.obs.spans import (
-    SpanRecord,
-    SpanTracer,
-    merge_spans,
-    summarize_spans,
-)
-from repro.obs.tracer import EventRecord, KernelTracer, LabelProfile
+from repro.obs.lifecycle import PacketLifecycleTracer
+from repro.obs.registry import MetricsRegistry, instrument_network
+from repro.obs.tracer import KernelTracer
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.net.routing import Network
     from repro.sim.kernel import Simulator
-
-__all__ = [
-    "CounterMetric",
-    "EventRecord",
-    "GaugeMetric",
-    "HopRecord",
-    "KernelTracer",
-    "LabelProfile",
-    "MetricsRegistry",
-    "Observability",
-    "PacketLifecycleTracer",
-    "ProgressReporter",
-    "SpanRecord",
-    "SpanTracer",
-    "build_manifest",
-    "build_report",
-    "compare_reports",
-    "format_comparison",
-    "instrument_network",
-    "merge_spans",
-    "probe_uids",
-    "read_report",
-    "resolve_progress",
-    "summarize_spans",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_manifest",
-    "write_profiles_json",
-    "write_report",
-    "write_timing",
-]
 
 
 @dataclass
@@ -140,7 +86,7 @@ class Observability:
     lifecycle: Optional[PacketLifecycleTracer] = None
 
     @classmethod
-    def full(cls, sim: "Simulator", network: "Network") -> "Observability":
+    def full(cls, sim: Simulator, network: Network) -> Observability:
         """Attach every collector to a built simulator + network."""
         kernel = KernelTracer()
         sim.attach_observer(kernel)
@@ -150,7 +96,7 @@ class Observability:
         return cls(registry=registry, kernel=kernel, lifecycle=lifecycle)
 
     @classmethod
-    def metrics_only(cls, network: "Network") -> "Observability":
+    def metrics_only(cls, network: Network) -> Observability:
         """Registry-only bundle: pull-based, zero hot-path cost."""
         registry = MetricsRegistry()
         instrument_network(registry, network)
@@ -161,7 +107,7 @@ class Observability:
         """The registry's nested metrics dict."""
         return self.registry.snapshot()
 
-    def close(self, sim: Optional["Simulator"] = None) -> None:
+    def close(self, sim: Optional[Simulator] = None) -> None:
         """Detach every attached collector (records stay available)."""
         if self.lifecycle is not None:
             self.lifecycle.close()

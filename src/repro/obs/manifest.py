@@ -57,7 +57,7 @@ def build_manifest(config: Any = None, seed: Optional[int] = None,
     seed:
         Master seed, when not already part of ``config``.
     metrics:
-        A :meth:`repro.obs.MetricsRegistry.snapshot` dict.
+        A :meth:`repro.obs.registry.MetricsRegistry.snapshot` dict.
     extra:
         Free-form additions (trace file names, scenario notes, ...).
     """

@@ -97,7 +97,7 @@ class KernelTracer:
 
     Examples
     --------
-    >>> from repro.sim import Simulator
+    >>> from repro.sim.kernel import Simulator
     >>> sim = Simulator(seed=1)
     >>> tracer = KernelTracer()
     >>> sim.attach_observer(tracer)

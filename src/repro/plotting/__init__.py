@@ -1,12 +1,1 @@
 """Terminal figure rendering and CSV export."""
-
-from repro.plotting.ascii import histogram, line, scatter
-from repro.plotting.export import export_columns, export_histogram
-
-__all__ = [
-    "histogram",
-    "line",
-    "scatter",
-    "export_columns",
-    "export_histogram",
-]

@@ -5,11 +5,3 @@ callbacks with deterministic tie-breaking, and the run loop
 (:mod:`repro.sim.kernel`), plus named reproducible random streams
 (:mod:`repro.sim.random`).
 """
-
-from repro.sim.kernel import Simulator
-from repro.sim.random import RandomStreams
-
-__all__ = [
-    "Simulator",
-    "RandomStreams",
-]

@@ -1,18 +1,1 @@
 """In-simulator network tools: traceroute and ping."""
-
-from repro.tools.ping import PingResult, ping
-from repro.tools.traceroute import (
-    Hop,
-    format_route_table,
-    route_names,
-    traceroute,
-)
-
-__all__ = [
-    "PingResult",
-    "ping",
-    "Hop",
-    "traceroute",
-    "route_names",
-    "format_route_table",
-]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.routing import Network
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 from repro.units import mbps, ms
 
 #: The 13 NSS sites of the T1 backbone.

@@ -41,6 +41,11 @@ class ResponsiveBulkSource:
     base_port:
         First connection port; give each source on a shared pair of
         hosts (e.g. one per direction) a disjoint port range.
+
+    Every launched transfer's :class:`MiniTcpSender` stays in
+    :attr:`senders`, in launch order, so its outcome and
+    :class:`~repro.net.transport.TransferStats` can be read after the run;
+    a finished transfer still closes both ends and releases its port.
     """
 
     def __init__(self, sender: Host, receiver: Host, session_rate: float,
@@ -67,8 +72,8 @@ class ResponsiveBulkSource:
         self.rng = sender.sim.streams.get(stream)
         self._ports = itertools.count(base_port)
         self._active: list[tuple[MiniTcpSender, MiniTcpReceiver]] = []
+        self.senders: list[MiniTcpSender] = []
         self._running = False
-        self.sessions_started = 0
         self.sessions_skipped = 0
 
     # ------------------------------------------------------------------
@@ -102,7 +107,7 @@ class ResponsiveBulkSource:
                                    max_window=self.max_window)
             sender.start()
             self._active.append((sender, receiver))
-            self.sessions_started += 1
+            self.senders.append(sender)
         else:
             self.sessions_skipped += 1
         self.sender.sim.schedule(self._next_interval(), self._launch,

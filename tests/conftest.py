@@ -14,7 +14,7 @@ from hypothesis import settings
 
 from repro.netdyn.session import run_probe_experiment
 from repro.netdyn.trace import ProbeTrace
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 from repro.topology.inria_umd import build_inria_umd
 
 from tests.topology.single_bottleneck import build_single_bottleneck

@@ -30,7 +30,7 @@ from repro.experiments.runner import build_scenario
 from repro.net.packet import UDP_WIRE_OVERHEAD_BYTES
 from repro.net.routing import Network
 from repro.obs.spans import PHASE_REPLAY, SpanTracer
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 from repro.traffic.sizes import EmpiricalSize, FixedSize
 from repro.traffic.telnet import TelnetSource
 from repro.units import bytes_to_bits, mbps

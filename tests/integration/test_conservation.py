@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.net.faults import RandomDropFault
 from repro.net.routing import Network
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 from repro.traffic.base import TrafficSink
 from repro.traffic.poisson import PoissonSource
 from repro.traffic.sizes import FixedSize

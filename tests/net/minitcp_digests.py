@@ -24,7 +24,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict
 
 from repro.net.transport import MiniTcpSender
 from repro.netdyn.session import run_probe_experiment
@@ -34,20 +34,6 @@ from repro.traffic.tcpflows import ResponsiveBulkSource
 CONFIG = {"scenario": "inria-umd", "seed": 6, "delta": 0.008,
           "count": 4000, "start_at": 30.0}
 TABLE = Path(__file__).resolve().parents[1] / "data" / "minitcp_digests.json"
-
-
-class _RecordingSource(ResponsiveBulkSource):
-    """Keeps every sender it launches (the source drops finished ones)."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.senders: List[MiniTcpSender] = []
-
-    def _launch(self) -> None:
-        started = self.sessions_started
-        super()._launch()
-        if self.sessions_started > started:
-            self.senders.append(self._active[-1][0])
 
 
 def _transfer_line(sender: MiniTcpSender) -> str:
@@ -66,9 +52,9 @@ def cell_digests() -> Dict[str, object]:
     fr = scenario.network.host("cross-fr.icp.net")
     us = scenario.network.host("cross-us.nsf.net")
     sources = [
-        _RecordingSource(fr, us, session_rate=0.4, mean_file_segments=20.0,
+        ResponsiveBulkSource(fr, us, session_rate=0.4, mean_file_segments=20.0,
                          stream="tcp.fwd", base_port=20_000, max_window=6.0),
-        _RecordingSource(us, fr, session_rate=0.36,
+        ResponsiveBulkSource(us, fr, session_rate=0.36,
                          mean_file_segments=20.0, stream="tcp.rev",
                          base_port=40_000, max_window=6.0),
     ]

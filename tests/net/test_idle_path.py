@@ -18,7 +18,7 @@ from repro.net.hooks import LifecycleObserver
 from repro.net.link import Interface
 from repro.net.packet import Packet
 from repro.net.queue import MODE_BYTES, MODE_PACKETS, DropTailQueue
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 from tests.sim.occupancy_reference import TimeWeightedValue
 
 #: 1000 B take 1 s at this rate, so arrivals spaced up to 2 s apart find

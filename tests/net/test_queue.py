@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue, MODE_BYTES, MODE_PACKETS
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 from tests.sim.occupancy_reference import TimeWeightedValue
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import AddressError, ConfigurationError, RoutingError
 from repro.net.routing import Network
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 from repro.topology.inria_umd import build_inria_umd
 from repro.topology.nsfnet import build_nsfnet
 from repro.topology.umd_pitt import build_umd_pitt

@@ -9,7 +9,7 @@ from repro.net.faults import RandomDropFault
 from repro.net.packet import KIND_UDP
 from repro.net.routing import Network
 from repro.net.tap import PacketTap
-from repro.obs import PacketLifecycleTracer
+from repro.obs.lifecycle import PacketLifecycleTracer
 from repro.tools.ping import ping
 from repro.units import mbps, ms
 

@@ -9,7 +9,7 @@ from repro.net.transport import (
     MiniTcpSender,
     start_transfer,
 )
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 from repro.units import kbps, mbps, ms
 
 

@@ -117,7 +117,7 @@ class TestReordering:
         route changes."""
         from repro.net.faults import RouteFlapFault
         from repro.net.routing import Network
-        from repro.sim import Simulator
+        from repro.sim.kernel import Simulator
         from repro.units import mbps
 
         sim = Simulator(seed=4)

@@ -26,7 +26,7 @@ from typing import Dict
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_observed_experiment
-from repro.obs import write_jsonl
+from repro.obs.export import write_jsonl
 
 CONFIG = ExperimentConfig(delta=0.05, duration=5.0, seed=1)
 TABLE = Path(__file__).resolve().parents[1] / "data" / "hop_digests.json"

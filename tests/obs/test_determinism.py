@@ -9,7 +9,8 @@ import numpy as np
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment, run_observed_experiment
 from repro.netdyn.session import run_probe_experiment
-from repro.obs import KernelTracer, Observability
+from repro.obs import Observability
+from repro.obs.tracer import KernelTracer
 from repro.topology.inria_umd import build_inria_umd
 
 CONFIG_KWARGS = dict(delta=0.05, duration=10.0, seed=7)

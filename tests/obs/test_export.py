@@ -8,19 +8,17 @@ import json
 
 import pytest
 
-from repro.obs import (
-    EventRecord,
-    HopRecord,
-    KernelTracer,
-    Observability,
-    SpanRecord,
-    build_manifest,
+from repro.obs import Observability
+from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
-    write_manifest,
     write_profiles_json,
 )
-from repro.sim import Simulator
+from repro.obs.lifecycle import HopRecord
+from repro.obs.manifest import build_manifest, write_manifest
+from repro.obs.spans import SpanRecord
+from repro.obs.tracer import EventRecord, KernelTracer
+from repro.sim.kernel import Simulator
 
 EVENTS = [
     EventRecord(time=0.5, label="tx-done a->b", priority=10,

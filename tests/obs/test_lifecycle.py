@@ -4,13 +4,14 @@ import pytest
 
 from repro.net.packet import KIND_UDP
 from repro.netdyn.session import run_probe_experiment
-from repro.obs import PacketLifecycleTracer, probe_uids
 from repro.obs.lifecycle import (
     EVENT_CREATED,
     EVENT_ENQUEUED,
     EVENT_RECEIVED,
     EVENT_TX_DONE,
     TERMINAL_EVENTS,
+    PacketLifecycleTracer,
+    probe_uids,
 )
 from repro.netdyn.trace import LOST
 from repro.topology.inria_umd import build_inria_umd

@@ -4,8 +4,11 @@ instrumentation."""
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import MetricsRegistry, instrument_network
-from repro.obs.registry import SEPARATOR
+from repro.obs.registry import (
+    SEPARATOR,
+    MetricsRegistry,
+    instrument_network,
+)
 from repro.topology.inria_umd import build_inria_umd
 
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.obs import KernelTracer
-from repro.sim import Simulator
+from repro.obs.tracer import KernelTracer
+from repro.sim.kernel import Simulator
 
 
 def run_ticks(tracer, count=5, label="tick", capacity_sim_seed=1):

@@ -8,7 +8,7 @@ join against single-cell reference runs.
 """
 
 from repro.netdyn.session import run_probe_experiment
-from repro.obs import PacketLifecycleTracer
+from repro.obs.lifecycle import PacketLifecycleTracer
 from repro.topology.inria_umd import build_inria_umd
 
 

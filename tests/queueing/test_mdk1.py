@@ -61,7 +61,7 @@ class TestAgainstSimulation:
 
     def test_md1_wait_matches_simulated_link(self):
         from repro.net.routing import Network
-        from repro.sim import Simulator
+        from repro.sim.kernel import Simulator
         from repro.traffic.base import TrafficSink
         from repro.traffic.poisson import PoissonSource
         from repro.traffic.sizes import FixedSize
@@ -104,7 +104,7 @@ class TestAgainstSimulation:
         transmitter plus ``capacity`` waiting, so a system size of K maps
         to queue capacity K - 1."""
         from repro.net.routing import Network
-        from repro.sim import Simulator
+        from repro.sim.kernel import Simulator
         from repro.traffic.base import TrafficSink
         from repro.traffic.poisson import PoissonSource
         from repro.traffic.sizes import FixedSize

@@ -12,7 +12,7 @@ from itertools import count
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 
 
 def make_action(log, tag):

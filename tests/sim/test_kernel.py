@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 
 
 class TestScheduling:

@@ -16,6 +16,10 @@ or an identifier-shaped string constant (``"repro.units.bps_to_mbps"``,
 code.  Imports, ``__all__`` entries and docstrings are not references, so
 a package ``__init__`` re-export alone keeps nothing alive.  Tests are not
 users either: a symbol only tests reach belongs under ``tests/``.
+
+A package ``__init__.py`` re-exports nothing: it defines no ``__all__``
+and imports only names its own body uses, so each name has one import
+path, the module that defines it.
 """
 
 from __future__ import annotations
@@ -161,3 +165,35 @@ def test_every_exemption_is_still_needed():
     stale = sorted(name for name in EXEMPT if name not in unused)
     assert not stale, f"EXEMPT entries that exist and have a user, or are " \
                       f"gone: {stale}"
+
+
+def _bound_names(node: ast.AST) -> Iterator[str]:
+    """The names an import statement binds (``*`` for a star import)."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        for alias in node.names:
+            yield alias.asname or alias.name.split(".")[0]
+
+
+def test_package_inits_re_export_nothing():
+    offenders = []
+    for path in sorted(PACKAGE_ROOT.rglob("__init__.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {name for node in ast.walk(tree)
+                    for name in _bound_names(node)}
+        module = _module_name(path)
+        used: Set[str] = set()
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            names = set(_names(stmt))
+            if "__all__" in names:  # its strings would read as uses
+                offenders.append(f"{module}: defines __all__")
+            else:
+                used |= names
+        offenders.extend(f"{module}: imports {name} and never uses it"
+                         for name in sorted(imported - used))
+    assert not offenders, (
+        "package __init__ files re-export (import each name from the "
+        "module that defines it):\n  " + "\n  ".join(offenders))

@@ -26,9 +26,28 @@ class TestResponsiveBulkSource:
                                       mean_file_segments=10.0)
         source.start()
         sim.run(until=60.0)
-        assert source.sessions_started > 20
+        assert len(source.senders) > 20
         # Finished transfers are reaped at each launch; only a few remain.
-        assert len(source._active) < source.sessions_started
+        assert len(source._active) < len(source.senders)
+
+    def test_reaped_transfers_keep_their_stats(self, sim):
+        network = two_hosts(sim)
+        a, b = network.host("a"), network.host("b")
+        source = ResponsiveBulkSource(a, b, session_rate=1.0,
+                                      mean_file_segments=10.0)
+        source.start()
+        sim.run(until=60.0)
+        senders = source.senders
+        assert [s.port for s in senders] == sorted(s.port for s in senders)
+        reaped = [s for s in senders
+                  if all(s is not live for live, _ in source._active)]
+        assert reaped and all(s.finished for s in reaped)
+        assert sum(s.stats.segments_sent for s in reaped) \
+            >= sum(s.total_segments for s in reaped)
+        # Closing a finished transfer released its port on both hosts.
+        for sender in reaped:
+            assert sender.port not in a._udp_bindings
+            assert sender.port not in b._udp_bindings
 
     def test_offered_load_tracks_session_rate(self, sim):
         network = two_hosts(sim, rate_bps=mbps(10))
@@ -38,7 +57,7 @@ class TestResponsiveBulkSource:
         source.start()
         sim.run(until=120.0)
         # ~240 sessions expected; Poisson sd ~15.
-        assert 180 <= source.sessions_started <= 300
+        assert 180 <= len(source.senders) <= 300
 
     def test_concurrency_cap(self, sim):
         # A slow link cannot drain sessions as fast as they arrive.
@@ -58,10 +77,10 @@ class TestResponsiveBulkSource:
                                       session_rate=2.0)
         source.start()
         sim.run(until=20.0)
-        started = source.sessions_started
+        started = len(source.senders)
         source.stop()
         sim.run(until=60.0)
-        assert source.sessions_started == started
+        assert len(source.senders) == started
 
     def test_validation(self, sim):
         network = two_hosts(sim)
