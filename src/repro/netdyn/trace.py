@@ -29,6 +29,20 @@ LOST = 0.0
 NPZ_FORMAT_VERSION = 1
 
 
+def _meta_header(text: str) -> dict[str, Any]:
+    """The ``# meta=`` header value: a JSON object."""
+    meta = json.loads(text)
+    if not isinstance(meta, dict):
+        raise ValueError("not a JSON object")
+    return meta
+
+
+#: How :meth:`ProbeTrace.load_csv` reads each ``# key=value`` header;
+#: every parser raises ``ValueError`` on a malformed value.
+_HEADER_PARSERS = {"delta": float, "payload_bytes": int, "wire_bytes": int,
+                   "meta": _meta_header}
+
+
 @dataclass
 class ProbeTrace:
     """Measured round-trip delays of periodic probes.
@@ -134,34 +148,34 @@ class ProbeTrace:
     def save_csv(self, path: Union[str, Path]) -> None:
         """Write ``n, s_n, rtt_n`` rows; metadata goes in ``#`` comments.
 
-        The row block is formatted in one batch (one ``%`` format per row
-        over plain-Python floats, a single ``join``, a single ``write``)
-        rather than through per-row ``csv.writer`` calls — several times
-        faster on long traces — while producing byte-identical output to
-        the historical writer (``\\n``-terminated header comments,
-        ``\\r\\n`` row terminators, correctly rounded ``.9f`` fields;
-        pinned by the golden-trace test).
+        The bytes are those of the historical per-row writer:
+        ``\\n``-terminated header comments, ``\\r\\n`` row terminators and
+        fields equal to Python's correctly rounded ``"%.9f" % x``.  The
+        rows are formatted by :func:`_csv_rows`, a few NumPy passes per
+        block of :data:`_CSV_BLOCK_ROWS` rows instead of one Python
+        format per row (pinned by ``tests/netdyn/test_trace.py`` and the
+        golden-trace test).
         """
         path = Path(path)
-        rows = "".join([
-            "%d,%.9f,%.9f\r\n" % row
-            for row in zip(range(len(self.send_times)),
-                           self.send_times.tolist(), self.rtts.tolist())])
-        with path.open("w", newline="") as handle:
-            handle.write(f"# delta={self.delta!r}\n")
-            handle.write(f"# payload_bytes={self.payload_bytes}\n")
-            handle.write(f"# wire_bytes={self.wire_bytes}\n")
-            handle.write(f"# meta={json.dumps(self.meta, sort_keys=True)}\n")
-            handle.write("n,send_time,rtt\r\n")
-            handle.write(rows)
+        header = (f"# delta={self.delta!r}\n"
+                  f"# payload_bytes={self.payload_bytes}\n"
+                  f"# wire_bytes={self.wire_bytes}\n"
+                  f"# meta={json.dumps(self.meta, sort_keys=True)}\n"
+                  "n,send_time,rtt\r\n")
+        with path.open("wb") as handle:
+            handle.write(header.encode())
+            for start in range(0, len(self.rtts), _CSV_BLOCK_ROWS):
+                stop = start + _CSV_BLOCK_ROWS
+                handle.write(_csv_rows(start, self.send_times[start:stop],
+                                       self.rtts[start:stop]))
 
     @classmethod
     def load_csv(cls, path: Union[str, Path]) -> "ProbeTrace":
         """Read a trace written by :meth:`save_csv`.
 
-        Data rows are parsed one by one, so a malformed row (wrong field
-        count, a non-numeric field) raises :class:`AnalysisError` naming
-        the exact file and line.
+        Lines are parsed one by one, so a malformed header value or data
+        row (wrong field count, a non-numeric field) raises
+        :class:`AnalysisError` naming the exact file and line.
         """
         path = Path(path)
         header: dict[str, Any] = {"delta": None, "payload_bytes": 32,
@@ -176,11 +190,13 @@ class ProbeTrace:
                 if line.startswith("#"):
                     key, _, value = line[1:].strip().partition("=")
                     key = key.strip()
-                    if key == "meta":
-                        header["meta"] = json.loads(value)
-                    elif key in header:
-                        header[key] = float(value) if key == "delta" \
-                            else int(value)
+                    if key in _HEADER_PARSERS:
+                        try:
+                            header[key] = _HEADER_PARSERS[key](value)
+                        except ValueError as exc:
+                            raise AnalysisError(
+                                f"{path}:{lineno}: malformed {key} header "
+                                f"{value!r}: {exc}") from exc
                     continue
                 if line.startswith("n,"):
                     continue
@@ -266,3 +282,115 @@ class ProbeTrace:
         return (f"<ProbeTrace delta={seconds_to_ms(self.delta):g}ms "
                 f"n={len(self)} "
                 f"loss={self.loss_fraction:.1%}>")
+
+
+# ----------------------------------------------------------------------
+# The CSV row formatter
+#
+# ``"%.9f" % x`` is the decimal expansion of the double ``x`` rounded
+# half-to-even at the ninth fractional digit.  The formatter below gets
+# the same digits from float64 and unsigned-integer NumPy passes that are
+# exact for every finite double: ``x = whole + frac`` splits exactly, the
+# rounding error of ``frac * 1e9`` is recovered exactly (Dekker's
+# two-product), and the integer part is expanded in base-1e9 limbs.  Each
+# row's bytes sit in one column of a (width x rows) uint8 table, padded
+# with 0 bytes where a row's number is shorter than the widest one; the
+# padding is dropped in one pass at the end.
+# ----------------------------------------------------------------------
+
+#: Rows formatted per NumPy pass; bounds the formatter's memory.
+_CSV_BLOCK_ROWS = 1 << 16
+
+_LIMB = 10 ** 9
+
+#: Veltkamp's splitting constant for float64 (2**27 + 1).
+_SPLITTER = 134217729.0
+
+#: 10**8 ... 10**0, the place values of a limb's nine digits.
+_PLACES = (10 ** np.arange(8, -1, -1)).astype(np.uint32)[:, None]
+
+
+def _limbs(whole: np.ndarray) -> list[np.ndarray]:
+    """Base-1e9 digits of non-negative integral doubles, most significant
+    first, as uint32 arrays (one limb for values below 1e9)."""
+    # whole == m * 2**shift with m < 2**53, exactly.
+    shift = np.maximum(np.frexp(whole)[1] - 53, 0)
+    m = np.ldexp(whole, -shift).astype(np.uint64)
+    limbs = [m % _LIMB, m // _LIMB]
+    shift = shift.astype(np.uint64)
+    # Doubles past 2**53: multiply the limbs by 2**shift, 29 bits a round
+    # (limb * 2**29 + carry stays below 2**64, every carry below 1e9).
+    while shift.any():
+        step = np.minimum(shift, np.uint64(29))
+        shift -= step
+        carry = np.uint64(0)
+        for i, limb in enumerate(limbs):
+            value = (limb << step) + carry
+            limbs[i] = value % _LIMB
+            carry = value // _LIMB
+        limbs.append(carry)
+    while len(limbs) > 1 and not limbs[-1].any():
+        limbs.pop()
+    return [limb.astype(np.uint32) for limb in reversed(limbs)]
+
+
+def _integer_ascii(whole: np.ndarray) -> np.ndarray:
+    """ASCII digits of non-negative integral doubles as (width, rows)
+    uint8, right-aligned; leading zeros are 0 bytes, the units digit
+    always shows."""
+    limbs = _limbs(whole)
+    blocks = []
+    shown = np.zeros(len(whole), dtype=bool)
+    for i, limb in enumerate(limbs):
+        width = len(str(int(limb.max()))) if i == 0 else 9
+        digits = limb // _PLACES[9 - width:]
+        visible = (digits != 0) | shown
+        shown = visible[-1]
+        digits[1:] -= digits[:-1] * 10
+        digits += ord("0")
+        digits *= visible
+        blocks.append(digits)
+    blocks[-1][-1] = limbs[-1] % 10 + ord("0")
+    return np.concatenate(blocks).astype(np.uint8)
+
+
+def _fixed9_ascii(x: np.ndarray) -> np.ndarray:
+    """``"%.9f" % x`` for each finite double, as (width, rows) uint8."""
+    frac, whole = np.modf(np.abs(x))
+    scaled = frac * 1e9
+    nanos = np.rint(scaled)
+    # ``scaled`` is rounded, so where it lands exactly on a half the true
+    # product may lie just above or below it: take its exact error
+    # (1e9 has 21 significant bits, so both partial products of the
+    # Veltkamp split of ``frac`` are exact) and round toward it.  A true
+    # tie (error 0) keeps rint's half-to-even.
+    tie = np.flatnonzero(np.abs(scaled - nanos) == 0.5)
+    tied = frac[tie]
+    hi = tied * _SPLITTER
+    hi -= hi - tied
+    error = (hi * 1e9 - scaled[tie]) + (tied - hi) * 1e9
+    half = scaled[tie] - nanos[tie]
+    nanos[tie] += np.where(error * half > 0, half + half, 0.0)
+    carry = nanos == 1e9
+    whole += carry
+    nanos[carry] = 0.0
+    fraction = nanos.astype(np.uint32) // _PLACES
+    fraction[1:] -= fraction[:-1] * 10
+    fraction += ord("0")
+    rows = len(x)
+    return np.concatenate([
+        (np.signbit(x) * np.uint8(ord("-")))[None], _integer_ascii(whole),
+        np.full((1, rows), ord("."), np.uint8), fraction.astype(np.uint8)])
+
+
+def _csv_rows(first: int, send_times: np.ndarray,
+              rtts: np.ndarray) -> bytes:
+    """The ``n,s_n,rtt_n\\r\\n`` rows of probes ``first``, ``first + 1``..."""
+    rows = len(rtts)
+    comma = np.full((1, rows), ord(","), np.uint8)
+    table = np.concatenate([
+        _integer_ascii(np.arange(first, first + rows, dtype=np.float64)),
+        comma, _fixed9_ascii(send_times), comma, _fixed9_ascii(rtts),
+        np.full((1, rows), ord("\r"), np.uint8),
+        np.full((1, rows), ord("\n"), np.uint8)]).T
+    return table[table != 0].tobytes()

@@ -40,7 +40,7 @@ import numpy as np
 from repro.analysis.lindley import lindley_waits
 from repro.errors import ConfigurationError
 from repro.net.queue import MODE_PACKETS, queue_summary
-from repro.units import bits_to_bytes
+from repro.units import BITS_PER_BYTE, bits_to_bytes
 
 
 def fifo_waits(arrival_times: Sequence[float], sizes_bits: Sequence[float],
@@ -277,8 +277,10 @@ def drop_tail_walk(times: Sequence[float], bits: Sequence[float],
         if packets_mode:
             room = capacity - waiting_packets
         else:
-            size_bytes = bits_to_bytes(size)
-            free_bytes = capacity - bits_to_bytes(waiting_bits)
+            # bits_to_bytes, inlined: two calls per arrival cost more
+            # than the division.
+            size_bytes = size / BITS_PER_BYTE
+            free_bytes = capacity - waiting_bits / BITS_PER_BYTE
             room = int(free_bytes // size_bytes)
             if idle and room == 0 and size_bytes > capacity:
                 # Even an empty buffer cannot hold this packet.

@@ -1,8 +1,11 @@
 """Unit and property tests for ProbeTrace."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AnalysisError, InsufficientDataError
@@ -135,8 +138,55 @@ class TestLoadCsvMalformedRows:
             ProbeTrace.load_csv(path)
 
 
+class TestLoadCsvMalformedHeader:
+    """A malformed ``# key=value`` header raises AnalysisError naming the
+    file and line, as a malformed row does."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("delta", "abc"), ("delta", ""), ("payload_bytes", "3.5"),
+        ("wire_bytes", "x"), ("meta", "{bad"), ("meta", "[1, 2]")])
+    def test_header_value(self, tmp_path, key, value):
+        path = tmp_path / "header.csv"
+        path.write_text(f"# delta=0.05\n# {key}={value}\n"
+                        "n,send_time,rtt\n0,0.0,0.1\n")
+        with pytest.raises(AnalysisError,
+                           match=rf"header\.csv:2: malformed {key} header"):
+            ProbeTrace.load_csv(path)
+
+    def test_unknown_comment_is_ignored(self, tmp_path):
+        path = tmp_path / "note.csv"
+        path.write_text("# delta=0.05\n# note=anything {\n"
+                        "n,send_time,rtt\n0,0.0,0.1\n")
+        assert len(ProbeTrace.load_csv(path)) == 1
+
+
+def _neighbours(values):
+    """Each value with the doubles just below and above it."""
+    return [near for value in values
+            for near in (math.nextafter(value, -math.inf), value,
+                         math.nextafter(value, math.inf))]
+
+
+#: Decimal half-nanosecond ties: the double nearest (k + 0.5) / 1e9 lies
+#: just off the tie, but ``frac * 1e9`` rounds onto it.
+_DECIMAL_TIES = _neighbours([m + (k + 0.5) / 1e9 for m in (0, 1, 123)
+                             for k in (0, 1, 2, 3, 14, 15, 999_999_998)])
+#: Exact binary ties: j / 1024 * 1e9 ends in exactly .5 for odd j.
+_BINARY_TIES = [j / 1024 for j in (1, 3, 5, 1023)] + [7 + 1 / 1024]
+#: Values whose nanoseconds round up to 1e9 and carry into the integer.
+_CARRIES = _neighbours([m + 0.9999999995 for m in (0, 1, 9, 123, 4095)])
+#: Values past 2**53 / 1e9, where ``x * 1e9`` is no longer exact, up to
+#: the largest double.
+_LARGE = [2.0 ** 53 / 1e9, 9_007_199.254740993, 2.0 ** 52 + 0.5, 2.0 ** 53,
+          1e16 + 2.0, 2.0 ** 64, 1e22, 1e23, 1e300, sys.float_info.max]
+
+
+def _rows(send_times, rtts):
+    return list(zip(send_times, rtts))
+
+
 class TestSaveCsvByteFormat:
-    """The batched CSV writer must keep the historical byte format.
+    """The vectorized CSV writer must keep the historical byte format.
 
     Reference bytes are produced by the original per-row ``csv.writer``
     implementation, so any drift in terminators, field formatting, or
@@ -174,6 +224,33 @@ class TestSaveCsvByteFormat:
         self._legacy_save_csv(trace, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == \
             (tmp_path / "old.csv").read_bytes()
+
+    @settings(deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0))))
+    @example(rows=_rows(_DECIMAL_TIES, _DECIMAL_TIES[::-1]))
+    @example(rows=_rows(_BINARY_TIES, _BINARY_TIES))
+    @example(rows=_rows(_CARRIES, _CARRIES[::-1]))
+    @example(rows=[(-0.0, -0.0), (-1.5, 0.0), (-5e-10, -0.0),
+                   (-1e-12, 1e-12), (-123.9999999995, 0.25)])
+    @example(rows=_rows(_LARGE, _LARGE[::-1]))
+    @example(rows=[(5e-324, 5e-324), (-sys.float_info.max, 0.0)])
+    @example(rows=[])
+    @example(rows=[(0.05 * n, 0.1 + n / 7) for n in range(1001)])
+    def test_matches_legacy_writer_on_any_doubles(self, tmp_path_factory,
+                                                  rows):
+        """Every finite double formats as ``"%.9f"`` does, at any row
+        count and in any mix of field widths."""
+        directory = tmp_path_factory.getbasetemp() / "writer"
+        directory.mkdir(exist_ok=True)
+        trace = ProbeTrace(delta=0.05,
+                           send_times=np.array([s for s, _ in rows]),
+                           rtts=np.array([r for _, r in rows]))
+        trace.save_csv(directory / "new.csv")
+        self._legacy_save_csv(trace, directory / "old.csv")
+        assert (directory / "new.csv").read_bytes() == \
+            (directory / "old.csv").read_bytes()
 
     def test_load_save_is_identity_on_disk(self, tmp_path):
         trace = make_trace([0.1, 0.0, 0.2], meta={"seed": 3})
