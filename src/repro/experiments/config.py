@@ -73,7 +73,8 @@ class ExperimentConfig:
     scenario_kwargs:
         Extra keyword arguments forwarded to the scenario's builder.  Each
         key must be a keyword the builder takes, other than ``seed``,
-        which the ``seed`` field sets.
+        which the ``seed`` field sets, and ``sim``: the experiment
+        builds its own simulator.
     mode:
         ``"event"`` runs the exact event-driven simulation (the golden
         reference); ``"analytic"`` fast-forwards the bottleneck queue
@@ -109,10 +110,12 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown scenario {self.scenario!r}")
         accepted = inspect.signature(builder).parameters
         for key in sorted(self.scenario_kwargs):
-            if key == "seed":
+            if key in ("seed", "sim"):
+                # The experiment builds (and may copy) its own simulator,
+                # seeded from the seed field.
                 raise ConfigurationError(
                     f"scenario {self.scenario!r}: scenario_kwargs may not "
-                    f"set 'seed'; use the config's seed field")
+                    f"set {key!r}; use the config's seed field")
             if key not in accepted:
                 raise ConfigurationError(
                     f"scenario {self.scenario!r} takes no keyword {key!r}")

@@ -12,7 +12,7 @@ which is why NetDyn (and this reproduction) only ever interprets
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Simulator, restore_attributes
 
 #: DECstation 5000 clock resolution (seconds), per the paper.
 DECSTATION_RESOLUTION = 3.906e-3
@@ -23,6 +23,8 @@ UMD_RESOLUTION = 3e-3
 
 class Clock:
     """Interface of a host clock: maps simulation time to host time."""
+
+    __setstate__ = restore_attributes
 
     def now(self) -> float:
         """Current host-local time in seconds."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.net.packet import Packet
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Simulator, restore_attributes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.net.node import Node
@@ -24,6 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 
 class FaultModel:
     """Base class; by default a fault neither drops nor stalls anything."""
+
+    __setstate__ = restore_attributes
 
     def drops(self, packet: Packet, sim: Simulator) -> bool:
         """Return True to silently discard ``packet``."""

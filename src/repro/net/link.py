@@ -18,7 +18,7 @@ from repro.net.faults import FaultModel
 from repro.net.hooks import LifecycleObserver
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Simulator, restore_attributes
 from repro.units import seconds_to_ms
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -43,6 +43,8 @@ class Interface:
     name:
         Diagnostic label (defaults to ``node->peer`` when attached).
     """
+
+    __setstate__ = restore_attributes
 
     def __init__(self, sim: Simulator, node: "Node", rate_bps: float,
                  prop_delay: float, queue: DropTailQueue,

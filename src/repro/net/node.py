@@ -20,7 +20,7 @@ from repro.net.packet import (
     KIND_ICMP_TIME_EXCEEDED,
     Packet,
 )
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Simulator, restore_attributes
 
 #: Signature of local ICMP delivery callbacks.
 IcmpListener = Callable[[Packet], None]
@@ -40,6 +40,8 @@ class Node:
         route lookup).  Applied before the packet is handed to the output
         interface.
     """
+
+    __setstate__ = restore_attributes
 
     def __init__(self, sim: Simulator, name: str,
                  processing_delay: float = 0.0) -> None:

@@ -54,16 +54,25 @@ ICMP_ERROR_KINDS = frozenset({
 _uid_counter = itertools.count(1)
 
 
-def reset_packet_uids() -> None:
-    """Restart the uid counter at 1.
+def reset_packet_uids(start: int = 1) -> None:
+    """Restart the uid counter at ``start``.
 
     Called by ``Simulator.__init__`` so that the uids a cell's
     :class:`~repro.obs.lifecycle.PacketLifecycleTracer` records depend only
     on that cell's own packet sequence — two identical cells run
-    back-to-back in one process emit identical lifecycle traces.
+    back-to-back in one process emit identical lifecycle traces.  A run
+    restored from a warm-up snapshot restarts it at :func:`next_packet_uid`
+    as read when the snapshot was taken.
     """
     global _uid_counter
-    _uid_counter = itertools.count(1)
+    _uid_counter = itertools.count(start)
+
+
+def next_packet_uid() -> int:
+    """The uid the next packet will get (the counter does not advance)."""
+    uid = next(_uid_counter)
+    reset_packet_uids(uid)
+    return uid
 
 
 class Packet:

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import ConfigurationError
 from repro.net.routing import Network
 from repro.netdyn.echo import ECHO_PORT, EchoAgent
-from repro.netdyn.source import SINK_PORT, SourceAgent
+from repro.netdyn.source import SINK_PORT, FirstProbeSlot, SourceAgent
 from repro.netdyn.trace import ProbeTrace
 from repro.units import seconds_to_ms
 
@@ -33,6 +33,7 @@ def run_probe_experiment(network: Network, source: str, echo: str,
                          start_at: float = 0.0,
                          meta: Optional[dict] = None,
                          registry: Optional["MetricsRegistry"] = None,
+                         first_probe: Optional[FirstProbeSlot] = None,
                          ) -> ProbeTrace:
     """Run a NetDyn experiment and return its trace.
 
@@ -59,6 +60,10 @@ def run_probe_experiment(network: Network, source: str, echo: str,
         session registers its probe counters (``netdyn/probes_sent``,
         ``duplicates``, ``reordered``, ``echo_forwarded``) as pull-based
         instruments, so they appear in the run's metrics snapshot.
+    first_probe:
+        A :class:`~repro.netdyn.source.FirstProbeSlot` reserved at
+        ``start_at`` on this network's simulator (a warm-up snapshot
+        carries one); the first probe's send binds into it.
     """
     if (count is None) == (duration is None):
         raise ConfigurationError("give exactly one of count / duration")
@@ -86,7 +91,7 @@ def run_probe_experiment(network: Network, source: str, echo: str,
         registry.counter("netdyn/echo_forwarded",
                          source=lambda: echoer.echoed,
                          description="probes bounced back by the echo agent")
-    agent.start(at=start_at)
+    agent.start(at=start_at, slot=first_probe)
 
     end_time = start_at + count * delta + DEFAULT_DRAIN
     network.sim.run(until=end_time)

@@ -9,18 +9,56 @@ paper's DECstation source.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.net.host import Host
 from repro.net.packet import Packet, UDP_WIRE_OVERHEAD_BYTES
 from repro.netdyn import packetfmt
 from repro.netdyn.trace import LOST, ProbeTrace
+from repro.sim.kernel import Simulator
 
 #: Default UDP port the source agent receives returned probes on.
 SINK_PORT = 5202
+
+#: Kernel label of the first probe's send event.
+FIRST_PROBE_LABEL = "netdyn-first-probe"
+
+
+class FirstProbeSlot:
+    """The first probe's send event, scheduled before its agent exists.
+
+    :meth:`SourceAgent.start` schedules the first send when it is called.
+    A slot schedules that event earlier, at the same time and label, so
+    it takes the ``(time, priority, sequence)`` heap key the agent's own
+    ``call_at`` would have taken at that point; the agent built later
+    binds its send into the slot (``start(slot=...)``) instead of
+    scheduling a new event.  A warm-up snapshot (see
+    :mod:`repro.experiments.runner`) reserves one right after the cross
+    traffic starts, so a run probed from the snapshot executes exactly
+    the events, in exactly the order, of a run built from scratch.
+    """
+
+    __slots__ = ("time", "_action")
+
+    def __init__(self, sim: Simulator, time: float) -> None:
+        sim.call_at(time, self, label=FIRST_PROBE_LABEL)
+        self.time = time
+        self._action: Optional[Callable[[], None]] = None
+
+    def bind(self, action: Callable[[], None]) -> None:
+        """Make ``action`` the reserved event's callback (once)."""
+        if self._action is not None:
+            raise SimulationError("the first-probe slot is already bound")
+        self._action = action
+
+    def __call__(self) -> None:
+        if self._action is None:
+            raise SimulationError(
+                f"the first-probe slot at t={self.time!r} fired unbound")
+        self._action()
 
 
 class SourceAgent:
@@ -69,11 +107,23 @@ class SourceAgent:
         host.bind_udp(port, self._on_return)
 
     # ------------------------------------------------------------------
-    def start(self, at: Optional[float] = None) -> None:
-        """Schedule the probe train; first probe at ``at`` (default: now)."""
+    def start(self, at: Optional[float] = None,
+              slot: Optional[FirstProbeSlot] = None) -> None:
+        """Schedule the probe train; first probe at ``at`` (default: now).
+
+        With a ``slot`` reserved at that time, the first send binds into
+        it instead of scheduling a new event.
+        """
         start_time = self.host.sim.now if at is None else at
-        self.host.sim.call_at(start_time, self._send_next,
-                              label="netdyn-first-probe")
+        if slot is None:
+            self.host.sim.call_at(start_time, self._send_next,
+                                  label=FIRST_PROBE_LABEL)
+            return
+        if slot.time != start_time:
+            raise ConfigurationError(
+                f"first-probe slot is reserved at t={slot.time!r}, "
+                f"not at the requested t={start_time!r}")
+        slot.bind(self._send_next)
 
     def _send_next(self) -> None:
         seq = self.sent

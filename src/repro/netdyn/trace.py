@@ -13,6 +13,7 @@ bit-exact float64 and the campaign cell cache's storage.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO, Mapping, Optional, Sequence, Union
@@ -37,10 +38,18 @@ def _meta_header(text: str) -> dict[str, Any]:
     return meta
 
 
+def _delta_header(text: str) -> float:
+    """The ``# delta=`` header value: a positive, finite float."""
+    delta = float(text)
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be positive and finite")
+    return delta
+
+
 #: How :meth:`ProbeTrace.load_csv` reads each ``# key=value`` header;
 #: every parser raises ``ValueError`` on a malformed value.
-_HEADER_PARSERS = {"delta": float, "payload_bytes": int, "wire_bytes": int,
-                   "meta": _meta_header}
+_HEADER_PARSERS = {"delta": _delta_header, "payload_bytes": int,
+                   "wire_bytes": int, "meta": _meta_header}
 
 
 @dataclass
@@ -71,6 +80,9 @@ class ProbeTrace:
     meta: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # A NumPy scalar would reach the CSV header as its repr
+        # (``np.float64(0.05)`` under NumPy 2), which load_csv rejects.
+        self.delta = float(self.delta)
         self.send_times = np.asarray(self.send_times, dtype=float)
         self.rtts = np.asarray(self.rtts, dtype=float)
         if self.send_times.shape != self.rtts.shape:
@@ -173,9 +185,11 @@ class ProbeTrace:
     def load_csv(cls, path: Union[str, Path]) -> "ProbeTrace":
         """Read a trace written by :meth:`save_csv`.
 
-        Lines are parsed one by one, so a malformed header value or data
-        row (wrong field count, a non-numeric field) raises
-        :class:`AnalysisError` naming the exact file and line.
+        Lines are parsed one by one, so a malformed header value (one
+        that does not parse, or a delta that is not positive and finite)
+        or data row (wrong field count, a non-numeric or non-finite
+        field, a negative rtt) raises :class:`AnalysisError` naming the
+        exact file and line.
         """
         path = Path(path)
         header: dict[str, Any] = {"delta": None, "payload_bytes": 32,
@@ -206,12 +220,21 @@ class ProbeTrace:
                         f"{path}:{lineno}: expected 3 fields "
                         f"(n, send_time, rtt), got {len(fields)}: {line!r}")
                 try:
-                    send_times.append(float(fields[1]))
-                    rtts.append(float(fields[2]))
+                    send_time = float(fields[1])
+                    rtt = float(fields[2])
                 except ValueError as exc:
                     raise AnalysisError(
                         f"{path}:{lineno}: non-numeric field in row "
                         f"{line!r}") from exc
+                if not (math.isfinite(send_time) and math.isfinite(rtt)):
+                    raise AnalysisError(
+                        f"{path}:{lineno}: non-finite send time or rtt in "
+                        f"row {line!r}")
+                if rtt < 0:
+                    raise AnalysisError(
+                        f"{path}:{lineno}: negative rtt in row {line!r}")
+                send_times.append(send_time)
+                rtts.append(rtt)
         if header["delta"] is None:
             if len(send_times) >= 2:
                 header["delta"] = float(send_times[1] - send_times[0])

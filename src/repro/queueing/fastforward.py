@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,7 +95,9 @@ def bottleneck_pass(cross_times: np.ndarray, cross_bits: np.ndarray,
     it holds, no arrival can drop, so those waits are the exact
     event-mode waits.  Otherwise :func:`drop_tail_walk` runs the same
     stream per packet, never aggregated, because near a full buffer the
-    admission decision of every single arrival matters.
+    admission decision of every single arrival matters.  The certificate
+    is first tried at the longest-waiting arrival alone, which on a
+    queue that drops usually fails it without the full pass.
     """
     keep = cross_times <= end_time
     cross_times = cross_times[keep]
@@ -119,18 +121,21 @@ def bottleneck_pass(cross_times: np.ndarray, cross_bits: np.ndarray,
     waits = fifo_waits(times, bits, rate_bps)
     starts = times + waits
     departs = starts + bits / rate_bps
-    population = np.arange(1, total + 1)
-    # Strict "departed before" undercounts departures on ties, so the
-    # in-system count (self included) is an upper bound on what the
-    # event queue's waiting+1 test sees.
-    in_system = population - np.searchsorted(departs, times, side="left")
-    if mode == MODE_PACKETS:
-        certified = int(in_system.max()) <= capacity
-    else:
-        cumulative = np.concatenate([[0.0], np.cumsum(bits)])
-        in_system_bits = (cumulative[population]
-                          - cumulative[population - in_system])
-        certified = bits_to_bytes(float(in_system_bits.max())) <= capacity
+    cumulative = None if mode == MODE_PACKETS \
+        else np.concatenate([[0.0], np.cumsum(bits)])
+    # The longest wait marks the most crowded arrival on a loaded queue:
+    # when the in-system count there alone already exceeds the capacity,
+    # so does the maximum over all arrivals, and the walk starts without
+    # the full certificate pass.  Both read the same float arrays, so
+    # the decision is the full pass's.
+    peak = int(np.argmax(waits))
+    certified = _peak_load(
+        np.array([peak + 1]), times[peak:peak + 1], departs,
+        cumulative) <= capacity
+    if certified:
+        population = np.arange(1, total + 1)
+        certified = _peak_load(population, times, departs,
+                               cumulative) <= capacity
     if not certified:
         # Plain lists keep the walk free of per-element numpy scalar boxing.
         walk = drop_tail_walk(times.tolist(), bits.tolist(),
@@ -146,6 +151,26 @@ def bottleneck_pass(cross_times: np.ndarray, cross_bits: np.ndarray,
         (population - started).max(),
         bits_to_bytes(float((bits * waiting_span).sum())) / end_time)
     return waits[probe_mask], np.ones(n_probe, dtype=bool), stats
+
+
+def _peak_load(population: np.ndarray, times: np.ndarray,
+               departs: np.ndarray,
+               cumulative: Optional[np.ndarray]) -> float:
+    """The largest in-system load (packets, or bytes) at the given arrivals.
+
+    ``population`` holds each arrival's 1-based index in the merged
+    stream and ``times`` its instant; ``departs`` and ``cumulative`` (the
+    running bit sum, ``None`` in packet mode) cover the whole stream.
+    Strict "departed before" undercounts departures on ties, so the
+    in-system count (self included) is an upper bound on what the event
+    queue's waiting+1 test sees.
+    """
+    in_system = population - np.searchsorted(departs, times, side="left")
+    if cumulative is None:
+        return int(in_system.max())
+    in_system_bits = (cumulative[population]
+                      - cumulative[population - in_system])
+    return bits_to_bytes(float(in_system_bits.max()))
 
 
 class FluidQueue:

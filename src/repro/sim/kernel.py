@@ -36,7 +36,8 @@ from __future__ import annotations
 import itertools
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Iterator, Optional, Protocol
+from types import FunctionType, MethodType
+from typing import Any, Callable, Dict, Iterator, Optional, Protocol
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.random import RandomStreams
@@ -45,6 +46,24 @@ from repro.sim.random import RandomStreams
 DEFAULT_PRIORITY = 0
 
 _INF = float("inf")
+
+
+def restore_attributes(instance: Any, state: Dict[str, Any]) -> None:
+    """``__setstate__`` for the classes a simulated scenario is made of.
+
+    ``copy.deepcopy`` restores an instance of a class without a
+    ``__setstate__`` through ``instance.__dict__.update(state)``.  Reading
+    ``__dict__`` makes CPython (3.11) give the instance a materialized
+    dict, and its attribute reads then leave the compact-layout fast path:
+    a probe phase on a copied scenario ran measurably slower than on the
+    original.  Setting the attributes one by one, in their original
+    order, as ``__init__`` did, keeps the layout.  The hot classes of the
+    event path (simulator, nodes, interfaces, traffic sources and sinks,
+    size distributions, faults, clocks) take this as their
+    ``__setstate__``.
+    """
+    for name, value in state.items():
+        object.__setattr__(instance, name, value)
 
 
 class KernelObserver(Protocol):
@@ -105,6 +124,43 @@ class Simulator:
         # not import the net package at module level.
         from repro.net.packet import reset_packet_uids
         reset_packet_uids()
+
+    # ------------------------------------------------------------------
+    # Copying
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        """The simulator's state for ``copy.deepcopy`` (and pickle).
+
+        ``itertools.count`` itself cannot be copied without a warning
+        from Python 3.12 on (3.14 drops the support), so the state
+        carries the next sequence number as an int; the counter stays an
+        ``itertools.count``, keeping ``next(self._counter)`` the
+        scheduling hot path's one C call.
+
+        A copy is only sound when every pending action travels with it.
+        ``copy.deepcopy`` rebinds a bound method to the copied instance
+        and copies a callable object, but it shares a plain function,
+        lambda or closure, which would keep acting on the original's
+        objects; such a pending action raises :class:`SimulationError`.
+        """
+        for entry in self._heap:
+            action = entry[3]
+            if not (isinstance(action, MethodType) or isinstance(
+                    getattr(type(action), "__call__", None), FunctionType)):
+                raise SimulationError(
+                    f"cannot copy a simulator whose pending "
+                    f"{entry[4] or action!r} event at t={entry[0]!r} is "
+                    f"not a bound method or callable object: a copy "
+                    f"would share it with the original")
+        sequence = next(self._counter)
+        self._counter = itertools.count(sequence)
+        state = self.__dict__.copy()
+        state["_counter"] = sequence
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        restore_attributes(self, state)
+        self._counter = itertools.count(state["_counter"])
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -16,6 +16,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.net.host import Host
 from repro.net.packet import Packet
+from repro.sim.kernel import restore_attributes
 from repro.units import bytes_to_bits
 
 #: UDP port conventionally used by traffic sinks.
@@ -24,6 +25,8 @@ SINK_PORT = 9000
 
 class TrafficSink:
     """Counts packets and bytes arriving on a UDP port."""
+
+    __setstate__ = restore_attributes
 
     def __init__(self, host: Host, port: int = SINK_PORT) -> None:
         self.host = host
@@ -71,6 +74,8 @@ class TrafficSource:
         Name of the random stream this source draws from; distinct names
         give independent sources.
     """
+
+    __setstate__ = restore_attributes
 
     def __init__(self, host: Host, destination: str,
                  port: int = SINK_PORT, stream: str = "traffic") -> None:

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.sim.kernel import restore_attributes
 
 #: Classic FTP/NFS bulk data payload of the early-90s Internet.
 FTP_PAYLOAD_BYTES = 512
@@ -25,6 +26,8 @@ TELNET_PAYLOAD_CHOICES = (1, 2, 4, 8, 16, 32, 64)
 
 class SizeDistribution:
     """Interface: draw one payload size in bytes."""
+
+    __setstate__ = restore_attributes
 
     def sample(self, rng: np.random.Generator) -> int:
         """Return one payload size."""

@@ -58,6 +58,7 @@ class TestExperimentConfig:
         ("umd-pitt", "buffer_packets"),  # an inria-umd keyword
         ("inria-umd", "seed"),
         ("umd-pitt", "seed"),
+        ("inria-umd", "sim"),
     ])
     def test_scenario_kwargs_must_be_builder_keywords(self, scenario, key):
         # Caught when the config is built, not inside the first cell.

@@ -90,6 +90,17 @@ class TestPersistence:
         assert loaded.payload_bytes == trace.payload_bytes
         assert loaded.wire_bytes == trace.wire_bytes
 
+    def test_numpy_scalar_delta_roundtrip(self, tmp_path):
+        # The header is the delta's repr: a NumPy scalar must not reach
+        # it as ``np.float64(0.05)``, which load_csv would reject.
+        trace = ProbeTrace.from_samples(delta=np.float64(0.05),
+                                        rtts=[0.1, 0.2])
+        assert type(trace.delta) is float
+        path = tmp_path / "scalar.csv"
+        trace.save_csv(path)
+        assert path.read_text().startswith("# delta=0.05\n")
+        assert ProbeTrace.load_csv(path).delta == 0.05
+
     def test_load_csv_missing_delta_infers_from_send_times(self, tmp_path):
         path = tmp_path / "bare.csv"
         path.write_text("n,send_time,rtt\n0,0.0,0.1\n1,0.025,0.2\n")
@@ -128,13 +139,28 @@ class TestLoadCsvMalformedRows:
     def test_non_finite_field(self, tmp_path, row):
         path = tmp_path / "nan.csv"
         path.write_text(f"# delta=0.05\nn,send_time,rtt\n0,0.0,0.1\n{row}\n")
-        with pytest.raises(AnalysisError, match=r"nan\.csv.*non-finite"):
+        with pytest.raises(AnalysisError, match=r"nan\.csv:4: non-finite"):
+            ProbeTrace.load_csv(path)
+
+    def test_negative_rtt(self, tmp_path):
+        path = tmp_path / "neg.csv"
+        path.write_text("n,send_time,rtt\n0,0.0,0.1\n1,0.05,-0.1\n")
+        with pytest.raises(AnalysisError, match=r"neg\.csv:3: negative rtt"):
             ProbeTrace.load_csv(path)
 
     def test_non_finite_delta_header(self, tmp_path):
         path = tmp_path / "delta.csv"
         path.write_text("# delta=nan\nn,send_time,rtt\n0,0.0,0.1\n")
-        with pytest.raises(AnalysisError, match=r"delta\.csv.*finite"):
+        with pytest.raises(AnalysisError,
+                           match=r"delta\.csv:1: malformed delta .*finite"):
+            ProbeTrace.load_csv(path)
+
+    @pytest.mark.parametrize("value", ["inf", "-1", "0"])
+    def test_invalid_delta_header(self, tmp_path, value):
+        path = tmp_path / "delta.csv"
+        path.write_text(f"# delta={value}\nn,send_time,rtt\n0,0.0,0.1\n")
+        with pytest.raises(AnalysisError,
+                           match=r"delta\.csv:1: malformed delta .*finite"):
             ProbeTrace.load_csv(path)
 
 

@@ -204,6 +204,32 @@ class TestBottleneckPass:
         assert not admitted.all()
         assert stats == expected.stats
 
+    @pytest.mark.parametrize("mode", [MODE_PACKETS, MODE_BYTES])
+    def test_certificate_holds_exactly_up_to_the_full_maximum(
+            self, rng, walks, mode):
+        # The longest-wait arrival only refuses early: the pass walks
+        # exactly when the in-system maximum over every arrival exceeds
+        # the capacity, one unit below it and not at it.
+        cross_times, cross_bits = cross_stream(rng, count=2000)
+        probes = np.arange(0.05, 30.0, 0.05)
+        window = (cross_times, cross_bits, probes, PROBE_BITS, 31.0, RATE)
+        bottleneck_pass(*window, 0, mode)
+        times, bits = (np.asarray(column) for column in walks.pop()[:2])
+        departs = times + fifo_waits(times, bits, RATE) + bits / RATE
+        population = np.arange(1, times.size + 1)
+        in_system = population - np.searchsorted(departs, times, side="left")
+        if mode == MODE_PACKETS:
+            peak = int(in_system.max())
+        else:
+            cumulative = np.concatenate([[0.0], np.cumsum(bits)])
+            peak = int(np.ceil((cumulative[population] - cumulative[
+                population - in_system]).max() / 8))
+        assert peak > 1
+        bottleneck_pass(*window, peak - 1, mode)
+        assert len(walks) == 1
+        bottleneck_pass(*window, peak, mode)
+        assert len(walks) == 1
+
     def test_probe_queues_behind_same_instant_cross_packets(self, walks):
         # Cross packets arriving with a probe are ahead of it; equal-time
         # probes keep their send order.

@@ -1,5 +1,8 @@
 """Unit tests for the simulator run loop and clock."""
 
+import copy
+import warnings
+
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
@@ -136,3 +139,46 @@ class TestDeterminism:
         b = Simulator(seed=2)
         assert a.streams.get("x").random(5).tolist() != \
             b.streams.get("x").random(5).tolist()
+
+
+class Recorder:
+    """A callable object and a bound method, both copied with the graph."""
+
+    def __init__(self):
+        self.fired = []
+
+    def __call__(self):
+        self.fired.append("call")
+
+    def tick(self):
+        self.fired.append("tick")
+
+
+class TestCopy:
+    def test_deepcopy_continues_the_sequence_without_warning(self):
+        sim = Simulator(seed=3)
+        recorder = Recorder()
+        sim.call_at(1.0, recorder.tick)
+        sim.call_at(1.0, recorder)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clone_sim, clone = copy.deepcopy((sim, recorder))
+        for each, owner in ((sim, recorder), (clone_sim, clone)):
+            each.call_at(1.0, owner.tick)
+            assert [entry[2] for entry in sorted(each._heap)] == [0, 1, 2]
+            each.run()
+        assert recorder.fired == clone.fired == ["tick", "call", "tick"]
+        assert clone_sim.streams.get("x").random() \
+            == sim.streams.get("x").random()
+
+    def test_pending_closure_refuses_the_copy(self):
+        sim = Simulator()
+        sim.call_at(1.0, lambda: None, label="closure")
+        with pytest.raises(SimulationError, match="closure"):
+            copy.deepcopy(sim)
+
+    def test_pending_builtin_refuses_the_copy(self):
+        sim = Simulator()
+        sim.call_at(1.0, [].clear)
+        with pytest.raises(SimulationError, match="bound method"):
+            copy.deepcopy(sim)
