@@ -11,9 +11,10 @@ Cells are independent by construction — each owns its own
 :class:`~repro.sim.kernel.Simulator` seeded from the cell's seed — so the
 grid is embarrassingly parallel.  :func:`run_campaign` executes every grid
 the same way: :func:`~repro.experiments.pool.plan_leases` cuts the cells
-into deterministic *leases* (one cell each on the event engine;
-seed-major batches for analytic grids, so a seed's cross-traffic replay
-is reused across its δ values), every lease runs
+into deterministic seed-major *leases* (one cell each on the event
+engine, so a process warms each seed's scenario once; batches for
+analytic grids, so a seed's cross-traffic replay is reused across its δ
+values), every lease runs
 the same pure worker (:func:`_run_cell`) and returns its CellResults in
 one lease payload — the only way a fresh cell, and its span telemetry,
 reaches this process — and a streaming

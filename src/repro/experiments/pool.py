@@ -1,8 +1,9 @@
 """Campaign leases: planning, serving, and the warm worker pool.
 
 The campaign dispatcher's execution layer.  :func:`plan_leases` cuts the
-grid cells to run into deterministic *leases* — one cell each for event
-grids, seed-major batches of (δ, seed) cells for analytic grids.
+grid cells to run into deterministic *leases*, in seed-major order — one
+cell each for event grids, batches of one seed's (δ, seed) cells for
+analytic grids.
 :func:`_serve_lease` runs one lease's cells and returns one payload: the
 lease's :class:`~repro.experiments.campaign.CellResult` objects as they
 are, plus its replay-memo accounting; :func:`unpack_lease` splits that
@@ -72,26 +73,29 @@ def plan_leases(cells: Sequence[Tuple[float, int]], workers: int,
     the same spec always produces the same leases (the serial==parallel
     byte-identity invariant needs nothing from this, since the merge
     re-orders by grid index, but deterministic leases keep span/timing
-    telemetry comparable across runs).  The cell mode picks the shape:
+    telemetry comparable across runs).  The cells are regrouped
+    seed-major — stably, so the δ order within one seed is the grid's —
+    because everything a process memoizes is per seed: a process that
+    moves past a seed never asks for it again, so it warms each seed's
+    event scenario (:func:`~repro.experiments.runner.warm_scenario`) or
+    replays its cross traffic
+    (:class:`~repro.experiments.fastforward.CrossReplayMemo`) once and
+    hits for every further δ.  The cell mode picks the shape:
 
-    * event cells simulate at least the warm-up on the event kernel, so
-      each lease holds one cell and the tail of the grid stays balanced;
-    * analytic cells cost milliseconds, so they are regrouped seed-major
-      — stably, so the δ order within one seed is the grid's — and cut at
-      a fair share that gives every worker about
-      :data:`LEASES_PER_WORKER` leases, never letting a lease straddle a
-      seed.  A warm worker serving one lease then replays each seed's
-      cross traffic once and hits its in-process
-      :class:`~repro.experiments.fastforward.CrossReplayMemo` for every
-      further δ of that seed.
+    * event cells simulate at least the probe train on the event kernel,
+      so each lease holds one cell and the tail of the grid stays
+      balanced;
+    * analytic cells cost milliseconds, so they are cut at a fair share
+      that gives every worker about :data:`LEASES_PER_WORKER` leases,
+      never letting a lease straddle a seed.
     """
     cells = list(cells)
-    if mode != "analytic":
-        return [[cell] for cell in cells]
-    batch_size = math.ceil(len(cells) / (max(1, workers) * LEASES_PER_WORKER))
     groups: Dict[int, List[Tuple[float, int]]] = {}
     for cell in cells:
         groups.setdefault(cell[1], []).append(cell)
+    if mode != "analytic":
+        return [[cell] for group in groups.values() for cell in group]
+    batch_size = math.ceil(len(cells) / (max(1, workers) * LEASES_PER_WORKER))
     return [group[i:i + batch_size]
             for group in groups.values()
             for i in range(0, len(group), batch_size)]

@@ -8,6 +8,7 @@ divergence — one flipped loss, one shifted tick — is a bug here, never
 a re-baseline.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -16,8 +17,9 @@ import pytest
 import repro.queueing.fastforward as qff
 from repro.errors import ConfigurationError
 from repro.experiments import fastforward as ff
+from repro.experiments import runner
 from repro.experiments.campaign import CampaignSpec, run_campaign
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import SCENARIO_BUILDERS, ExperimentConfig
 from repro.experiments.runner import (
     build_scenario,
     execute_experiment,
@@ -310,28 +312,40 @@ class TestWalkPinned:
 
 class TestFallback:
     def test_ineligible_scenario_falls_back_to_event(self, monkeypatch):
-        def build_with_stall(config):
-            built = build_scenario(config)
+        build = SCENARIO_BUILDERS["inria-umd"]
+
+        def build_with_stall(**kwargs):
+            built = build(**kwargs)
             path = built.network.path(built.source, built.echo)
             first = built.network.node(path[0]).interface_to(path[1])
             first.add_egress_fault(
                 PeriodicStallFault(period=90.0, stall=1.0))
             return built
 
-        monkeypatch.setattr(ff, "build_scenario", build_with_stall)
-        result = ff.run_fastforward_experiment(
-            config_for("inria-umd", 0.05, 6.0, mode="analytic"))
+        monkeypatch.setitem(SCENARIO_BUILDERS, "inria-umd", build_with_stall)
+        # A template held from another test was built without the stall.
+        monkeypatch.setattr(runner, "_held_template", None)
+        config = config_for("inria-umd", 0.05, 6.0, mode="analytic")
+        result = ff.run_fastforward_experiment(config)
         assert result.mode_used == "event"
         assert result.fallback_reasons
         assert result.trace.meta["mode"] == "event"
         assert result.trace.meta["fallback"] == result.fallback_reasons
         # The event fallback reports every active queue, campaign-style.
         assert result.queue_stats
+        # It probes a snapshot of the stalled build, as an event run does.
+        built = result.scenario
+        path = built.network.path(built.source, built.echo)
+        assert any(isinstance(fault, PeriodicStallFault) for fault in
+                   built.network.node(path[0]).interface_to(
+                       path[1]).egress_faults)
+        event = run_experiment(dataclasses.replace(config, mode="event"))
+        assert np.array_equal(event.rtts, result.trace.rtts)
 
     def test_overloaded_access_link_falls_back(self):
         # A mix this bursty overflows the access queue, which the replay
         # models as lossless: the cell must run on the event engine, on a
-        # freshly built scenario, and match a plain event run.
+        # warm-up snapshot, and match a plain event run.
         def config(mode):
             return ExperimentConfig(
                 delta=0.05, duration=2.0, warmup=3.0, seed=1,

@@ -87,6 +87,15 @@ class TestPlanLeases:
                 assert plan_leases(cells, workers, "event") \
                     == [[cell] for cell in cells]
 
+    def test_event_leases_run_seed_major(self):
+        # A δ-major grid is served seed by seed, δ order kept, so a
+        # process warms each seed's scenario once.
+        cells = [(delta, seed) for delta in (0.05, 0.02, 0.5)
+                 for seed in (4, 1)]
+        assert plan_leases(cells, 2, "event") == [
+            [(0.05, 4)], [(0.02, 4)], [(0.5, 4)],
+            [(0.05, 1)], [(0.02, 1)], [(0.5, 1)]]
+
     def test_deterministic(self):
         cells = [(0.05, s) for s in range(16)]
         for mode in ("event", "analytic"):

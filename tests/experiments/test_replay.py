@@ -26,7 +26,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.config import PAPER_DELTAS, ExperimentConfig
 from repro.experiments.pool import plan_leases
-from repro.experiments.runner import build_scenario
+from repro.experiments.runner import build_scenario, scenario_key
 from repro.net.packet import UDP_WIRE_OVERHEAD_BYTES
 from repro.net.routing import Network
 from repro.obs.spans import PHASE_REPLAY, SpanTracer
@@ -165,24 +165,24 @@ class TestPrefixProperty:
 
 
 class TestReplayFingerprint:
-    """``replay_key``: the in-process identity of one seed's replay."""
+    """``scenario_key``: the in-process identity of one seed's replay."""
 
     def test_ignores_kwargs_order(self):
         reordered = dict(reversed(list(LIGHT_KWARGS.items())))
         assert list(reordered) != list(LIGHT_KWARGS)
-        assert ff.replay_key(config_for()) == ff.replay_key(
+        assert scenario_key(config_for()) == scenario_key(
             dataclasses.replace(config_for(), scenario_kwargs=reordered))
 
     def test_sensitive_to_causal_inputs_only(self):
-        key = ff.replay_key(config_for())
+        key = scenario_key(config_for())
         # Keywords both builders take, so only the scenario name differs.
         shared = {"utilization_fwd": 0.3, "utilization_rev": 0.3}
-        assert ff.replay_key(dataclasses.replace(
-            config_for(), scenario_kwargs=shared)) != ff.replay_key(
+        assert scenario_key(dataclasses.replace(
+            config_for(), scenario_kwargs=shared)) != scenario_key(
             dataclasses.replace(config_for(), scenario="umd-pitt",
                                 scenario_kwargs=shared))
-        assert key != ff.replay_key(config_for(seed=2))
-        assert key != ff.replay_key(dataclasses.replace(
+        assert key != scenario_key(config_for(seed=2))
+        assert key != scenario_key(dataclasses.replace(
             config_for(),
             scenario_kwargs=dict(LIGHT_KWARGS, utilization_fwd=0.4)))
 
@@ -193,22 +193,22 @@ class TestReplayFingerprint:
                                   scenario_kwargs={"window": "1x"})
         eleven = dataclasses.replace(config_for(seed=11),
                                      scenario_kwargs={"window": "x"})
-        assert ff.replay_key(one) != ff.replay_key(eleven)
-        scenario, kwargs, seed = ff.replay_key(one)
+        assert scenario_key(one) != scenario_key(eleven)
+        scenario, kwargs, seed = scenario_key(one)
         assert (scenario, json.loads(kwargs), seed) \
             == ("inria-umd", {"window": "1x"}, 1)
 
     def test_needs_no_cache_salt(self, monkeypatch):
         def unavailable():
-            raise AssertionError("replay_key must not derive the salt")
+            raise AssertionError("scenario_key must not derive the salt")
 
         monkeypatch.setattr(cache_module, "cache_salt", unavailable)
-        assert ff.replay_key(config_for()) == ff.replay_key(config_for())
+        assert scenario_key(config_for()) == scenario_key(config_for())
 
     def test_delta_and_duration_excluded(self):
         """Cells differing only in δ/duration share one replay key."""
-        assert ff.replay_key(config_for(delta=0.02, duration=5.0)) == \
-            ff.replay_key(config_for(delta=0.5, duration=60.0))
+        assert scenario_key(config_for(delta=0.02, duration=5.0)) == \
+            scenario_key(config_for(delta=0.5, duration=60.0))
 
 
 class TestCrossReplayMemo:
