@@ -10,6 +10,7 @@ simply a pair of interfaces, one on each node (see
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
@@ -23,6 +24,24 @@ from repro.units import seconds_to_ms
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.net.node import Node
+
+
+def check_link_parameters(name: str, rate_bps: float,
+                          prop_delay: float) -> None:
+    """Reject a link rate or propagation delay no run could use.
+
+    The rate must be finite and positive, the delay finite and >= 0.  A
+    NaN passes both plain comparisons (``nan <= 0`` is false), so it is
+    caught here rather than as a scheduling error at the first send.
+    """
+    if not (math.isfinite(rate_bps) and rate_bps > 0):
+        raise ConfigurationError(
+            f"link {name}: rate must be finite and positive, "
+            f"got {rate_bps!r}")
+    if not (math.isfinite(prop_delay) and prop_delay >= 0):
+        raise ConfigurationError(
+            f"link {name}: propagation delay must be finite and >= 0, "
+            f"got {prop_delay!r}")
 
 
 class Interface:
@@ -49,12 +68,8 @@ class Interface:
     def __init__(self, sim: Simulator, node: "Node", rate_bps: float,
                  prop_delay: float, queue: DropTailQueue,
                  name: str = "") -> None:
-        if rate_bps <= 0:
-            raise ConfigurationError(
-                f"link rate must be positive, got {rate_bps}")
-        if prop_delay < 0:
-            raise ConfigurationError(
-                f"propagation delay must be >= 0, got {prop_delay}")
+        check_link_parameters(name or f"{node.name}->?", rate_bps,
+                              prop_delay)
         self._sim = sim
         self.node = node
         self.rate_bps = rate_bps

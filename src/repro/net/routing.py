@@ -70,6 +70,8 @@ class Network:
         """
         node_a = self.node(a)
         node_b = self.node(b)
+        # Both directions are built (and their parameters checked) before
+        # either is wired in, so a rejected link leaves no half behind.
         iface_ab = self._make_interface(node_a, node_b, rate_bps, prop_delay,
                                         queue_capacity, queue_mode)
         iface_ba = self._make_interface(
@@ -77,21 +79,21 @@ class Network:
             rate_bps if rate_bps_ba is None else rate_bps_ba,
             prop_delay if prop_delay_ba is None else prop_delay_ba,
             queue_capacity, queue_mode)
-        self._edges.append((a, b, iface_ab))
-        self._edges.append((b, a, iface_ba))
+        for sender, receiver, interface in ((node_a, node_b, iface_ab),
+                                            (node_b, node_a, iface_ba)):
+            interface.attach_peer(receiver)
+            sender.add_interface(receiver.name, interface)
+            self._edges.append((sender.name, receiver.name, interface))
         return iface_ab, iface_ba
 
     def _make_interface(self, sender: Node, receiver: Node, rate_bps: float,
                         prop_delay: float, queue_capacity: int,
                         queue_mode: str) -> Interface:
+        name = f"{sender.name}->{receiver.name}"
         queue = DropTailQueue(self.sim, capacity=queue_capacity,
-                              mode=queue_mode,
-                              name=f"{sender.name}->{receiver.name}")
-        interface = Interface(self.sim, sender, rate_bps=rate_bps,
-                              prop_delay=prop_delay, queue=queue)
-        interface.attach_peer(receiver)
-        sender.add_interface(receiver.name, interface)
-        return interface
+                              mode=queue_mode, name=name)
+        return Interface(self.sim, sender, rate_bps=rate_bps,
+                         prop_delay=prop_delay, queue=queue, name=name)
 
     # ------------------------------------------------------------------
     # Lookup

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.net.faults import RandomDropFault
-from repro.net.link import Interface
+from repro.net.link import Interface, check_link_parameters
 from repro.net.queue import MODE_PACKETS
 from repro.net.routing import Network
 from repro.net.clocks import Clock
@@ -38,12 +38,12 @@ class LinkSpec:
     prop_delay_ba: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.rate_bps <= 0:
-            raise ConfigurationError(
-                f"link rate must be positive, got {self.rate_bps}")
-        if self.prop_delay < 0:
-            raise ConfigurationError(
-                f"propagation delay must be >= 0, got {self.prop_delay}")
+        check_link_parameters("spec a->b", self.rate_bps, self.prop_delay)
+        check_link_parameters(
+            "spec b->a",
+            self.rate_bps if self.rate_bps_ba is None else self.rate_bps_ba,
+            self.prop_delay if self.prop_delay_ba is None
+            else self.prop_delay_ba)
 
 
 @dataclass

@@ -150,6 +150,38 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             Interface(sim, node, rate_bps=1.0, prop_delay=-1.0, queue=queue)
 
+    @pytest.mark.parametrize("rate_bps, prop_delay", [
+        (float("nan"), 0.001), (float("inf"), 0.001), (-1.0, 0.001),
+        (1e6, float("nan")), (1e6, float("inf")), (1e6, -0.001)])
+    def test_non_finite_parameters_rejected(self, sim, rate_bps,
+                                            prop_delay):
+        node = Node(sim, "n")
+        queue = DropTailQueue(sim, capacity=1)
+        with pytest.raises(ConfigurationError, match="link n->x"):
+            Interface(sim, node, rate_bps=rate_bps, prop_delay=prop_delay,
+                      queue=queue, name="n->x")
+
+    @pytest.mark.parametrize("rate_bps, prop_delay", [
+        (float("nan"), 0.001), (1e6, float("nan")), (1e6, float("inf"))])
+    def test_network_link_rejects_non_finite(self, sim, rate_bps,
+                                             prop_delay):
+        network = Network(sim)
+        network.add_host("a")
+        network.add_host("b")
+        with pytest.raises(ConfigurationError, match="link a->b"):
+            network.link("a", "b", rate_bps=rate_bps, prop_delay=prop_delay)
+        # Nothing of the rejected link is wired in.
+        assert network.host("a").interfaces == {}
+
+    def test_network_link_rejects_non_finite_reverse(self, sim):
+        network = Network(sim)
+        network.add_host("a")
+        network.add_host("b")
+        with pytest.raises(ConfigurationError, match="link b->a"):
+            network.link("a", "b", rate_bps=1e6, prop_delay=0.001,
+                         prop_delay_ba=float("nan"))
+        assert network.host("a").interfaces == {}
+
     def test_send_without_peer_rejected(self, sim):
         node = Node(sim, "n")
         queue = DropTailQueue(sim, capacity=1)

@@ -67,3 +67,18 @@ class TestValidation:
             LinkSpec(rate_bps=0.0, prop_delay=0.1)
         with pytest.raises(ConfigurationError):
             LinkSpec(rate_bps=1.0, prop_delay=-0.1)
+
+    @pytest.mark.parametrize("kwargs, direction", [
+        ({"rate_bps": float("nan"), "prop_delay": 0.1}, "a->b"),
+        ({"rate_bps": float("inf"), "prop_delay": 0.1}, "a->b"),
+        ({"rate_bps": 1.0, "prop_delay": float("nan")}, "a->b"),
+        ({"rate_bps": 1.0, "prop_delay": float("inf")}, "a->b"),
+        ({"rate_bps": 1.0, "prop_delay": 0.1,
+          "rate_bps_ba": float("nan")}, "b->a"),
+        ({"rate_bps": 1.0, "prop_delay": 0.1,
+          "prop_delay_ba": float("inf")}, "b->a"),
+    ])
+    def test_non_finite_link_spec(self, kwargs, direction):
+        # NaN slips past plain comparisons (nan <= 0 is false).
+        with pytest.raises(ConfigurationError, match=direction):
+            LinkSpec(**kwargs)
