@@ -60,6 +60,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     ExperimentResult,
+    ScenarioKey,
     build_scenario,
     event_result,
     scenario_key,
@@ -627,7 +628,7 @@ def run_fastforward_experiment(config: ExperimentConfig,
 
     build_horizon = max(end_time, replay_horizon or 0.0)
     replay: Optional[CrossReplay] = None
-    key: Optional[Tuple[str, str, int]] = None
+    key: Optional[ScenarioKey] = None
     if memo is not None:
         # Cross traffic is open-loop: δ, duration and probe sizes never
         # change it, so one replay serves a seed's whole δ-stack, and the

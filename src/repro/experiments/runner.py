@@ -18,8 +18,8 @@ import copy
 import json
 import math
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import SCENARIO_BUILDERS, ExperimentConfig
@@ -49,14 +49,21 @@ def build_scenario(config: ExperimentConfig) -> PathScenario:
     return builder(seed=config.seed, **config.scenario_kwargs)
 
 
-def scenario_key(config: ExperimentConfig) -> Tuple[str, str, int]:
-    """Scenario, canonical kwargs, seed: what a built scenario depends on.
+#: What a built scenario depends on: see :func:`scenario_key`.
+ScenarioKey = Tuple[str, Callable[..., Any], str, int]
 
-    The kwargs are JSON with sorted keys, so two configs that spell the
-    same keywords in another order share a key.  The key lives and dies
-    with its process, so it needs no code-version salt.
+
+def scenario_key(config: ExperimentConfig) -> ScenarioKey:
+    """Scenario, builder, canonical kwargs, seed: what a build depends on.
+
+    The builder is the callable :data:`SCENARIO_BUILDERS` holds for the
+    scenario now, compared by identity, so a builder replaced at run time
+    misses the template and replay the old one built.  The kwargs are
+    JSON with sorted keys, so two configs that spell the same keywords in
+    another order share a key.  The key lives and dies with its process,
+    so it needs no code-version salt.
     """
-    return (config.scenario,
+    return (config.scenario, SCENARIO_BUILDERS.get(config.scenario),
             json.dumps(config.scenario_kwargs, sort_keys=True, default=repr),
             int(config.seed))
 
@@ -95,7 +102,7 @@ class WarmTemplate(NamedTuple):
     starts from.
     """
 
-    key: Tuple[Tuple[str, str, int], float]
+    key: Tuple[ScenarioKey, float]
     scenario: PathScenario
     first_probe: FirstProbeSlot
     next_uid: int

@@ -11,6 +11,7 @@ memo accounting never leaks outside ``timing.json``.
 """
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -24,7 +25,8 @@ from repro.experiments.campaign import (
     cell_key,
     run_campaign,
 )
-from repro.experiments.config import PAPER_DELTAS, ExperimentConfig
+from repro.experiments.config import (PAPER_DELTAS, SCENARIO_BUILDERS,
+                                      ExperimentConfig)
 from repro.experiments.pool import plan_leases
 from repro.experiments.runner import build_scenario, scenario_key
 from repro.net.packet import UDP_WIRE_OVERHEAD_BYTES
@@ -186,6 +188,16 @@ class TestReplayFingerprint:
             config_for(),
             scenario_kwargs=dict(LIGHT_KWARGS, utilization_fwd=0.4)))
 
+    def test_sensitive_to_the_builder(self, monkeypatch):
+        key = scenario_key(config_for())
+        build = SCENARIO_BUILDERS["inria-umd"]
+        monkeypatch.setitem(SCENARIO_BUILDERS, "inria-umd",
+                            functools.wraps(build)(
+                                lambda **kwargs: build(**kwargs)))
+        assert scenario_key(config_for()) != key
+        monkeypatch.setitem(SCENARIO_BUILDERS, "inria-umd", build)
+        assert scenario_key(config_for()) == key
+
     def test_separates_seed_scenario_and_kwargs(self):
         # Values that would run together if the parts were concatenated
         # ("seed 1" + "kwargs 1x" vs "seed 11" + "kwargs x") stay apart.
@@ -194,9 +206,10 @@ class TestReplayFingerprint:
         eleven = dataclasses.replace(config_for(seed=11),
                                      scenario_kwargs={"window": "x"})
         assert scenario_key(one) != scenario_key(eleven)
-        scenario, kwargs, seed = scenario_key(one)
-        assert (scenario, json.loads(kwargs), seed) \
-            == ("inria-umd", {"window": "1x"}, 1)
+        scenario, builder, kwargs, seed = scenario_key(one)
+        assert (scenario, builder, json.loads(kwargs), seed) \
+            == ("inria-umd", SCENARIO_BUILDERS["inria-umd"],
+                {"window": "1x"}, 1)
 
     def test_needs_no_cache_salt(self, monkeypatch):
         def unavailable():

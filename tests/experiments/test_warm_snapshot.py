@@ -126,6 +126,23 @@ class TestOneTemplate:
                                       utilization_fwd=0.5))
         assert len(builds) == 1
 
+    def test_replaced_builder_takes_a_new_template(self, no_template,
+                                                   monkeypatch):
+        # The held template stays in place between the two runs: the key
+        # carries the builder itself, not only its scenario name.
+        config = config_for(seed=3)
+        before = execute_experiment(config)
+        build = SCENARIO_BUILDERS["inria-umd"]
+
+        def busier(seed, **kwargs):
+            return build(seed=seed, **dict(kwargs, utilization_fwd=0.9))
+
+        monkeypatch.setitem(SCENARIO_BUILDERS, "inria-umd", busier)
+        after = execute_experiment(config)
+        assert not np.array_equal(after.trace.rtts, before.trace.rtts)
+        trace, scenario, _ = run_observed_experiment(config)
+        assert_same_run(after, trace, scenario)
+
 
 class TestTemplateReuse:
     def test_event_campaign_warms_each_seed_once(self, no_template, builds):
