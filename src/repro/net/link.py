@@ -79,22 +79,31 @@ class Interface:
         self.peer: Optional["Node"] = None
         self.egress_faults: list[FaultModel] = []
         self.ingress_faults: list[FaultModel] = []
-        self.transmitted = 0
-        self.transmitted_bits = 0
         self.fault_drops = 0
         self._created_at = sim.now
-        self._busy_since = 0.0
-        self._busy_time = 0.0
         #: Optional packet-lifecycle observer (see repro.net.hooks); it
         #: also hears this interface's queue milestones.
         self.lifecycle: Optional[LifecycleObserver] = None
-        # Hot-path state (see DESIGN.md, "Hot path").  The transmitter is
-        # serial and the propagation delay is a per-interface constant, so
-        # transmission-finish and delivery events complete in the order they
-        # were scheduled: one packet slot plus a FIFO of in-flight packets
-        # replaces a closure per event.  The bound callbacks and labels are
-        # allocated once here instead of once per packet.
-        self._transmitting: Optional[Packet] = None
+        # Hot-path state (see DESIGN.md, "One event per idle hop").  A
+        # transmission's finish and delivery instants are known the moment
+        # it starts, so its delivery event is scheduled then; the finish
+        # instant gets a ``tx-done`` event (``_tx_pending``) only when a
+        # packet waits behind it or an observer hears ``on_tx_done``.  The
+        # transmitter is serial and the propagation delay constant, so
+        # deliveries complete in start order: a FIFO of in-flight packets
+        # and bound callbacks allocated once here replace a closure per
+        # event.  ``_started`` and ``_started_bits`` count every
+        # transmission begun, ``_busy_time`` the busy spans of all but the
+        # last, which runs from ``_busy_since`` (a stall included) to
+        # ``_busy_until``; the counter properties add it in from its
+        # finish instant on.
+        self._busy_since = 0.0
+        self._busy_until = 0.0
+        self._busy_time = 0.0
+        self._started = 0
+        self._started_bits = 0
+        self._in_service: Optional[Packet] = None
+        self._tx_pending = False
         self._inflight: deque[Packet] = deque()
         self._tx_done_ref = self._transmission_done
         self._deliver_ref = self._deliver
@@ -131,7 +140,7 @@ class Interface:
                     self.lifecycle.on_fault_drop(self, packet)
                 return False
         queue = self.queue
-        idle = self._transmitting is None
+        idle = not self._tx_pending and self._sim.now >= self._busy_until
         # An idle transmitter means an empty queue: the packet crosses it in
         # one call that keeps the arrival/occupancy statistics exact.
         admitted = queue.pass_through(packet) if idle \
@@ -141,38 +150,53 @@ class Interface:
                 self.lifecycle.on_enqueued(queue, packet)
             else:
                 self.lifecycle.on_queue_drop(queue, packet)
-        if admitted and idle:
-            self._start_transmission(packet)
+        if admitted:
+            if idle:
+                self._start_transmission(packet)
+            elif not self._tx_pending:
+                # The first packet to wait behind the one in service: the
+                # transmitter takes it at that packet's finish instant.
+                self._tx_pending = True
+                self._sim.call_at(self._busy_until, self._tx_done_ref,
+                                  label=self._tx_label)
         return admitted
 
     def _start_transmission(self, packet: Packet) -> None:
-        """Begin serializing ``packet`` (the transmitter was idle)."""
+        """Begin serializing ``packet`` (the transmitter was idle).
+
+        Schedules the packet's delivery at its finish plus the propagation
+        delay, and the ``tx-done`` event at its finish when a packet
+        already waits or an observer listens.
+        """
         sim = self._sim
         now = sim.now
-        self._busy_since = now
         start = now
         for fault in self.egress_faults:
             start = max(start, fault.stalled_until(now))
         finish = start + packet.size_bits / self.rate_bps
-        self._transmitting = packet
-        sim.call_at(finish, self._tx_done_ref, label=self._tx_label)
+        # The previous transmission has finished: fold its busy span in.
+        self._busy_time += self._busy_until - self._busy_since
+        self._busy_since = now
+        self._busy_until = finish
+        self._started += 1
+        self._started_bits += packet.size_bits
+        self._in_service = packet
+        if self.queue._packets or self.lifecycle is not None:
+            self._tx_pending = True
+            sim.call_at(finish, self._tx_done_ref, label=self._tx_label)
+        self._inflight.append(packet)
+        sim.call_at(finish + self.prop_delay, self._deliver_ref,
+                    label=self._deliver_label)
         if self.lifecycle is not None:
             self.lifecycle.on_tx_start(self, packet)
 
     def _transmission_done(self) -> None:
-        packet = self._transmitting
-        assert packet is not None
-        self._transmitting = None
-        sim = self._sim
-        now = sim.now
-        self.transmitted += 1
-        self.transmitted_bits += packet.size_bits
-        self._busy_time += now - self._busy_since
-        self._inflight.append(packet)
-        sim.call_at(now + self.prop_delay, self._deliver_ref,
-                    label=self._deliver_label)
+        """The finish instant of the packet in service: report it and
+        start the next queued packet, if any."""
+        self._tx_pending = False
         if self.lifecycle is not None:
-            self.lifecycle.on_tx_done(self, packet)
+            assert self._in_service is not None
+            self.lifecycle.on_tx_done(self, self._in_service)
         queue = self.queue
         if queue._packets:
             self._start_transmission(queue.dequeue())
@@ -193,8 +217,25 @@ class Interface:
     # ------------------------------------------------------------------
     @property
     def busy(self) -> bool:
-        """True while a packet is being serialized."""
-        return self._transmitting is not None
+        """True while a packet is being serialized (or held by a stall).
+
+        Until its finish instant, or while its ``tx-done`` event has yet
+        to run at that instant.
+        """
+        return self._tx_pending or self._sim.now < self._busy_until
+
+    @property
+    def transmitted(self) -> int:
+        """Packets whose transmission has finished."""
+        return self._started - 1 if self.busy else self._started
+
+    @property
+    def transmitted_bits(self) -> int:
+        """Bits of the packets whose transmission has finished."""
+        if self.busy:
+            assert self._in_service is not None
+            return self._started_bits - self._in_service.size_bits
+        return self._started_bits
 
     @property
     def busy_time(self) -> float:
@@ -203,10 +244,9 @@ class Interface:
         Includes the in-progress transmission (up to ``sim.now``) and any
         fault-stall time spent holding a packet.
         """
-        accumulated = self._busy_time
-        if self._transmitting is not None:
-            accumulated += self._sim.now - self._busy_since
-        return accumulated
+        now = self._sim.now
+        until = self._busy_until if now >= self._busy_until else now
+        return self._busy_time + (until - self._busy_since)
 
     def utilization_estimate(self) -> float:
         """Fraction of time the transmitter was busy since it was created.
