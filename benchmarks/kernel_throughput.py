@@ -10,8 +10,13 @@ Times the three hot-path workloads the perf tests guard:
 * ``calibrated`` — one simulated minute of the full INRIA-UMd scenario
   (cross-traffic RNG draws, faults, probes: the real workload).
 
-Each workload reports events/sec (best of ``ROUNDS``), written in the
-shared ``repro-bench`` report schema (:mod:`repro.obs.bench`) so
+``event_loop`` reports events/sec.  ``forwarding`` and ``calibrated``
+report packet transmissions/sec, the sum of every interface's
+``Interface.transmitted``: an idle hop executes one event and a busy one
+two, so events/sec would move with the traffic's queueing rather than
+with the speed of the code; their event counts stay in ``details``.
+Each rate is the best of ``ROUNDS``, written in the shared
+``repro-bench`` report schema (:mod:`repro.obs.bench`) so
 ``repro-bench compare`` can flag regressions between two runs.
 
 ``--quick`` shrinks every workload (CI smoke); quick numbers are only
@@ -41,8 +46,20 @@ QUICK = {"chain_events": 20_000, "forwarding_seconds": 1.0,
          "calibrated_seconds": 10.0}
 
 
-def run_event_loop(chain_events: int) -> tuple[int, float]:
-    """Events executed and wall seconds for the bare-kernel chain."""
+#: What each workload's rate counts: a bare chain's work is its events,
+#: a network's is its packet transmissions.
+WORK = {"event_loop": "events", "forwarding": "transmissions",
+        "calibrated": "transmissions"}
+
+
+def transmissions(network: Network) -> int:
+    """Packets every interface of ``network`` has finished sending."""
+    return sum(interface.transmitted for node in network.nodes.values()
+               for interface in node.interfaces.values())
+
+
+def run_event_loop(chain_events: int) -> tuple[dict, float]:
+    """Counts and wall seconds for the bare-kernel chain."""
     sim = Simulator(seed=0)
 
     def chain(remaining):
@@ -52,11 +69,12 @@ def run_event_loop(chain_events: int) -> tuple[int, float]:
     sim.call_at(0.0, lambda: chain(chain_events))
     started = perf_counter()
     sim.run()
-    return sim.events_executed, perf_counter() - started
+    elapsed = perf_counter() - started
+    return {"events": sim.events_executed}, elapsed
 
 
-def run_forwarding(duration: float) -> tuple[int, float]:
-    """Events executed and wall seconds for the 5-hop forwarding chain."""
+def run_forwarding(duration: float) -> tuple[dict, float]:
+    """Counts and wall seconds for the 5-hop forwarding chain."""
     sim = Simulator(seed=0)
     network = Network(sim)
     names = [f"n{i}" for i in range(6)]
@@ -75,37 +93,44 @@ def run_forwarding(duration: float) -> tuple[int, float]:
     sim.run(until=duration)
     source.stop()
     sim.run()
-    return sim.events_executed, perf_counter() - started
+    elapsed = perf_counter() - started
+    return {"events": sim.events_executed,
+            "transmissions": transmissions(network)}, elapsed
 
 
-def run_calibrated(duration: float) -> tuple[int, float]:
-    """Events executed and wall seconds for the INRIA-UMd scenario."""
+def run_calibrated(duration: float) -> tuple[dict, float]:
+    """Counts and wall seconds for the INRIA-UMd scenario."""
     scenario = build_inria_umd(seed=0)
     scenario.start_traffic()
     started = perf_counter()
     run_probe_experiment(scenario.network, scenario.source, scenario.echo,
                          delta=0.05, duration=duration, start_at=5.0)
-    return scenario.sim.events_executed, perf_counter() - started
+    elapsed = perf_counter() - started
+    return {"events": scenario.sim.events_executed,
+            "transmissions": transmissions(scenario.network)}, elapsed
 
 
-def best_rate(workload, arg) -> dict:
-    """Best-of-ROUNDS events/sec for one workload."""
-    best_rate_seen, events = 0.0, 0
+def best_rate(workload, arg, work: str) -> dict:
+    """The workload's counts and its best-of-ROUNDS ``work`` per second."""
+    best_rate_seen, counts = 0.0, {}
     for _ in range(ROUNDS):
-        events, elapsed = workload(arg)
-        best_rate_seen = max(best_rate_seen, events / elapsed)
-    return {"events": events, "events_per_second": round(best_rate_seen)}
+        counts, elapsed = workload(arg)
+        best_rate_seen = max(best_rate_seen, counts[work] / elapsed)
+    return dict(counts, **{f"{work}_per_second": round(best_rate_seen)})
 
 
 def collect(quick: bool = False) -> dict:
     """Run all three workloads; flat per-workload results."""
     params = QUICK if quick else FULL
     workloads = {
-        "event_loop": best_rate(run_event_loop, params["chain_events"]),
+        "event_loop": best_rate(run_event_loop, params["chain_events"],
+                                WORK["event_loop"]),
         "forwarding": best_rate(run_forwarding,
-                                params["forwarding_seconds"]),
+                                params["forwarding_seconds"],
+                                WORK["forwarding"]),
         "calibrated": best_rate(run_calibrated,
-                                params["calibrated_seconds"]),
+                                params["calibrated_seconds"],
+                                WORK["calibrated"]),
     }
     return {"rounds": ROUNDS, "params": params, "workloads": workloads}
 
@@ -113,6 +138,9 @@ def collect(quick: bool = False) -> dict:
 def run_suite(quick: bool = False) -> dict:
     """One schema-versioned ``repro-bench`` report for this suite."""
     details = collect(quick=quick)
-    return build_report(
-        SUITE, flat_metrics(details["workloads"], unit="events/s"),
-        mode="quick" if quick else "full", details=details)
+    metrics = {}
+    for work in sorted(set(WORK.values())):
+        metrics.update(flat_metrics(details["workloads"], unit=f"{work}/s",
+                                    value_key=f"{work}_per_second"))
+    return build_report(SUITE, metrics, mode="quick" if quick else "full",
+                        details=details)

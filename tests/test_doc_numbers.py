@@ -1,9 +1,9 @@
 """Every kernel/obs/fastforward number the docs quote is a committed value.
 
-README.md and DESIGN.md §8 ("Hot path") quote events/s figures from the
-``kernel`` and ``obs`` benchmark suites.  Each one must equal a metric in
-the committed ``benchmarks/BENCH_kernel.json`` or
-``benchmarks/BENCH_obs.json``.  The README paragraphs that cite
+README.md and DESIGN.md §8 ("Hot path") quote events/s and
+transmissions/s figures from the ``kernel`` and ``obs`` benchmark suites.
+Each one must equal a metric of the same unit in the committed
+``benchmarks/BENCH_kernel.json`` or ``benchmarks/BENCH_obs.json``.  The README paragraphs that cite
 ``BENCH_fastforward.json`` and DESIGN.md §9 ("Analytic fast-forward
 execution") quote seconds and × figures from the ``fastforward`` suite;
 each one must equal a metric of the committed
@@ -22,8 +22,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: A quoted rate: digits with optional thousands separators, then events/s.
-_RATE = re.compile(r"(\d[\d,]*)\s+events/s\b")
+#: A quoted rate: digits with optional thousands separators, then its
+#: unit, events/s or transmissions/s.
+_RATE = re.compile(r"(\d[\d,]*)\s+((?:events|transmissions)/s)\b")
 
 #: A quoted measurement in seconds or ×.  A bound (``≥ 3×``) and a test
 #: floor (``floor of 10×``, ``2× floor``) are not measurements.
@@ -38,12 +39,22 @@ def committed_metrics(suite: str) -> dict:
 
 
 def committed_rates(suite: str) -> set:
-    return {entry["value"] for entry in committed_metrics(suite).values()
-            if entry["unit"] == "events/s"}
+    """``(value, unit)`` of every rate metric of a committed report."""
+    return {(entry["value"], entry["unit"])
+            for entry in committed_metrics(suite).values()
+            if entry["unit"] in ("events/s", "transmissions/s")}
 
 
 def quoted_rates(text: str) -> list:
-    return [float(number.replace(",", "")) for number in _RATE.findall(text)]
+    """``(value, unit)`` of every rate the text quotes."""
+    return [(float(number.replace(",", "")), unit)
+            for number, unit in _RATE.findall(text)]
+
+
+def test_rate_pattern_reads_both_units():
+    text = "1,804,151 events/s on the chain, 283,215 transmissions/s"
+    assert quoted_rates(text) == [(1804151.0, "events/s"),
+                                  (283215.0, "transmissions/s")]
 
 
 def design_section(number: int) -> str:
@@ -62,7 +73,7 @@ def test_quoted_rates_are_committed(where):
     text = (design_hot_path() if where.startswith("DESIGN")
             else (ROOT / where).read_text())
     quoted = quoted_rates(text)
-    assert quoted, f"{where} quotes no events/s figure"
+    assert quoted, f"{where} quotes no rate"
     committed = committed_rates("kernel") | committed_rates("obs")
     assert [rate for rate in quoted if rate not in committed] == []
 
