@@ -35,15 +35,6 @@ class ARModel:
         """The model order p."""
         return len(self.coefficients)
 
-    def predict_next(self, history: np.ndarray) -> float:
-        """One-step-ahead prediction from the last ``order`` samples."""
-        history = np.asarray(history, dtype=float)
-        if len(history) < self.order:
-            raise AnalysisError(
-                f"need {self.order} history samples, got {len(history)}")
-        recent = history[-self.order:][::-1] - self.mean
-        return self.mean + float(np.dot(self.coefficients, recent))
-
     def predict_series(self, series: np.ndarray) -> np.ndarray:
         """One-step predictions for ``series[order:]`` from its own past."""
         series = np.asarray(series, dtype=float)

@@ -39,11 +39,6 @@ class CompressionReport:
     #: Mean number of probes per episode (>= 2).
     mean_episode_probes: float
 
-    @property
-    def episode_count(self) -> int:
-        """Number of compression episodes detected."""
-        return len(self.episodes)
-
 
 def detect_compression(trace: ProbeTrace, mu: float,
                        tolerance: float = 4e-3) -> CompressionReport:

@@ -35,11 +35,6 @@ class PlayoutReport:
     #: The playout delay(s) used, seconds (mean for adaptive).
     playout_delay: float
 
-    @property
-    def total_loss(self) -> float:
-        """Network loss plus late loss: what the codec must conceal."""
-        return self.network_loss + self.late_loss
-
 
 def _arrival_delays(trace: ProbeTrace) -> np.ndarray:
     """One-way-ish delays: rtts stand in for delivery delays (NaN = lost)."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError, InsufficientDataError
+from repro.errors import ConfigurationError
 from repro.net.routing import Network
 from repro.tools.ping import ping
 
@@ -30,13 +30,6 @@ class MeritStats:
     #: One rtt sample per interval, seconds (NaN if unanswered).
     samples: np.ndarray
     interval: float
-
-    def median_delay(self) -> float:
-        """Median of the answered samples (the statistic studied in [6])."""
-        valid = self.samples[~np.isnan(self.samples)]
-        if valid.size == 0:
-            raise InsufficientDataError("no answered samples")
-        return float(np.median(valid))
 
     def availability(self) -> float:
         """Fraction of intervals with an answered sample."""

@@ -13,13 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from repro.analysis.distributions import (
-    ConstantPlusGammaFit,
-    fit_constant_plus_gamma,
-)
-from repro.errors import ConfigurationError, InsufficientDataError
+from repro.errors import ConfigurationError
 from repro.net.routing import Network
-from repro.netdyn.trace import ProbeTrace
 from repro.tools.ping import ping
 
 
@@ -41,17 +36,6 @@ class GroupedPingResult:
         """Number of groups sent."""
         return len(self.group_means)
 
-    def overall_loss(self) -> float:
-        """Loss fraction over all individual echoes."""
-        return float(np.mean(self.group_loss))
-
-    def fit_delay_model(self) -> ConstantPlusGammaFit:
-        """Fit the constant+gamma model of [19] to the individual rtts."""
-        valid = self.all_rtts[~np.isnan(self.all_rtts)]
-        if valid.size < 20:
-            raise InsufficientDataError("too few echoes for a fit")
-        trace = ProbeTrace.from_samples(delta=1.0, rtts=valid.tolist())
-        return fit_constant_plus_gamma(trace)
 
 
 def grouped_ping(network: Network, source: str, destination: str,

@@ -144,6 +144,9 @@ def _emit_observability(args: argparse.Namespace, config: ExperimentConfig,
                   f"({len(obs.kernel)} events)")
             print(f"packet hops written to {hops_path} "
                   f"({len(obs.lifecycle.records)} hops)")
+        if obs.kernel.overwritten:
+            print(f"kernel ring full: the {obs.kernel.overwritten} earliest "
+                  f"of {obs.kernel.events_seen} event records were lost")
     if args.metrics:
         flat = obs.registry.flat_snapshot()
         shown = {name: value for name, value in flat.items() if value}

@@ -73,8 +73,8 @@ class ExperimentConfig:
     scenario_kwargs:
         Extra keyword arguments forwarded to the scenario's builder.  Each
         key must be a keyword the builder takes, other than ``seed``,
-        which the ``seed`` field sets, and ``sim``: the experiment
-        builds its own simulator.
+        which the ``seed`` field sets; ``seed`` and ``sim`` are rejected
+        with that hint, since the experiment builds its own simulator.
     mode:
         ``"event"`` runs the exact event-driven simulation (the golden
         reference); ``"analytic"`` fast-forwards the bottleneck queue

@@ -155,8 +155,7 @@ def _walk_direction(scenario: PathScenario, path: Sequence[str],
             reasons.append(f"lifecycle hook on interface {interface.name}")
         on_bottleneck = (interface is scenario.bottleneck_fwd
                          or interface is scenario.bottleneck_rev)
-        for fault in (list(interface.egress_faults)
-                      + list(interface.ingress_faults)):
+        for fault in interface.egress_faults:
             if on_bottleneck:
                 reasons.append(
                     f"fault on bottleneck interface {interface.name}")
@@ -240,7 +239,7 @@ def _path_model(scenario: PathScenario,
                     f"{label} mix shares a non-bottleneck interface "
                     "with the probes")
             for interface in interfaces:
-                if interface.egress_faults or interface.ingress_faults:
+                if interface.egress_faults:
                     if interface is not bottleneck:
                         reasons.append(
                             f"fault on mix interface {interface.name}")

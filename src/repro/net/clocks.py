@@ -11,6 +11,8 @@ which is why NetDyn (and this reproduction) only ever interprets
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ConfigurationError
 from repro.sim.kernel import Simulator, restore_attributes
 
@@ -55,9 +57,10 @@ class QuantizedClock(Clock):
     """
 
     def __init__(self, sim: Simulator, resolution: float) -> None:
-        if resolution <= 0:
+        if not (math.isfinite(resolution) and resolution > 0):
             raise ConfigurationError(
-                f"clock resolution must be positive, got {resolution}")
+                f"clock resolution must be finite and positive, "
+                f"got {resolution!r}")
         self._sim = sim
         self._resolution = resolution
 

@@ -10,6 +10,7 @@ use cases.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -80,6 +81,12 @@ class PeriodicStallFault(FaultModel):
     """
 
     def __init__(self, period: float, stall: float, phase: float = 0.0) -> None:
+        # NaN fails no comparison below, so each value is checked first.
+        for name, value in (("period", period), ("stall", stall),
+                            ("phase", phase)):
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"stall fault: {name} must be finite, got {value!r}")
         if period <= 0 or stall < 0 or stall >= period:
             raise ConfigurationError(
                 f"need 0 <= stall < period, got stall={stall} period={period}")
@@ -104,8 +111,10 @@ class RouteFlapFault:
 
     def __init__(self, sim: Simulator, node: "Node", destination: str,
                  primary_peer: str, backup_peer: str, period: float) -> None:
-        if period <= 0:
-            raise ConfigurationError(f"period must be positive, got {period}")
+        if not (math.isfinite(period) and period > 0):
+            raise ConfigurationError(
+                f"route flap: period must be finite and positive, "
+                f"got {period!r}")
         self._sim = sim
         self._node = node
         self._destination = destination

@@ -65,7 +65,7 @@ class LifecycleObserver(Protocol):
         return None
 
     def on_fault_drop(self, interface: "Interface", packet: "Packet") -> None:
-        """A fault model discarded ``packet`` at ``interface``."""
+        """An egress fault discarded ``packet`` before ``interface``'s queue."""
         return None
 
     def on_delivered(self, interface: "Interface", packet: "Packet") -> None:

@@ -37,14 +37,11 @@ class Host(Node):
         Unique host name / address.
     clock:
         Local clock model; defaults to a perfect (unquantized) clock.
-    processing_delay:
-        Per-packet forwarding latency when the host routes traffic.
     """
 
     def __init__(self, sim: Simulator, name: str,
-                 clock: Optional[Clock] = None,
-                 processing_delay: float = 0.0) -> None:
-        super().__init__(sim, name, processing_delay=processing_delay)
+                 clock: Optional[Clock] = None) -> None:
+        super().__init__(sim, name)
         self.clock: Clock = clock if clock is not None else PerfectClock(sim)
         self._udp_bindings: dict[int, UdpHandler] = {}
         self.udp_received = 0

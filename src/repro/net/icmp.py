@@ -84,7 +84,7 @@ class ErrorContext:
 
 
 def make_echo(src: str, dst: str, ident: int, seq: int, created_at: float,
-              size_bytes: int = ECHO_SIZE_BYTES, ttl: int = 64,
+              size_bytes: int = ECHO_SIZE_BYTES,
               record_route: bool = False) -> Packet:
     """Build an ICMP echo request.
 
@@ -93,7 +93,7 @@ def make_echo(src: str, dst: str, ident: int, seq: int, created_at: float,
     same list — how the paper obtained the Table 1 route with ping.
     """
     return Packet(src=src, dst=dst, kind=KIND_ICMP_ECHO,
-                  size_bytes=size_bytes, ttl=ttl,
+                  size_bytes=size_bytes,
                   payload=EchoContext(ident=ident, seq=seq),
                   created_at=created_at,
                   record=[] if record_route else None)

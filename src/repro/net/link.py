@@ -78,7 +78,6 @@ class Interface:
         self.name = name
         self.peer: Optional["Node"] = None
         self.egress_faults: list[FaultModel] = []
-        self.ingress_faults: list[FaultModel] = []
         self.fault_drops = 0
         self._created_at = sim.now
         #: Optional packet-lifecycle observer (see repro.net.hooks); it
@@ -122,10 +121,6 @@ class Interface:
     def add_egress_fault(self, fault: FaultModel) -> None:
         """Drop/stall packets as they are transmitted."""
         self.egress_faults.append(fault)
-
-    def add_ingress_fault(self, fault: FaultModel) -> None:
-        """Drop packets as they are received by the peer."""
-        self.ingress_faults.append(fault)
 
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
@@ -204,12 +199,6 @@ class Interface:
     def _deliver(self) -> None:
         packet = self._inflight.popleft()
         assert self.peer is not None
-        for fault in self.ingress_faults:
-            if fault.drops(packet, self._sim):
-                self.fault_drops += 1
-                if self.lifecycle is not None:
-                    self.lifecycle.on_fault_drop(self, packet)
-                return
         if self.lifecycle is not None:
             self.lifecycle.on_delivered(self, packet)
         self.peer.handle_packet(packet, ingress=self)

@@ -24,6 +24,8 @@ from repro.sim.kernel import Simulator
 
 #: Default output buffer size, in packets, for newly created links.
 DEFAULT_QUEUE_CAPACITY = 64
+#: Longest path :meth:`Network.path` follows before reporting a loop.
+MAX_PATH_HOPS = 64
 
 
 class Network:
@@ -43,11 +45,9 @@ class Network:
         self._register(node)
         return node
 
-    def add_host(self, name: str, clock: Optional[Clock] = None,
-                 processing_delay: float = 0.0) -> Host:
+    def add_host(self, name: str, clock: Optional[Clock] = None) -> Host:
         """Create and register an end host (UDP stack + clock)."""
-        host = Host(self.sim, name, clock=clock,
-                    processing_delay=processing_delay)
+        host = Host(self.sim, name, clock=clock)
         self._register(host)
         return host
 
@@ -187,16 +187,16 @@ class Network:
                 totals["queued"] += len(interface.queue)
         return totals
 
-    def path(self, src: str, dst: str, max_hops: int = 64) -> list[str]:
+    def path(self, src: str, dst: str) -> list[str]:
         """Follow next-hop tables from ``src`` to ``dst``; detects loops."""
         self.node(src)
         self.node(dst)
         path = [src]
         current = src
         while current != dst:
-            if len(path) > max_hops:
+            if len(path) > MAX_PATH_HOPS:
                 raise RoutingError(
-                    f"routing loop or path longer than {max_hops} hops "
+                    f"routing loop or path longer than {MAX_PATH_HOPS} hops "
                     f"from {src!r} to {dst!r}: {path}")
             next_hop = self.nodes[current].routing.get(dst)
             if next_hop is None:

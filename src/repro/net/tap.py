@@ -37,10 +37,10 @@ class PacketTap(LifecycleObserver):
     """Records every packet delivered through one interface.
 
     The tap is the interface's lifecycle observer and records in
-    :meth:`on_delivered`, which fires after propagation and ingress fault
-    filtering, so it sees exactly the packets the receiving node sees.
-    The other milestones are the protocol's no-ops.  An interface holds
-    one observer: tapping an interface that already has one raises
+    :meth:`on_delivered`, which fires after propagation, so it sees
+    exactly the packets the receiving node sees.  The other milestones
+    are the protocol's no-ops.  An interface holds one observer: tapping
+    an interface that already has one raises
     :class:`~repro.errors.ConfigurationError`.
 
     Parameters

@@ -50,11 +50,6 @@ class TransferStats:
         self.fast_retransmits = fast_retransmits
         self.acks_received = acks_received
 
-    @property
-    def goodput_segments(self) -> int:
-        """Distinct segments delivered (sent minus retransmissions)."""
-        return self.segments_sent - self.retransmissions
-
     def __repr__(self) -> str:
         return (f"TransferStats(segments_sent={self.segments_sent!r}, "
                 f"retransmissions={self.retransmissions!r}, "
@@ -203,7 +198,7 @@ class MiniTcpSender:
             # Every re-send counts: recovery rewinds ``_next_to_send``, so
             # segments re-sent afterwards by ``_fill_window`` come through
             # here too, and counting only the first would let them inflate
-            # ``goodput_segments``.
+            # the goodput (segments sent minus retransmissions).
             self.stats.retransmissions += 1
             self._resent.add(seq)
             if self._timed_seq == seq:

@@ -197,9 +197,6 @@ def instrument_network(registry: MetricsRegistry,
             for position, fault in enumerate(interface.egress_faults):
                 _instrument_fault(registry, f"{ibase}/egress_fault{position}",
                                   fault)
-            for position, fault in enumerate(interface.ingress_faults):
-                _instrument_fault(registry, f"{ibase}/ingress_fault{position}",
-                                  fault)
             queue = interface.queue
             qbase = f"{ibase}/queue"
             registry.counter(f"{qbase}/arrivals",

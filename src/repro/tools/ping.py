@@ -13,6 +13,9 @@ from repro.net.packet import KIND_ICMP_ECHO_REPLY, Packet
 from repro.net.routing import Network
 from repro.units import seconds_to_ms
 
+#: How long ping waits for replies after its last echo, seconds.
+REPLY_TIMEOUT = 3.0
+
 
 @dataclass
 class PingResult:
@@ -50,12 +53,12 @@ class PingResult:
 
 
 def ping(network: Network, source: str, destination: str, count: int = 4,
-         interval: float = 1.0, size_bytes: int = icmp.ECHO_SIZE_BYTES,
-         timeout: float = 3.0, ident: int = 1,
+         interval: float = 1.0, ident: int = 1,
          record_route: bool = False) -> PingResult:
     """Send ``count`` ICMP echoes and collect replies.
 
-    Advances the shared simulator clock by ``count * interval + timeout``.
+    Advances the shared simulator clock by ``count * interval +
+    REPLY_TIMEOUT``.
     With ``record_route``, the first answered echo's recorded node list is
     returned in :attr:`PingResult.route` — ping's IP record-route option,
     the paper's first way of obtaining the Table 1 route.
@@ -88,7 +91,6 @@ def ping(network: Network, source: str, destination: str, count: int = 4,
         send_times[seq] = src_host.sim.now
         echo = icmp.make_echo(src_host.name, destination, ident=ident,
                               seq=seq, created_at=src_host.sim.now,
-                              size_bytes=size_bytes,
                               record_route=record_route)
         src_host.originate(echo)
 
@@ -96,6 +98,6 @@ def ping(network: Network, source: str, destination: str, count: int = 4,
     for seq in range(count):
         src_host.sim.call_at(start + seq * interval,
                              lambda s=seq: send_echo(s), label="ping")
-    src_host.sim.run(until=start + count * interval + timeout)
+    src_host.sim.run(until=start + count * interval + REPLY_TIMEOUT)
     src_host.icmp_listeners.remove(on_icmp)
     return PingResult(rtts=rtts, sent=count, route=recorded["route"])

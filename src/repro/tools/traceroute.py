@@ -26,6 +26,9 @@ PROBE_PORT_BASE = 33434
 #: Source port the traceroute probes use.
 SOURCE_PORT = 33000
 
+#: How long traceroute waits for each TTL's answer, seconds.
+HOP_TIMEOUT = 3.0
+
 
 @dataclass
 class Hop:
@@ -44,12 +47,12 @@ class Hop:
 
 
 def traceroute(network: Network, source: str, destination: str,
-               max_hops: int = 30, timeout: float = 3.0) -> list[Hop]:
+               max_hops: int = 30) -> list[Hop]:
     """Run traceroute from ``source`` to ``destination``.
 
     Returns one :class:`Hop` per TTL until the destination answers with
     port-unreachable (or ``max_hops`` is reached).  Advances the shared
-    simulator clock by up to ``timeout`` per TTL.
+    simulator clock by up to ``HOP_TIMEOUT`` per TTL.
     """
     src_host = network.host(source)
     network.node(destination)  # raise early on unknown destination
@@ -81,10 +84,10 @@ def traceroute(network: Network, source: str, destination: str,
         src_host.send_udp(destination, src_port=SOURCE_PORT,
                           dst_port=PROBE_PORT_BASE + ttl,
                           payload_bytes=12, ttl=ttl)
-        deadline = src_host.sim.now + timeout
+        deadline = src_host.sim.now + HOP_TIMEOUT
         while "node" not in answer and src_host.sim.now < deadline \
                 and src_host.sim.pending_events() > 0:
-            next_step = min(deadline, src_host.sim.now + timeout / 50.0)
+            next_step = min(deadline, src_host.sim.now + HOP_TIMEOUT / 50.0)
             src_host.sim.run(until=next_step)
         src_host.icmp_listeners.remove(on_icmp)
 

@@ -15,8 +15,6 @@ random-drop interface fault reported in [17].
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.net.faults import RandomDropFault
 from repro.net.queue import MODE_PACKETS
 from repro.net.clocks import DECSTATION_RESOLUTION, QuantizedClock
@@ -71,14 +69,13 @@ def build_inria_umd(seed: int = 0,
                     window: int = 3,
                     window_interval: float = 0.30,
                     mean_file_packets: float = 20.0,
-                    quantized_clock: bool = True,
-                    sim: Optional[Simulator] = None) -> PathScenario:
+                    quantized_clock: bool = True) -> PathScenario:
     """Build the calibrated INRIA-UMd scenario.
 
     Parameters
     ----------
     seed:
-        Master random seed (ignored when an existing ``sim`` is passed).
+        Master random seed.
     utilization_fwd, utilization_rev:
         Cross-traffic wire load on the transatlantic link, west-bound
         (France -> US, shared with outbound probes) and east-bound.
@@ -93,7 +90,7 @@ def build_inria_umd(seed: int = 0,
     quantized_clock:
         Give the source host the DECstation's 3.906 ms clock.
     """
-    sim = sim if sim is not None else Simulator(seed=seed)
+    sim = Simulator(seed=seed)
 
     names = list(TABLE1_ROUTE) + [ECHO_HOST]
     ethernet = dict(rate_bps=mbps(10), queue_capacity=128)

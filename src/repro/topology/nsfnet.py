@@ -14,7 +14,6 @@ paper cites).  Link propagation delays approximate great-circle distances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.net.routing import Network
 from repro.sim.kernel import Simulator
@@ -64,25 +63,23 @@ class NsfnetScenario:
         return f"host.{site}"
 
 
-def build_nsfnet(seed: int = 0, queue_capacity: int = 64,
-                 access_rate_bps: float = mbps(10),
-                 sim: Optional[Simulator] = None) -> NsfnetScenario:
+def build_nsfnet(seed: int = 0) -> NsfnetScenario:
     """Build the 13-node T1 backbone with one end host per site.
 
     Every site gets an access host ``host.<Site>`` on a 10 Mb/s LAN, so
     probes and traffic can run between any pair of cities.
     """
-    sim = sim if sim is not None else Simulator(seed=seed)
+    sim = Simulator(seed=seed)
     network = Network(sim)
     for site in NSFNET_SITES:
         network.add_router(site)
     for a, b, delay_ms in NSFNET_LINKS:
         network.link(a, b, rate_bps=T1_RATE_BPS, prop_delay=ms(delay_ms),
-                     queue_capacity=queue_capacity)
+                     queue_capacity=64)
     for site in NSFNET_SITES:
         host = f"host.{site}"
         network.add_host(host)
-        network.link(host, site, rate_bps=access_rate_bps,
+        network.link(host, site, rate_bps=mbps(10),
                      prop_delay=ms(0.1), queue_capacity=128)
     network.compute_routes()
     return NsfnetScenario(sim=sim, network=network)

@@ -11,8 +11,6 @@ banding the paper points out in Figures 5 and 6.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.net.queue import MODE_BYTES
 from repro.net.clocks import QuantizedClock, UMD_RESOLUTION
 from repro.sim.kernel import Simulator
@@ -55,10 +53,9 @@ def build_umd_pitt(seed: int = 0,
                    utilization_rev: float = 0.45,
                    bulk_fraction: float = 0.85,
                    buffer_bytes: int = 30_000,
-                   quantized_clock: bool = True,
-                   sim: Optional[Simulator] = None) -> PathScenario:
+                   quantized_clock: bool = True) -> PathScenario:
     """Build the calibrated UMd-Pitt scenario (May 1993, T3 backbone)."""
-    sim = sim if sim is not None else Simulator(seed=seed)
+    sim = Simulator(seed=seed)
 
     names = list(TABLE2_ROUTE) + [ECHO_HOST]
     ethernet = dict(rate_bps=mbps(10), queue_capacity=128)

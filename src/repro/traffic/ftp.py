@@ -10,6 +10,8 @@ as windows of ``window`` packets sent back-to-back, one window per
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import ConfigurationError
 from repro.net.host import Host
 from repro.traffic.base import SINK_PORT, TrafficSource
@@ -39,17 +41,22 @@ class FtpSource(TrafficSource):
                  payload_bytes: int = FTP_PAYLOAD_BYTES,
                  port: int = SINK_PORT, stream: str = "traffic.ftp") -> None:
         super().__init__(host, destination, port=port, stream=stream)
-        if session_rate <= 0:
+        # A NaN passes plain comparisons, so finiteness is checked too; the
+        # file size comes first because a mix derives the rate from it.
+        if not (math.isfinite(mean_file_packets) and mean_file_packets >= 1):
             raise ConfigurationError(
-                f"session rate must be positive, got {session_rate}")
-        if mean_file_packets < 1:
+                f"mean_file_packets must be finite and >= 1, "
+                f"got {mean_file_packets!r}")
+        if not (math.isfinite(session_rate) and session_rate > 0):
             raise ConfigurationError(
-                f"mean file size must be >= 1 packet, got {mean_file_packets}")
+                f"session_rate must be finite and positive, "
+                f"got {session_rate!r}")
         if window < 1:
             raise ConfigurationError(f"window must be >= 1, got {window}")
-        if window_interval <= 0:
+        if not (math.isfinite(window_interval) and window_interval > 0):
             raise ConfigurationError(
-                f"window interval must be positive, got {window_interval}")
+                f"window_interval must be finite and positive, "
+                f"got {window_interval!r}")
         self.session_rate = session_rate
         self.mean_file_packets = mean_file_packets
         self.window = window

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.errors import ConfigurationError
@@ -25,9 +26,9 @@ class PoissonSource(TrafficSource):
                  port: int = SINK_PORT,
                  stream: str = "traffic.poisson") -> None:
         super().__init__(host, destination, port=port, stream=stream)
-        if rate_pps <= 0:
+        if not (math.isfinite(rate_pps) and rate_pps > 0):
             raise ConfigurationError(
-                f"rate must be positive, got {rate_pps}")
+                f"rate_pps must be finite and positive, got {rate_pps!r}")
         self.rate_pps = rate_pps
         self.sizes = sizes if sizes is not None else FixedSize(512)
         self._mean_interval = 1.0 / rate_pps

@@ -11,6 +11,7 @@ knob behind the responsive-vs-open-loop ablation benchmark.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Optional
 
 from repro.errors import ConfigurationError
@@ -53,12 +54,14 @@ class ResponsiveBulkSource:
                  stream: str = "traffic.tcp", max_concurrent: int = 64,
                  base_port: int = BASE_PORT,
                  max_window: float = 16.0) -> None:
-        if session_rate <= 0:
+        if not (math.isfinite(session_rate) and session_rate > 0):
             raise ConfigurationError(
-                f"session rate must be positive, got {session_rate}")
-        if mean_file_segments < 1:
+                f"session_rate must be finite and positive, "
+                f"got {session_rate!r}")
+        if not (math.isfinite(mean_file_segments) and mean_file_segments >= 1):
             raise ConfigurationError(
-                f"mean file size must be >= 1, got {mean_file_segments}")
+                f"mean_file_segments must be finite and >= 1, "
+                f"got {mean_file_segments!r}")
         if max_concurrent < 1:
             raise ConfigurationError(
                 f"max_concurrent must be >= 1, got {max_concurrent}")

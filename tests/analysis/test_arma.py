@@ -82,8 +82,8 @@ class TestFitAr:
 class TestPrediction:
     def test_predict_next_uses_recent_history(self):
         model = fit_ar(ar1_series(phi=0.9), order=1)
-        high = model.predict_next(np.array([2.0]))
-        low = model.predict_next(np.array([0.0]))
+        high, = model.predict_series(np.array([2.0, 0.0]))
+        low, = model.predict_series(np.array([0.0, 0.0]))
         assert high > model.mean > low
 
     def test_predict_series_beats_noise_only_model(self):
@@ -96,7 +96,7 @@ class TestPrediction:
     def test_history_too_short(self):
         model = fit_ar(ar1_series(), order=3)
         with pytest.raises(AnalysisError):
-            model.predict_next(np.array([1.0]))
+            model.predict_series(np.array([1.0, 2.0, 3.0]))
 
 
 class TestSelectOrder:

@@ -26,7 +26,7 @@ class TestDetection:
     def test_counts_episodes(self):
         trace = trace_with_episodes([3, 1, 4])
         report = detect_compression(trace, mu=MU, tolerance=1e-3)
-        assert report.episode_count == 3
+        assert len(report.episodes) == 3
         assert [e.length for e in report.episodes] == [3, 1, 4]
 
     def test_episode_probe_counts(self):
@@ -45,7 +45,7 @@ class TestDetection:
         trace = ProbeTrace.from_samples(delta=DELTA, rtts=rtts,
                                         wire_bytes=72)
         report = detect_compression(trace, mu=MU, tolerance=1e-3)
-        assert report.episode_count == 0
+        assert len(report.episodes) == 0
         assert report.mean_episode_probes == 0.0
 
     def test_trailing_episode_closed(self):
@@ -55,7 +55,7 @@ class TestDetection:
         trace = ProbeTrace.from_samples(delta=DELTA, rtts=rtts,
                                         wire_bytes=72)
         report = detect_compression(trace, mu=MU, tolerance=1e-3)
-        assert report.episode_count == 1
+        assert len(report.episodes) == 1
         assert report.episodes[0].length == 3
 
     def test_losses_break_episodes(self):
@@ -71,7 +71,7 @@ class TestDetection:
                                         wire_bytes=72)
         report = detect_compression(trace, mu=MU, tolerance=1e-3)
         # Loss splits what would otherwise be one long episode.
-        assert report.episode_count == 2
+        assert len(report.episodes) == 2
 
     def test_validation(self):
         trace = trace_with_episodes([1])
@@ -89,4 +89,4 @@ class TestOnRealSimulation:
         report_20 = detect_compression(loaded_trace_20ms, mu=MU)
         report_50 = detect_compression(loaded_trace, mu=MU)
         assert report_20.pair_fraction > report_50.pair_fraction
-        assert report_20.episode_count > 0
+        assert len(report_20.episodes) > 0

@@ -59,12 +59,6 @@ class TestFixedPlayout:
         assert large.mean_buffering > small.mean_buffering
         assert large.late_loss <= small.late_loss
 
-    def test_total_loss(self):
-        trace = jittery_trace()
-        report = fixed_playout(trace, playout_delay=0.3)
-        assert report.total_loss == pytest.approx(
-            report.network_loss + report.late_loss)
-
     def test_validation(self):
         trace = jittery_trace()
         with pytest.raises(ConfigurationError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.merit import merit_sampling, MeritStats
-from repro.errors import ConfigurationError, InsufficientDataError
+from repro.errors import ConfigurationError
 
 from tests.topology.single_bottleneck import build_single_bottleneck
 
@@ -22,18 +22,6 @@ class TestMeritSampling:
         merit_sampling(scenario.network, "src", "echo", intervals=4,
                        interval=10.0)
         assert scenario.sim.now == pytest.approx(40.0)
-
-    def test_median_delay(self):
-        scenario = build_single_bottleneck(seed=4)
-        stats = merit_sampling(scenario.network, "src", "echo",
-                               intervals=3, interval=10.0)
-        valid = stats.samples[~np.isnan(stats.samples)]
-        assert stats.median_delay() == pytest.approx(np.median(valid))
-
-    def test_median_requires_samples(self):
-        stats = MeritStats(samples=np.array([np.nan, np.nan]), interval=10.0)
-        with pytest.raises(InsufficientDataError):
-            stats.median_delay()
 
     def test_availability_with_losses(self):
         stats = MeritStats(samples=np.array([0.1, np.nan, 0.2, 0.3]),

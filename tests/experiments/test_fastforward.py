@@ -72,7 +72,7 @@ def share_generator(built):
     rng = built.sim.streams.get("test.shared")
     hops = probe_hops(built, built.source, built.echo)
     hops[0].add_egress_fault(RandomDropFault(0.01, rng))
-    hops[-1].add_ingress_fault(RandomDropFault(0.01, rng))
+    hops[-1].add_egress_fault(RandomDropFault(0.01, rng))
 
 
 def add_poisson_source(built):

@@ -114,15 +114,6 @@ class TestFaults:
         assert received == []
         assert iface.fault_drops == 1
 
-    def test_ingress_random_drop(self, sim):
-        _, a, b, iface = make_link(sim)
-        iface.add_ingress_fault(RandomDropFault(1.0, sim.streams.get("f")))
-        received = []
-        b.bind_udp(9, received.append)
-        a.send_udp("b", 9, 9, payload_bytes=60)
-        sim.run()
-        assert received == []
-
     def test_stall_delays_transmission(self, sim):
         _, a, b, iface = make_link(sim, rate_bps=8000.0)
         iface.add_egress_fault(PeriodicStallFault(period=100.0, stall=2.0))

@@ -5,7 +5,6 @@ import csv
 import pytest
 
 from repro.errors import AnalysisError, ConfigurationError
-from repro.net.faults import RandomDropFault
 from repro.net.packet import KIND_UDP
 from repro.net.routing import Network
 from repro.net.tap import PacketTap
@@ -89,22 +88,6 @@ class TestPacketTap:
         tap.close()
         network.host("a").send_udp("b", 9, 9, payload_bytes=10)
         sim.run()
-        assert len(tap) == 0
-
-    def test_ingress_fault_drop_not_recorded(self, sim):
-        # The tap sees what the receiving node sees: a packet an ingress
-        # fault discards never reaches b, so it is not captured either.
-        network = pair(sim)
-        interface = network.interface("a", "b")
-        interface.add_ingress_fault(
-            RandomDropFault(1.0, sim.streams.get("test.ingress")))
-        tap = PacketTap(interface)
-        received = []
-        network.host("b").bind_udp(9, received.append)
-        network.host("a").send_udp("b", 9, 9, payload_bytes=10)
-        sim.run()
-        assert interface.fault_drops == 1
-        assert received == []
         assert len(tap) == 0
 
     def test_installed_mid_flight_sees_later_delivery(self, sim):

@@ -1,6 +1,7 @@
 """Tests for the command-line entry points."""
 
 import json
+import re
 
 import pytest
 
@@ -55,6 +56,26 @@ class TestExperimentCli:
         assert "chrome trace written to" in capsys.readouterr().out
         rows = json.loads(path.read_text())["traceEvents"]
         assert {row["cat"] for row in rows} == {"kernel", "packet"}
+
+    @pytest.mark.parametrize("name", ["events.jsonl", "trace.json"])
+    def test_trace_reports_overwritten_records(self, name, tmp_path,
+                                               capsys, monkeypatch):
+        monkeypatch.setattr("repro.obs.tracer.DEFAULT_CAPACITY", 100)
+        code = cli.main_experiment(["--delta-ms", "100", "--duration", "5",
+                                    "--trace", str(tmp_path / name)])
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "(100 events" in output  # the ring keeps the last 100
+        lost = re.search(r"kernel ring full: the (\d+) earliest of (\d+) "
+                         r"event records were lost", output)
+        assert lost is not None, output
+        assert int(lost[2]) - int(lost[1]) == 100
+
+    def test_no_overwrite_report_below_capacity(self, tmp_path, capsys):
+        code = cli.main_experiment(["--delta-ms", "100", "--duration", "5",
+                                    "--trace", str(tmp_path / "t.jsonl")])
+        assert code == 0
+        assert "kernel ring full" not in capsys.readouterr().out
 
     def test_trace_format_override(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
