@@ -9,18 +9,20 @@ driving every cross packet through the event kernel, it
    calls on each source's generator, in event order, that the event-mode
    source makes, producing the *exact* emission times and packet sizes
    event mode would generate;
-2. pushes those emissions through their access link with one vectorized
-   :func:`~repro.queueing.fastforward.fifo_waits` call (the reuse of the
-   Lindley recurrence of :mod:`repro.analysis.lindley`), yielding exact
-   bottleneck arrival times;
+2. pushes those emissions through their access link on the event
+   interface's finish-time chain ``f_k = max(a_k, f_{k-1}) + bits_k /
+   rate``, yielding the bottleneck arrival times event mode computes;
 3. advances each bottleneck with one
    :func:`~repro.queueing.fastforward.bottleneck_pass`: a vectorized
    certificate pass when the buffer provably cannot overflow (the merged
-   cross+probe stream is then a single Lindley recursion), otherwise one
-   per-packet :func:`~repro.queueing.fastforward.drop_tail_walk` over the
-   same merged stream, whose admission rules replicate the event queue
-   exactly;
-4. replays fault decisions by drawing from the *same*
+   cross+probe stream is then a single closed-form Lindley recursion),
+   otherwise one :func:`~repro.queueing.fastforward.drop_tail_walk` over
+   the same merged stream, which replays the event interface and queue
+   float for float;
+4. adds every other hop's processing, transmission and propagation delay
+   to the probe times one at a time, in the order the event engine adds
+   them;
+5. replays fault decisions by drawing from the *same*
    :class:`~repro.net.faults.RandomDropFault` generators in probe order.
 
 Because every step is draw-for-draw and packet-for-packet identical to
@@ -51,6 +53,7 @@ assumption is exact there; the equivalence tests verify it empirically.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
@@ -70,24 +73,21 @@ from repro.net.clocks import PerfectClock, QuantizedClock
 from repro.net.faults import RandomDropFault
 from repro.net.link import Interface
 from repro.net.packet import UDP_WIRE_OVERHEAD_BYTES
+from repro.net.queue import MODE_PACKETS
 from repro.net.routing import Network
 from repro.netdyn import packetfmt
 from repro.netdyn.session import DEFAULT_DRAIN
 from repro.netdyn.trace import LOST, ProbeTrace
 from repro.topology.builder import PathScenario
-from repro.queueing.fastforward import bottleneck_pass, fifo_waits
+from repro.queueing.fastforward import bottleneck_pass
 from repro.traffic.ftp import FtpSource
 from repro.traffic.telnet import TelnetSource
 from repro.units import (
+    BITS_PER_BYTE,
     bytes_to_bits,
     seconds_to_ms,
     transmission_delay,
 )
-
-#: Safety margin on the access-link no-drop certificate: estimated peak
-#: backlog must stay below this fraction of the access queue capacity.
-ACCESS_BACKLOG_MARGIN = 0.9
-
 
 #: Wire size of one probe, bytes.
 _PROBE_WIRE_BYTES = packetfmt.PROBE_PAYLOAD_BYTES + UDP_WIRE_OVERHEAD_BYTES
@@ -99,12 +99,14 @@ class DirectionModel:
 
     #: The bottleneck interface (its name labels the queue statistics).
     bottleneck: Interface
-    #: Probe service time at this bottleneck, seconds.
-    service: float
-    #: Fixed seconds from probe origination to bottleneck-queue arrival.
-    before: float
-    #: Fixed seconds from bottleneck service completion to delivery.
-    after: float
+    #: Seconds from probe origination to bottleneck-queue arrival, in the
+    #: order the event engine adds them: each earlier hop's processing,
+    #: transmission and propagation, then the bottleneck node's processing.
+    before: List[float]
+    #: Seconds from the end of the bottleneck transmission to delivery, in
+    #: event order: its propagation, then each later hop's processing,
+    #: transmission and propagation.
+    after: List[float]
     #: Bernoulli drop stages crossed before the queue, in path order.
     pre_faults: List[RandomDropFault]
     #: Bernoulli drop stages crossed after the queue, in path order.
@@ -131,7 +133,8 @@ def _walk_direction(scenario: PathScenario, path: Sequence[str],
     from origination to arrival at the bottleneck *queue* (including the
     bottleneck node's processing delay), ``after`` from the end of its
     transmission to delivery (starting with its propagation delay); other
-    hops are assumed not to queue — the module-level invariant.
+    hops are assumed not to queue — the module-level invariant — so each
+    adds its processing, transmission and propagation delay in turn.
     """
     network = scenario.network
     hooked = [name for name in path
@@ -145,8 +148,8 @@ def _walk_direction(scenario: PathScenario, path: Sequence[str],
             f"{label} probe path crosses its bottleneck "
             f"{crossings} times (need exactly 1)")
 
-    before = 0.0
-    after = bottleneck.prop_delay
+    before: List[float] = []
+    after: List[float] = []
     pre: List[RandomDropFault] = []
     post: List[RandomDropFault] = []
     seen = False
@@ -167,20 +170,15 @@ def _walk_direction(scenario: PathScenario, path: Sequence[str],
                 (post if seen else pre).append(fault)
         processing = network.node(a).processing_delay
         if interface is bottleneck:
-            before += processing
+            before.append(processing)
+            after.append(interface.prop_delay)
             seen = True
             continue
-        segment = (processing
-                   + transmission_delay(_PROBE_WIRE_BYTES,
-                                        interface.rate_bps)
-                   + interface.prop_delay)
-        if seen:
-            after += segment
-        else:
-            before += segment
-    service = transmission_delay(_PROBE_WIRE_BYTES, bottleneck.rate_bps)
-    return DirectionModel(bottleneck, service, before, after, pre,
-                          post), interfaces
+        (after if seen else before).extend((
+            processing,
+            transmission_delay(_PROBE_WIRE_BYTES, interface.rate_bps),
+            interface.prop_delay))
+    return DirectionModel(bottleneck, before, after, pre, post), interfaces
 
 
 def _path_model(scenario: PathScenario,
@@ -335,12 +333,12 @@ class CrossStream:
     """One direction's replayed cross traffic, sliceable to any horizon.
 
     Emission generation truncates only the tail (``t <= horizon``), and
-    the access-link Lindley pass is causal, so everything up to a shorter
+    the access-link chain is causal, so everything up to a shorter
     horizon is a bit-identical *prefix* of this stream — the arrays here
     are therefore built once per (scenario, kwargs, seed) and cut with
     ``np.searchsorted`` per cell (:func:`slice_stream`).  The running
-    peak-backlog estimate makes the per-prefix no-drop certificate a
-    single indexed lookup instead of a fresh max/min scan.
+    peak load makes the per-prefix no-drop certificate a single indexed
+    lookup instead of a fresh scan.
     """
 
     #: Merged emission times, sorted (the prefix cut key).
@@ -350,11 +348,10 @@ class CrossStream:
     arrivals: np.ndarray
     #: Wire bits of each packet.
     bits: np.ndarray
-    #: Prefix peak-backlog estimate (packets) on the access link:
-    #: ``cummax(waits) * rate / cummin(bits)``, so element ``i-1`` equals
-    #: the certificate value a fresh build over the first ``i`` emissions
-    #: would compute.
-    peak_backlogs: np.ndarray
+    #: Running peak load on the access link (:func:`_access_chain`):
+    #: element ``i-1`` is the largest value the event queue's drop test
+    #: compares with the capacity over the first ``i`` emissions.
+    peak_loads: np.ndarray
     #: Access-link identity for the overflow diagnostic.
     access_name: str
     access_capacity: int
@@ -375,13 +372,54 @@ class CrossReplay:
     streams: Tuple[Optional[CrossStream], Optional[CrossStream]]
 
 
+def _access_chain(times: List[float], bits: List[float], rate_bps: float,
+                  packets_mode: bool) -> Tuple[List[float], List[float]]:
+    """Finish instants on a lossless FIFO link, and its running peak load.
+
+    The event interface's chain ``f_k = max(a_k, f_{k-1}) + bits_k /
+    rate_bps``, in a plain loop.  The load at an arrival is what the event
+    queue's drop test compares with the capacity: the packets (or bytes)
+    waiting, plus the arrival's own.  Element ``k`` of the peaks is the
+    largest load over the first ``k + 1`` arrivals, so one lookup
+    certifies any prefix lossless.  A start at the arrival's own instant
+    still counts as waiting, so the certificate holds whichever of the two
+    events the kernel runs first.
+    """
+    finishes: List[float] = []
+    peaks: List[float] = []
+    # Service-start instants and loads of the waiting packets, FIFO.
+    starts: deque = deque()
+    loads: deque = deque()
+    finish = 0.0
+    waiting = 0.0
+    peak = 0.0
+    for at, size in zip(times, bits):
+        while starts and starts[0] < at:
+            starts.popleft()
+            waiting -= loads.popleft()
+        load = 1.0 if packets_mode else size / BITS_PER_BYTE
+        if waiting + load > peak:
+            peak = waiting + load
+        peaks.append(peak)
+        if at < finish:
+            starts.append(finish)
+            loads.append(load)
+            waiting += load
+        else:
+            finish = at
+        finish = finish + size / rate_bps
+        finishes.append(finish)
+    return finishes, peaks
+
+
 def _direction_stream(network: Network, mix, bottleneck: Interface,
                       horizon: float) -> Optional[CrossStream]:
     """Replay one direction's mix into a :class:`CrossStream`.
 
     Emissions from all of the mix's sources are merged, serialized through
-    their shared access link with one vectorized Lindley pass, and shifted
-    by the fixed latencies around it.
+    their shared access link on the finish-time chain
+    (:func:`_access_chain`), and shifted by the delays around it in event
+    order.
     """
     if mix is None:
         return None
@@ -403,23 +441,22 @@ def _direction_stream(network: Network, mix, bottleneck: Interface,
     bits = np.concatenate(bit_parts)
     if times.size == 0:
         return CrossStream(emit_times=times, arrivals=times, bits=bits,
-                           peak_backlogs=times, access_name="",
+                           peak_loads=times, access_name="",
                            access_capacity=0)
     order = np.argsort(times, kind="stable")
     times = times[order]
     bits = bits[order]
     assert access is not None and host is not None
-    send_times = times + host.processing_delay
-    waits = fifo_waits(send_times, bits, access.rate_bps)
-    peak_backlogs = (np.maximum.accumulate(waits) * access.rate_bps
-                     / np.minimum.accumulate(bits))
-    arrivals = (send_times + waits + bits / access.rate_bps
-                + access.prop_delay
+    queue = access.queue
+    finishes, peaks = _access_chain(
+        (times + host.processing_delay).tolist(), bits.tolist(),
+        access.rate_bps, queue.mode == MODE_PACKETS)
+    arrivals = (np.asarray(finishes) + access.prop_delay
                 + network.node(bottleneck.node.name).processing_delay)
     return CrossStream(emit_times=times, arrivals=arrivals, bits=bits,
-                       peak_backlogs=peak_backlogs,
+                       peak_loads=np.asarray(peaks),
                        access_name=access.name,
-                       access_capacity=access.queue.capacity)
+                       access_capacity=queue.capacity)
 
 
 def build_cross_replay(scenario: PathScenario, horizon: float) -> CrossReplay:
@@ -438,7 +475,7 @@ def slice_stream(stream: Optional[CrossStream], horizon: float,
 
     Applies the per-prefix no-drop certificate on the access link — the
     same check (and diagnostic) a direct replay at ``horizon`` performs,
-    read off the precomputed running peak instead of recomputed.  A
+    read off the precomputed running peak load instead of recomputed.  A
     failure raises :class:`~repro.errors.ConfigurationError`, whose
     message :func:`run_fastforward_experiment` records as the cell's
     fallback reason.
@@ -448,11 +485,11 @@ def slice_stream(stream: Optional[CrossStream], horizon: float,
     cut = int(np.searchsorted(stream.emit_times, horizon, side="right"))
     if cut == 0:
         return stream.emit_times[:0], stream.bits[:0]
-    peak_backlog = float(stream.peak_backlogs[cut - 1])
-    if peak_backlog > ACCESS_BACKLOG_MARGIN * stream.access_capacity:
+    peak_load = float(stream.peak_loads[cut - 1])
+    if peak_load > stream.access_capacity:
         raise ConfigurationError(
             f"access link {stream.access_name} may overflow "
-            f"(~{peak_backlog:.0f} packets backlogged of "
+            f"({peak_load:.0f} queued of "
             f"{stream.access_capacity}); scenario too loaded for the "
             "no-drop access model")
     return stream.arrivals[:cut], stream.bits[:cut]
@@ -549,19 +586,27 @@ def _queue_pass(direction: DirectionModel, cross_times: np.ndarray,
     """Run one direction's bottleneck over its cross arrivals and probes.
 
     ``cross_times``/``cross_bits`` are the direction's sliced cross
-    stream (:func:`slice_stream`).  Returns the per-probe waits (zero
-    for probes that never arrive) and the queue's statistics dict;
-    ``alive`` is updated in place with queue drops.
+    stream (:func:`slice_stream`).  Returns each probe's exit instant
+    from the bottleneck (NaN for a probe that never leaves it) and the
+    queue's statistics dict; ``alive`` is updated in place with queue
+    drops and with probes that would arrive after ``end_time``.
     """
     live = np.flatnonzero(alive)
     queue = direction.bottleneck.queue
-    probe_waits, admitted, stats = bottleneck_pass(
+    probe_exits, admitted, stats = bottleneck_pass(
         cross_times, cross_bits, probe_times[live], probe_bits, end_time,
         direction.bottleneck.rate_bps, queue.capacity, queue.mode)
-    waits = np.zeros(probe_times.shape)
-    waits[live] = probe_waits
+    exits = np.full(probe_times.shape, np.nan)
+    exits[live] = probe_exits
     alive[live] = admitted
-    return waits, stats
+    return exits, stats
+
+
+def _add_in_order(times: np.ndarray, delays: Sequence[float]) -> np.ndarray:
+    """``times`` plus each of ``delays`` in turn, as the event engine adds."""
+    for delay in delays:
+        times = times + delay
+    return times
 
 
 def _clock_readings(sim_times: np.ndarray,
@@ -663,22 +708,20 @@ def run_fastforward_experiment(config: ExperimentConfig,
     alive = np.ones(count, dtype=bool)
 
     _apply_stages(fwd.pre_faults, alive)
-    arrivals_fwd = send_times + fwd.before
-    waits_fwd, stats_fwd = _queue_pass(fwd, cross_fwd, bits_fwd,
-                                       arrivals_fwd, alive, probe_bits,
-                                       end_time)
-    exits_fwd = arrivals_fwd + waits_fwd + fwd.service
+    exits_fwd, stats_fwd = _queue_pass(
+        fwd, cross_fwd, bits_fwd, _add_in_order(send_times, fwd.before),
+        alive, probe_bits, end_time)
     _apply_stages(fwd.post_faults, alive)
 
-    arrivals_rev = exits_fwd + fwd.after + rev.before
+    arrivals_rev = _add_in_order(exits_fwd, fwd.after + rev.before)
     _apply_stages(rev.pre_faults, alive)
-    waits_rev, stats_rev = _queue_pass(rev, cross_rev, bits_rev,
+    exits_rev, stats_rev = _queue_pass(rev, cross_rev, bits_rev,
                                        arrivals_rev, alive, probe_bits,
                                        end_time)
-    exits_rev = arrivals_rev + waits_rev + rev.service
     _apply_stages(rev.post_faults, alive)
 
-    receive_times = exits_rev + rev.after
+    # A probe lost on the way carries NaN, which fails the comparison.
+    receive_times = _add_in_order(exits_rev, rev.after)
     alive &= receive_times <= end_time
 
     rtts = np.full(count, LOST)

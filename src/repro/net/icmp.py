@@ -84,16 +84,15 @@ class ErrorContext:
 
 
 def make_echo(src: str, dst: str, ident: int, seq: int, created_at: float,
-              size_bytes: int = ECHO_SIZE_BYTES,
               record_route: bool = False) -> Packet:
-    """Build an ICMP echo request.
+    """Build an ICMP echo request of ``ECHO_SIZE_BYTES``.
 
     With ``record_route`` the packet carries the IP record-route option:
     every visited node appends its name, and the echo reply continues the
     same list — how the paper obtained the Table 1 route with ping.
     """
     return Packet(src=src, dst=dst, kind=KIND_ICMP_ECHO,
-                  size_bytes=size_bytes,
+                  size_bytes=ECHO_SIZE_BYTES,
                   payload=EchoContext(ident=ident, seq=seq),
                   created_at=created_at,
                   record=[] if record_route else None)

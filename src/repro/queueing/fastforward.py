@@ -2,28 +2,28 @@
 
 The paper's own model (Figure 3) is a fixed delay plus one finite FIFO
 queue driven by Lindley's recurrence, so simulating every cross packet
-through the event kernel is frequently overkill: between arrivals the
-bottleneck queue can be advanced *analytically*.  This module owns that
-queue for the analytic execution mode:
+through the event kernel is frequently overkill.  The event engine's
+interface computes each transmission's finish as the chain
+``f_k = max(a_k, f_{k-1}) + bits_k / rate`` (:mod:`repro.net.link`); this
+module replays that chain for the analytic execution mode:
 
 * :func:`bottleneck_pass` — one bottleneck's whole window: it merges the
-  cross arrivals and probes into one stream (the event engine's tie
-  order), then either proves with a vectorized certificate that the
-  buffer never overflows, making one Lindley recursion exact, or runs
-  :func:`drop_tail_walk` over the same stream.
-* :func:`drop_tail_walk` — a drop-tail FIFO walked per packet in one
-  loop with the queue state in locals; each arrival is one application
-  of Lindley's recurrence ``w' = (w - Δt)^+ + y`` on the queue workload,
-  with event-faithful drop-tail semantics (capacity in packets or bytes,
-  the in-service packet occupying no buffer slot, exactly like
-  :class:`repro.net.queue.DropTailQueue` behind a busy
-  :class:`repro.net.link.Interface`).  Its float operations, in order,
-  are those of the per-packet ``advance``/``offer`` reference queue in
-  ``tests/queueing``, which the tests compare it against bit for bit.
+  cross arrivals and probes that arrive by ``end_time`` into one stream
+  (the event engine's tie order), then either proves with a vectorized
+  certificate that the buffer never overflows, making the closed-form
+  :func:`fifo_waits` its answer, or runs :func:`drop_tail_walk` over the
+  same stream.
+* :func:`drop_tail_walk` — the event engine's
+  :class:`~repro.net.link.Interface` and
+  :class:`~repro.net.queue.DropTailQueue` replayed in one loop with the
+  queue state in locals: the same finish chain, admission test,
+  dequeue-counted departures and occupancy integrals, float for float.
+  The tests in ``tests/queueing`` feed the event engine's own interface
+  and queue the same streams and compare them bit for bit.
 * :func:`fifo_waits` — the vectorized
   :func:`repro.analysis.lindley.lindley_waits` applied to an arrival
-  stream through an infinite FIFO (the certificate pass, and the fast
-  access links feeding the bottleneck, which never drop).
+  stream through an infinite FIFO: the certified pass, the one closed
+  form left.
 
 The experiments layer (:mod:`repro.experiments.fastforward`) extracts
 calibrated scenarios into these functions.
@@ -31,6 +31,7 @@ calibrated scenarios into these functions.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import chain
 from typing import List, Optional, Sequence, Tuple
@@ -75,11 +76,13 @@ def bottleneck_pass(cross_times: np.ndarray, cross_bits: np.ndarray,
     """Run one drop-tail bottleneck over its window ``[0, end_time]``.
 
     ``cross_times``/``cross_bits`` are the cross packets' sorted arrival
-    instants and wire bits (those after ``end_time`` never arrive);
-    ``probe_times`` are the sorted arrival instants of the probes that
-    reach the queue, ``probe_bits`` each.  ``rate_bps``, ``capacity``
-    and ``mode`` are the bottleneck's.  Returns each probe's Lindley wait,
-    whether the queue admitted it, and the queue statistics
+    instants and wire bits; ``probe_times`` are the sorted arrival
+    instants of the probes that reach the queue, ``probe_bits`` each.
+    Packets of either kind after ``end_time`` never arrive.  ``rate_bps``,
+    ``capacity`` and ``mode`` are the bottleneck's.  Returns each probe's
+    exit instant (the finish of its transmission, NaN when it never
+    leaves), whether the queue admitted it (False for a probe after
+    ``end_time``), and the queue statistics
     (:func:`~repro.net.queue.queue_summary`).
 
     The two streams are merged once.  Both are already sorted, so one
@@ -92,18 +95,23 @@ def bottleneck_pass(cross_times: np.ndarray, cross_bits: np.ndarray,
     conservative no-overflow certificate: the in-system population at
     each arrival — which upper-bounds the *waiting* occupancy the event
     queue's drop test actually uses — never exceeds the capacity.  When
-    it holds, no arrival can drop, so those waits are the exact
-    event-mode waits.  Otherwise :func:`drop_tail_walk` runs the same
-    stream per packet, never aggregated, because near a full buffer the
-    admission decision of every single arrival matters.  The certificate
-    is first tried at the longest-waiting arrival alone, which on a
-    queue that drops usually fails it without the full pass.
+    it holds, no arrival can drop, and each exit is its start plus its
+    transmission time.  Otherwise :func:`drop_tail_walk` replays the event
+    queue over the same stream, because near a full buffer the admission
+    decision of every single arrival matters.  The certificate is first
+    tried at the longest-waiting arrival alone, which on a queue that
+    drops usually fails it without the full pass.
     """
-    keep = cross_times <= end_time
-    cross_times = cross_times[keep]
-    cross_bits = cross_bits[keep]
-    n_probe = probe_times.size
+    cross_cut = int(np.searchsorted(cross_times, end_time, side="right"))
+    cross_times = cross_times[:cross_cut]
+    cross_bits = cross_bits[:cross_cut]
+    exits = np.full(probe_times.size, np.nan)
+    admitted = np.zeros(probe_times.size, dtype=bool)
+    n_probe = int(np.searchsorted(probe_times, end_time, side="right"))
+    probe_times = probe_times[:n_probe]
     total = cross_times.size + n_probe
+    if total == 0:
+        return exits, admitted, queue_summary(0, 0, 0, 0.0, 0.0, 0.0)
     slots = (np.searchsorted(cross_times, probe_times, side="right")
              + np.arange(n_probe))
     probe_mask = np.zeros(total, dtype=bool)
@@ -114,9 +122,6 @@ def bottleneck_pass(cross_times: np.ndarray, cross_bits: np.ndarray,
     bits[probe_mask] = probe_bits
     times[~probe_mask] = cross_times
     bits[~probe_mask] = cross_bits
-    if total == 0:
-        return (np.empty(0), np.empty(0, dtype=bool),
-                queue_summary(0, 0, 0, 0.0, 0.0, 0.0))
 
     waits = fifo_waits(times, bits, rate_bps)
     starts = times + waits
@@ -141,16 +146,21 @@ def bottleneck_pass(cross_times: np.ndarray, cross_bits: np.ndarray,
         walk = drop_tail_walk(times.tolist(), bits.tolist(),
                               probe_mask.tolist(), end_time, rate_bps,
                               capacity, mode)
-        return (np.asarray(walk.waits, dtype=float),
-                np.asarray(walk.admitted, dtype=bool), walk.stats)
+        exits[:n_probe] = walk.exits
+        admitted[:n_probe] = walk.admitted
+        return exits, admitted, walk.stats
     waiting_span = np.minimum(starts, end_time) - times
     started = np.searchsorted(starts, times, side="right")
+    # A departure is a transmission start, as the event queue counts
+    # dequeues; one packet crossing an idle link already counts as held.
     stats = queue_summary(
-        total, 0, np.searchsorted(departs, end_time, side="right"),
+        total, 0, np.searchsorted(starts, end_time, side="right"),
         float(waiting_span.sum()) / end_time,
-        (population - started).max(),
+        max(int((population - started).max()), 1),
         bits_to_bytes(float((bits * waiting_span).sum())) / end_time)
-    return waits[probe_mask], np.ones(n_probe, dtype=bool), stats
+    exits[:n_probe] = departs[probe_mask]
+    admitted[:n_probe] = True
+    return exits, admitted, stats
 
 
 def _peak_load(population: np.ndarray, times: np.ndarray,
@@ -176,18 +186,18 @@ def _peak_load(population: np.ndarray, times: np.ndarray,
 class FluidQueue:
     """What one :func:`drop_tail_walk` returns.
 
-    ``waits`` and ``admitted`` hold, for each flagged probe, its Lindley
-    wait and whether the queue took it; ``stats`` is the queue's
-    :func:`~repro.net.queue.queue_summary`.  One is built per walk, so
-    counting constructions counts walks (perfbench's
-    ``queueing.fluidqueue.walks`` layer metric does).
+    ``exits`` and ``admitted`` hold, for each flagged probe, its exit
+    instant (NaN when it dropped) and whether the queue took it;
+    ``stats`` is the queue's :func:`~repro.net.queue.queue_summary`.  One
+    is built per walk, so counting constructions counts walks
+    (perfbench's ``queueing.fluidqueue.walks`` layer metric does).
     """
 
-    __slots__ = ("waits", "admitted", "stats")
+    __slots__ = ("exits", "admitted", "stats")
 
-    def __init__(self, waits: List[float], admitted: List[bool],
+    def __init__(self, exits: List[float], admitted: List[bool],
                  stats: dict) -> None:
-        self.waits = waits
+        self.exits = exits
         self.admitted = admitted
         self.stats = stats
 
@@ -195,30 +205,27 @@ class FluidQueue:
 def drop_tail_walk(times: Sequence[float], bits: Sequence[float],
                    probes: Sequence[bool], end_time: float, rate_bps: float,
                    capacity: int, mode: str) -> FluidQueue:
-    """Walk a sorted arrival stream through an empty drop-tail FIFO.
-
-    The transmitter serves one packet at a time at ``rate_bps``; the
-    packet in service occupies no buffer slot; an arriving packet drops
-    when the *waiting* occupancy plus itself would exceed ``capacity``
-    (packets or bytes per ``mode``), and in byte mode a packet larger
-    than the whole buffer drops even at an idle queue.  Between arrivals
-    whole packets are served in closed form — each step is Lindley's
-    recurrence on the backlog — so cost is O(packets), not O(simulated
-    events); after the last arrival the queue serves until ``end_time``.
+    """Replay the event engine's interface and drop-tail queue on a stream.
 
     ``times``/``bits``/``probes`` describe one packet each, in arrival
-    order (equal times keep stream order).  Returns, for each packet
-    flagged in ``probes``, its Lindley wait — the seconds of service
-    ahead of it, read just before its own admission — and whether it was
-    admitted, plus the queue statistics over ``[0, end_time]``.  Counters
-    and the time-weighted occupancy integrals follow the event queue's
-    accounting except ``departures``: it counts service *completions*,
-    while the event queue counts dequeues, which are service *starts*, so
-    it is one lower whenever a packet is still in service at
-    ``end_time``.
+    order (equal times keep stream order), none after ``end_time``.  The
+    transmitter is :class:`~repro.net.link.Interface`'s: a packet that
+    finds it idle starts at once (in byte mode a packet larger than the
+    whole buffer drops even then), and every admitted packet finishes at
+    ``f_k = max(a_k, f_{k-1}) + bits_k / rate_bps``.  The buffer is
+    :class:`~repro.net.queue.DropTailQueue`'s: an arrival at a busy
+    transmitter drops when the waiting packets (or their bytes) plus
+    itself would exceed ``capacity``; a waiting packet leaves the buffer,
+    and counts as a departure, when its transmission starts; the
+    occupancy integrals gain the count held since the previous change at
+    every admission to the buffer and every start out of it, in time
+    order.  A start at an arrival's own instant goes first.  After the
+    last arrival the queue runs until ``end_time``.
 
-    This is the analytic mode's hottest loop, so the queue state lives in
-    locals for the whole stream.
+    Returns, for each packet flagged in ``probes``, its exit instant (its
+    finish; NaN when it dropped) and whether it was admitted, plus the
+    queue statistics over ``[0, end_time]``.  This is the analytic mode's
+    hottest loop, so the queue state lives in locals for the whole stream.
     """
     if not len(times) == len(bits) == len(probes):
         raise ConfigurationError(
@@ -227,104 +234,84 @@ def drop_tail_walk(times: Sequence[float], bits: Sequence[float],
     if end_time <= 0:
         raise ConfigurationError(
             f"end_time must be positive, got {end_time}")
+    if len(times) and times[-1] > end_time:
+        raise ConfigurationError(
+            f"an arrival at {times[-1]} is after end_time {end_time}")
     packets_mode = mode == MODE_PACKETS
-    now = 0.0
-    # Remaining bits of the packet currently being transmitted.
-    service_bits = 0.0
-    # Bits of each waiting packet, FIFO.
-    entries: deque = deque()
-    popleft = entries.popleft
-    append = entries.append
-    waiting_packets = 0
-    waiting_bits = 0.0
+    # Service-start instants and byte sizes of the waiting packets, FIFO.
+    starts: deque = deque()
+    sizes: deque = deque()
+    pop_start = starts.popleft
+    pop_size = sizes.popleft
+    push_start = starts.append
+    push_size = sizes.append
+    # Finish of the last admitted packet: the transmitter is idle from it.
+    finish = 0.0
+    waiting = 0
+    waiting_bytes = 0.0
     drops = 0
     departures = 0
-    occ_pkt = 0.0
-    occ_bit = 0.0
-    occ_max = 0
-    waits: List[float] = []
+    # The integrals up to the last change, and the packet peak.  An idle
+    # crossing needs no integration: the queue holds nothing until the
+    # next admission, whose span is then multiplied by zero.
+    last_change = 0.0
+    packet_seconds = 0.0
+    byte_seconds = 0.0
+    max_packets = 0
+    exits: List[float] = []
     admitted: List[bool] = []
-    # A zero-size sentinel at end_time closes the stream: its drain is
-    # the final service up to end_time, and its size check ends the
+    nan = math.nan
+    # A zero-size sentinel at end_time closes the stream: its dequeues
+    # are the final starts up to end_time, and its size check ends the
     # loop, so the hot loop carries no extra end-of-stream test.
     for at, size, probe in chain(zip(times, bits, probes),
                                  ((end_time, 0.0, None),)):
-        if at > now:
-            if service_bits > 0.0 or waiting_packets:
-                # Serve until ``at`` (Lindley drain on the backlog).
-                while True:
-                    if service_bits > 0.0:
-                        finish = now + service_bits / rate_bps
-                        if finish > at:
-                            span = at - now
-                            service_bits -= span * rate_bps
-                            occ_pkt += waiting_packets * span
-                            occ_bit += waiting_bits * span
-                            break
-                        span = finish - now
-                        occ_pkt += waiting_packets * span
-                        occ_bit += waiting_bits * span
-                        now = finish
-                        service_bits = 0.0
-                        departures += 1
-                    if not waiting_packets:
-                        break  # idle, occupancy zero
-                    head = popleft()
-                    waiting_packets -= 1
-                    waiting_bits -= head
-                    span = head / rate_bps
-                    if now + span <= at:
-                        # The packet waits out its whole service
-                        # before ``at``: drain it in closed form.
-                        occ_pkt += waiting_packets * span
-                        occ_bit += waiting_bits * span
-                        departures += 1
-                        now += span
-                        continue
-                    # The packet outlives the step: it enters service
-                    # for the rest of it (its finish is past ``at``,
-                    # so only the partial span remains).
-                    service_bits = head
-                    span = at - now
-                    service_bits -= span * rate_bps
-                    occ_pkt += waiting_packets * span
-                    occ_bit += waiting_bits * span
-                    break
-            now = at
+        while waiting and starts[0] <= at:
+            start = pop_start()
+            span = start - last_change
+            packet_seconds += waiting * span
+            byte_seconds += waiting_bytes * span
+            last_change = start
+            waiting -= 1
+            waiting_bytes -= pop_size()
+            departures += 1
         if size <= 0:
             if probe is None:
                 break
             raise ConfigurationError(
                 f"packet bits must be positive, got {size}")
-        if probe:
-            waits.append((service_bits + waiting_bits) / rate_bps)
-        idle = service_bits == 0.0 and not waiting_packets
-        if packets_mode:
-            room = capacity - waiting_packets
-        else:
-            # bits_to_bytes, inlined: two calls per arrival cost more
-            # than the division.
-            size_bytes = size / BITS_PER_BYTE
-            free_bytes = capacity - waiting_bits / BITS_PER_BYTE
-            room = int(free_bytes // size_bytes)
-            if idle and room == 0 and size_bytes > capacity:
-                # Even an empty buffer cannot hold this packet.
-                idle = False
-        if idle:
-            service_bits = size
-            accepted = True
-        elif room < 1:
-            drops += 1
+        size_bytes = size / BITS_PER_BYTE
+        if at >= finish:
+            # Idle transmitter, empty buffer: the packet crosses at once.
+            accepted = packets_mode or size_bytes <= capacity
+            if accepted:
+                departures += 1
+                if not max_packets:
+                    max_packets = 1
+                finish = at + size / rate_bps
+        elif (waiting + 1 if packets_mode
+              else waiting_bytes + size_bytes) > capacity:
             accepted = False
         else:
-            append(size)
-            waiting_packets += 1
-            waiting_bits += size
-            if waiting_packets > occ_max:
-                occ_max = waiting_packets
             accepted = True
+            span = at - last_change
+            packet_seconds += waiting * span
+            byte_seconds += waiting_bytes * span
+            last_change = at
+            push_start(finish)
+            push_size(size_bytes)
+            waiting += 1
+            waiting_bytes += size_bytes
+            if waiting > max_packets:
+                max_packets = waiting
+            finish = finish + size / rate_bps
+        if not accepted:
+            drops += 1
         if probe:
+            exits.append(finish if accepted else nan)
             admitted.append(accepted)
-    return FluidQueue(waits, admitted, queue_summary(
-        len(times), drops, departures, occ_pkt / end_time, occ_max,
-        bits_to_bytes(occ_bit) / end_time))
+    held_span = end_time - last_change
+    return FluidQueue(exits, admitted, queue_summary(
+        len(times), drops, departures,
+        (packet_seconds + waiting * held_span) / end_time, max_packets,
+        (byte_seconds + waiting_bytes * held_span) / end_time))

@@ -14,10 +14,14 @@ every trace CSV and of ``manifest.json`` with its ``versions`` block
 and names every file that differs.  ``--check --workers 2`` checks the
 same table on the warm worker pool, which merges to the same bytes.
 
-The table pins today's bytes, faults included: the reverse-queue stats
-the ``campaign_pool`` δ 8 ms seed-2 cell records in the manifest are
-known to be off (CHANGES.md, PR 24), and ROADMAP item 5 will change them,
-and so this table, as a reviewed diff.
+What the manifests pin is known to be close to event mode, not always
+equal to it.  A walked bottleneck replays the event queue, so its
+statistics are event mode's bit for bit.  A certified one (every
+``campaign_pool`` cell) is read off the closed-form certified pass, whose
+start instants carry rounding error: its occupancy means differ from
+event mode's in the last bits, and a peak or departure count can be one
+off where a start lands within that error of an arrival (the peak of
+the δ 8 ms seed-11 forward queue reads 2850, event mode 2849).
 
 Regenerate the table (from the repository root) only for a deliberate
 change of that output, and say why in CHANGES.md::

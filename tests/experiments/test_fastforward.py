@@ -9,7 +9,9 @@ a re-baseline.
 """
 
 import dataclasses
+import functools
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from repro.experiments.runner import (
 from repro.net.clocks import Clock
 from repro.net.faults import PeriodicStallFault, RandomDropFault
 from repro.net.tap import PacketTap
+from repro.netdyn import packetfmt
+from repro.netdyn.source import SourceAgent
 from repro.netdyn.trace import LOST
 from repro.traffic.poisson import PoissonSource
 
@@ -155,49 +159,149 @@ class TestEligibility:
         assert any("bottleneck" in reason for reason in reasons)
 
 
+@functools.lru_cache(maxsize=None)
+def engine_pair(scenario, delta, duration, seed=3, buffer_packets=None):
+    """One cell on both engines, with what each keeps to itself.
+
+    Returns the event result, the event delivery instant of each returned
+    probe by sequence number, the analytic result, its raw receive
+    instants before ``quantize_stamps`` (one per delivered probe, in
+    sequence order), and whether each bottleneck pass, forward then
+    reverse, walked.  Cached: several tests read the same cells.
+    """
+    kwargs = {} if buffer_packets is None else {
+        "buffer_packets": buffer_packets}
+
+    def config(mode):
+        return ExperimentConfig(delta=delta, duration=duration, seed=seed,
+                                scenario=scenario, mode=mode,
+                                scenario_kwargs=kwargs)
+
+    delivered = {}
+    on_return = SourceAgent._on_return
+
+    def recording_return(agent, packet):
+        seq = packetfmt.decode_probe(packet.payload).seq
+        delivered.setdefault(seq, agent.host.sim.now)
+        on_return(agent, packet)
+
+    with mock.patch.object(SourceAgent, "_on_return", recording_return):
+        event = execute_experiment(config("event"))
+
+    walked = []
+    readings = []
+    walk, run_pass, read = (qff.drop_tail_walk, ff.bottleneck_pass,
+                            ff._clock_readings)
+
+    def counting_walk(*args):
+        walked[-1] = True
+        return walk(*args)
+
+    def recording_pass(*args):
+        walked.append(False)
+        return run_pass(*args)
+
+    def recording_read(sim_times, resolution):
+        readings.append(sim_times)
+        return read(sim_times, resolution)
+
+    with mock.patch.object(qff, "drop_tail_walk", counting_walk), \
+            mock.patch.object(ff, "bottleneck_pass", recording_pass), \
+            mock.patch.object(ff, "_clock_readings", recording_read):
+        analytic = ff.run_fastforward_experiment(config("analytic"))
+    # The clock is read at the send instants, then at the receptions.
+    return event, delivered, analytic, readings[1], walked
+
+
+#: The equivalence cells: (scenario, delta, duration, seed).
+EQUIVALENCE_CELLS = [
+    ("inria-umd", 0.05, 12.0, 3),
+    ("inria-umd", 0.5, 30.0, 3),
+    # Long enough for the bottleneck to overflow: the drop-tail walk
+    # must reproduce every drop decision, not just the certified pass.
+    ("inria-umd", 0.05, 60.0, 3),
+    ("umd-pitt", 0.02, 4.0, 3),
+]
+#: The CI fast-forward smoke cell: both bottlenecks walk.
+CI_CELL = ("inria-umd", 0.05, 30.0, 1)
+#: Statistics a certified (not walked) bottleneck matches on these cells.
+#: Elsewhere a closed-form start can land within its rounding error of an
+#: arrival or of the end and move a departure or the peak by one.
+COUNTS = ("arrivals", "drops", "departures", "occupancy_max_pkts")
+
+
 class TestExactEquivalence:
     """Analytic == event, bit for bit — including under real losses."""
 
-    @pytest.mark.parametrize("scenario,delta,duration", [
-        ("inria-umd", 0.05, 12.0),
-        ("inria-umd", 0.5, 30.0),
-        # Long enough for the bottleneck to overflow: the per-packet
-        # drop-tail walk must reproduce every drop decision, not just
-        # the no-drop certificate path.
-        ("inria-umd", 0.05, 60.0),
-        ("umd-pitt", 0.02, 4.0),
-    ])
-    def test_bit_identical_traces(self, scenario, delta, duration):
-        event = run_experiment(config_for(scenario, delta, duration))
-        result = ff.run_fastforward_experiment(
-            config_for(scenario, delta, duration, mode="analytic"))
+    @pytest.mark.parametrize("scenario,delta,duration,seed",
+                             EQUIVALENCE_CELLS)
+    def test_bit_identical_traces(self, scenario, delta, duration, seed):
+        event, _, result, _, _ = engine_pair(scenario, delta, duration,
+                                             seed)
         assert result.mode_used == "analytic"
         trace = result.trace
-        assert np.array_equal(event.send_times, trace.send_times)
-        assert np.array_equal(event.rtts, trace.rtts)
+        assert np.array_equal(event.trace.send_times, trace.send_times)
+        assert np.array_equal(event.trace.rtts, trace.rtts)
         # The engine writes its metadata by hand: it must be the event
         # trace's, plus the mode.
-        assert trace.meta == {**event.meta, "mode": "analytic"}
+        assert trace.meta == {**event.trace.meta, "mode": "analytic"}
 
     def test_losses_occur_and_match_exactly(self):
         # Guards the parametrization above: the long cell really does
         # exercise the drop path, and every lost probe agrees.
-        event = run_experiment(config_for("inria-umd", 0.05, 60.0))
-        result = ff.run_fastforward_experiment(
-            config_for("inria-umd", 0.05, 60.0, mode="analytic"))
-        event_lost = event.rtts == LOST
+        event, _, result, _, walked = engine_pair("inria-umd", 0.05, 60.0)
+        event_lost = event.trace.rtts == LOST
         assert event_lost.any()
+        assert walked == [True, True]
         assert np.array_equal(event_lost, result.trace.rtts == LOST)
 
-    def test_bottleneck_drop_counts_match_event_queues(self):
-        config = config_for("inria-umd", 0.05, 60.0)
-        scenario = execute_experiment(config).scenario
-        result = ff.run_fastforward_experiment(
-            config_for("inria-umd", 0.05, 60.0, mode="analytic"))
-        for bottleneck in (scenario.bottleneck_fwd, scenario.bottleneck_rev):
+    @pytest.mark.parametrize("scenario,delta,duration,seed", [
+        *EQUIVALENCE_CELLS, CI_CELL])
+    def test_bottleneck_drop_counts_match_event_queues(
+            self, scenario, delta, duration, seed):
+        # A walked bottleneck replays the event queue, so every statistic
+        # is equal; a certified one matches the counts.
+        event, _, result, _, walked = engine_pair(scenario, delta,
+                                                  duration, seed)
+        scenario = event.scenario
+        bottlenecks = (scenario.bottleneck_fwd, scenario.bottleneck_rev)
+        for bottleneck, walks in zip(bottlenecks, walked):
             stats = result.queue_stats[bottleneck.name]
-            assert stats["drops"] == bottleneck.queue.drops
-            assert stats["arrivals"] == bottleneck.queue.arrivals
+            want = event.queue_stats[bottleneck.name]
+            if walks:
+                assert stats == want, bottleneck.name
+            else:
+                assert [stats[key] for key in COUNTS] == \
+                    [want[key] for key in COUNTS], bottleneck.name
+        assert any(walked)
+
+    def test_late_probes_never_reach_the_reverse_queue(self):
+        # On the deep-buffer campaign_pool shape at δ 8 ms the reverse
+        # queue holds probes past the end of the run; those never arrive
+        # in event mode, and must not be counted here either.
+        event, _, result, _, walked = engine_pair(
+            "inria-umd", 0.008, 30.0, seed=2, buffer_packets=8192)
+        assert walked == [False, False]
+        for name, want in event.queue_stats.items():
+            if name in result.queue_stats:
+                stats = result.queue_stats[name]
+                assert [stats[key] for key in COUNTS] == \
+                    [want[key] for key in COUNTS], name
+
+    @pytest.mark.parametrize("scenario,delta,duration,seed", [
+        *EQUIVALENCE_CELLS[:3], CI_CELL])
+    def test_raw_receive_times_match_event_deliveries(
+            self, scenario, delta, duration, seed):
+        # Where both bottlenecks walk, every float of a probe's journey
+        # is the event engine's: the receive instants agree before the
+        # microsecond rounding of the stamps.
+        _, delivered, result, raw, walked = engine_pair(
+            scenario, delta, duration, seed)
+        assert walked == [True, True]
+        returned = np.flatnonzero(result.trace.rtts != LOST)
+        assert sorted(delivered) == returned.tolist()
+        assert [delivered[seq].hex() for seq in returned.tolist()] == \
+            [float(value).hex() for value in raw]
 
     def test_trace_meta_records_the_mode(self):
         result = ff.run_fastforward_experiment(
@@ -224,17 +328,17 @@ WALK_PINS = {
             "drops": "0x1.3a00000000000p+9",
             "departures": "0x1.bdc0000000000p+12",
             "loss_fraction": "0x1.4b7afc4e1e9d5p-4",
-            "occupancy_mean_pkts": "0x1.4297dee81781ap+2",
+            "occupancy_mean_pkts": "0x1.4297dee8176fbp+2",
             "occupancy_max_pkts": "0x1.e000000000000p+3",
-            "occupancy_mean_bytes": "0x1.ccadd68110158p+9"},
+            "occupancy_mean_bytes": "0x1.ccadd68110046p+9"},
         "Ithaca.NY.NSS.NSF.NET->icm-sophia.icp.net": {
             "arrivals": "0x1.c890000000000p+12",
             "drops": "0x1.3980000000000p+9",
-            "departures": "0x1.a150000000000p+12",
+            "departures": "0x1.a160000000000p+12",
             "loss_fraction": "0x1.5f90faa3609e2p-4",
-            "occupancy_mean_pkts": "0x1.45f1b02554781p+2",
+            "occupancy_mean_pkts": "0x1.45f1b02554653p+2",
             "occupancy_max_pkts": "0x1.e000000000000p+3",
-            "occupancy_mean_bytes": "0x1.0df391d6fa96cp+10"}}),
+            "occupancy_mean_bytes": "0x1.0df391d6fa8c6p+10"}}),
     ("umd-pitt", 0.008): (1, (
         "e9c4b662340d68444302aa4bc4fc48f06cdb2c713beeeeb8098919d9a14e76a1"), {
         "externals.gw.pitt.edu->136.142.2.54": {
@@ -242,17 +346,17 @@ WALK_PINS = {
             "drops": "0x1.1c00000000000p+6",
             "departures": "0x1.2383400000000p+18",
             "loss_fraction": "0x1.f2afb960dc7aep-13",
-            "occupancy_mean_pkts": "0x1.5e85b3a56840fp+2",
+            "occupancy_mean_pkts": "0x1.5e85b3a56837fp+2",
             "occupancy_max_pkts": "0x1.b800000000000p+6",
-            "occupancy_mean_bytes": "0x1.8499777c57b2bp+10"},
+            "occupancy_mean_bytes": "0x1.8499777c5815dp+10"},
         "136.142.2.54->externals.gw.pitt.edu": {
             "arrivals": "0x1.e079000000000p+17",
             "drops": "0x0.0p+0",
-            "departures": "0x1.e076000000000p+17",
+            "departures": "0x1.e076800000000p+17",
             "loss_fraction": "0x0.0p+0",
-            "occupancy_mean_pkts": "0x1.9323886699d93p+1",
+            "occupancy_mean_pkts": "0x1.9323886699796p+1",
             "occupancy_max_pkts": "0x1.a800000000000p+5",
-            "occupancy_mean_bytes": "0x1.e0e654a8cbeabp+9"}}),
+            "occupancy_mean_bytes": "0x1.e0e654a8cbd5ap+9"}}),
     ("inria-umd", 0.05): (0, (
         "1a3ff8aaab79c243d811a99870b5064dc76c6f95d4b3b72e86c73ec29ea7cb92"), {
         "icm-sophia.icp.net->Ithaca.NY.NSS.NSF.NET": {
@@ -266,11 +370,11 @@ WALK_PINS = {
         "Ithaca.NY.NSS.NSF.NET->icm-sophia.icp.net": {
             "arrivals": "0x1.6840000000000p+12",
             "drops": "0x0.0p+0",
-            "departures": "0x1.6830000000000p+12",
+            "departures": "0x1.6840000000000p+12",
             "loss_fraction": "0x0.0p+0",
-            "occupancy_mean_pkts": "0x1.90bb74320932ap+5",
+            "occupancy_mean_pkts": "0x1.90bb74320931ep+5",
             "occupancy_max_pkts": "0x1.1d00000000000p+8",
-            "occupancy_mean_bytes": "0x1.9892fb065707bp+13"}}),
+            "occupancy_mean_bytes": "0x1.9892fb0657078p+13"}}),
 }
 #: Scenario kwargs of the pinned cells that are not the calibrated default.
 PIN_SCENARIO_KWARGS = {("inria-umd", 0.05): {"buffer_packets": 8192}}
@@ -343,13 +447,15 @@ class TestFallback:
         assert np.array_equal(event.rtts, result.trace.rtts)
 
     def test_overloaded_access_link_falls_back(self):
-        # A mix this bursty overflows the access queue, which the replay
-        # models as lossless: the cell must run on the event engine, on a
-        # warm-up snapshot, and match a plain event run.
+        # A mix this bursty overflows the access queue (the event run
+        # drops 6 packets there), which the replay models as lossless:
+        # the cell must run on the event engine, on a warm-up snapshot,
+        # and match a plain event run.
         def config(mode):
             return ExperimentConfig(
-                delta=0.05, duration=2.0, warmup=3.0, seed=1,
-                scenario_kwargs={"window": 400, "mean_file_packets": 400.0},
+                delta=0.05, duration=5.0, warmup=3.0, seed=1,
+                scenario_kwargs={"window": 1000,
+                                 "mean_file_packets": 1000.0},
                 mode=mode)
 
         event = run_experiment(config("event"))

@@ -56,7 +56,7 @@ def assert_stream_prefix(long, short):
     assert np.array_equal(long.emit_times[:n], short.emit_times)
     assert np.array_equal(long.arrivals[:n], short.arrivals)
     assert np.array_equal(long.bits[:n], short.bits)
-    assert np.array_equal(long.peak_backlogs[:n], short.peak_backlogs)
+    assert np.array_equal(long.peak_loads[:n], short.peak_loads)
 
 
 class TestPrefixProperty:
@@ -82,7 +82,7 @@ class TestPrefixProperty:
                 assert np.array_equal(sliced[1], direct[1])
 
     def test_slice_certificate_matches_fresh_scan(self):
-        """The running-peak lookup equals a fresh max/min certificate."""
+        """The running-peak lookup equals a fresh build's certificate."""
         scenario = build_scenario(config_for())
         stream = ff.build_cross_replay(scenario, 60.0).streams[0]
         for horizon in (10.0, 30.0, 60.0):
@@ -92,8 +92,8 @@ class TestPrefixProperty:
             # full-scan value over the same prefix (identical float ops).
             fresh_build = ff.build_cross_replay(
                 build_scenario(config_for()), horizon).streams[0]
-            assert stream.peak_backlogs[cut - 1] == \
-                fresh_build.peak_backlogs[cut - 1]
+            assert stream.peak_loads[cut - 1] == \
+                fresh_build.peak_loads[cut - 1]
 
     def test_ftp_vectorized_burst_matches_scalar_loop(self):
         """``np.repeat`` burst emission == the per-packet reference loop."""

@@ -160,12 +160,12 @@ class TestTemplateReuse:
         # This mix overflows the access queue, so the analytic engine
         # falls back to the event engine, on the template an event run
         # of the same seed then reuses.
-        kwargs = {"window": 400, "mean_file_packets": 400.0}
+        kwargs = {"window": 1000, "mean_file_packets": 1000.0}
         analytic = execute_experiment(ExperimentConfig(
-            delta=0.05, duration=2.0, warmup=3.0, seed=1, mode="analytic",
+            delta=0.05, duration=5.0, warmup=3.0, seed=1, mode="analytic",
             scenario_kwargs=kwargs))
         assert analytic.mode_used == "event"
-        event = execute_experiment(config_for(seed=1, duration=2.0, **kwargs))
+        event = execute_experiment(config_for(seed=1, duration=5.0, **kwargs))
         assert len(builds) == 1
         assert np.array_equal(analytic.trace.rtts, event.trace.rtts)
         assert analytic.queue_stats == event.queue_stats

@@ -29,11 +29,6 @@ class TestEcho:
         assert reply.payload == echo.payload
         assert reply.size_bytes == echo.size_bytes
 
-    def test_custom_echo_size(self):
-        echo = icmp.make_echo("a", "b", ident=1, seq=1, created_at=0.0,
-                              size_bytes=1000)
-        assert echo.size_bytes == 1000
-
 
 class TestErrors:
     def test_error_context_captures_offender(self):

@@ -1,5 +1,7 @@
 """Tests for the fast-forward bottleneck queue."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -46,23 +48,25 @@ def walk(times, bits, probes, end_time, capacity=15, mode=MODE_PACKETS):
 
 class TestFluidQueueWaits:
     def test_single_packet_served_at_rate(self):
-        # One one-second packet; probes read the work left behind it.
-        for at, left in ((0.0, 1.0), (0.25, 0.75), (2.0, 0.0)):
+        # One one-second packet; a probe leaves one service time after
+        # the later of its arrival and that packet's finish.
+        for at in (0.0, 0.25, 2.0):
             result = walk([0.0, at], [RATE, PROBE_BITS], [False, True],
                           at + 10.0)
-            assert result.waits == [pytest.approx(left)]
+            assert result.exits == [max(at, 1.0) + PROBE_BITS / RATE]
             assert result.stats["departures"] == 2.0
 
     def test_workload_before_offer_is_the_lindley_wait(self, rng):
-        # A walk against an uncapped-in-practice buffer must reproduce
-        # the vectorized Lindley waits exactly.
+        # Through a buffer that never fills, each packet starts after its
+        # Lindley wait: the finish chain gives the closed form's exits up
+        # to the rounding of its prefix sums.
         times = np.sort(rng.uniform(0.0, 30.0, size=300))
         bits = rng.choice([576.0, 4416.0], size=300)
-        expected = fifo_waits(times, bits, RATE)
+        expected = times + fifo_waits(times, bits, RATE) + bits / RATE
         result = walk(times.tolist(), bits.tolist(), [True] * 300,
                       float(times[-1]), capacity=10_000)
         assert result.admitted == [True] * 300
-        assert np.allclose(result.waits, expected, rtol=0.0, atol=1e-12)
+        assert np.allclose(result.exits, expected, rtol=0.0, atol=1e-12)
         assert result.stats["drops"] == 0.0
         assert result.stats["arrivals"] == 300.0
 
@@ -73,8 +77,10 @@ class TestFluidQueueDrops:
         result = walk([0.0] * 20, [PROBE_BITS] * 20, [True] * 20, 1.0)
         assert result.admitted == [True] * 16 + [False] * 4
         assert result.stats["drops"] == 4.0
-        # Backlog: the packet in service plus the 15 buffered ones.
-        assert result.waits[-1] == pytest.approx(16 * PROBE_BITS / RATE)
+        # The last one admitted leaves behind the one in service and the
+        # 14 buffered ahead of it; a dropped one never leaves.
+        assert result.exits[15] == pytest.approx(16 * PROBE_BITS / RATE)
+        assert all(math.isnan(exit) for exit in result.exits[16:])
 
     def test_busy_server_admits_only_capacity(self):
         # A one-second packet holds the server.
@@ -91,13 +97,14 @@ class TestFluidQueueDrops:
                       mode=MODE_BYTES)
         assert result.admitted == [True, True, False]
         assert result.stats["drops"] == 1.0
-        assert result.waits[-1] == pytest.approx((800.0 + 2 * 3200.0) / RATE)
+        assert result.exits[1] == pytest.approx((800.0 + 2 * 3200.0) / RATE)
 
     def test_oversized_packet_drops_even_when_idle(self):
         result = walk([0.0, 0.0], [8 * 101.0, PROBE_BITS], [True, True],
                       1.0, capacity=100, mode=MODE_BYTES)
         assert result.admitted == [False, True]
-        assert result.waits == [0.0, 0.0]
+        assert math.isnan(result.exits[0])
+        assert result.exits[1] == PROBE_BITS / RATE
         assert result.stats["drops"] == 1.0
 
     def test_packet_exactly_filling_idle_server_is_accepted(self):
@@ -120,6 +127,8 @@ class TestFluidQueueDrops:
             walk([0.0], [0.0], [False], 1.0)
         with pytest.raises(ConfigurationError):
             walk([0.0, 1.0], [PROBE_BITS], [True], 1.0)
+        with pytest.raises(ConfigurationError):
+            walk([0.0, 2.0], [PROBE_BITS] * 2, [True] * 2, 1.0)
 
 
 class TestFluidQueueStats:
@@ -166,19 +175,19 @@ class TestBottleneckPass:
         cross_times, cross_bits = cross_stream(rng)
         probes = np.arange(0.05, 30.0, 0.05)
         window = (cross_times, cross_bits, probes, PROBE_BITS, 31.0, RATE)
-        waits, admitted, stats = bottleneck_pass(*window, 10_000,
+        exits, admitted, stats = bottleneck_pass(*window, 10_000,
                                                  MODE_PACKETS)
         assert walks == []
         assert admitted.all() and admitted.size == probes.size
         # A one-packet buffer fails the certificate, so that pass walks
         # the merged stream; walked through the deep buffer, the stream
         # gives the certified pass's result up to the rounding of the
-        # closed-form Lindley sums.
+        # closed-form Lindley sums, and the same counts.
         bottleneck_pass(*window, 1, MODE_PACKETS)
         times, bits, flags, end_time = walks[0][:4]
         walked = drop_tail_walk(times, bits, flags, end_time, RATE, 10_000,
                                 MODE_PACKETS)
-        assert np.allclose(waits, walked.waits, rtol=0.0, atol=1e-12)
+        assert np.allclose(exits, walked.exits, rtol=0.0, atol=1e-12)
         assert walked.admitted == admitted.tolist()
         for key, value in walked.stats.items():
             assert stats[key] == pytest.approx(value, rel=1e-9), key
@@ -189,7 +198,7 @@ class TestBottleneckPass:
             self, rng, walks, capacity, mode):
         cross_times, cross_bits = cross_stream(rng)
         probes = np.arange(0.05, 30.0, 0.05)
-        waits, admitted, stats = bottleneck_pass(
+        exits, admitted, stats = bottleneck_pass(
             cross_times, cross_bits, probes, PROBE_BITS, 31.0, RATE,
             capacity, mode)
         assert len(walks) == 1
@@ -199,7 +208,7 @@ class TestBottleneckPass:
         assert sum(flags) == probes.size
         assert sorted(times) == times
         expected = drop_tail_walk(times, bits, flags, end_time, *queue)
-        assert waits.tolist() == expected.waits
+        assert np.array_equal(exits, expected.exits, equal_nan=True)
         assert admitted.tolist() == expected.admitted
         assert not admitted.all()
         assert stats == expected.stats
@@ -233,10 +242,11 @@ class TestBottleneckPass:
     def test_probe_queues_behind_same_instant_cross_packets(self, walks):
         # Cross packets arriving with a probe are ahead of it; equal-time
         # probes keep their send order.
-        waits, admitted, _ = bottleneck_pass(
+        exits, admitted, _ = bottleneck_pass(
             np.array([1.0, 1.0]), np.array([RATE, RATE]),
             np.array([1.0, 1.0]), PROBE_BITS, 10.0, RATE, 15, MODE_PACKETS)
-        assert waits.tolist() == [2.0, 2.0 + PROBE_BITS / RATE]
+        service = PROBE_BITS / RATE
+        assert exits.tolist() == [3.0 + service, 3.0 + service + service]
         assert admitted.tolist() == [True, True]
 
     def test_cross_packets_after_the_window_never_arrive(self):
@@ -245,9 +255,17 @@ class TestBottleneckPass:
             np.array([2.0]), PROBE_BITS, 10.0, RATE, 15, MODE_PACKETS)
         assert stats["arrivals"] == 3.0
 
+    def test_probes_after_the_window_never_arrive(self):
+        exits, admitted, stats = bottleneck_pass(
+            np.array([1.0]), np.full(1, PROBE_BITS), np.array([2.0, 12.0]),
+            PROBE_BITS, 10.0, RATE, 15, MODE_PACKETS)
+        assert stats["arrivals"] == 2.0
+        assert admitted.tolist() == [True, False]
+        assert exits[0] == 2.0 + PROBE_BITS / RATE and math.isnan(exits[1])
+
     def test_empty_window(self):
-        waits, admitted, stats = bottleneck_pass(
+        exits, admitted, stats = bottleneck_pass(
             np.empty(0), np.empty(0), np.empty(0), PROBE_BITS, 10.0, RATE,
             15, MODE_PACKETS)
-        assert waits.size == 0 and admitted.size == 0
+        assert exits.size == 0 and admitted.size == 0
         assert stats["arrivals"] == 0.0
